@@ -1,18 +1,20 @@
 """LP/MILP solving on top of the HiGHS engines bundled with scipy.
 
-Models are assembled row by row with named constraints.  Results expose
-primal values and, for pure LPs, one dual value per row.  Duals are
-normalised so that ``sum(rhs * dual)`` over all rows equals the optimal
-objective of the minimisation problem, regardless of the engine's native
-sign convention.  To keep that identity closed over rows alone, the LP
-path converts finite variable bounds into explicit rows (named
-``_lb[var]`` / ``_ub[var]``).
+Models are assembled row by row with named constraints (``Model``), or
+directly in arrays (``LinearProgram``).  ``solve_lp`` is the one LP adapter:
+a ``Model`` is lowered to a ``LinearProgram`` before it reaches the engine.
+Results expose primal values and, for pure LPs, one dual value per row and
+per finite variable bound.  Duals are normalised so that ``sum(rhs * dual)``
+over rows and bounds equals the optimal objective of the minimisation
+problem, regardless of the engine's native sign convention; a bound counts
+as the row ``x >= lb`` (named ``_lb[var]``) or ``x <= ub`` (``_ub[var]``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +49,30 @@ class _Row:
     terms: dict[int, float]
     sense: str
     rhs: float
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """``min cost @ x`` s.t. ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``,
+    ``lb <= x <= ub``.
+
+    ``ub_sign`` gives the orientation each inequality was written in: -1
+    marks a ``>=`` row stored negated, whose dual and rhs are reported
+    flipped back.  ``col_names`` and ``row_names`` (inequalities, then
+    equalities, then finite bounds) are optional and only key the result.
+    """
+
+    cost: np.ndarray
+    a_ub: np.ndarray | sp.csr_matrix
+    b_ub: np.ndarray
+    a_eq: np.ndarray | sp.csr_matrix
+    b_eq: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    ub_sign: np.ndarray | None = None
+    name: str = "lp"
+    col_names: tuple[str, ...] = ()
+    row_names: tuple[str, ...] = ()
 
 
 class Model:
@@ -103,23 +129,77 @@ class Model:
     def has_binaries(self) -> bool:
         return any(v.binary for v in self._vars)
 
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        cost = np.array([v.cost for v in self._vars], dtype=float)
+        lb = np.array([v.lb for v in self._vars], dtype=float)
+        ub = np.array([v.ub for v in self._vars], dtype=float)
+        return cost, lb, ub
+
+    def _matrix(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """Every row in one CSR matrix, with its sense and rhs."""
+        data: list[float] = []
+        ri: list[int] = []
+        ci: list[int] = []
+        for r, row in enumerate(self._rows):
+            ri.extend([r] * len(row.terms))
+            ci.extend(row.terms.keys())
+            data.extend(row.terms.values())
+        mat = sp.csr_matrix((data, (ri, ci)), shape=(len(self._rows), len(self._vars)))
+        sense = np.array([row.sense for row in self._rows], dtype=object)
+        rhs = np.array([row.rhs for row in self._rows], dtype=float)
+        return mat, sense, rhs
+
+    def lower(self) -> LinearProgram:
+        """The model as arrays; ``>=`` rows are stored negated."""
+        if self.has_binaries:
+            raise ValueError("only a model without binary variables lowers to an LP")
+        mat, sense, rhs = self._matrix()
+        ineq = np.flatnonzero(sense != "==")
+        eq = np.flatnonzero(sense == "==")
+        sign = np.where(sense[ineq] == ">=", -1.0, 1.0)
+        cost, lb, ub = self._columns()
+        names = [self._rows[i].name for i in ineq] + [self._rows[i].name for i in eq]
+        names += [f"_lb[{v.name}]" for v in self._vars if v.lb > -INF]
+        names += [f"_ub[{v.name}]" for v in self._vars if v.ub < INF]
+        return LinearProgram(
+            cost=cost, a_ub=sp.diags(sign) @ mat[ineq], b_ub=sign * rhs[ineq],
+            a_eq=mat[eq], b_eq=rhs[eq], lb=lb, ub=ub, ub_sign=sign, name=self.name,
+            col_names=tuple(self.variable_names), row_names=tuple(names))
+
 
 @dataclass
 class SolveResult:
     """Outcome of one solve.
 
-    ``duals`` is present only when the solved model had no binaries; it maps
-    row name to the normalised dual value.  ``row_rhs`` carries the
-    right-hand sides used in the solve (including synthesised bound rows in
-    LP mode) so the dual objective can be recomputed exactly.
+    ``x`` holds the primal values in column order.  For LP solves,
+    ``row_duals`` holds one normalised dual per inequality row, equality row
+    and finite variable bound, in that order, and ``row_rhs`` the matching
+    right-hand sides, so the dual objective can be recomputed exactly.
+    ``values`` and ``duals`` key the same numbers by name when the solved
+    model had names.
     """
 
     status: str
     objective: float | None
-    values: dict[str, float] = field(default_factory=dict)
-    duals: dict[str, float] | None = None
+    x: np.ndarray | None = None
+    row_duals: np.ndarray | None = None
+    row_rhs: np.ndarray | None = None
     mip_gap: float | None = None
-    row_rhs: dict[str, float] = field(default_factory=dict)
+    col_names: tuple[str, ...] = field(default=(), repr=False)
+    row_names: tuple[str, ...] = field(default=(), repr=False)
+
+    @cached_property
+    def values(self) -> dict[str, float]:
+        if self.x is None:
+            return {}
+        return dict(zip(self.col_names, self.x.tolist()))
+
+    @cached_property
+    def duals(self) -> dict[str, float] | None:
+        """Row name to normalised dual; present only for LP solves."""
+        if self.row_duals is None:
+            return None
+        return dict(zip(self.row_names, self.row_duals.tolist()))
 
     def value(self, name: str) -> float:
         return self.values[name]
@@ -130,92 +210,57 @@ class SolveResult:
         return self.duals[name]
 
     def dual_objective(self) -> float:
-        """Sum of rhs * dual over every row; equals the LP optimum."""
-        if self.duals is None:
+        """Sum of rhs * dual over every row and bound; equals the LP optimum."""
+        if self.row_duals is None:
             raise ValueError("duals are only available for LP solves")
-        return sum(self.row_rhs[name] * d for name, d in self.duals.items())
+        return float(self.row_rhs @ self.row_duals)
 
 
-def _coo(rows: list[_Row], n_vars: int, selector) -> tuple[sp.csr_matrix, np.ndarray, list[_Row]]:
-    data, ri, ci, rhs, picked = [], [], [], [], []
-    r = 0
-    for row in rows:
-        sign = selector(row)
-        if sign is None:
-            continue
-        for col, coef in row.terms.items():
-            ri.append(r)
-            ci.append(col)
-            data.append(sign * coef)
-        rhs.append(sign * row.rhs)
-        picked.append(row)
-        r += 1
-    mat = sp.csr_matrix((data, (ri, ci)), shape=(r, n_vars))
-    return mat, np.asarray(rhs, dtype=float), picked
-
-
-def solve_lp(model: Model, feasibility_tol: float = DEFAULT_LP_FEASIBILITY_TOL,
+def solve_lp(problem: LinearProgram | Model,
+             feasibility_tol: float = DEFAULT_LP_FEASIBILITY_TOL,
              time_limit: float | None = None) -> SolveResult:
-    """Solve a pure LP and return primal values plus normalised row duals."""
-    if model.has_binaries:
-        raise ValueError("solve_lp requires a model without binary variables")
-
-    rows = list(model._rows)
-    # Finite bounds become rows so that row duals alone close the duality gap.
-    for v in model._vars:
-        if v.lb > -INF:
-            rows.append(_Row(f"_lb[{v.name}]", {model._var_index[v.name]: 1.0}, ">=", v.lb))
-        if v.ub < INF:
-            rows.append(_Row(f"_ub[{v.name}]", {model._var_index[v.name]: 1.0}, "<=", v.ub))
-
-    n = model.num_variables
-    a_ub, b_ub, ub_rows = _coo(
-        rows, n, lambda r: 1.0 if r.sense == "<=" else (-1.0 if r.sense == ">=" else None))
-    a_eq, b_eq, eq_rows = _coo(rows, n, lambda r: 1.0 if r.sense == "==" else None)
-
-    cost = np.array([v.cost for v in model._vars], dtype=float)
+    """Solve a pure LP and return primal values plus normalised duals."""
+    lp = problem.lower() if isinstance(problem, Model) else problem
     options = {
         "primal_feasibility_tolerance": feasibility_tol,
         "dual_feasibility_tolerance": feasibility_tol,
     }
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-
+    has_ub = lp.b_ub.shape[0] > 0
+    has_eq = lp.b_eq.shape[0] > 0
     res = linprog(
-        c=cost,
-        A_ub=a_ub if a_ub.shape[0] else None,
-        b_ub=b_ub if a_ub.shape[0] else None,
-        A_eq=a_eq if a_eq.shape[0] else None,
-        b_eq=b_eq if a_eq.shape[0] else None,
-        bounds=[(None, None)] * n,
+        c=lp.cost,
+        A_ub=lp.a_ub if has_ub else None,
+        b_ub=lp.b_ub if has_ub else None,
+        A_eq=lp.a_eq if has_eq else None,
+        b_eq=lp.b_eq if has_eq else None,
+        bounds=np.column_stack((lp.lb, lp.ub)),
         method="highs",
         options=options,
     )
     if res.status not in _STATUS_MAP:
-        raise SolverError(f"LP engine failure on {model.name!r}: {res.message}")
+        raise SolverError(f"LP engine failure on {lp.name!r}: {res.message}")
     status = _STATUS_MAP[res.status]
+    if status != "optimal":
+        return SolveResult(status=status, objective=None,
+                           col_names=lp.col_names, row_names=lp.row_names)
 
-    values: dict[str, float] = {}
-    duals: dict[str, float] | None = None
-    rhs_map: dict[str, float] = {}
-    objective = None
-    if status == "optimal":
-        objective = float(res.fun)
-        values = {v.name: float(x) for v, x in zip(model._vars, res.x)}
-        duals = {}
-        # ">=" rows were shipped negated; flip dual and rhs back so that
-        # rhs * dual contributes in the original orientation.
-        for row, marg in zip(ub_rows, res.ineqlin.marginals):
-            if row.sense == ">=":
-                duals[row.name] = -float(marg)
-            else:
-                duals[row.name] = float(marg)
-            rhs_map[row.name] = row.rhs
-        for row, marg in zip(eq_rows, res.eqlin.marginals):
-            duals[row.name] = float(marg)
-            rhs_map[row.name] = row.rhs
-    return SolveResult(status=status, objective=objective, values=values,
-                       duals=duals, mip_gap=None, row_rhs=rhs_map)
+    # Marginals are sensitivities of the optimum to each rhs, which is the
+    # normalised dual of a row in the orientation it was shipped in.
+    ub_duals = res.ineqlin.marginals if has_ub else np.zeros(0)
+    ub_rhs = lp.b_ub
+    if lp.ub_sign is not None:
+        ub_duals = lp.ub_sign * ub_duals
+        ub_rhs = lp.ub_sign * ub_rhs
+    finite_lb = np.isfinite(lp.lb)
+    finite_ub = np.isfinite(lp.ub)
+    duals = np.concatenate((ub_duals, res.eqlin.marginals if has_eq else np.zeros(0),
+                            res.lower.marginals[finite_lb], res.upper.marginals[finite_ub]))
+    rhs = np.concatenate((ub_rhs, lp.b_eq, lp.lb[finite_lb], lp.ub[finite_ub]))
+    return SolveResult(status=status, objective=float(res.fun), x=res.x,
+                       row_duals=duals, row_rhs=rhs,
+                       col_names=lp.col_names, row_names=lp.row_names)
 
 
 def solve_milp(model: Model, gap: float = DEFAULT_MILP_GAP,
@@ -224,30 +269,14 @@ def solve_milp(model: Model, gap: float = DEFAULT_MILP_GAP,
     if not model.has_binaries:
         return solve_lp(model, time_limit=time_limit)
 
-    n = model.num_variables
-    cost = np.array([v.cost for v in model._vars], dtype=float)
-    lb = np.array([v.lb for v in model._vars], dtype=float)
-    ub = np.array([v.ub for v in model._vars], dtype=float)
+    cost, lb, ub = model._columns()
     integrality = np.array([1 if v.binary else 0 for v in model._vars], dtype=int)
 
     constraints = []
     if model._rows:
-        data, ri, ci, lo, hi = [], [], [], [], []
-        for r, row in enumerate(model._rows):
-            for col, coef in row.terms.items():
-                ri.append(r)
-                ci.append(col)
-                data.append(coef)
-            if row.sense == "<=":
-                lo.append(-INF)
-                hi.append(row.rhs)
-            elif row.sense == ">=":
-                lo.append(row.rhs)
-                hi.append(INF)
-            else:
-                lo.append(row.rhs)
-                hi.append(row.rhs)
-        mat = sp.csr_matrix((data, (ri, ci)), shape=(len(model._rows), n))
+        mat, sense, rhs = model._matrix()
+        lo = np.where(sense == "<=", -INF, rhs)
+        hi = np.where(sense == ">=", INF, rhs)
         constraints.append(LinearConstraint(mat, lo, hi))
 
     options: dict[str, object] = {"mip_rel_gap": float(gap)}
@@ -260,14 +289,12 @@ def solve_milp(model: Model, gap: float = DEFAULT_MILP_GAP,
         raise SolverError(f"MILP engine failure on {model.name!r}: {res.message}")
     status = _STATUS_MAP[res.status]
 
-    values: dict[str, float] = {}
     objective = None
     if res.x is not None:
         objective = float(res.fun)
-        values = {v.name: float(x) for v, x in zip(model._vars, res.x)}
     elif status == "optimal":
         raise SolverError(f"MILP engine returned optimal without a solution on {model.name!r}")
     gap_out = getattr(res, "mip_gap", None)
-    return SolveResult(status=status, objective=objective, values=values,
-                       duals=None, mip_gap=None if gap_out is None else float(gap_out),
-                       row_rhs={row.name: row.rhs for row in model._rows})
+    return SolveResult(status=status, objective=objective, x=res.x,
+                       mip_gap=None if gap_out is None else float(gap_out),
+                       col_names=tuple(model.variable_names))

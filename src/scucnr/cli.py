@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .backend import SolverError
-from .caseio import (CaseIOError, load_solution, parse_case, write_case,
-                     write_report)
+from .caseio import (CaseFormatError, CaseIOError, load_solution, parse_case,
+                     write_case, write_report)
 from .fixtures import random_case
 from .orchestrator import (METHODS, ScheduleResult, SolveOptions, solve,
                            verify_solution)
@@ -110,7 +110,12 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     case = parse_case(args.case)
     doc, schedule = load_solution(args.result)
-    pseudo = ScheduleResult(method=doc.get("method", "td_scuc"),
+    method = doc.get("method")
+    if method not in METHODS:
+        # the method decides whether the audit may rescue a pair by switching
+        raise CaseFormatError(f"{args.result}: report names no known method "
+                              f"(got {method!r}; expected one of {METHODS})")
+    pseudo = ScheduleResult(method=method,
                             status="converged", converged=True, schedule=schedule,
                             iterations=int(doc.get("iterations", 1)), cuts=(),
                             switches={}, unresolved=(), report=None)

@@ -117,9 +117,6 @@ class Violation:
         return f"[{self.kind}] {self.entity}: {self.message}"
 
 
-ValidationReport = list
-
-
 def _connected_components(bus_ids, edges) -> list[set[int]]:
     adjacency: dict[int, list[int]] = {n: [] for n in bus_ids}
     for frm, to in edges:
@@ -350,7 +347,6 @@ class SubproblemDuals:
     output_max: dict[int, float]    # per generator: committed maximum
     flow_lower: dict[int, float]    # per branch: negative emergency limit
     flow_upper: dict[int, float]    # per branch: positive emergency limit
-    flow_coupling: dict[int, float]  # per in-service branch: flow definition
     balance: dict[int, float]       # per bus: nodal balance
 
 

@@ -223,15 +223,24 @@ class NetworkSensitivities:
     def _branch_pos(self) -> dict[int, int]:
         return {k: i for i, k in enumerate(self.branch_ids)}
 
-    @cached_property
-    def _bus_pos(self) -> dict[int, int]:
-        return {n: i for i, n in enumerate(self.bus_ids)}
-
     def lodf_factor(self, monitored: int, outaged: int) -> float:
         return float(self.lodf[self._branch_pos[monitored], self._branch_pos[outaged]])
 
-    def ptdf_factor(self, branch: int, bus: int) -> float:
-        return float(self.ptdf[self._branch_pos[branch], self._bus_pos[bus]])
+    def outage_ptdf(self, removed: tuple[int, ...]) -> np.ndarray:
+        """Injection sensitivities of the network with ``removed`` open.
+
+        Generalised LODFs (Guler, Gross & Liu, IEEE TPWRS 2007): with ``O``
+        the removed positions, ``PTDF - LODF[:, O] LODF[O, O]^-1 PTDF[O, :]``.
+        For one outage ``c`` this is ``PTDF + LODF[:, c] PTDF[c, :]``; the
+        rows of the removed branches come out zero.  The block ``LODF[O, O]``
+        is singular exactly when the removal islands a bus.
+        """
+        pos = [self._branch_pos[k] for k in removed]
+        block = self.lodf[np.ix_(pos, pos)]
+        det = np.linalg.det(block) if np.isfinite(block).all() else 0.0
+        if abs(det) < RADIAL_DENOMINATOR_TOL:
+            raise ValueError(f"opening branches {sorted(removed)} islands the network")
+        return self.ptdf - self.lodf[:, pos] @ np.linalg.solve(block, self.ptdf[pos])
 
     @property
     def contingencies(self) -> list[int]:

@@ -145,7 +145,7 @@ def _examine_pair(case, sens, muc, c, t, options, counters):
     Returns (outcome, cut) where cut is None unless the pair ends up with no
     feasible recourse.
     """
-    outcome = solve_pcfc(case, muc, c, t, options.slack_tolerance)
+    outcome = solve_pcfc(case, sens, muc, c, t, options.slack_tolerance)
     counters["pcfc_solved"] += 1
     if outcome.status == "feasible":
         return outcome, None
@@ -209,14 +209,15 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
             screen = run_csps(case, sens, schedule, all_pairs)
             timings.add("screening", time.perf_counter() - t0)
             candidates = list(screen.critical)
-            screened_out = [pair for pair in all_pairs if pair not in set(candidates)]
+            critical = set(candidates)
+            screened_out = [pair for pair in all_pairs if pair not in critical]
             for c, t in screened_out:
                 outcomes[(c, t)] = SubproblemOutcome(
                     contingency=c, period=t, status="screened_out", slack=0.0)
             if options.audit_screening:
                 audit_max = 0.0
                 for c, t in screened_out:
-                    check = solve_pcfc(case, schedule, c, t, options.slack_tolerance)
+                    check = solve_pcfc(case, sens, schedule, c, t, options.slack_tolerance)
                     audit_max = max(audit_max, check.slack)
                     if check.slack > options.slack_tolerance:
                         raise SolverError(
@@ -334,7 +335,8 @@ def verify_solution(case: SystemCase, result: ScheduleResult,
     """
     if result.schedule is None:
         raise ValueError("result carries no schedule to verify")
-    sens = build_sensitivities(case)
+    # the audit enumerates every switch, so it needs no ranked candidate list
+    sens = build_sensitivities(case, cbce_size=0)
     allow_switching = result.method in _CNR_METHODS
     reconfigurable = frozenset(k.id for k in case.branches if k.reconfigurable) & sens.non_radial
     violations: list[tuple[int, int, float]] = []
@@ -342,7 +344,7 @@ def verify_solution(case: SystemCase, result: ScheduleResult,
     for t in case.periods:
         for c in sens.contingencies:
             checked += 1
-            out = solve_pcfc(case, result.schedule, c, t, slack_tolerance)
+            out = solve_pcfc(case, sens, result.schedule, c, t, slack_tolerance)
             if out.status == "feasible":
                 continue
             rescued = False
@@ -350,7 +352,8 @@ def verify_solution(case: SystemCase, result: ScheduleResult,
                 for j in sorted(reconfigurable - {c}):
                     if not check_connectivity(case, {c, j}):
                         continue
-                    alt = solve_nr_pcfc(case, result.schedule, c, t, j, slack_tolerance)
+                    alt = solve_nr_pcfc(case, sens, result.schedule, c, t, j,
+                                        slack_tolerance)
                     if alt.status == "feasible_via_switch":
                         rescued = True
                         break

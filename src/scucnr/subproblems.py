@@ -6,17 +6,25 @@ whose proportional slack indicates whether the outage is survivable within
 10-minute ramps and emergency ratings, and the same LP re-solved with one
 additional line opened.  The switch search walks the ranked candidate list
 and stops at the first feasible reconfiguration.
+
+The feasibility LP is in shift-factor form and built directly in arrays:
+its columns are the slack and one redispatch per generator, and branch
+flows are post-outage PTDF products of the bus injections (generalised
+LODFs for a switched pair), so no angle or flow variables appear.  The
+per-bus balance duals a feasibility cut is written in are rebuilt from the
+system balance dual and the flow-limit duals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import Model, SolverError, solve_lp
+import numpy as np
+
+from .backend import LinearProgram, SolverError, solve_lp
 from .model import (SLACK_TOLERANCE, MucSolution, SubproblemDuals,
                     SubproblemOutcome, SystemCase)
 from .network import NetworkSensitivities, check_connectivity
-from .formulations import effective_susceptance
 
 SCREEN_SLACK_MW = 1e-6
 
@@ -30,9 +38,6 @@ class ScreeningResult:
     candidates: int
     critical: tuple[tuple[int, int], ...]
     overload_ratio: dict[tuple[int, int], float]
-
-    def is_critical(self, c: int, t: int) -> bool:
-        return (c, t) in set(self.critical)
 
 
 def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
@@ -66,67 +71,65 @@ def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
                            overload_ratio=ratios)
 
 
-def _add_slack_lp(model: Model, case: SystemCase, muc: MucSolution,
-                  c: int, t: int, removed: frozenset[int]) -> None:
-    """Shared rows of the redispatch feasibility LP.
+def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t: int,
+              removed: tuple[int, ...], name: str) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+    """Redispatch feasibility LP in shift-factor form.
 
-    All operative limits are rows (not variable bounds) so that every dual
-    lands on a named row; the slack scales each right-hand side towards the
-    universally feasible all-zeros point, which also makes the slack column
-    equal the rhs column.
+    Columns are the slack ``s`` and one post-outage output per generator.
+    Rows: four ramp/output limits per generator, the system balance, and
+    the two emergency limits of every in-service branch, whose flow is the
+    post-outage PTDF times the bus injections.  The slack scales each
+    right-hand side towards the universally feasible all-zeros point, so
+    the slack column equals the rhs column.  Returns the LP, the in-service
+    branch mask and their post-outage PTDF rows.
     """
-    s = model.add_variable("s", lb=0.0, cost=1.0)
-    for g in case.generators:
-        model.add_variable(f"pg[{g.id}]")
-    for k in case.branches:
-        model.add_variable(f"fk[{k.id}]")
-    for n in case.buses:
-        model.add_variable(f"th[{n.id}]")
+    gens = case.generators
+    n_g = len(gens)
+    u = np.array([muc.commitment(g.id, t) for g in gens], dtype=float)
+    p = np.array([muc.dispatch(g.id, t) for g in gens])
+    ramp = np.array([g.ramp_10 for g in gens]) * u
+    p_min = np.array([g.p_min for g in gens]) * u
+    p_max = np.array([g.p_max for g in gens]) * u
+    demand = np.array([case.demand(n.id, t) for n in case.buses])
 
-    for g in case.generators:
-        u = muc.commitment(g.id, t)
-        p = muc.dispatch(g.id, t)
-        down = g.ramp_10 * u - p
-        up = g.ramp_10 * u + p
-        pg = f"pg[{g.id}]"
-        model.add_constraint(f"rd[{g.id}]", {pg: -1.0, s: down}, "<=", down)
-        model.add_constraint(f"ru[{g.id}]", {pg: 1.0, s: up}, "<=", up)
-        model.add_constraint(f"omin[{g.id}]", {pg: 1.0, s: g.p_min * u}, ">=", g.p_min * u)
-        model.add_constraint(f"omax[{g.id}]", {pg: 1.0, s: g.p_max * u}, "<=", g.p_max * u)
+    in_service = np.ones(len(case.branches), dtype=bool)
+    in_service[[case.branch_index[k] for k in removed]] = False
+    rate = np.array([k.rate_emergency for k in case.branches])[in_service]
+    ptdf = sens.outage_ptdf(removed)[in_service]
+    at_gens = ptdf[:, [case.bus_index[g.bus] for g in gens]]
+    # branch flow is at_gens @ pg - demand_flow * (1 - s)
+    demand_flow = ptdf @ demand
+    n_k = len(rate)
 
-    for k in case.branches:
-        fk = f"fk[{k.id}]"
-        if k.id in removed:
-            model.add_constraint(f"open[{k.id}]", {fk: 1.0}, "==", 0.0)
-        else:
-            beff = effective_susceptance(case, k.id)
-            model.add_constraint(f"fd[{k.id}]",
-                                 {fk: 1.0, f"th[{k.from_bus}]": -beff,
-                                  f"th[{k.to_bus}]": beff}, "==", 0.0)
-        e = k.rate_emergency
-        model.add_constraint(f"fl[{k.id}]", {fk: 1.0, s: -e}, ">=", -e)
-        model.add_constraint(f"fu[{k.id}]", {fk: 1.0, s: e}, "<=", e)
-
-    for n in case.buses:
-        d = case.demand(n.id, t)
-        terms = {f"pg[{g.id}]": 1.0 for g in case.generators_at_bus.get(n.id, ())}
-        for k in case.branches:
-            fk = f"fk[{k.id}]"
-            if k.to_bus == n.id:
-                terms[fk] = terms.get(fk, 0.0) + 1.0
-            if k.from_bus == n.id:
-                terms[fk] = terms.get(fk, 0.0) - 1.0
-        terms[s] = d
-        model.add_constraint(f"bal[{n.id}]", terms, "==", d)
-    model.add_constraint("ref", {f"th[{case.reference_bus}]": 1.0}, "==", 0.0)
+    eye = np.eye(n_g)
+    coef = np.vstack((-eye, eye, eye, eye, at_gens, at_gens))
+    rhs = np.concatenate((ramp - p, ramp + p, p_min, p_max,
+                          rate + demand_flow, demand_flow - rate))
+    # rd, ru, omin (>=), omax, upper flow limit, lower flow limit (>=)
+    sign = np.concatenate((np.ones(2 * n_g), -np.ones(n_g), np.ones(n_g + n_k),
+                           -np.ones(n_k)))
+    total = demand.sum()
+    lp = LinearProgram(
+        cost=np.concatenate(([1.0], np.zeros(n_g))),
+        a_ub=sign[:, None] * np.hstack((rhs[:, None], coef)),
+        b_ub=sign * rhs,
+        a_eq=np.concatenate(([total], np.ones(n_g)))[None, :],
+        b_eq=np.array([total]),
+        lb=np.concatenate(([0.0], np.full(n_g, -np.inf))),
+        ub=np.full(n_g + 1, np.inf),
+        ub_sign=sign,
+        name=name,
+    )
+    return lp, in_service, ptdf
 
 
-def _solve_slack_lp(model: Model, name: str):
-    result = solve_lp(model)
+def _solve_slack_lp(lp: LinearProgram):
+    name = lp.name
+    result = solve_lp(lp)
     if result.status != "optimal":
         # the all-zeros redispatch with slack 1 is always feasible
         raise SolverError(f"{name} must always be solvable, engine says {result.status}")
-    slack = result.value("s")
+    slack = float(result.x[0])
     if slack < -1e-9 or slack > 1.0 + 1e-6:
         raise SolverError(f"{name} slack {slack} escaped [0, 1]")
     gap = abs(result.dual_objective() - result.objective)
@@ -135,36 +138,48 @@ def _solve_slack_lp(model: Model, name: str):
     return result, max(slack, 0.0)
 
 
-def solve_pcfc(case: SystemCase, muc: MucSolution, c: int, t: int,
-               slack_tolerance: float = SLACK_TOLERANCE) -> SubproblemOutcome:
+def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
+               c: int, t: int, slack_tolerance: float = SLACK_TOLERANCE) -> SubproblemOutcome:
     """Redispatch feasibility check for one outage in one period.
 
     Minimizes a proportional slack over the 10-minute redispatch polytope of
     the given schedule with branch ``c`` out of service.  Slack zero means
     the outage is survivable; the returned duals support cut assembly and
-    satisfy the rhs-weighted strong-duality identity to 1e-6.
+    satisfy the rhs-weighted strong-duality identity to 1e-6.  Per-bus
+    balance duals are rebuilt from the system balance dual ``lam`` and the
+    flow-limit duals as ``lam + H_c^T (mu_upper + mu_lower)``, which keeps
+    that identity over the per-bus demands the cut is written in.
     """
-    model = Model(f"pcfc[{c},{t}]")
-    _add_slack_lp(model, case, muc, c, t, removed=frozenset({c}))
-    result, slack = _solve_slack_lp(model, model.name)
+    lp, in_service, ptdf = _slack_lp(case, sens, muc, t, (c,), f"pcfc[{c},{t}]")
+    result, slack = _solve_slack_lp(lp)
 
+    n_g, n_k = len(case.generators), len(ptdf)
+    # inequality rows in _slack_lp order, then the balance row and the slack's bound
+    rd, ru, omin, omax, upper_k, lower_k, (lam, _) = np.split(
+        result.row_duals, np.cumsum((n_g, n_g, n_g, n_g, n_k, n_k)))
+    upper = np.zeros(len(case.branches))
+    lower = np.zeros(len(case.branches))
+    upper[in_service] = upper_k
+    lower[in_service] = lower_k
+    balance = lam + ptdf.T @ (upper_k + lower_k)
+    gen_ids = [g.id for g in case.generators]
+    branch_ids = [k.id for k in case.branches]
     duals = SubproblemDuals(
-        ramp_down={g.id: result.dual(f"rd[{g.id}]") for g in case.generators},
-        ramp_up={g.id: result.dual(f"ru[{g.id}]") for g in case.generators},
-        output_min={g.id: result.dual(f"omin[{g.id}]") for g in case.generators},
-        output_max={g.id: result.dual(f"omax[{g.id}]") for g in case.generators},
-        flow_lower={k.id: result.dual(f"fl[{k.id}]") for k in case.branches},
-        flow_upper={k.id: result.dual(f"fu[{k.id}]") for k in case.branches},
-        flow_coupling={k.id: result.dual(f"fd[{k.id}]")
-                       for k in case.branches if k.id != c},
-        balance={n.id: result.dual(f"bal[{n.id}]") for n in case.buses},
+        ramp_down=dict(zip(gen_ids, rd.tolist())),
+        ramp_up=dict(zip(gen_ids, ru.tolist())),
+        output_min=dict(zip(gen_ids, omin.tolist())),
+        output_max=dict(zip(gen_ids, omax.tolist())),
+        flow_lower=dict(zip(branch_ids, lower.tolist())),
+        flow_upper=dict(zip(branch_ids, upper.tolist())),
+        balance=dict(zip((n.id for n in case.buses), balance.tolist())),
     )
     status = "feasible" if slack <= slack_tolerance else "infeasible"
     return SubproblemOutcome(contingency=c, period=t, status=status,
                              slack=slack, duals=duals)
 
 
-def solve_nr_pcfc(case: SystemCase, muc: MucSolution, c: int, t: int, j: int,
+def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
+                  c: int, t: int, j: int,
                   slack_tolerance: float = SLACK_TOLERANCE) -> SubproblemOutcome:
     """Feasibility check with branch ``c`` out and branch ``j`` switched open.
 
@@ -174,9 +189,8 @@ def solve_nr_pcfc(case: SystemCase, muc: MucSolution, c: int, t: int, j: int,
     """
     if j == c:
         raise ValueError("switch candidate must differ from the contingency")
-    model = Model(f"nr_pcfc[{c},{t},{j}]")
-    _add_slack_lp(model, case, muc, c, t, removed=frozenset({c, j}))
-    _, slack = _solve_slack_lp(model, model.name)
+    lp, _, _ = _slack_lp(case, sens, muc, t, (c, j), f"nr_pcfc[{c},{t},{j}]")
+    _, slack = _solve_slack_lp(lp)
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, slack=slack,
                                  status="feasible_via_switch", switch=j)
@@ -208,7 +222,7 @@ def find_corrective_switch(case: SystemCase, sens: NetworkSensitivities,
             continue
         if not check_connectivity(case, {c, j}):
             continue
-        outcome = solve_nr_pcfc(case, muc, c, t, j, slack_tolerance)
+        outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance)
         if counters is not None:
             counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
         if outcome.status == "feasible_via_switch":

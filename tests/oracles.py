@@ -56,6 +56,54 @@ def dc_flows(case: SystemCase, injections: dict[int, float],
             if k.id not in removed}
 
 
+def redispatch_slack(case: SystemCase, sol, t: int,
+                     removed: frozenset[int]) -> float:
+    """Proportional slack of the 10-minute redispatch with ``removed`` open.
+
+    Maximises the fraction ``w`` of the schedule's operating point (demand,
+    ramp window and output range all scaled by ``w``) that some redispatch
+    serves within emergency ratings; the slack is ``1 - w``.  Flows are
+    pseudo-inverse PTDF products on the reduced network.
+    """
+    gens = list(case.generators)
+    n_g = len(gens)
+    bus_pos = {b.id: i for i, b in enumerate(case.buses)}
+    sens = ptdf_pinv(case, removed)
+    demand = np.array([case.demand(b.id, t) for b in case.buses])
+    # columns: pc[g] for every generator, then w
+    a_ub, b_ub = [], []
+    for gi, g in enumerate(gens):
+        u = sol.commitment(g.id, t)
+        p = sol.dispatch(g.id, t)
+        lo = max(p - g.ramp_10 * u, g.p_min * u)
+        hi = min(p + g.ramp_10 * u, g.p_max * u)
+        for side, bound in ((1.0, hi), (-1.0, -lo)):
+            row = np.zeros(n_g + 1)
+            row[gi] = side
+            row[n_g] = -bound
+            a_ub.append(row)
+            b_ub.append(0.0)
+    for ki, k in enumerate(case.branches):
+        if k.id in removed:
+            continue
+        gen_part = np.array([sens[ki, bus_pos[g.bus]] for g in gens])
+        load_part = float(sens[ki] @ demand)
+        for side in (1.0, -1.0):
+            # side * (gen_part @ pc - w * load_part) <= w * rate
+            a_ub.append(np.concatenate((side * gen_part,
+                                        [-side * load_part - k.rate_emergency])))
+            b_ub.append(0.0)
+    a_eq = [np.concatenate((np.ones(n_g), [-demand.sum()]))]
+    cost = np.zeros(n_g + 1)
+    cost[n_g] = -1.0
+    res = linprog(cost, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
+                  A_eq=np.array(a_eq), b_eq=[0.0],
+                  bounds=[(None, None)] * n_g + [(0.0, 1.0)], method="highs")
+    if res.status != 0:
+        raise AssertionError(f"oracle redispatch LP failed: {res.message}")
+    return 1.0 - float(res.x[n_g])
+
+
 def net_injections(case: SystemCase, dispatch: dict[int, float], t: int) -> dict[int, float]:
     """Bus injections (generation minus demand) for one period."""
     inj = {b.id: -case.demand(b.id, t) for b in case.buses}

@@ -165,9 +165,10 @@ def test_criterion_5_strong_duality_and_cut_values():
         res = solve_milp(build_muc(case), gap=1e-9)
         sched = extract_solution(case, res)
         _, non_radial = classify_radial(case)
+        sens = build_sensitivities(case)
         for t in case.periods:
             for c in sorted(non_radial):
-                out = solve_pcfc(case, sched, c, t)  # raises on identity gap
+                out = solve_pcfc(case, sens, sched, c, t)  # raises on identity gap
                 checked_pairs += 1
                 if out.status == "infeasible":
                     cut = assemble_feasibility_cut(out.duals, case, c, t)
@@ -193,7 +194,7 @@ def test_criterion_6_switching_value():
     for j in sorted(sens.non_radial - {3}):
         if not check_connectivity(hi, {3, j}):
             continue
-        if solve_nr_pcfc(hi, sched, 3, 2, j).status == "feasible_via_switch":
+        if solve_nr_pcfc(hi, sens, sched, 3, 2, j).status == "feasible_via_switch":
             oracle_feasible.append(j)
     assert oracle_feasible == [2, 4]
 

@@ -96,6 +96,19 @@ def test_verify_tampered_schedule_exits_3(tmp_path, capsys):
     assert "contingency 1" in err and "period 1" in err
 
 
+def test_verify_rejects_report_without_method(tri3_file, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["solve", "--case", str(tri3_file), "--method", "ad_scuc_cnr",
+                 "--out", str(out)]) == 0
+    report_path = out / "report.json"
+    doc = json.loads(report_path.read_text())
+    del doc["method"]
+    report_path.write_text(json.dumps(doc))
+    code = main(["verify", "--case", str(tri3_file), "--result", str(report_path)])
+    assert code == 1
+    assert "no known method" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(tri3_file, capsys):
     assert main(["solve", "--case", str(tri3_file)]) == 1          # missing --method
     assert main(["solve", "--case", str(tri3_file), "--method", "bogus"]) == 1

@@ -11,7 +11,7 @@ from scucnr.formulations import (BigMPolicy, assemble_feasibility_cut,
                                  build_muc, check_big_m_slack, extract_solution,
                                  extract_switching_plan)
 from scucnr.model import validate_case
-from scucnr.network import classify_radial
+from scucnr.network import build_sensitivities, classify_radial
 from scucnr.subproblems import solve_pcfc
 
 GAP = 1e-9
@@ -188,7 +188,7 @@ def first_violated_pair(case, method="td_scuc"):
     _, non_radial = classify_radial(case)
     for t in case.periods:
         for c in sorted(non_radial):
-            out = solve_pcfc(case, sched, c, t)
+            out = solve_pcfc(case, build_sensitivities(case), sched, c, t)
             if out.status == "infeasible":
                 return sched, out
     raise AssertionError("fixture produced no violated subproblem")
@@ -227,7 +227,7 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
         if res.status != "optimal":
             continue
         point = extract_solution(c4_low, res)
-        check = solve_pcfc(c4_low, point, c, t)
+        check = solve_pcfc(c4_low, build_sensitivities(c4_low), point, c, t)
         if check.status == "feasible":
             checked_feasible += 1
             # a valid feasibility cut never excludes a schedule whose

@@ -6,6 +6,7 @@ import pytest
 from conftest import fixture_family
 from scucnr.backend import solve_milp
 from scucnr.formulations import build_muc
+from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, solve, verify_solution)
 from scucnr.subproblems import solve_nr_pcfc
 
@@ -53,7 +54,8 @@ def test_high_load_needs_switching(c4_high):
         assert res.switches == {(3, 2): 2}  # exactly one recorded switch
         # registry re-validates
         for (c, t), j in res.switches.items():
-            check = solve_nr_pcfc(c4_high, res.schedule, c, t, j)
+            check = solve_nr_pcfc(c4_high, build_sensitivities(c4_high), res.schedule,
+                                  c, t, j)
             assert check.status == "feasible_via_switch"
             assert check.slack <= 1e-6
 

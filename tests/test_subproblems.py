@@ -2,10 +2,14 @@ import dataclasses
 
 import pytest
 
-from oracles import dc_flows, manual_schedule, net_injections
-from scucnr.backend import solve_milp
+import scucnr.subproblems
+from conftest import fixture_family
+from oracles import dc_flows, manual_schedule, net_injections, redispatch_slack
+from scucnr.backend import solve_lp, solve_milp
+from scucnr.fixtures import random_case
 from scucnr.formulations import build_muc, extract_solution
-from scucnr.network import build_sensitivities
+from scucnr.network import build_sensitivities, check_connectivity
+from scucnr.orchestrator import SolveOptions, solve
 from scucnr.subproblems import (find_corrective_switch, run_csps,
                                 solve_nr_pcfc, solve_pcfc)
 
@@ -88,7 +92,7 @@ def test_screened_out_pairs_are_survivable(fixture_name, request):
     for c, t in all_pairs(case, sens):
         if (c, t) in set(screen.critical):
             continue
-        out = solve_pcfc(case, muc, c, t)
+        out = solve_pcfc(case, sens, muc, c, t)
         assert out.slack <= 1e-6, f"screen dropped ({c},{t}) with slack {out.slack}"
 
 
@@ -102,7 +106,7 @@ def test_no_ramp_no_rescue(tri3_tight):
     # hand check: with branch 1 gone, the 1-3 corridor must carry the full
     # cheap-unit output 80 MW against its 45 MW emergency rating, and zero
     # 10-minute ramp freezes every unit at its schedule
-    out = solve_pcfc(frozen, muc, 1, 1)
+    out = solve_pcfc(frozen, build_sensitivities(frozen), muc, 1, 1)
     assert out.status == "infeasible"
     assert out.slack == pytest.approx(1.0, abs=1e-6)
 
@@ -119,21 +123,21 @@ def test_redispatch_interval_decides_feasibility(tri3_tight):
     secure = manual_schedule(tri3_tight, {1: {1: 65.0, 2: 15.0}})
     lo, hi = interval(65.0, 15.0)
     assert lo <= hi  # hand oracle says survivable (exactly at x = 35)
-    out = solve_pcfc(tri3_tight, secure, 1, 1)
+    out = solve_pcfc(tri3_tight, build_sensitivities(tri3_tight), secure, 1, 1)
     assert out.status == "feasible"
     assert out.slack <= 1e-6
 
     exposed = manual_schedule(tri3_tight, {1: {1: 80.0}}, committed={1: {1, 2}})
     lo, hi = interval(80.0, 0.0)
     assert lo > hi  # hand oracle says unsurvivable
-    out = solve_pcfc(tri3_tight, exposed, 1, 1)
+    out = solve_pcfc(tri3_tight, build_sensitivities(tri3_tight), exposed, 1, 1)
     assert out.status == "infeasible"
 
 
 def test_slack_lp_never_infeasible_even_for_absurd_inputs(c4_high):
     nothing_on = manual_schedule(c4_high, {1: {}, 2: {}})
     for c in (2, 3, 4):
-        out = solve_pcfc(c4_high, nothing_on, c, 2)
+        out = solve_pcfc(c4_high, build_sensitivities(c4_high), nothing_on, c, 2)
         # no committed unit can serve load: the slack lands exactly on 1
         assert out.status == "infeasible"
         assert out.slack == pytest.approx(1.0, abs=1e-6)
@@ -144,7 +148,7 @@ def test_duals_satisfy_strong_duality_everywhere(tri3_tight, c4_high):
         sens = build_sensitivities(case)
         muc = cheap_point(case)
         for c, t in all_pairs(case, sens):
-            out = solve_pcfc(case, muc, c, t)  # raises internally on a gap
+            out = solve_pcfc(case, sens, muc, c, t)  # raises internally on a gap
             assert 0.0 <= out.slack <= 1.0 + 1e-6
             assert out.duals is not None
 
@@ -153,7 +157,7 @@ def test_duals_satisfy_strong_duality_everywhere(tri3_tight, c4_high):
 
 def test_companion_switch_rescues_direct_outage(c4_high):
     muc = cheap_point(c4_high)
-    out = solve_nr_pcfc(c4_high, muc, 3, 2, 2)
+    out = solve_nr_pcfc(c4_high, build_sensitivities(c4_high), muc, 3, 2, 2)
     assert out.status == "feasible_via_switch"
     assert out.switch == 2
     assert out.slack <= 1e-6
@@ -171,11 +175,11 @@ def test_unrelated_switch_does_not_help(c4_high):
     muc = cheap_point(c4_high)
     # opening one external leg strands the corridor: everything must squeeze
     # through the 66 MW internal leg again
-    out = solve_nr_pcfc(c4_high, muc, 3, 2, 5)
+    out = solve_nr_pcfc(c4_high, build_sensitivities(c4_high), muc, 3, 2, 5)
     assert out.status == "infeasible"
     assert out.slack == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
-        solve_nr_pcfc(c4_high, muc, 3, 2, 3)
+        solve_nr_pcfc(c4_high, build_sensitivities(c4_high), muc, 3, 2, 3)
 
 
 def test_switch_search_returns_first_ranked_feasible(c4_high):
@@ -194,7 +198,7 @@ def test_switch_search_returns_first_ranked_feasible(c4_high):
         from scucnr.network import check_connectivity
         if not check_connectivity(c4_high, {3, cand}):
             continue
-        alt = solve_nr_pcfc(c4_high, muc, 3, 2, cand)
+        alt = solve_nr_pcfc(c4_high, sens, muc, 3, 2, cand)
         if alt.status == "feasible_via_switch":
             feasible.append(cand)
     assert feasible == [2, 4]
@@ -250,3 +254,52 @@ def test_determinism_of_screen_and_search(c4_high):
     assert s1.overload_ratio == s2.overload_ratio
     assert (find_corrective_switch(c4_high, sens, muc, 3, 2)
             == find_corrective_switch(c4_high, sens, muc, 3, 2))
+
+
+# --- shift-factor LP against an independent oracle -----------------------------
+
+def test_slacks_match_pseudo_inverse_oracle():
+    cases = dict(fixture_family())
+    cases["random101"] = random_case(101, n_buses=24, n_generators=8, horizon=4)
+    infeasible = switched = 0
+    for name, case in cases.items():
+        sens = build_sensitivities(case)
+        converged = solve(case, SolveOptions(method="ad_scuc_cnr")).schedule
+        for muc in (cheap_point(case), converged):
+            for c, t in all_pairs(case, sens):
+                out = solve_pcfc(case, sens, muc, c, t)
+                assert out.slack == pytest.approx(
+                    redispatch_slack(case, muc, t, frozenset({c})), abs=1e-7), (name, c, t)
+                infeasible += out.status == "infeasible"
+                # every switch for a failed pair, the head of the ranked list otherwise
+                switches = (sorted(sens.non_radial - {c}) if out.status == "infeasible"
+                            else sens.cbce[c][:3])
+                for j in switches:
+                    if not check_connectivity(case, {c, j}):
+                        continue
+                    alt = solve_nr_pcfc(case, sens, muc, c, t, j)
+                    assert alt.slack == pytest.approx(
+                        redispatch_slack(case, muc, t, frozenset({c, j})),
+                        abs=1e-7), (name, c, t, j)
+                    switched += 1
+    assert infeasible >= 5 and switched >= 500
+
+
+def test_slave_lp_size_is_generators_plus_one(c4_high, monkeypatch):
+    sens = build_sensitivities(c4_high)
+    muc = cheap_point(c4_high)
+    seen = []
+
+    def spy(lp, *args, **kwargs):
+        seen.append((len(lp.cost), len(lp.b_ub) + len(lp.b_eq)))
+        return solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(scucnr.subproblems, "solve_lp", spy)
+    n_g, n_k = len(c4_high.generators), len(c4_high.branches)
+    pairs = all_pairs(c4_high, sens)
+    for c, t in pairs:
+        solve_pcfc(c4_high, sens, muc, c, t)
+    assert seen == [(n_g + 1, 4 * n_g + 1 + 2 * (n_k - 1))] * len(pairs)
+    seen.clear()
+    solve_nr_pcfc(c4_high, sens, muc, 3, 2, 2)
+    assert seen == [(n_g + 1, 4 * n_g + 1 + 2 * (n_k - 2))]
