@@ -79,18 +79,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
+    try:
+        options = SolveOptions(
+            method=args.method,
+            max_iterations=args.max_iter,
+            slack_tolerance=args.slack_tol,
+            milp_gap=args.milp_gap,
+            cbce_size=args.cbce_size,
+            z_max=args.zmax,
+            workers=args.workers,
+            angle_span=args.angle_span,
+            enumerate_reconfigurable=args.enumerate_kr,
+        )
+    except ValueError as exc:
+        print(f"scucnr solve: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     case = parse_case(args.case)
-    options = SolveOptions(
-        method=args.method,
-        max_iterations=args.max_iter,
-        slack_tolerance=args.slack_tol,
-        milp_gap=args.milp_gap,
-        cbce_size=args.cbce_size,
-        z_max=args.zmax,
-        workers=args.workers,
-        angle_span=args.angle_span,
-        enumerate_reconfigurable=args.enumerate_kr,
-    )
     result = solve(case, options)
     if result.status == "infeasible":
         print(f"{args.case}: no feasible schedule exists for method {args.method}",

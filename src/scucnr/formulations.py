@@ -51,11 +51,6 @@ class BigMPolicy:
                 for k in case.branches}
         return cls(values=vals, angle_span=angle_span)
 
-    def check(self, case: SystemCase) -> None:
-        for k in case.branches:
-            if self.values[k.id] < abs(effective_susceptance(case, k.id)) * self.angle_span - 1e-9:
-                raise ValueError(f"big-M for branch {k.id} is below stiffness * angle span")
-
 
 def _add_base_model(model: Model, case: SystemCase) -> None:
     """Base-case commitment, dispatch, reserve and network rows."""

@@ -7,6 +7,7 @@ construction and safe to share across worker threads.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,8 +148,14 @@ def validate_case(case: SystemCase) -> list[Violation]:
     def add(kind, entity, message):
         issues.append(Violation(kind, entity, message))
 
+    def require_finite(entity, fields):
+        for label, val in fields:
+            if not math.isfinite(val):
+                add("non_finite", entity, f"{label} must be a finite number, got {val}")
+
     if case.horizon < 1:
         add("horizon", "case", f"horizon must be >= 1, got {case.horizon}")
+    require_finite("case", [("base_mva", case.base_mva)])
     if case.base_mva <= 0:
         add("base_mva", "case", f"base_mva must be positive, got {case.base_mva}")
 
@@ -166,6 +173,7 @@ def validate_case(case: SystemCase) -> list[Violation]:
 
     bus_ids = {b.id for b in case.buses}
     for b in case.buses:
+        require_finite(f"bus {b.id}", [(f"demand[{t}]", d) for t, d in enumerate(b.demand, 1)])
         if len(b.demand) != case.horizon:
             add("demand_length", f"bus {b.id}",
                 f"demand array has length {len(b.demand)}, expected horizon {case.horizon}")
@@ -173,6 +181,9 @@ def validate_case(case: SystemCase) -> list[Violation]:
             add("demand_sign", f"bus {b.id}", "demand values must be >= 0")
 
     for k in case.branches:
+        require_finite(f"branch {k.id}", [("susceptance", k.susceptance),
+                                          ("rate_long_term", k.rate_long_term),
+                                          ("rate_emergency", k.rate_emergency)])
         if k.from_bus == k.to_bus:
             add("self_loop", f"branch {k.id}", "from_bus equals to_bus")
         for end in (k.from_bus, k.to_bus):
@@ -190,6 +201,11 @@ def validate_case(case: SystemCase) -> list[Violation]:
                 f"{k.rate_long_term}")
 
     for g in case.generators:
+        require_finite(f"generator {g.id}", [
+            ("p_min", g.p_min), ("p_max", g.p_max), ("cost_linear", g.cost_linear),
+            ("cost_no_load", g.cost_no_load), ("cost_startup", g.cost_startup),
+            ("ramp_hourly", g.ramp_hourly), ("ramp_startup", g.ramp_startup),
+            ("ramp_shutdown", g.ramp_shutdown), ("ramp_10", g.ramp_10)])
         if g.bus not in bus_ids:
             add("missing_bus", f"generator {g.id}", f"references nonexistent bus {g.bus}")
         if not (0 <= g.p_min <= g.p_max):
@@ -214,7 +230,7 @@ def validate_case(case: SystemCase) -> list[Violation]:
                    if k.from_bus in bus_ids and k.to_bus in bus_ids and k.from_bus != k.to_bus]
     comps = _connected_components(sorted(bus_ids), valid_edges)
     if len(comps) > 1:
-        isolated = sorted(min(comps[1:], key=len)) if len(comps) > 1 else []
+        isolated = sorted(min(comps[1:], key=len))
         add("connectivity", "case",
             f"network splits into {len(comps)} components; e.g. buses {isolated} "
             "are separated from the rest")

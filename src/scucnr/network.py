@@ -2,9 +2,9 @@
 
 Provides bridge classification (which fixes the contingency set to the
 non-radial branches), the injection-to-flow PTDF matrix, the line outage
-distribution factors derived from it, connectivity checks used to guard
-switching actions, and the ranked candidate list of branches closest to a
-contingency.
+distribution factors derived from it (whose pair blocks decide whether a
+switching action islands a bus), and the ranked candidate list of branches
+closest to a contingency.
 """
 
 from __future__ import annotations
@@ -15,18 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import SystemCase
+from .model import SystemCase, _connected_components
 
 RADIAL_DENOMINATOR_TOL = 1e-8
 
 DEFAULT_CBCE_SIZE = 20
 
 
-def _adjacency(case: SystemCase, removed: frozenset[int] = frozenset()) -> dict[int, list[tuple[int, int]]]:
+def _adjacency(case: SystemCase) -> dict[int, list[tuple[int, int]]]:
     adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in case.buses}
     for k in case.branches:
-        if k.id in removed:
-            continue
         adj[k.from_bus].append((k.id, k.to_bus))
         adj[k.to_bus].append((k.id, k.from_bus))
     return adj
@@ -34,17 +32,8 @@ def _adjacency(case: SystemCase, removed: frozenset[int] = frozenset()) -> dict[
 
 def check_connectivity(case: SystemCase, removed: set[int] | frozenset[int] = frozenset()) -> bool:
     """True iff all buses stay in one component after removing the given branches."""
-    adj = _adjacency(case, frozenset(removed))
-    start = case.buses[0].id
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        n = queue.popleft()
-        for _, m in adj[n]:
-            if m not in seen:
-                seen.add(m)
-                queue.append(m)
-    return len(seen) == len(case.buses)
+    edges = [(k.from_bus, k.to_bus) for k in case.branches if k.id not in removed]
+    return len(_connected_components([b.id for b in case.buses], edges)) == 1
 
 
 def classify_radial(case: SystemCase) -> tuple[frozenset[int], frozenset[int]]:
@@ -223,8 +212,20 @@ class NetworkSensitivities:
     def _branch_pos(self) -> dict[int, int]:
         return {k: i for i, k in enumerate(self.branch_ids)}
 
-    def lodf_factor(self, monitored: int, outaged: int) -> float:
-        return float(self.lodf[self._branch_pos[monitored], self._branch_pos[outaged]])
+    def islands(self, removed: tuple[int, ...]) -> bool:
+        """True iff opening every branch in ``removed`` splits the network.
+
+        The LODF block ``LODF[O, O]`` of the removed positions ``O`` is
+        singular exactly when the removal islands a bus (Guler, Gross & Liu,
+        IEEE TPWRS 2007); for a pair ``(c, j)`` its determinant is
+        ``1 - LODF[c, j] LODF[j, c]``.  A bridge has a NaN column and always
+        islands.
+        """
+        pos = [self._branch_pos[k] for k in removed]
+        block = self.lodf[np.ix_(pos, pos)]
+        if not np.isfinite(block).all():
+            return True
+        return abs(np.linalg.det(block)) < RADIAL_DENOMINATOR_TOL
 
     def outage_ptdf(self, removed: tuple[int, ...]) -> np.ndarray:
         """Injection sensitivities of the network with ``removed`` open.
@@ -232,14 +233,13 @@ class NetworkSensitivities:
         Generalised LODFs (Guler, Gross & Liu, IEEE TPWRS 2007): with ``O``
         the removed positions, ``PTDF - LODF[:, O] LODF[O, O]^-1 PTDF[O, :]``.
         For one outage ``c`` this is ``PTDF + LODF[:, c] PTDF[c, :]``; the
-        rows of the removed branches come out zero.  The block ``LODF[O, O]``
-        is singular exactly when the removal islands a bus.
+        rows of the removed branches come out zero.  Raises when the removal
+        islands a bus (see ``islands``).
         """
+        if self.islands(removed):
+            raise ValueError(f"opening branches {sorted(removed)} islands the network")
         pos = [self._branch_pos[k] for k in removed]
         block = self.lodf[np.ix_(pos, pos)]
-        det = np.linalg.det(block) if np.isfinite(block).all() else 0.0
-        if abs(det) < RADIAL_DENOMINATOR_TOL:
-            raise ValueError(f"opening branches {sorted(removed)} islands the network")
         return self.ptdf - self.lodf[:, pos] @ np.linalg.solve(block, self.ptdf[pos])
 
     @property

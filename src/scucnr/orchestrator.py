@@ -11,6 +11,7 @@ converges when an iteration adds no cuts.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,8 +22,8 @@ from .formulations import (DEFAULT_ANGLE_SPAN, assemble_feasibility_cut,
                            build_muc, extract_solution, extract_switching_plan)
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
-from .network import NetworkSensitivities, build_sensitivities, check_connectivity
-from .subproblems import find_corrective_switch, run_csps, solve_nr_pcfc, solve_pcfc
+from .network import NetworkSensitivities, build_sensitivities
+from .subproblems import find_corrective_switch, run_csps, solve_pcfc
 
 METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
            "td_scuc_cnr", "ad_scuc_cnr")
@@ -55,6 +56,10 @@ class SolveOptions:
             raise ValueError("cbce_size must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.z_max < 0:
+            raise ValueError("z_max must be >= 0")
+        if self.angle_span <= 0:
+            raise ValueError("angle_span must be > 0")
 
     @property
     def uses_cnr(self) -> bool:
@@ -139,7 +144,7 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
                           switches=switches, unresolved=(), report=report)
 
 
-def _examine_pair(case, sens, muc, c, t, options, counters):
+def _examine_pair(case, sens, muc, c, t, options, counters: Counter):
     """PCFC one pair; for reconfiguration methods, chase a switch on failure.
 
     Returns (outcome, cut) where cut is None unless the pair ends up with no
@@ -157,8 +162,7 @@ def _examine_pair(case, sens, muc, c, t, options, counters):
             slack_tolerance=options.slack_tolerance,
             enumerate_all=options.enumerate_reconfigurable,
             counters=counters)
-        counters["nr_seconds"] = counters.get("nr_seconds", 0.0) \
-            + (time.perf_counter() - t0)
+        counters["nr_seconds"] += time.perf_counter() - t0
         if found is not None:
             j, s2 = found
             counters["switches_found"] += 1
@@ -225,39 +229,30 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
         else:
             candidates = list(all_pairs)
 
-        counters = {"pcfc_solved": 0, "pcfc_infeasible": 0, "nr_pcfc_solved": 0,
-                    "switches_found": 0, "nr_seconds": 0.0}
+        # each task gets its own counters, merged after the barrier, so
+        # worker threads share only immutable inputs
+        def examine(pair):
+            local = Counter()
+            out, cut = _examine_pair(case, sens, schedule, pair[0], pair[1], options, local)
+            return pair, out, cut, local
+
         t0 = time.perf_counter()
         ordered = sorted(candidates, key=lambda ct: (ct[1], ct[0]))
         if options.workers > 1:
-            # worker tasks share only immutable inputs; merge counters after the barrier
-            def task(pair):
-                local = {"pcfc_solved": 0, "pcfc_infeasible": 0,
-                         "nr_pcfc_solved": 0, "switches_found": 0,
-                         "nr_seconds": 0.0}
-                out, cut = _examine_pair(case, sens, schedule, pair[0], pair[1],
-                                         options, local)
-                return pair, out, cut, local
             with ThreadPoolExecutor(max_workers=options.workers) as pool:
-                raw = list(pool.map(task, ordered))
-            raw.sort(key=lambda item: (item[0][1], item[0][0]))
-            examined = [(pair, out, cut) for pair, out, cut, _ in raw]
-            for _, _, _, local in raw:
-                for key, val in local.items():
-                    counters[key] += val
+                examined = list(pool.map(examine, ordered))
         else:
-            examined = []
-            for pair in ordered:
-                out, cut = _examine_pair(case, sens, schedule, pair[0], pair[1],
-                                         options, counters)
-                examined.append((pair, out, cut))
+            examined = list(map(examine, ordered))
+        counters = Counter()
+        for *_, local in examined:
+            counters.update(local)
         examine_seconds = time.perf_counter() - t0
         timings.add("nr_pcfc", counters["nr_seconds"])
         timings.add("pcfc", max(examine_seconds - counters["nr_seconds"], 0.0))
 
         new_cuts: list[FeasibilityCut] = []
         switches = {}
-        for pair, out, cut in examined:
+        for pair, out, cut, _ in examined:
             outcomes[pair] = out
             if out.status == "feasible_via_switch":
                 switches[pair] = out.switch
@@ -338,7 +333,6 @@ def verify_solution(case: SystemCase, result: ScheduleResult,
     # the audit enumerates every switch, so it needs no ranked candidate list
     sens = build_sensitivities(case, cbce_size=0)
     allow_switching = result.method in _CNR_METHODS
-    reconfigurable = frozenset(k.id for k in case.branches if k.reconfigurable) & sens.non_radial
     violations: list[tuple[int, int, float]] = []
     checked = 0
     for t in case.periods:
@@ -347,17 +341,10 @@ def verify_solution(case: SystemCase, result: ScheduleResult,
             out = solve_pcfc(case, sens, result.schedule, c, t, slack_tolerance)
             if out.status == "feasible":
                 continue
-            rescued = False
-            if allow_switching:
-                for j in sorted(reconfigurable - {c}):
-                    if not check_connectivity(case, {c, j}):
-                        continue
-                    alt = solve_nr_pcfc(case, sens, result.schedule, c, t, j,
-                                        slack_tolerance)
-                    if alt.status == "feasible_via_switch":
-                        rescued = True
-                        break
-            if not rescued:
-                violations.append((c, t, out.slack))
+            if allow_switching and find_corrective_switch(
+                    case, sens, result.schedule, c, t,
+                    slack_tolerance=slack_tolerance, enumerate_all=True) is not None:
+                continue
+            violations.append((c, t, out.slack))
     return VerificationReport(method=result.method, pairs_checked=checked,
                               violations=tuple(violations))

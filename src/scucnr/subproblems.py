@@ -24,7 +24,7 @@ import numpy as np
 from .backend import LinearProgram, SolverError, solve_lp
 from .model import (SLACK_TOLERANCE, MucSolution, SubproblemDuals,
                     SubproblemOutcome, SystemCase)
-from .network import NetworkSensitivities, check_connectivity
+from .network import NetworkSensitivities
 
 SCREEN_SLACK_MW = 1e-6
 
@@ -47,28 +47,24 @@ def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
     Post-outage flow on each surviving branch is the base flow plus the
     distribution factor times the outaged branch's base flow; a pair stays
     critical iff some predicted magnitude exceeds that branch's emergency
-    rating.  Pure arithmetic, no optimization.
+    rating.  Pure arithmetic, no optimization: one branches-by-pairs
+    broadcast.  The outaged branch itself predicts exactly zero
+    (``LODF[c, c] = -1``), so it never raises a pair's ratio or excess.
     """
-    critical = []
-    ratios: dict[tuple[int, int], float] = {}
     pairs = sorted(candidates, key=lambda ct: (ct[1], ct[0]))
-    for c, t in pairs:
+    for c, _ in pairs:
         if c not in sens.non_radial:
             raise ValueError(f"branch {c} is not a valid contingency")
-        base_c = muc.branch_flow(c, t)
-        worst_ratio = 0.0
-        worst_excess_mw = -float("inf")
-        for k in case.branches:
-            if k.id == c:
-                continue
-            predicted = muc.branch_flow(k.id, t) + sens.lodf_factor(k.id, c) * base_c
-            worst_ratio = max(worst_ratio, abs(predicted) / k.rate_emergency)
-            worst_excess_mw = max(worst_excess_mw, abs(predicted) - k.rate_emergency)
-        ratios[(c, t)] = worst_ratio
-        if worst_excess_mw > SCREEN_SLACK_MW:
-            critical.append((c, t))
-    return ScreeningResult(candidates=len(pairs), critical=tuple(critical),
-                           overload_ratio=ratios)
+    out = [case.branch_index[c] for c, _ in pairs]
+    flow = muc.flow[:, [t - 1 for _, t in pairs]]
+    predicted = np.abs(flow + sens.lodf[:, out] * flow[out, np.arange(len(pairs))])
+    rate = np.array([k.rate_emergency for k in case.branches])[:, None]
+    worst_ratio = (predicted / rate).max(axis=0, initial=0.0)
+    worst_excess = (predicted - rate).max(axis=0, initial=-np.inf)
+    critical = tuple(pair for pair, excess in zip(pairs, worst_excess)
+                     if excess > SCREEN_SLACK_MW)
+    return ScreeningResult(candidates=len(pairs), critical=critical,
+                           overload_ratio=dict(zip(pairs, worst_ratio.tolist())))
 
 
 def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t: int,
@@ -183,9 +179,9 @@ def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution
                   slack_tolerance: float = SLACK_TOLERANCE) -> SubproblemOutcome:
     """Feasibility check with branch ``c`` out and branch ``j`` switched open.
 
-    The caller is responsible for checking that removing both branches keeps
-    the network connected.  No duals are exposed; the outcome only records
-    whether this reconfiguration rescues the schedule.
+    Raises ValueError when opening both branches islands a bus (see
+    ``NetworkSensitivities.islands``).  No duals are exposed; the outcome
+    only records whether this reconfiguration rescues the schedule.
     """
     if j == c:
         raise ValueError("switch candidate must differ from the contingency")
@@ -205,22 +201,22 @@ def find_corrective_switch(case: SystemCase, sens: NetworkSensitivities,
                            counters: dict | None = None) -> tuple[int, float] | None:
     """First switching candidate that makes the outage survivable, if any.
 
-    Candidates come from the ranked closest-branches list (or, in benchmark
-    mode, the full reconfigurable set in id order) and are tried one at a
-    time; candidates that would island a bus or are not reconfigurable are
-    skipped without an LP solve.  Returns ``(branch, slack)`` for the first
-    feasible candidate, or None when the list is exhausted.
+    Candidates come from the ranked closest-branches list (or, with
+    ``enumerate_all``, the full reconfigurable set in id order, as the audit
+    uses it) and are tried one at a time; candidates that are not
+    reconfigurable, or whose opening together with ``c`` islands a bus by
+    the LODF block test, are skipped without an LP solve.  Returns
+    ``(branch, slack)`` for the first feasible candidate, or None when the
+    list is exhausted.
     """
     reconfigurable = frozenset(
         k.id for k in case.branches if k.reconfigurable) & sens.non_radial
     if enumerate_all:
         candidates = sorted(reconfigurable - {c})
     else:
-        candidates = [j for j in sens.cbce.get(c, ())]
+        candidates = sens.cbce.get(c, ())
     for j in candidates:
-        if j not in reconfigurable:
-            continue
-        if not check_connectivity(case, {c, j}):
+        if j not in reconfigurable or sens.islands((c, j)):
             continue
         outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance)
         if counters is not None:

@@ -5,6 +5,7 @@ import pytest
 from scucnr.caseio import (CaseFormatError, CaseIOError, CaseValidationError,
                            case_from_dict, case_to_dict, load_solution,
                            parse_case, write_case, write_report)
+from scucnr.cli import main
 from scucnr.model import operating_cost
 from scucnr.orchestrator import SolveOptions, solve
 
@@ -50,6 +51,36 @@ def test_short_demand_profile_is_named(tri3, tmp_path):
         parse_case(path)
     assert "bus 1" in str(err.value)
     assert "expected horizon 2" in str(err.value)
+
+
+def _nan_demand(doc):
+    doc["buses"][1]["demand"][0] = float("nan")
+    return "bus 2", "demand[1]"
+
+
+def _nan_emergency_rating(doc):
+    doc["branches"][0]["rate_emergency"] = float("nan")
+    return "branch 1", "rate_emergency"
+
+
+def _inf_ratings(doc):
+    doc["branches"][2]["rate_long_term"] = float("inf")
+    doc["branches"][2]["rate_emergency"] = float("inf")
+    return "branch 3", "rate_long_term"
+
+
+@pytest.mark.parametrize("corrupt", [_nan_demand, _nan_emergency_rating, _inf_ratings])
+def test_non_finite_numbers_are_named(corrupt, tri3, tmp_path, capsys):
+    doc = case_to_dict(tri3)
+    entity, field = corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))   # json writes NaN / Infinity literals
+    with pytest.raises(CaseValidationError) as err:
+        parse_case(path)
+    assert f"{entity}: {field} must be a finite number" in str(err.value)
+    assert main(["solve", "--case", str(path), "--method", "ad_scuc",
+                 "--out", str(tmp_path / "r")]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_malformed_json_reports_location(tmp_path):

@@ -116,6 +116,22 @@ def test_usage_errors_exit_1(tri3_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--workers", "0", "workers"),
+    ("--cbce-size", "-1", "cbce_size"),
+    ("--max-iter", "0", "max_iterations"),
+    ("--zmax", "-1", "z_max"),
+    ("--angle-span", "0", "angle_span"),
+])
+def test_out_of_range_options_exit_1(flag, value, message, tri3_file, tmp_path, capsys):
+    code = main(["solve", "--case", str(tri3_file), "--method", "ad_scuc",
+                 "--out", str(tmp_path / "r"), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_missing_case_file_exits_1(tmp_path, capsys):
     code = main(["solve", "--case", str(tmp_path / "ghost.json"),
                  "--method", "ad_scuc"])

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import fixture_family
 from oracles import dc_flows
-from scucnr.fixtures import corridor4_high, star4, triangle3
+from scucnr.fixtures import corridor4_high, random_case, star4, triangle3
 from scucnr.model import Branch, Bus, Generator, SystemCase
 from scucnr.network import (build_sensitivities, check_connectivity,
                             classify_radial, compute_lodf, compute_ptdf,
@@ -92,6 +93,23 @@ def test_connectivity_examples(tri3, star):
     assert not check_connectivity(tri3, {1, 3})  # bus 2 isolated
     for k in (1, 2, 3):
         assert not check_connectivity(star, {k})
+
+
+@pytest.mark.parametrize("case", [
+    *fixture_family().values(), corridor4_high(),
+    random_case(101, n_buses=24, n_generators=8, horizon=4),
+    random_case(9, n_buses=40, n_generators=12, horizon=8),
+], ids=[*fixture_family(), "corridor4_high", "random101_24", "random9_40"])
+def test_lodf_islanding_test_matches_graph_search(case):
+    sens = build_sensitivities(case, cbce_size=0)
+    lines = sens.contingencies
+    for c in lines:
+        assert not sens.islands((c,))
+        for j in lines:
+            if j != c:
+                assert sens.islands((c, j)) == (not check_connectivity(case, {c, j})), (c, j)
+    for b in sens.bridges:
+        assert sens.islands((b,))
 
 
 # --- PTDF ------------------------------------------------------------------

@@ -188,6 +188,8 @@ def test_worker_pool_matches_serial(c4_high, tri3_tight):
         assert serial.schedule.objective == pytest.approx(
             parallel.schedule.objective, abs=1e-9)
         assert len(serial.cuts) == len(parallel.cuts)
+        assert serial.report.iteration_log == parallel.report.iteration_log
+        assert serial.report.subproblems == parallel.report.subproblems
 
 
 def test_repeat_runs_are_identical(c4_high):
