@@ -3,6 +3,12 @@
 Models are assembled row by row with named constraints (``Model``), or
 directly in arrays (``LinearProgram``).  ``solve_lp`` is the one LP adapter:
 a ``Model`` is lowered to a ``LinearProgram`` before it reaches the engine.
+It drives HiGHS through scipy's private binding
+``scipy.optimize._highspy._core._Highs`` with the options, status mapping,
+bound duals and post-solve residual check of ``linprog(method="highs")``,
+without linprog's per-call input checking and option validation.  That
+module is not public API, so ``pyproject.toml`` pins scipy to the 1.17
+series it was checked on.  MILPs go through ``scipy.optimize.milp``.
 Results expose primal values and, for pure LPs, one dual value per row and
 per finite variable bound.  Duals are normalised so that ``sum(rhs * dual)``
 over rows and bounds equals the optimal objective of the minimisation
@@ -18,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as _hc
 
 INF = math.inf
 
@@ -27,7 +34,30 @@ SENSES = ("<=", ">=", "==")
 DEFAULT_MILP_GAP = 1e-4
 DEFAULT_LP_FEASIBILITY_TOL = 1e-7
 
-_STATUS_MAP = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
+_MILP_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
+
+# HiGHS model statuses an LP solve may end in; any other one is an engine failure.
+_LP_STATUS = {
+    _hc.HighsModelStatus.kOptimal: "optimal",
+    _hc.HighsModelStatus.kTimeLimit: "limit",
+    _hc.HighsModelStatus.kIterationLimit: "limit",
+    _hc.HighsModelStatus.kInfeasible: "infeasible",
+    _hc.HighsModelStatus.kUnbounded: "unbounded",
+}
+# The options ``linprog(method="highs")`` sets for an LP, besides the
+# feasibility tolerances and the time limit.
+_LP_OPTIONS = {
+    "presolve": "on",
+    "output_flag": False,
+    "log_to_console": False,
+    "highs_debug_level": 0,
+    "simplex_strategy": int(_hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+}
+_AT_LOWER = int(_hc.HighsBasisStatus.kLower)
+_AT_UPPER = int(_hc.HighsBasisStatus.kUpper)
+# linprog's acceptance bound on the residuals of an optimal answer: 10*sqrt(tol)
+# at its default tol of 1e-9.
+_RESIDUAL_TOL = 10 * math.sqrt(1e-9)
 
 
 class SolverError(RuntimeError):
@@ -175,8 +205,9 @@ class SolveResult:
     ``row_duals`` holds one normalised dual per inequality row, equality row
     and finite variable bound, in that order, and ``row_rhs`` the matching
     right-hand sides, so the dual objective can be recomputed exactly.
-    ``values`` and ``duals`` key the same numbers by name when the solved
-    model had names.
+    ``simplex_iterations`` (LP solves) and ``mip_nodes`` (MILP solves) say
+    how hard the engine worked.  ``values`` and ``duals`` key the same
+    numbers by name when the solved model had names.
     """
 
     status: str
@@ -185,6 +216,8 @@ class SolveResult:
     row_duals: np.ndarray | None = None
     row_rhs: np.ndarray | None = None
     mip_gap: float | None = None
+    simplex_iterations: int | None = None
+    mip_nodes: int | None = None
     col_names: tuple[str, ...] = field(default=(), repr=False)
     row_names: tuple[str, ...] = field(default=(), repr=False)
 
@@ -216,50 +249,121 @@ class SolveResult:
         return float(self.row_rhs @ self.row_duals)
 
 
+def _csc(a_ub, a_eq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``[a_ub; a_eq]`` in compressed-column form: starts, row indices, values."""
+    if sp.issparse(a_ub) or sp.issparse(a_eq):
+        mat = sp.csc_array(sp.vstack((a_ub, a_eq)))
+        return mat.indptr, mat.indices, mat.data
+    dense = np.vstack((a_ub, a_eq))
+    cols, rows = np.nonzero(dense.T)
+    start = np.searchsorted(cols, np.arange(dense.shape[1] + 1))
+    return start, rows, dense[rows, cols]
+
+
+def _highs_options(highs, feasibility_tol: float, time_limit: float | None) -> None:
+    options = dict(_LP_OPTIONS, primal_feasibility_tolerance=float(feasibility_tol),
+                   dual_feasibility_tolerance=float(feasibility_tol))
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    for key, value in options.items():
+        if highs.setOptionValue(key, value) == _hc.HighsStatus.kError:
+            raise SolverError(f"HiGHS rejected option {key}={value!r}")
+
+
+def _check_solution(lp: LinearProgram, x: np.ndarray, objective: float,
+                    row_value: np.ndarray) -> None:
+    """linprog's post-solve check: no NaN, bounds and rows hold to 10*sqrt(1e-9)."""
+    tol = _RESIDUAL_TOL
+    n_ub = lp.b_ub.shape[0]
+    slack = lp.b_ub - row_value[:n_ub]
+    con = lp.b_eq - row_value[n_ub:]
+    if (np.isnan(x).any() or math.isnan(objective) or np.isnan(slack).any()
+            or np.isnan(con).any()):
+        problem = "holds NaN"
+    elif not np.all((x >= lp.lb - tol) & (x <= lp.ub + tol)):
+        problem = f"breaks a variable bound by more than {tol:.2e}"
+    elif (slack < -tol).any():
+        problem = f"breaks an inequality row by more than {tol:.2e}"
+    elif (np.abs(con) > tol).any():
+        problem = f"breaks an equality row by more than {tol:.2e}"
+    else:
+        return
+    raise SolverError(f"LP engine reported optimal on {lp.name!r}, but its solution {problem}")
+
+
 def solve_lp(problem: LinearProgram | Model,
              feasibility_tol: float = DEFAULT_LP_FEASIBILITY_TOL,
              time_limit: float | None = None) -> SolveResult:
-    """Solve a pure LP and return primal values plus normalised duals."""
+    """Solve a pure LP with HiGHS and return primal values plus normalised duals.
+
+    One fresh engine per call, so concurrent calls share no state.
+    """
     lp = problem.lower() if isinstance(problem, Model) else problem
-    options = {
-        "primal_feasibility_tolerance": feasibility_tol,
-        "dual_feasibility_tolerance": feasibility_tol,
-    }
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    has_ub = lp.b_ub.shape[0] > 0
-    has_eq = lp.b_eq.shape[0] > 0
-    res = linprog(
-        c=lp.cost,
-        A_ub=lp.a_ub if has_ub else None,
-        b_ub=lp.b_ub if has_ub else None,
-        A_eq=lp.a_eq if has_eq else None,
-        b_eq=lp.b_eq if has_eq else None,
-        bounds=np.column_stack((lp.lb, lp.ub)),
-        method="highs",
-        options=options,
-    )
-    if res.status not in _STATUS_MAP:
-        raise SolverError(f"LP engine failure on {lp.name!r}: {res.message}")
-    status = _STATUS_MAP[res.status]
+    n_col = lp.cost.shape[0]
+    start, index, value = _csc(lp.a_ub, lp.a_eq)
+    # kHighsInf is IEEE infinity in the pinned HiGHS, so infinite bounds pass as they are
+    row_lower = np.concatenate((np.full(lp.b_ub.shape[0], -_hc.kHighsInf), lp.b_eq))
+    row_upper = np.concatenate((lp.b_ub, lp.b_eq))
+
+    model = _hc.HighsLp()
+    model.num_col_ = n_col
+    model.num_row_ = row_upper.shape[0]
+    model.col_cost_ = lp.cost
+    model.col_lower_ = lp.lb
+    model.col_upper_ = lp.ub
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
+    model.a_matrix_.format_ = _hc.MatrixFormat.kColwise
+    model.a_matrix_.num_col_ = n_col
+    model.a_matrix_.num_row_ = row_upper.shape[0]
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
+
+    highs = _hc._Highs()
+    _highs_options(highs, feasibility_tol, time_limit)
+    if highs.passModel(model) == _hc.HighsStatus.kError:
+        raise SolverError(f"HiGHS could not load LP {lp.name!r}")
+    highs.run()
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = int(info.simplex_iteration_count)
+    status = _LP_STATUS.get(model_status)
+    if status is None:
+        raise SolverError(f"LP engine failure on {lp.name!r}: HiGHS status "
+                          f"{highs.modelStatusToString(model_status)}")
     if status != "optimal":
-        return SolveResult(status=status, objective=None,
+        return SolveResult(status=status, objective=None, simplex_iterations=iterations,
                            col_names=lp.col_names, row_names=lp.row_names)
 
-    # Marginals are sensitivities of the optimum to each rhs, which is the
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = float(info.objective_function_value)
+    row_dual = np.array(solution.row_dual)
+    _check_solution(lp, x, objective, np.array(solution.row_value))
+
+    # A bound's dual is the column dual where the basis holds the column at
+    # that bound, as linprog reports it.
+    col_status = np.array([int(s) for s in highs.getBasis().col_status])
+    col_dual = np.array(solution.col_dual)
+    lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)
+    upper_duals = np.where(col_status == _AT_UPPER, col_dual, 0.0)
+
+    # Row duals are sensitivities of the optimum to each rhs, which is the
     # normalised dual of a row in the orientation it was shipped in.
-    ub_duals = res.ineqlin.marginals if has_ub else np.zeros(0)
+    n_ub = lp.b_ub.shape[0]
+    ub_duals = row_dual[:n_ub]
     ub_rhs = lp.b_ub
     if lp.ub_sign is not None:
         ub_duals = lp.ub_sign * ub_duals
         ub_rhs = lp.ub_sign * ub_rhs
     finite_lb = np.isfinite(lp.lb)
     finite_ub = np.isfinite(lp.ub)
-    duals = np.concatenate((ub_duals, res.eqlin.marginals if has_eq else np.zeros(0),
-                            res.lower.marginals[finite_lb], res.upper.marginals[finite_ub]))
+    duals = np.concatenate((ub_duals, row_dual[n_ub:],
+                            lower_duals[finite_lb], upper_duals[finite_ub]))
     rhs = np.concatenate((ub_rhs, lp.b_eq, lp.lb[finite_lb], lp.ub[finite_ub]))
-    return SolveResult(status=status, objective=float(res.fun), x=res.x,
-                       row_duals=duals, row_rhs=rhs,
+    return SolveResult(status=status, objective=objective, x=x,
+                       row_duals=duals, row_rhs=rhs, simplex_iterations=iterations,
                        col_names=lp.col_names, row_names=lp.row_names)
 
 
@@ -285,9 +389,9 @@ def solve_milp(model: Model, gap: float = DEFAULT_MILP_GAP,
 
     res = milp(c=cost, constraints=constraints, integrality=integrality,
                bounds=Bounds(lb, ub), options=options)
-    if res.status not in _STATUS_MAP:
+    if res.status not in _MILP_STATUS:
         raise SolverError(f"MILP engine failure on {model.name!r}: {res.message}")
-    status = _STATUS_MAP[res.status]
+    status = _MILP_STATUS[res.status]
 
     objective = None
     if res.x is not None:
@@ -295,6 +399,8 @@ def solve_milp(model: Model, gap: float = DEFAULT_MILP_GAP,
     elif status == "optimal":
         raise SolverError(f"MILP engine returned optimal without a solution on {model.name!r}")
     gap_out = getattr(res, "mip_gap", None)
+    nodes = getattr(res, "mip_node_count", None)
     return SolveResult(status=status, objective=objective, x=res.x,
                        mip_gap=None if gap_out is None else float(gap_out),
+                       mip_nodes=None if nodes is None else int(nodes),
                        col_names=tuple(model.variable_names))

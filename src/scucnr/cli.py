@@ -14,8 +14,8 @@ from .backend import SolverError
 from .caseio import (CaseFormatError, CaseIOError, load_solution, parse_case,
                      write_case, write_report)
 from .fixtures import random_case
-from .orchestrator import (METHODS, ScheduleResult, SolveOptions, solve,
-                           verify_solution)
+from .orchestrator import (METHODS, ScheduleResult, SolveOptions, check_tolerance,
+                           solve, verify_solution)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -112,6 +112,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        check_tolerance("slack_tolerance", args.slack_tol)
+    except ValueError as exc:
+        print(f"scucnr verify: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     case = parse_case(args.case)
     doc, schedule = load_solution(args.result)
     method = doc.get("method")

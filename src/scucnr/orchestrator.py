@@ -10,6 +10,7 @@ converges when an iteration adds no cuts.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,12 @@ METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
 
 _CNR_METHODS = {"extensive_scuc_cnr", "td_scuc_cnr", "ad_scuc_cnr"}
 _ACCELERATED = {"ad_scuc", "ad_scuc_cnr"}
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance that is negative, infinite or NaN."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0 (got {value})")
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,8 @@ class SolveOptions:
             raise ValueError("z_max must be >= 0")
         if self.angle_span <= 0:
             raise ValueError("angle_span must be > 0")
+        check_tolerance("slack_tolerance", self.slack_tolerance)
+        check_tolerance("milp_gap", self.milp_gap)
 
     @property
     def uses_cnr(self) -> bool:
@@ -328,6 +337,7 @@ def verify_solution(case: SystemCase, result: ScheduleResult,
     violations list means the schedule is N-1 secure (with single-switch
     recourse where the method allows it).
     """
+    check_tolerance("slack_tolerance", slack_tolerance)
     if result.schedule is None:
         raise ValueError("result carries no schedule to verify")
     # the audit enumerates every switch, so it needs no ranked candidate list

@@ -301,3 +301,23 @@ def brute_force_commitment(case: SystemCase, security: bool = False,
         if cost is not None and (best is None or cost < best):
             best = cost
     return best
+
+
+def linprog_solution(lp, feasibility_tol: float = 1e-7):
+    """A ``LinearProgram`` solved by ``linprog(method="highs")``.
+
+    Returns ``x``, the objective and the duals in ``solve_lp``'s order and
+    orientation: inequality rows (flipped back where ``ub_sign`` is -1),
+    equality rows, then finite lower and finite upper bounds.
+    """
+    res = linprog(lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                  bounds=np.column_stack((lp.lb, lp.ub)), method="highs",
+                  options={"primal_feasibility_tolerance": feasibility_tol,
+                           "dual_feasibility_tolerance": feasibility_tol})
+    if res.status != 0:
+        raise AssertionError(f"reference LP failed: {res.message}")
+    sign = np.ones(len(lp.b_ub)) if lp.ub_sign is None else lp.ub_sign
+    duals = np.concatenate((sign * res.ineqlin.marginals, res.eqlin.marginals,
+                            res.lower.marginals[np.isfinite(lp.lb)],
+                            res.upper.marginals[np.isfinite(lp.ub)]))
+    return res.x, float(res.fun), duals

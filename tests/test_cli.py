@@ -122,6 +122,8 @@ def test_usage_errors_exit_1(tri3_file, capsys):
     ("--max-iter", "0", "max_iterations"),
     ("--zmax", "-1", "z_max"),
     ("--angle-span", "0", "angle_span"),
+    ("--slack-tol", "-1", "slack_tolerance"),
+    ("--milp-gap", "-1", "milp_gap"),
 ])
 def test_out_of_range_options_exit_1(flag, value, message, tri3_file, tmp_path, capsys):
     code = main(["solve", "--case", str(tri3_file), "--method", "ad_scuc",
@@ -130,6 +132,18 @@ def test_out_of_range_options_exit_1(flag, value, message, tri3_file, tmp_path, 
     err = capsys.readouterr().err
     assert message in err
     assert not (tmp_path / "r").exists()
+    if flag == "--slack-tol":
+        # verify takes the same flag through the same check
+        out = tmp_path / "ok"
+        assert main(["solve", "--case", str(tri3_file), "--method", "ad_scuc",
+                     "--out", str(out)]) == 0
+        files = sorted(out.iterdir())
+        capsys.readouterr()
+        code = main(["verify", "--case", str(tri3_file),
+                     "--result", str(out / "report.json"), flag, value])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert sorted(out.iterdir()) == files
 
 
 def test_missing_case_file_exits_1(tmp_path, capsys):

@@ -224,6 +224,17 @@ def test_invalid_options_rejected():
         "td_scuc_cnr", "ad_scuc_cnr"}
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-12, float("inf"), float("nan")])
+def test_bad_tolerances_rejected(bad, tri3):
+    for field in ("slack_tolerance", "milp_gap"):
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: bad})
+    res = solve(tri3, SolveOptions(method="ad_scuc"))
+    with pytest.raises(ValueError, match="slack_tolerance"):
+        verify_solution(tri3, res, slack_tolerance=bad)
+    assert SolveOptions(slack_tolerance=0.0, milp_gap=0.0).milp_gap == 0.0
+
+
 def test_verify_requires_schedule(c4_high):
     res = solve(c4_high, SolveOptions(method="td_scuc"))
     assert res.schedule is None
