@@ -8,8 +8,7 @@ from .backend import (LinearProgram, Model, SolveResult, SolverError, solve_lp,
 from .caseio import (CaseFormatError, CaseIOError, CaseValidationError,
                      RunReport, parse_case, write_case, write_report)
 from .model import (Branch, Bus, FeasibilityCut, Generator, MucSolution,
-                    SubproblemDuals, SubproblemOutcome, SystemCase,
-                    validate_case)
+                    SubproblemOutcome, SystemCase, validate_case)
 from .network import (NetworkSensitivities, build_sensitivities,
                       check_connectivity, classify_radial, compute_lodf,
                       compute_ptdf, rank_cbce)
@@ -24,8 +23,7 @@ __all__ = [
     "Branch", "Bus", "CaseFormatError", "CaseIOError", "CaseValidationError",
     "FeasibilityCut", "Generator", "LinearProgram", "METHODS", "Model", "MucSolution",
     "NetworkSensitivities", "RunReport", "ScheduleResult", "ScreeningResult",
-    "SolveOptions", "SolveResult", "SolverError", "SubproblemDuals",
-    "SubproblemOutcome", "SystemCase", "VerificationReport",
+    "SolveOptions", "SolveResult", "SolverError", "SubproblemOutcome", "SystemCase", "VerificationReport",
     "build_sensitivities", "check_connectivity", "classify_radial",
     "compute_lodf", "compute_ptdf", "find_corrective_switch", "parse_case",
     "rank_cbce", "run_csps", "solve", "solve_lp", "solve_milp",

@@ -44,10 +44,15 @@ _GEN_KEYS = {"id", "bus", "p_min", "p_max", "cost_linear", "cost_no_load",
              "ramp_10", "min_up", "min_down", "initial_status", "initial_output"}
 
 
-def _need(record: dict, key: str, where: str):
-    if key not in record:
+_REQUIRED = object()
+
+
+def _need(record: dict, key: str, where: str, default=_REQUIRED):
+    if key in record:
+        return record[key]
+    if default is _REQUIRED:
         raise CaseFormatError(f"{where}: missing required field {key!r}")
-    return record[key]
+    return default
 
 
 def _check_keys(record: dict, allowed: set[str], where: str):
@@ -56,57 +61,105 @@ def _check_keys(record: dict, allowed: set[str], where: str):
         raise CaseFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _wrong_type(where: str, expected: str, value) -> CaseFormatError:
+    return CaseFormatError(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
+def _as_number(value, where: str) -> float:
+    if not _is_number(value):
+        raise _wrong_type(where, "a number", value)
+    return float(value)
+
+
+def _number(record: dict, key: str, where: str, default=_REQUIRED) -> float:
+    return _as_number(_need(record, key, where, default), f"{where}.{key}")
+
+
+def _integer(record: dict, key: str, where: str) -> int:
+    value = _need(record, key, where)
+    if not (_is_number(value) and float(value).is_integer()):
+        raise _wrong_type(f"{where}.{key}", "an integer", value)
+    return int(value)
+
+
+def _flag(record: dict, key: str, where: str, default: bool) -> bool:
+    value = _need(record, key, where, default)
+    if not isinstance(value, bool):
+        raise _wrong_type(f"{where}.{key}", "true or false", value)
+    return value
+
+
+def _records(data: dict, key: str):
+    """``(location, record)`` for each object in the array ``data[key]``."""
+    records = _need(data, key, "case")
+    if not isinstance(records, list):
+        raise _wrong_type(key, "an array", records)
+    for i, rec in enumerate(records):
+        where = f"{key}[{i}]"
+        if not isinstance(rec, dict):
+            raise _wrong_type(where, "an object", rec)
+        yield where, rec
+
+
 def case_from_dict(data: dict) -> SystemCase:
+    """Build a case from its JSON document, checking every field's type.
+
+    Ids, bus references, the horizon and minimum up/down times must be
+    integral numbers, every other numeric field a number, and flags JSON
+    booleans; anything else raises a CaseFormatError naming its location.
+    """
     if not isinstance(data, dict):
         raise CaseFormatError("top level must be a JSON object")
     _check_keys(data, {"base_mva", "horizon", "buses", "branches", "generators"}, "case")
-    horizon = int(_need(data, "horizon", "case"))
-    base_mva = float(_need(data, "base_mva", "case"))
+    horizon = _integer(data, "horizon", "case")
+    base_mva = _number(data, "base_mva", "case")
 
     buses = []
-    for i, rec in enumerate(_need(data, "buses", "case")):
-        where = f"buses[{i}]"
+    for where, rec in _records(data, "buses"):
         _check_keys(rec, _BUS_KEYS, where)
         demand = _need(rec, "demand", where)
         if not isinstance(demand, list):
             raise CaseFormatError(f"{where}: demand must be an array")
-        buses.append(Bus(id=int(_need(rec, "id", where)),
-                         demand=tuple(float(d) for d in demand),
-                         is_reference=bool(rec.get("reference", False))))
+        buses.append(Bus(id=_integer(rec, "id", where),
+                         demand=tuple(_as_number(d, f"{where}.demand[{i}]")
+                                      for i, d in enumerate(demand)),
+                         is_reference=_flag(rec, "reference", where, False)))
 
     branches = []
-    for i, rec in enumerate(_need(data, "branches", "case")):
-        where = f"branches[{i}]"
+    for where, rec in _records(data, "branches"):
         _check_keys(rec, _BRANCH_KEYS, where)
         branches.append(Branch(
-            id=int(_need(rec, "id", where)),
-            from_bus=int(_need(rec, "from", where)),
-            to_bus=int(_need(rec, "to", where)),
-            susceptance=float(_need(rec, "susceptance", where)),
-            rate_long_term=float(_need(rec, "rate_long_term", where)),
-            rate_emergency=float(_need(rec, "rate_emergency", where)),
-            reconfigurable=bool(rec.get("reconfigurable", True))))
+            id=_integer(rec, "id", where),
+            from_bus=_integer(rec, "from", where),
+            to_bus=_integer(rec, "to", where),
+            susceptance=_number(rec, "susceptance", where),
+            rate_long_term=_number(rec, "rate_long_term", where),
+            rate_emergency=_number(rec, "rate_emergency", where),
+            reconfigurable=_flag(rec, "reconfigurable", where, True)))
 
     generators = []
-    for i, rec in enumerate(_need(data, "generators", "case")):
-        where = f"generators[{i}]"
+    for where, rec in _records(data, "generators"):
         _check_keys(rec, _GEN_KEYS, where)
         generators.append(Generator(
-            id=int(_need(rec, "id", where)),
-            bus=int(_need(rec, "bus", where)),
-            p_min=float(_need(rec, "p_min", where)),
-            p_max=float(_need(rec, "p_max", where)),
-            cost_linear=float(_need(rec, "cost_linear", where)),
-            cost_no_load=float(_need(rec, "cost_no_load", where)),
-            cost_startup=float(_need(rec, "cost_startup", where)),
-            ramp_hourly=float(_need(rec, "ramp_hourly", where)),
-            ramp_startup=float(_need(rec, "ramp_startup", where)),
-            ramp_shutdown=float(_need(rec, "ramp_shutdown", where)),
-            ramp_10=float(_need(rec, "ramp_10", where)),
-            min_up=int(_need(rec, "min_up", where)),
-            min_down=int(_need(rec, "min_down", where)),
-            initial_status=bool(rec.get("initial_status", False)),
-            initial_output=float(rec.get("initial_output", 0.0))))
+            id=_integer(rec, "id", where),
+            bus=_integer(rec, "bus", where),
+            p_min=_number(rec, "p_min", where),
+            p_max=_number(rec, "p_max", where),
+            cost_linear=_number(rec, "cost_linear", where),
+            cost_no_load=_number(rec, "cost_no_load", where),
+            cost_startup=_number(rec, "cost_startup", where),
+            ramp_hourly=_number(rec, "ramp_hourly", where),
+            ramp_startup=_number(rec, "ramp_startup", where),
+            ramp_shutdown=_number(rec, "ramp_shutdown", where),
+            ramp_10=_number(rec, "ramp_10", where),
+            min_up=_integer(rec, "min_up", where),
+            min_down=_integer(rec, "min_down", where),
+            initial_status=_flag(rec, "initial_status", where, False),
+            initial_output=_number(rec, "initial_output", where, 0.0)))
 
     case = SystemCase(buses=tuple(buses), branches=tuple(branches),
                       generators=tuple(generators), horizon=horizon,
@@ -300,6 +353,33 @@ def write_report(report: RunReport, schedule: MucSolution | None,
         raise CaseIOError(f"cannot write report to {out}: {exc}") from None
 
 
+def check_solution_fits(case: SystemCase, schedule: MucSolution, path: str | Path) -> None:
+    """Raise CaseFormatError at the first way the schedule read from ``path``
+    does not fit ``case``: generator, branch and bus ids in the case's order,
+    every array shaped (entities x horizon), 0/1 commitment and start-up."""
+    for key, entities in (("generator_ids", case.generators),
+                          ("branch_ids", case.branches), ("bus_ids", case.buses)):
+        ids = getattr(schedule, key)
+        expected = [e.id for e in entities]
+        if list(ids) != expected:
+            raise CaseFormatError(f"{path}: solution.{key} {list(ids)} do not match "
+                                  f"the case's {expected}")
+    for key, entity in (("u", "generator"), ("v", "generator"), ("p", "generator"),
+                        ("r", "generator"), ("flow", "branch"), ("theta", "bus")):
+        arr = getattr(schedule, key)
+        shape = (len(getattr(schedule, f"{entity}_ids")), case.horizon)
+        if arr.shape != shape:
+            raise CaseFormatError(f"{path}: solution.{key} has shape {arr.shape}, "
+                                  f"expected {shape} ({entity}s x horizon)")
+    for key in ("u", "v"):
+        arr = getattr(schedule, key)
+        bad = np.argwhere((arr != 0) & (arr != 1))
+        if len(bad):
+            i, t = bad[0]
+            raise CaseFormatError(f"{path}: solution.{key}[{i}][{t}] is {arr[i, t]}, "
+                                  "expected 0 or 1")
+
+
 def load_solution(path: str | Path) -> tuple[dict, MucSolution]:
     """Read back a report.json; returns the raw document and its schedule."""
     path = Path(path)
@@ -309,6 +389,8 @@ def load_solution(path: str | Path) -> tuple[dict, MucSolution]:
         raise CaseIOError(f"cannot read report {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CaseFormatError(f"{path}: malformed JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise CaseFormatError(f"{path}: a report must be a JSON object")
     sol = doc.get("solution")
     if sol is None:
         raise CaseFormatError(f"{path}: report carries no solution block")

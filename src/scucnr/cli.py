@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .backend import SolverError
-from .caseio import (CaseFormatError, CaseIOError, load_solution, parse_case,
-                     write_case, write_report)
+from .caseio import (CaseFormatError, CaseIOError, check_solution_fits,
+                     load_solution, parse_case, write_case, write_report)
 from .fixtures import random_case
 from .orchestrator import (METHODS, ScheduleResult, SolveOptions, check_tolerance,
                            solve, verify_solution)
@@ -119,6 +119,7 @@ def _cmd_verify(args) -> int:
         return EXIT_ERROR
     case = parse_case(args.case)
     doc, schedule = load_solution(args.result)
+    check_solution_fits(case, schedule, args.result)
     method = doc.get("method")
     if method not in METHODS:
         # the method decides whether the audit may rescue a pair by switching
@@ -139,8 +140,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_fixture(args) -> int:
-    case = random_case(args.seed, n_buses=args.buses, n_generators=args.generators,
-                       horizon=args.horizon)
+    try:
+        case = random_case(args.seed, n_buses=args.buses, n_generators=args.generators,
+                           horizon=args.horizon)
+    except ValueError as exc:
+        print(f"scucnr gen-fixture: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)

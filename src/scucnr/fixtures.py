@@ -187,13 +187,18 @@ def random_case(seed: int, n_buses: int | None = None, n_generators: int | None 
     Generators get full 10-minute flexibility so the reserve-pool coupling
     stays satisfiable; line ratings are scaled off a merit-order dispatch so
     that a handful of outages produce real emergency violations without
-    making most instances insecure.
+    making most instances insecure.  A size left as None is drawn from the
+    seed; a given size must be at least 3 buses, 1 generator and 1 period.
     """
+    for name, value, least in (("n_buses", n_buses, 3), ("n_generators", n_generators, 1),
+                               ("horizon", horizon, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be >= {least} (got {value})")
     rng = np.random.default_rng(seed)
-    n = int(n_buses) if n_buses else int(rng.integers(4, 9))
-    n_gen = int(n_generators) if n_generators else int(rng.integers(3, 6))
+    n = int(n_buses) if n_buses is not None else int(rng.integers(4, 9))
+    n_gen = int(n_generators) if n_generators is not None else int(rng.integers(3, 6))
     n_gen = min(n_gen, n)
-    T = int(horizon) if horizon else int(rng.integers(4, 9))
+    T = int(horizon) if horizon is not None else int(rng.integers(4, 9))
 
     edges: list[tuple[int, int]] = []
     for b in range(2, n + 1):

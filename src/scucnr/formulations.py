@@ -1,5 +1,5 @@
-"""Optimization models: master unit commitment, the two extensive
-security-constrained models, and feasibility-cut assembly.
+"""Optimization models: master unit commitment with its feasibility cuts
+and the two extensive security-constrained models.
 
 Naming scheme shared by every model built here: ``u[g,t]``/``v[g,t]`` are
 commitment and start-up binaries, ``p[g,t]``/``r[g,t]`` dispatch and
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import Model, SolveResult, SolverError
-from .model import (FeasibilityCut, MucSolution, SubproblemDuals, SystemCase,
+from .model import (FeasibilityCut, MucSolution, SystemCase,
                     solution_invariant_violations)
 
 DEFAULT_ANGLE_SPAN = 2.0 * math.pi
@@ -290,39 +290,6 @@ def build_extensive_scuc_cnr(case: SystemCase, non_radial: frozenset[int],
                     ">=", len(switchable) - z_max)
             _add_contingency_balance(model, case, c, t)
     return model
-
-
-def assemble_feasibility_cut(duals: SubproblemDuals, case: SystemCase,
-                             c: int, t: int) -> FeasibilityCut:
-    """Turn post-contingency feasibility-check duals into a master cut.
-
-    The cut is the subproblem's dual objective written as an affine function
-    of the master's commitment and dispatch for period ``t``: the schedule
-    that produced the duals evaluates to the slack optimum (positive, so it
-    is cut off), while any schedule whose subproblem is feasible evaluates
-    to at most zero.
-    """
-    coef_u: dict[int, float] = {}
-    coef_p: dict[int, float] = {}
-    for g in case.generators:
-        rd = duals.ramp_down.get(g.id, 0.0)
-        ru = duals.ramp_up.get(g.id, 0.0)
-        omin = duals.output_min.get(g.id, 0.0)
-        omax = duals.output_max.get(g.id, 0.0)
-        cu = g.p_min * omin + g.p_max * omax + g.ramp_10 * (rd + ru)
-        cp = ru - rd
-        if cu != 0.0:
-            coef_u[g.id] = cu
-        if cp != 0.0:
-            coef_p[g.id] = cp
-    constant = 0.0
-    for k in case.branches:
-        constant += k.rate_emergency * (duals.flow_upper.get(k.id, 0.0)
-                                        - duals.flow_lower.get(k.id, 0.0))
-    for n in case.buses:
-        constant += case.demand(n.id, t) * duals.balance.get(n.id, 0.0)
-    return FeasibilityCut(contingency=c, period=t, coef_u=coef_u,
-                          coef_p=coef_p, constant=constant)
 
 
 def extract_solution(case: SystemCase, result: SolveResult) -> MucSolution:

@@ -348,31 +348,12 @@ def operating_cost(case: SystemCase, u: np.ndarray, v: np.ndarray, p: np.ndarray
 
 
 @dataclass(frozen=True)
-class SubproblemDuals:
-    """Row duals of one post-contingency feasibility LP.
-
-    Values use the backend's normalised convention: summing rhs * dual over
-    the LP's rows reproduces the slack optimum exactly, so the feasibility
-    cut assembled from these numbers evaluates to the slack at the schedule
-    that produced it.
-    """
-
-    ramp_down: dict[int, float]     # per generator: contingency output floor
-    ramp_up: dict[int, float]       # per generator: contingency output ceiling
-    output_min: dict[int, float]    # per generator: committed minimum
-    output_max: dict[int, float]    # per generator: committed maximum
-    flow_lower: dict[int, float]    # per branch: negative emergency limit
-    flow_upper: dict[int, float]    # per branch: positive emergency limit
-    balance: dict[int, float]       # per bus: nodal balance
-
-
-@dataclass(frozen=True)
 class SubproblemOutcome:
     contingency: int
     period: int
     status: str
     slack: float
-    duals: SubproblemDuals | None = None
+    cut: FeasibilityCut | None = None
     switch: int | None = None
 
     def __post_init__(self):
@@ -380,6 +361,8 @@ class SubproblemOutcome:
             raise ValueError(f"unknown outcome status {self.status!r}")
         if self.switch is not None and self.status != "feasible_via_switch":
             raise ValueError("a recorded switch requires status feasible_via_switch")
+        if self.cut is not None and self.status != "infeasible":
+            raise ValueError("a feasibility cut requires status infeasible")
         if self.slack < 0:
             raise ValueError("slack must be >= 0")
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .backend import DEFAULT_MILP_GAP, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
-from .formulations import (DEFAULT_ANGLE_SPAN, assemble_feasibility_cut,
-                           build_extensive_scuc, build_extensive_scuc_cnr,
-                           build_muc, extract_solution, extract_switching_plan)
+from .formulations import (DEFAULT_ANGLE_SPAN, build_extensive_scuc,
+                           build_extensive_scuc_cnr, build_muc, extract_solution,
+                           extract_switching_plan)
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
 from .network import NetworkSensitivities, build_sensitivities
@@ -153,16 +153,16 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
                           switches=switches, unresolved=(), report=report)
 
 
-def _examine_pair(case, sens, muc, c, t, options, counters: Counter):
+def _examine_pair(case, sens, muc, c, t, options, counters: Counter) -> SubproblemOutcome:
     """PCFC one pair; for reconfiguration methods, chase a switch on failure.
 
-    Returns (outcome, cut) where cut is None unless the pair ends up with no
-    feasible recourse.
+    The outcome is infeasible, and carries its cut, only when the pair ends
+    up with no feasible recourse.
     """
     outcome = solve_pcfc(case, sens, muc, c, t, options.slack_tolerance)
     counters["pcfc_solved"] += 1
     if outcome.status == "feasible":
-        return outcome, None
+        return outcome
     counters["pcfc_infeasible"] += 1
     if options.uses_cnr:
         t0 = time.perf_counter()
@@ -176,14 +176,13 @@ def _examine_pair(case, sens, muc, c, t, options, counters: Counter):
             j, s2 = found
             counters["switches_found"] += 1
             return SubproblemOutcome(contingency=c, period=t, slack=s2,
-                                     status="feasible_via_switch", switch=j), None
-    cut = assemble_feasibility_cut(outcome.duals, case, c, t)
+                                     status="feasible_via_switch", switch=j)
     # the cut is the subproblem's dual objective: at the schedule that
     # produced it, it must reproduce the slack optimum
-    drift = abs(cut.evaluate_solution(muc) - outcome.slack)
+    drift = abs(outcome.cut.evaluate_solution(muc) - outcome.slack)
     if drift > 1e-6:
         raise SolverError(f"cut for pair ({c},{t}) misses its slack by {drift:.2e}")
-    return outcome, cut
+    return outcome
 
 
 def _solve_decomposed(case: SystemCase, options: SolveOptions,
@@ -242,8 +241,8 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
         # worker threads share only immutable inputs
         def examine(pair):
             local = Counter()
-            out, cut = _examine_pair(case, sens, schedule, pair[0], pair[1], options, local)
-            return pair, out, cut, local
+            out = _examine_pair(case, sens, schedule, pair[0], pair[1], options, local)
+            return pair, out, local
 
         t0 = time.perf_counter()
         ordered = sorted(candidates, key=lambda ct: (ct[1], ct[0]))
@@ -261,17 +260,17 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
 
         new_cuts: list[FeasibilityCut] = []
         switches = {}
-        for pair, out, cut, _ in examined:
+        for pair, out, _ in examined:
             outcomes[pair] = out
             if out.status == "feasible_via_switch":
                 switches[pair] = out.switch
-            if cut is not None:
+            if out.status == "infeasible":
                 for old in cuts:
-                    if old.same_coefficients(cut):
+                    if old.same_coefficients(out.cut):
                         raise SolverError(
                             f"duplicate cut generated for pair {pair}; "
                             "the master should have excluded this point")
-                new_cuts.append(cut)
+                new_cuts.append(out.cut)
 
         log.append(IterationStats(
             iteration=iteration,

@@ -10,9 +10,11 @@ and stops at the first feasible reconfiguration.
 The feasibility LP is in shift-factor form and built directly in arrays:
 its columns are the slack and one redispatch per generator, and branch
 flows are post-outage PTDF products of the bus injections (generalised
-LODFs for a switched pair), so no angle or flow variables appear.  The
-per-bus balance duals a feasibility cut is written in are rebuilt from the
-system balance dual and the flow-limit duals.
+LODFs for a switched pair), so no angle or flow variables appear.  Only
+the four generator rows have a right-hand side that depends on the
+schedule, so the Benders feasibility cut of an unsurvivable outage is read
+straight off the LP's rhs-weighted duals: the generator rows give the
+coefficients on ``u`` and ``p``, every other row the constant.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import LinearProgram, SolverError, solve_lp
-from .model import (SLACK_TOLERANCE, MucSolution, SubproblemDuals,
+from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase)
 from .network import NetworkSensitivities
 
@@ -68,7 +70,7 @@ def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
 
 
 def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t: int,
-              removed: tuple[int, ...], name: str) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+              removed: tuple[int, ...], name: str) -> LinearProgram:
     """Redispatch feasibility LP in shift-factor form.
 
     Columns are the slack ``s`` and one post-outage output per generator.
@@ -76,8 +78,7 @@ def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t:
     the two emergency limits of every in-service branch, whose flow is the
     post-outage PTDF times the bus injections.  The slack scales each
     right-hand side towards the universally feasible all-zeros point, so
-    the slack column equals the rhs column.  Returns the LP, the in-service
-    branch mask and their post-outage PTDF rows.
+    the slack column equals the rhs column.
     """
     gens = case.generators
     n_g = len(gens)
@@ -116,7 +117,7 @@ def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t:
         ub_sign=sign,
         name=name,
     )
-    return lp, in_service, ptdf
+    return lp
 
 
 def _solve_slack_lp(lp: LinearProgram):
@@ -140,38 +141,33 @@ def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
 
     Minimizes a proportional slack over the 10-minute redispatch polytope of
     the given schedule with branch ``c`` out of service.  Slack zero means
-    the outage is survivable; the returned duals support cut assembly and
-    satisfy the rhs-weighted strong-duality identity to 1e-6.  Per-bus
-    balance duals are rebuilt from the system balance dual ``lam`` and the
-    flow-limit duals as ``lam + H_c^T (mu_upper + mu_lower)``, which keeps
-    that identity over the per-bus demands the cut is written in.
+    the outage is survivable.  An infeasible outcome carries its Benders
+    feasibility cut: the LP's dual objective ``row_rhs @ row_duals`` with
+    the generator rows' right-hand sides (``R10 u - p``, ``R10 u + p``,
+    ``p_min u``, ``p_max u``) written as functions of the master's ``u`` and
+    ``p``, and every other row summed into the constant.
     """
-    lp, in_service, ptdf = _slack_lp(case, sens, muc, t, (c,), f"pcfc[{c},{t}]")
+    lp = _slack_lp(case, sens, muc, t, (c,), f"pcfc[{c},{t}]")
     result, slack = _solve_slack_lp(lp)
+    if slack <= slack_tolerance:
+        return SubproblemOutcome(contingency=c, period=t, status="feasible", slack=slack)
 
-    n_g, n_k = len(case.generators), len(ptdf)
-    # inequality rows in _slack_lp order, then the balance row and the slack's bound
-    rd, ru, omin, omax, upper_k, lower_k, (lam, _) = np.split(
-        result.row_duals, np.cumsum((n_g, n_g, n_g, n_g, n_k, n_k)))
-    upper = np.zeros(len(case.branches))
-    lower = np.zeros(len(case.branches))
-    upper[in_service] = upper_k
-    lower[in_service] = lower_k
-    balance = lam + ptdf.T @ (upper_k + lower_k)
-    gen_ids = [g.id for g in case.generators]
-    branch_ids = [k.id for k in case.branches]
-    duals = SubproblemDuals(
-        ramp_down=dict(zip(gen_ids, rd.tolist())),
-        ramp_up=dict(zip(gen_ids, ru.tolist())),
-        output_min=dict(zip(gen_ids, omin.tolist())),
-        output_max=dict(zip(gen_ids, omax.tolist())),
-        flow_lower=dict(zip(branch_ids, lower.tolist())),
-        flow_upper=dict(zip(branch_ids, upper.tolist())),
-        balance=dict(zip((n.id for n in case.buses), balance.tolist())),
-    )
-    status = "feasible" if slack <= slack_tolerance else "infeasible"
-    return SubproblemOutcome(contingency=c, period=t, status=status,
-                             slack=slack, duals=duals)
+    gens = case.generators
+    n_g = len(gens)
+    # duals in the orientation _slack_lp writes each row in
+    rd, ru, omin, omax = result.row_duals[:4 * n_g].reshape(4, n_g)
+    p_min = np.array([g.p_min for g in gens])
+    p_max = np.array([g.p_max for g in gens])
+    ramp = np.array([g.ramp_10 for g in gens])
+    coef_u = p_min * omin + p_max * omax + ramp * (rd + ru)
+    coef_p = ru - rd
+    cut = FeasibilityCut(
+        contingency=c, period=t,
+        coef_u={g.id: v for g, v in zip(gens, coef_u.tolist()) if v != 0.0},
+        coef_p={g.id: v for g, v in zip(gens, coef_p.tolist()) if v != 0.0},
+        constant=float(result.row_rhs[4 * n_g:] @ result.row_duals[4 * n_g:]))
+    return SubproblemOutcome(contingency=c, period=t, status="infeasible",
+                             slack=slack, cut=cut)
 
 
 def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
@@ -180,12 +176,12 @@ def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution
     """Feasibility check with branch ``c`` out and branch ``j`` switched open.
 
     Raises ValueError when opening both branches islands a bus (see
-    ``NetworkSensitivities.islands``).  No duals are exposed; the outcome
+    ``NetworkSensitivities.islands``).  No cut is formed; the outcome
     only records whether this reconfiguration rescues the schedule.
     """
     if j == c:
         raise ValueError("switch candidate must differ from the contingency")
-    lp, _, _ = _slack_lp(case, sens, muc, t, (c, j), f"nr_pcfc[{c},{t},{j}]")
+    lp = _slack_lp(case, sens, muc, t, (c, j), f"nr_pcfc[{c},{t},{j}]")
     _, slack = _solve_slack_lp(lp)
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, slack=slack,

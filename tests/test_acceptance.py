@@ -157,8 +157,7 @@ def test_criterion_5_strong_duality_and_cut_values():
     # solve, and cut assembly re-checks cut(value at generating schedule) ==
     # slack; here both are exercised directly on first-iteration schedules
     from scucnr.backend import solve_milp
-    from scucnr.formulations import (assemble_feasibility_cut, build_muc,
-                                     extract_solution)
+    from scucnr.formulations import build_muc, extract_solution
     checked_pairs = 0
     checked_cuts = 0
     for name, case in fixture_family().items():
@@ -171,7 +170,7 @@ def test_criterion_5_strong_duality_and_cut_values():
                 out = solve_pcfc(case, sens, sched, c, t)  # raises on identity gap
                 checked_pairs += 1
                 if out.status == "infeasible":
-                    cut = assemble_feasibility_cut(out.duals, case, c, t)
+                    cut = out.cut
                     assert cut.evaluate_solution(sched) == pytest.approx(
                         out.slack, abs=1e-6)
                     checked_cuts += 1

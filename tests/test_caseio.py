@@ -169,3 +169,43 @@ def test_load_solution_requires_solution_block(tmp_path):
     path.write_text(json.dumps({"method": "td_scuc", "solution": None}))
     with pytest.raises(CaseFormatError):
         load_solution(path)
+
+
+def _set(section, field, value):
+    def corrupt(doc):
+        target = doc if section is None else doc[section][0]
+        target[field] = value
+        return f"{section}[0].{field}" if section else f"case.{field}"
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set("buses", "id", "a"),
+    _set("branches", "rate_emergency", None),
+    _set("generators", "id", 1.7),
+    _set(None, "horizon", 2.9),
+    _set("branches", "reconfigurable", "false"),
+    _set("generators", "bus", True),
+    _set("buses", "reference", 1),
+], ids=["string_id", "null_rating", "fractional_id", "fractional_horizon",
+        "string_flag", "bool_bus", "numeric_flag"])
+def test_wrong_json_types_are_named_not_coerced(corrupt, tmp_path, capsys):
+    from scucnr.fixtures import random_case
+    doc = case_to_dict(random_case(5, n_buses=6, n_generators=3, horizon=2))
+    location = corrupt(doc)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CaseFormatError) as err:
+        parse_case(path)
+    assert location in str(err.value)
+    assert main(["solve", "--case", str(path), "--method", "td_scuc",
+                 "--out", str(tmp_path / "r")]) == 1
+    assert location in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_integral_floats_are_accepted_as_ids(tri3):
+    doc = case_to_dict(tri3)
+    doc["horizon"] = 1.0
+    doc["branches"][0]["id"] = 1.0
+    assert case_from_dict(doc) == tri3

@@ -191,3 +191,77 @@ def test_same_args_same_outputs(hi_file, tmp_path):
         outs.append(((out / "report.json").read_bytes(),
                      (out / "schedule.csv").read_bytes()))
     assert outs[0] == outs[1]
+
+
+def _solved_report(case_file, tmp_path):
+    out = tmp_path / "runs"
+    assert main(["solve", "--case", str(case_file), "--method", "td_scuc",
+                 "--out", str(out)]) == 0
+    return out / "report.json"
+
+
+def _truncated_p(doc):
+    doc["solution"]["p"] = [row[:1] for row in doc["solution"]["p"]]
+    return doc
+
+
+def _wide_u(doc):
+    doc["solution"]["u"] = [[1] * 5 for _ in range(3)]
+    return doc
+
+
+def _fractional_u(doc):
+    doc["solution"]["u"][1][0] = 0.5
+    return doc
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: [doc], "must be a JSON object"),
+    (_truncated_p, "solution.p has shape (2, 1), expected (2, 2)"),
+    (_wide_u, "solution.u has shape (3, 5), expected (2, 2)"),
+    (_fractional_u, "solution.u[1][0]"),
+], ids=["array", "truncated_p", "wide_u", "fractional_u"])
+def test_verify_rejects_report_that_does_not_fit_case(tamper, message, tmp_path, capsys):
+    case_file = tmp_path / "tri3_T2.json"
+    write_case(triangle3((80.0, 60.0)), case_file)
+    report_path = _solved_report(case_file, tmp_path)
+    report_path.write_text(json.dumps(tamper(json.loads(report_path.read_text()))))
+    capsys.readouterr()
+    code = main(["verify", "--case", str(case_file), "--result", str(report_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "secure" not in captured.out
+
+
+def test_verify_rejects_report_from_another_case(tri3_file, hi_file, tmp_path, capsys):
+    report_path = _solved_report(tri3_file, tmp_path)
+    capsys.readouterr()
+    code = main(["verify", "--case", str(hi_file), "--result", str(report_path)])
+    assert code == 1
+    assert "solution.generator_ids [1, 2] do not match the case's [1, 2, 3]" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--buses", "0", "n_buses"),
+    ("--buses", "1", "n_buses"),
+    ("--buses", "2", "n_buses"),
+    ("--buses", "-3", "n_buses"),
+    ("--generators", "0", "n_generators"),
+    ("--horizon", "0", "horizon"),
+])
+def test_gen_fixture_rejects_sizes_it_cannot_build(flag, value, name, tmp_path, capsys):
+    target = tmp_path / "case.json"
+    code = main(["gen-fixture", "--seed", "7", "--out", str(target), flag, value])
+    assert code == 1
+    assert name in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_gen_fixture_smallest_sizes_are_kept(tmp_path, capsys):
+    target = tmp_path / "small.json"
+    assert main(["gen-fixture", "--seed", "7", "--out", str(target), "--buses", "3",
+                 "--generators", "1", "--horizon", "1"]) == 0
+    doc = json.loads(target.read_text())
+    assert (len(doc["buses"]), len(doc["generators"]), doc["horizon"]) == (3, 1, 1)

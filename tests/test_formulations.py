@@ -6,9 +6,9 @@ import pytest
 from oracles import brute_force_commitment
 from scucnr.backend import solve_milp
 from scucnr.fixtures import corridor4_low, triangle3
-from scucnr.formulations import (BigMPolicy, assemble_feasibility_cut,
-                                 build_extensive_scuc, build_extensive_scuc_cnr,
-                                 build_muc, check_big_m_slack, extract_solution,
+from scucnr.formulations import (BigMPolicy, build_extensive_scuc,
+                                 build_extensive_scuc_cnr, build_muc,
+                                 check_big_m_slack, extract_solution,
                                  extract_switching_plan)
 from scucnr.model import validate_case
 from scucnr.network import build_sensitivities, classify_radial
@@ -195,7 +195,7 @@ def first_violated_pair(case, method="td_scuc"):
 
 def test_cut_reproduces_slack_at_generating_point(tri3_tight):
     sched, out = first_violated_pair(tri3_tight)
-    cut = assemble_feasibility_cut(out.duals, tri3_tight, out.contingency, out.period)
+    cut = out.cut
     assert cut.evaluate_solution(sched) == pytest.approx(out.slack, abs=1e-6)
     assert out.slack > 1e-6  # i.e. the cut separates this schedule
 
@@ -204,7 +204,7 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
     """Sampled validity: feasible-here master points land on the cut's good side."""
     sched, out = first_violated_pair(c4_low)
     c, t = out.contingency, out.period
-    cut = assemble_feasibility_cut(out.duals, c4_low, c, t)
+    cut = out.cut
 
     rng = np.random.default_rng(11)
     checked_feasible = 0
@@ -238,7 +238,7 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
 def test_cut_touches_only_its_own_period():
     case = corridor4_low()
     sched, out = first_violated_pair(case)
-    cut = assemble_feasibility_cut(out.duals, case, out.contingency, out.period)
+    cut = out.cut
     assert out.period == 2
     muc = build_muc(case, [cut])
     # the cut row may only reference period-2 variables
@@ -249,7 +249,7 @@ def test_cut_touches_only_its_own_period():
 
 def test_adding_cut_changes_next_master(c4_low):
     sched, out = first_violated_pair(c4_low)
-    cut = assemble_feasibility_cut(out.duals, c4_low, out.contingency, out.period)
+    cut = out.cut
     first = solve_model(build_muc(c4_low))
     second = solve_model(build_muc(c4_low, [cut]))
     assert second.objective >= first.objective - 1e-9

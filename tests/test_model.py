@@ -94,6 +94,15 @@ def test_outcome_invariants():
     assert ok.switch == 7
 
 
+def test_outcome_carries_a_cut_only_when_infeasible():
+    cut = FeasibilityCut(contingency=1, period=1, coef_u={}, coef_p={}, constant=0.5)
+    for status in ("screened_out", "feasible", "feasible_via_switch"):
+        with pytest.raises(ValueError, match="cut"):
+            SubproblemOutcome(contingency=1, period=1, status=status, slack=0.0, cut=cut)
+    out = SubproblemOutcome(contingency=1, period=1, status="infeasible", slack=0.5, cut=cut)
+    assert out.cut is cut
+
+
 def test_cut_evaluation_and_comparison():
     cut = FeasibilityCut(contingency=3, period=2, coef_u={1: 2.0}, coef_p={1: -0.5},
                          constant=1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import scucnr.subproblems
@@ -10,7 +11,7 @@ from scucnr.fixtures import random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
-from scucnr.subproblems import (find_corrective_switch, run_csps,
+from scucnr.subproblems import (_slack_lp, find_corrective_switch, run_csps,
                                 solve_nr_pcfc, solve_pcfc)
 
 
@@ -150,7 +151,47 @@ def test_duals_satisfy_strong_duality_everywhere(tri3_tight, c4_high):
         for c, t in all_pairs(case, sens):
             out = solve_pcfc(case, sens, muc, c, t)  # raises internally on a gap
             assert 0.0 <= out.slack <= 1.0 + 1e-6
-            assert out.duals is not None
+            assert (out.cut is not None) == (out.status == "infeasible")
+
+
+def _row_rhs(lp):
+    """Right-hand sides of an LP in the order and orientation of ``row_rhs``."""
+    return np.concatenate((lp.ub_sign * lp.b_ub, lp.b_eq,
+                           lp.lb[np.isfinite(lp.lb)], lp.ub[np.isfinite(lp.ub)]))
+
+
+def _check_cuts_off_their_point(case, points=20):
+    """Each cut of the cut-free schedule equals the slave LP's rhs . duals at
+    random other schedules; returns the number of cuts checked."""
+    sens = build_sensitivities(case)
+    muc = cheap_point(case)
+    p_max = np.array([[g.p_max] for g in case.generators])
+    rng = np.random.default_rng(17)
+    checked = 0
+    for c, t in all_pairs(case, sens):
+        out = solve_pcfc(case, sens, muc, c, t)
+        if out.status != "infeasible":
+            continue
+        lp = _slack_lp(case, sens, muc, t, (c,), "at_point")
+        duals = solve_lp(lp).row_duals
+        assert _row_rhs(lp) @ duals == pytest.approx(out.slack, abs=1e-6)
+        for _ in range(points):
+            other = dataclasses.replace(muc, u=rng.integers(0, 2, size=muc.u.shape),
+                                        p=rng.uniform(0.0, 1.0, size=muc.p.shape) * p_max)
+            terms = _row_rhs(_slack_lp(case, sens, other, t, (c,), "away")) * duals
+            scale = max(1.0, np.abs(terms).sum())
+            assert abs(out.cut.evaluate_solution(other) - terms.sum()) <= 1e-9 * scale
+        checked += 1
+    return checked
+
+
+def test_cut_matches_slave_lp_away_from_its_point_on_fixtures():
+    assert sum(_check_cuts_off_their_point(case)
+               for case in fixture_family().values()) >= 2
+
+
+def test_cut_matches_slave_lp_away_from_its_point_on_random_case():
+    assert _check_cuts_off_their_point(random_case(101, 24, 8, 4)) >= 1
 
 
 # --- switched feasibility ------------------------------------------------------
