@@ -392,20 +392,22 @@ def load_solution(path: str | Path) -> tuple[dict, MucSolution]:
     if not isinstance(doc, dict):
         raise CaseFormatError(f"{path}: a report must be a JSON object")
     sol = doc.get("solution")
-    if sol is None:
+    if not isinstance(sol, dict):
         raise CaseFormatError(f"{path}: report carries no solution block")
+    arrays = {}
+    for name in ("u", "v", "p", "r", "flow", "theta"):
+        try:
+            arrays[name] = np.asarray(sol[name], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise CaseFormatError(f"{path}: solution.{name} is missing or not a "
+                                  "rectangular array of numbers") from None
     try:
         schedule = MucSolution(
             generator_ids=tuple(sol["generator_ids"]),
             branch_ids=tuple(sol["branch_ids"]),
             bus_ids=tuple(sol["bus_ids"]),
-            u=np.asarray(sol["u"], dtype=float),
-            v=np.asarray(sol["v"], dtype=float),
-            p=np.asarray(sol["p"], dtype=float),
-            r=np.asarray(sol["r"], dtype=float),
-            flow=np.asarray(sol["flow"], dtype=float),
-            theta=np.asarray(sol["theta"], dtype=float),
             objective=float(sol["objective"]),
+            **arrays,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CaseFormatError(f"{path}: solution block is incomplete: {exc}") from None

@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", required=True, choices=METHODS)
     run.add_argument("--out", default="runs", help="output directory")
     run.add_argument("--zmax", type=int, default=_DEFAULTS.z_max,
-                     help="max switching actions per post-contingency state "
+                     help="switching actions per post-contingency state, 0 or 1 "
                           "(extensive reconfiguration model)")
     run.add_argument("--cbce-size", type=int, default=_DEFAULTS.cbce_size,
                      help="length of the ranked switching candidate list")
@@ -56,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="relative MIP gap for master/extensive solves")
     run.add_argument("--workers", type=int, default=_DEFAULTS.workers,
                      help="parallel subproblem workers")
-    run.add_argument("--angle-span", type=float, default=_DEFAULTS.angle_span,
-                     help="angle-difference bound backing the big-M constants")
     run.add_argument("--enumerate-kr", action="store_true",
                      help="benchmark mode: try every reconfigurable line instead "
                           "of the ranked list")
@@ -88,7 +86,6 @@ def _cmd_solve(args) -> int:
             cbce_size=args.cbce_size,
             z_max=args.zmax,
             workers=args.workers,
-            angle_span=args.angle_span,
             enumerate_reconfigurable=args.enumerate_kr,
         )
     except ValueError as exc:

@@ -3,23 +3,24 @@ and the two extensive security-constrained models.
 
 Naming scheme shared by every model built here: ``u[g,t]``/``v[g,t]`` are
 commitment and start-up binaries, ``p[g,t]``/``r[g,t]`` dispatch and
-10-minute reserve in MW, ``f[k,t]`` branch flow in MW, ``theta[n,t]`` bus
-angles in radians.  Post-contingency copies carry the outaged branch id as
-a middle index, e.g. ``pc[g,c,t]``.  Periods are 1-based.
+10-minute reserve in MW, ``f[k,t]`` base-case branch flow in MW,
+``theta[n,t]`` base-case bus angles in radians.  Post-outage columns carry
+the outaged branch id as a middle index: ``pc[g,c,t]`` is the redispatched
+output, and in the switching model ``z[j,c,t]`` keeps line ``j`` in service
+(1) or opens it (0), with ``w[j,c,t]`` the flow it sheds when opened.
+Post-outage flows are not columns: they are post-outage PTDF rows over
+``pc``, as in the feasibility LP.  Periods are 1-based.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .backend import Model, SolveResult, SolverError
 from .model import (FeasibilityCut, MucSolution, SystemCase,
                     solution_invariant_violations)
-
-DEFAULT_ANGLE_SPAN = 2.0 * math.pi
+from .network import NetworkSensitivities
+from .subproblems import post_outage_flows
 
 INTEGRALITY_TOL = 1e-5
 
@@ -29,27 +30,6 @@ SWITCHED_RATINGS = ("emergency", "long_term")
 def effective_susceptance(case: SystemCase, branch_id: int) -> float:
     """Branch stiffness in MW per radian."""
     return case.branch(branch_id).susceptance * case.base_mva
-
-
-@dataclass(frozen=True)
-class BigMPolicy:
-    """Per-branch decoupling constants for switched-line flow equations.
-
-    ``values[k]`` must dominate the largest possible angle-difference term
-    across an open branch, i.e. at least stiffness times the configured
-    angle span.
-    """
-
-    values: dict[int, float]
-    angle_span: float
-
-    @classmethod
-    def from_case(cls, case: SystemCase, angle_span: float = DEFAULT_ANGLE_SPAN) -> "BigMPolicy":
-        if angle_span <= 0:
-            raise ValueError("angle_span must be positive")
-        vals = {k.id: effective_susceptance(case, k.id) * angle_span
-                for k in case.branches}
-        return cls(values=vals, angle_span=angle_span)
 
 
 def _add_base_model(model: Model, case: SystemCase) -> None:
@@ -180,116 +160,128 @@ def _add_contingency_generation(model: Model, case: SystemCase, c: int, t: int) 
                              {pc: 1.0, u: -g.p_max}, "<=", 0.0)
 
 
-def _add_contingency_balance(model: Model, case: SystemCase, c: int, t: int) -> None:
-    for n in case.buses:
-        terms = {f"pc[{g.id},{c},{t}]": 1.0 for g in case.generators_at_bus.get(n.id, ())}
-        for k in case.branches:
-            fc = f"fc[{k.id},{c},{t}]"
-            if k.to_bus == n.id:
-                terms[fc] = terms.get(fc, 0.0) + 1.0
-            if k.from_bus == n.id:
-                terms[fc] = terms.get(fc, 0.0) - 1.0
-        model.add_constraint(f"c_balance[{n.id},{c},{t}]", terms, "==", case.demand(n.id, t))
-    model.add_constraint(f"c_ref[{c},{t}]",
-                         {f"theta_c[{case.reference_bus},{c},{t}]": 1.0}, "==", 0.0)
+def _switch_lodf(case: SystemCase, ptdf: np.ndarray, switchable: tuple[int, ...]) -> np.ndarray:
+    """LODFs of the network ``ptdf`` describes, one column per switchable branch.
+
+    Column ``j`` is the flow change on every branch per MW of flow on ``j``
+    when ``j`` is opened, with ``LODF[j, j] = -1``.
+    """
+    cols = np.arange(len(switchable))
+    pos = [case.branch_index[j] for j in switchable]
+    frm = [case.bus_index[case.branch(j).from_bus] for j in switchable]
+    to = [case.bus_index[case.branch(j).to_bus] for j in switchable]
+    transfer = ptdf[:, frm] - ptdf[:, to]
+    lodf = transfer / (1.0 - transfer[pos, cols])
+    lodf[pos, cols] = -1.0
+    return lodf
 
 
-def build_extensive_scuc(case: SystemCase, non_radial: frozenset[int]) -> Model:
+def _add_post_outage_state(model: Model, case: SystemCase, c: int, t: int,
+                           ptdf: np.ndarray, rate: np.ndarray,
+                           switchable: tuple[int, ...], lodf: np.ndarray) -> None:
+    """Redispatch, system balance and flow limits after outage ``c`` in period ``t``.
+
+    ``ptdf`` is ``outage_ptdf((c,))``, so branch ``k`` carries
+    ``at_gens[k] @ pc - demand_flow[k]`` as in the feasibility LP, plus
+    ``lodf[k] @ w`` over the switch columns of ``switchable``.
+    """
+    _add_contingency_generation(model, case, c, t)
+    at_gens, demand_flow, total = post_outage_flows(case, ptdf, t)
+    pc = [f"pc[{g.id},{c},{t}]" for g in case.generators]
+    model.add_constraint(f"c_balance[{c},{t}]", dict.fromkeys(pc, 1.0), "==", total)
+
+    p_max = np.array([g.p_max for g in case.generators])
+    w = [f"w[{j},{c},{t}]" for j in switchable]
+    z = [f"z[{j},{c},{t}]" for j in switchable]
+    for j, wj, zj in zip(switchable, w, z):
+        i = case.branch_index[j]
+        m = float(np.abs(at_gens[i]) @ p_max + abs(demand_flow[i]))
+        model.add_variable(zj, binary=True)
+        model.add_variable(wj)
+        # w = 0 while j is in service (z = 1) ...
+        model.add_constraint(f"w_off_hi[{j},{c},{t}]", {wj: 1.0, zj: m}, "<=", m)
+        model.add_constraint(f"w_off_lo[{j},{c},{t}]", {wj: 1.0, zj: -m}, ">=", -m)
+        # ... and w = at_gens[j] @ pc - demand_flow[j] once it is opened (z = 0)
+        dev = {**dict(zip(pc, -at_gens[i])), wj: 1.0}
+        model.add_constraint(f"w_on_hi[{j},{c},{t}]", {**dev, zj: -m}, "<=", -demand_flow[i])
+        model.add_constraint(f"w_on_lo[{j},{c},{t}]", {**dev, zj: m}, ">=", -demand_flow[i])
+    if switchable:
+        model.add_constraint(f"sw_budget[{c},{t}]", dict.fromkeys(z, 1.0), ">=",
+                             len(z) - 1)
+
+    for i, k in enumerate(case.branches):
+        if k.id == c:
+            continue
+        terms = {**dict(zip(pc, at_gens[i])), **dict(zip(w, lodf[i]))}
+        model.add_constraint(f"c_flow_hi[{k.id},{c},{t}]", terms, "<=",
+                             demand_flow[i] + rate[i])
+        model.add_constraint(f"c_flow_lo[{k.id},{c},{t}]", terms, ">=",
+                             demand_flow[i] - rate[i])
+
+
+def _build_extensive(name: str, case: SystemCase, sens: NetworkSensitivities,
+                     rate: np.ndarray, reconfigurable: frozenset[int]) -> Model:
+    model = Model(name)
+    _add_base_model(model, case)
+    for c in sens.contingencies:
+        ptdf = sens.outage_ptdf((c,))
+        switchable = tuple(j for j in sorted(reconfigurable - {c})
+                           if not sens.islands((c, j)))
+        lodf = _switch_lodf(case, ptdf, switchable)
+        for t in case.periods:
+            _add_post_outage_state(model, case, c, t, ptdf, rate, switchable, lodf)
+    return model
+
+
+def build_extensive_scuc(case: SystemCase, sens: NetworkSensitivities) -> Model:
     """One co-optimized MILP: base case plus redispatch for every outage.
 
-    Post-contingency flows obey emergency ratings; the outaged branch's flow
-    is fixed to zero and its flow-definition row is dropped.
+    Each (outage, period) gets its own redispatch ``pc``, a system balance
+    and the two emergency limits of every surviving branch, with flows from
+    the post-outage PTDF the feasibility LP uses.
     """
-    model = Model("extensive_scuc")
-    _add_base_model(model, case)
-    for t in case.periods:
-        for c in sorted(non_radial):
-            _add_contingency_generation(model, case, c, t)
-            for n in case.buses:
-                model.add_variable(f"theta_c[{n.id},{c},{t}]")
-            for k in case.branches:
-                if k.id == c:
-                    model.add_variable(f"fc[{k.id},{c},{t}]", lb=0.0, ub=0.0)
-                    continue
-                model.add_variable(f"fc[{k.id},{c},{t}]",
-                                   lb=-k.rate_emergency, ub=k.rate_emergency)
-                beff = effective_susceptance(case, k.id)
-                model.add_constraint(
-                    f"c_flow[{k.id},{c},{t}]",
-                    {f"fc[{k.id},{c},{t}]": 1.0,
-                     f"theta_c[{k.from_bus},{c},{t}]": -beff,
-                     f"theta_c[{k.to_bus},{c},{t}]": beff},
-                    "==", 0.0)
-            _add_contingency_balance(model, case, c, t)
-    return model
+    rate = np.array([k.rate_emergency for k in case.branches])
+    return _build_extensive("extensive_scuc", case, sens, rate, frozenset())
 
 
-def build_extensive_scuc_cnr(case: SystemCase, non_radial: frozenset[int],
+def build_extensive_scuc_cnr(case: SystemCase, sens: NetworkSensitivities,
                              z_max: int = 1,
-                             angle_span: float = DEFAULT_ANGLE_SPAN,
                              switched_rating: str = "emergency") -> Model:
-    """Co-optimized model where each post-contingency state may also open lines.
+    """Co-optimized model where each post-outage state may also open one line.
 
-    ``z[k,c,t] = 1`` keeps branch ``k`` in service after outage ``c``; 0 opens
-    it.  Flow definitions are big-M decoupled, switched lines carry zero flow,
-    and at most ``z_max`` lines may be opened per post-contingency state (the
-    outaged line itself is unavailable and does not count against the budget).
+    A line ``j`` is switchable after outage ``c`` exactly when
+    ``find_corrective_switch`` would try it: reconfigurable, non-radial,
+    not ``c``, and not islanding together with ``c``.  It gets a binary
+    ``z[j,c,t]`` (1 keeps it in service) and a flow-cancelling transaction
+    ``w[j,c,t]`` (Ruiz, Foster, Rudkevich & Caramanis, IEEE TPWRS 2012):
+    ``|w| <= M (1 - z)`` and ``|w - f_j| <= M z``, where ``f_j`` is the
+    post-outage flow on ``j`` before switching.  Every branch carries its
+    post-outage flow plus ``LODF_c[k, j] w``, with ``LODF_c`` the LODFs of
+    the network without ``c`` and ``LODF_c[j, j] = -1``, so an opened line
+    carries zero and the rest see the single-switch generalised LODF flow
+    of the switch search's LP.  At most one line opens per state, so the
+    model is exact.
 
-    ``switched_rating`` selects the thermal limit applied through the
-    switching rows: "emergency" matches the plain security model's
-    post-contingency ratings (the default, which keeps this model a strict
-    relaxation of it); "long_term" applies the stricter normal ratings.
+    ``M = sum_g |PTDF_c[j, bus g]| p_max_g + |PTDF_c[j] @ d_t|`` bounds
+    ``|f_j|`` at every redispatch ``0 <= pc <= p_max``, so the big-M rows
+    never cut off a feasible point.
+
+    ``z_max`` is 1, or 0 for no switching (the plain model).
+    ``switched_rating`` selects the limit on every branch other than the
+    outaged one: "emergency" (the default, which keeps this model a strict
+    relaxation of the plain one) or the stricter "long_term".
     """
-    if z_max < 0:
-        raise ValueError("z_max must be >= 0")
+    if z_max not in (0, 1):
+        raise ValueError(f"z_max must be 0 or 1 (got {z_max})")
     if switched_rating not in SWITCHED_RATINGS:
         raise ValueError(f"switched_rating must be one of {SWITCHED_RATINGS}")
+    rate = np.array([k.rate_emergency if switched_rating == "emergency"
+                     else k.rate_long_term for k in case.branches])
     reconfigurable = frozenset(
-        k.id for k in case.branches if k.reconfigurable) & non_radial
-    big_m = BigMPolicy.from_case(case, angle_span)
-
-    model = Model("extensive_scuc_cnr")
-    _add_base_model(model, case)
-    for t in case.periods:
-        for c in sorted(non_radial):
-            _add_contingency_generation(model, case, c, t)
-            for n in case.buses:
-                model.add_variable(f"theta_c[{n.id},{c},{t}]")
-            switchable = sorted((reconfigurable - {c}))
-            for k in case.branches:
-                fc = f"fc[{k.id},{c},{t}]"
-                if k.id == c:
-                    # the outaged line: unavailable, flow pinned to zero
-                    model.add_variable(fc, lb=0.0, ub=0.0)
-                    continue
-                rate = k.rate_emergency if switched_rating == "emergency" else k.rate_long_term
-                beff = effective_susceptance(case, k.id)
-                angle = {f"theta_c[{k.from_bus},{c},{t}]": -beff,
-                         f"theta_c[{k.to_bus},{c},{t}]": beff}
-                if k.id in switchable:
-                    model.add_variable(fc, lb=-rate, ub=rate)
-                    z = model.add_variable(f"z[{k.id},{c},{t}]", binary=True)
-                    m = big_m.values[k.id]
-                    model.add_constraint(f"sw_flow_lo[{k.id},{c},{t}]",
-                                         {fc: 1.0, **angle, z: -m}, ">=", -m)
-                    model.add_constraint(f"sw_flow_hi[{k.id},{c},{t}]",
-                                         {fc: 1.0, **angle, z: m}, "<=", m)
-                    model.add_constraint(f"sw_lim_lo[{k.id},{c},{t}]",
-                                         {fc: 1.0, z: rate}, ">=", 0.0)
-                    model.add_constraint(f"sw_lim_hi[{k.id},{c},{t}]",
-                                         {fc: 1.0, z: -rate}, "<=", 0.0)
-                else:
-                    # not switchable: permanently in service after this outage
-                    model.add_variable(fc, lb=-rate, ub=rate)
-                    model.add_constraint(f"c_flow[{k.id},{c},{t}]",
-                                         {fc: 1.0, **angle}, "==", 0.0)
-            if switchable:
-                model.add_constraint(
-                    f"sw_budget[{c},{t}]",
-                    {f"z[{k},{c},{t}]": 1.0 for k in switchable},
-                    ">=", len(switchable) - z_max)
-            _add_contingency_balance(model, case, c, t)
-    return model
+        k.id for k in case.branches if k.reconfigurable) & sens.non_radial
+    if z_max == 0:
+        reconfigurable = frozenset()
+    return _build_extensive("extensive_scuc_cnr", case, sens, rate, reconfigurable)
 
 
 def extract_solution(case: SystemCase, result: SolveResult) -> MucSolution:
@@ -346,47 +338,14 @@ def extract_solution(case: SystemCase, result: SolveResult) -> MucSolution:
     return solution
 
 
-def extract_switching_plan(case: SystemCase, non_radial: frozenset[int],
-                           result: SolveResult) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Opened lines per (contingency, period) from an extensive CNR solve."""
-    plan: dict[tuple[int, int], tuple[int, ...]] = {}
+def extract_switching_plan(case: SystemCase, sens: NetworkSensitivities,
+                           result: SolveResult) -> dict[tuple[int, int], int]:
+    """The line opened per (contingency, period) by an extensive CNR solve."""
+    plan: dict[tuple[int, int], int] = {}
     for t in case.periods:
-        for c in sorted(non_radial):
-            opened = []
+        for c in sens.contingencies:
             for k in case.branches:
                 name = f"z[{k.id},{c},{t}]"
                 if name in result.values and result.value(name) < 0.5:
-                    opened.append(k.id)
-            if opened:
-                plan[(c, t)] = tuple(opened)
+                    plan[(c, t)] = k.id
     return plan
-
-
-def check_big_m_slack(case: SystemCase, non_radial: frozenset[int],
-                      result: SolveResult,
-                      angle_span: float = DEFAULT_ANGLE_SPAN,
-                      fraction: float = 1e-4) -> list[str]:
-    """Guard that no big-M row is close to binding on a switched-out line.
-
-    For every row whose line is opened (z = 0) the decoupled flow equation
-    must retain slack of at least ``fraction`` of that line's M, otherwise M
-    was chosen too small and may have cut off genuine angle differences.
-    """
-    big_m = BigMPolicy.from_case(case, angle_span)
-    problems = []
-    for t in case.periods:
-        for c in sorted(non_radial):
-            for k in case.branches:
-                zname = f"z[{k.id},{c},{t}]"
-                if zname not in result.values or result.value(zname) >= 0.5:
-                    continue
-                beff = effective_susceptance(case, k.id)
-                gap = (result.value(f"fc[{k.id},{c},{t}]")
-                       - beff * (result.value(f"theta_c[{k.from_bus},{c},{t}]")
-                                 - result.value(f"theta_c[{k.to_bus},{c},{t}]")))
-                m = big_m.values[k.id]
-                if m - abs(gap) < fraction * m:
-                    problems.append(
-                        f"branch {k.id} outage {c} t={t}: big-M slack "
-                        f"{m - abs(gap):.3e} below {fraction:.0e} * M")
-    return problems

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 from .backend import DEFAULT_MILP_GAP, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
-from .formulations import (DEFAULT_ANGLE_SPAN, build_extensive_scuc,
-                           build_extensive_scuc_cnr, build_muc, extract_solution,
-                           extract_switching_plan)
+from .formulations import (build_extensive_scuc, build_extensive_scuc_cnr,
+                           build_muc, extract_solution, extract_switching_plan)
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
 from .network import NetworkSensitivities, build_sensitivities
@@ -48,7 +47,6 @@ class SolveOptions:
     cbce_size: int = 20
     z_max: int = 1
     workers: int = 1
-    angle_span: float = DEFAULT_ANGLE_SPAN
     enumerate_reconfigurable: bool = False
     audit_screening: bool = False
     switched_rating: str = "emergency"
@@ -63,10 +61,8 @@ class SolveOptions:
             raise ValueError("cbce_size must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.z_max < 0:
-            raise ValueError("z_max must be >= 0")
-        if self.angle_span <= 0:
-            raise ValueError("angle_span must be > 0")
+        if self.z_max not in (0, 1):
+            raise ValueError(f"z_max must be 0 or 1 (got {self.z_max})")
         check_tolerance("slack_tolerance", self.slack_tolerance)
         check_tolerance("milp_gap", self.milp_gap)
 
@@ -118,11 +114,10 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
                      sens: NetworkSensitivities, timings: _Timings) -> ScheduleResult:
     t0 = time.perf_counter()
     if options.method == "extensive_scuc":
-        model = build_extensive_scuc(case, sens.non_radial)
+        model = build_extensive_scuc(case, sens)
     else:
-        model = build_extensive_scuc_cnr(
-            case, sens.non_radial, z_max=options.z_max,
-            angle_span=options.angle_span, switched_rating=options.switched_rating)
+        model = build_extensive_scuc_cnr(case, sens, z_max=options.z_max,
+                                         switched_rating=options.switched_rating)
     result = solve_milp(model, gap=options.milp_gap, time_limit=options.time_limit)
     timings.add("master", time.perf_counter() - t0)
     timings.add("total", time.perf_counter() - t0)
@@ -138,16 +133,12 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
 
     schedule = extract_solution(case, result)
     switches: dict[tuple[int, int], int] = {}
-    switch_rows: list[tuple[int, int, int]] = []
     if options.method == "extensive_scuc_cnr":
-        plan = extract_switching_plan(case, sens.non_radial, result)
-        for (c, t), opened in sorted(plan.items()):
-            switches[(c, t)] = opened[0]
-            for j in opened:
-                switch_rows.append((c, t, j))
+        switches = extract_switching_plan(case, sens, result)
     report = RunReport(method=options.method, status="converged", converged=True,
                        objective=schedule.objective, iterations=1,
-                       switches=switch_rows, timings=timings.values)
+                       switches=[(c, t, j) for (c, t), j in sorted(switches.items())],
+                       timings=timings.values)
     return ScheduleResult(method=options.method, status="converged", converged=True,
                           schedule=schedule, iterations=1, cuts=(),
                           switches=switches, unresolved=(), report=report)

@@ -69,6 +69,21 @@ def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
                            overload_ratio=dict(zip(pairs, worst_ratio.tolist())))
 
 
+def post_outage_flows(case: SystemCase, ptdf: np.ndarray,
+                      t: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Branch flows of period ``t`` as a linear function of generator outputs.
+
+    ``ptdf`` holds rows of ``NetworkSensitivities.outage_ptdf(removed)``.
+    With ``pg`` the outputs in ``case.generators`` order, the flows are
+    ``at_gens @ pg - demand_flow``; they hold when ``pg`` sums to
+    ``total``, the period's demand.  The feasibility LP and the extensive
+    models build every post-outage flow from these three.
+    """
+    demand = np.array([case.demand(n.id, t) for n in case.buses])
+    at_gens = ptdf[:, [case.bus_index[g.bus] for g in case.generators]]
+    return at_gens, ptdf @ demand, demand.sum()
+
+
 def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t: int,
               removed: tuple[int, ...], name: str) -> LinearProgram:
     """Redispatch feasibility LP in shift-factor form.
@@ -87,15 +102,13 @@ def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t:
     ramp = np.array([g.ramp_10 for g in gens]) * u
     p_min = np.array([g.p_min for g in gens]) * u
     p_max = np.array([g.p_max for g in gens]) * u
-    demand = np.array([case.demand(n.id, t) for n in case.buses])
 
     in_service = np.ones(len(case.branches), dtype=bool)
     in_service[[case.branch_index[k] for k in removed]] = False
     rate = np.array([k.rate_emergency for k in case.branches])[in_service]
-    ptdf = sens.outage_ptdf(removed)[in_service]
-    at_gens = ptdf[:, [case.bus_index[g.bus] for g in gens]]
     # branch flow is at_gens @ pg - demand_flow * (1 - s)
-    demand_flow = ptdf @ demand
+    at_gens, demand_flow, total = post_outage_flows(
+        case, sens.outage_ptdf(removed)[in_service], t)
     n_k = len(rate)
 
     eye = np.eye(n_g)
@@ -105,7 +118,6 @@ def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t:
     # rd, ru, omin (>=), omax, upper flow limit, lower flow limit (>=)
     sign = np.concatenate((np.ones(2 * n_g), -np.ones(n_g), np.ones(n_g + n_k),
                            -np.ones(n_k)))
-    total = demand.sum()
     lp = LinearProgram(
         cost=np.concatenate(([1.0], np.zeros(n_g))),
         a_ub=sign[:, None] * np.hstack((rhs[:, None], coef)),

@@ -121,7 +121,7 @@ def test_usage_errors_exit_1(tri3_file, capsys):
     ("--cbce-size", "-1", "cbce_size"),
     ("--max-iter", "0", "max_iterations"),
     ("--zmax", "-1", "z_max"),
-    ("--angle-span", "0", "angle_span"),
+    ("--zmax", "2", "z_max"),
     ("--slack-tol", "-1", "slack_tolerance"),
     ("--milp-gap", "-1", "milp_gap"),
 ])
@@ -158,7 +158,7 @@ def test_help_lists_flags_with_defaults(capsys):
     text = capsys.readouterr().out
     for flag in ("--case", "--method", "--out", "--zmax", "--cbce-size",
                  "--max-iter", "--slack-tol", "--milp-gap", "--workers",
-                 "--angle-span", "--enumerate-kr"):
+                 "--enumerate-kr"):
         assert flag in text
     assert "50" in text      # max-iter default
     assert "20" in text      # cbce-size default
@@ -205,6 +205,11 @@ def _truncated_p(doc):
     return doc
 
 
+def _ragged_p(doc):
+    doc["solution"]["p"][1] = doc["solution"]["p"][1][:1]
+    return doc
+
+
 def _wide_u(doc):
     doc["solution"]["u"] = [[1] * 5 for _ in range(3)]
     return doc
@@ -218,9 +223,10 @@ def _fractional_u(doc):
 @pytest.mark.parametrize("tamper, message", [
     (lambda doc: [doc], "must be a JSON object"),
     (_truncated_p, "solution.p has shape (2, 1), expected (2, 2)"),
+    (_ragged_p, "solution.p is missing or not a rectangular array"),
     (_wide_u, "solution.u has shape (3, 5), expected (2, 2)"),
     (_fractional_u, "solution.u[1][0]"),
-], ids=["array", "truncated_p", "wide_u", "fractional_u"])
+], ids=["array", "truncated_p", "ragged_p", "wide_u", "fractional_u"])
 def test_verify_rejects_report_that_does_not_fit_case(tamper, message, tmp_path, capsys):
     case_file = tmp_path / "tri3_T2.json"
     write_case(triangle3((80.0, 60.0)), case_file)

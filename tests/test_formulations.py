@@ -6,10 +6,9 @@ import pytest
 from oracles import brute_force_commitment
 from scucnr.backend import solve_milp
 from scucnr.fixtures import corridor4_low, triangle3
-from scucnr.formulations import (BigMPolicy, build_extensive_scuc,
+from scucnr.formulations import (build_extensive_scuc,
                                  build_extensive_scuc_cnr, build_muc,
-                                 check_big_m_slack, extract_solution,
-                                 extract_switching_plan)
+                                 extract_solution, extract_switching_plan)
 from scucnr.model import validate_case
 from scucnr.network import build_sensitivities, classify_radial
 from scucnr.subproblems import solve_pcfc
@@ -89,57 +88,57 @@ def test_zero_ten_minute_ramp_kills_dispatch():
 
 def test_huge_emergency_ratings_make_extensive_equal_muc(tri3):
     relaxed = scale_emergency(tri3, 100.0)
-    _, non_radial = classify_radial(relaxed)
+    sens = build_sensitivities(relaxed)
     muc = solve_model(build_muc(relaxed))
-    ext = solve_model(build_extensive_scuc(relaxed, non_radial))
+    ext = solve_model(build_extensive_scuc(relaxed, sens))
     assert ext.objective == pytest.approx(muc.objective, rel=1e-9)
 
 
 def test_extensive_dominates_muc(c4_low):
-    _, non_radial = classify_radial(c4_low)
+    sens = build_sensitivities(c4_low)
     muc = solve_model(build_muc(c4_low))
-    ext = solve_model(build_extensive_scuc(c4_low, non_radial))
+    ext = solve_model(build_extensive_scuc(c4_low, sens))
     assert ext.objective >= muc.objective - 1e-6
 
 
 def test_security_constrained_optimum_matches_enumeration(tri3_tight):
-    _, non_radial = classify_radial(tri3_tight)
+    sens = build_sensitivities(tri3_tight)
     oracle = brute_force_commitment(tri3_tight, security=True,
-                                    contingencies=tuple(sorted(non_radial)))
-    ext = solve_model(build_extensive_scuc(tri3_tight, non_radial))
+                                    contingencies=tuple(sens.contingencies))
+    ext = solve_model(build_extensive_scuc(tri3_tight, sens))
     assert ext.objective == pytest.approx(oracle, rel=1e-7)
 
 
 def test_switching_budget_zero_reduces_to_plain_model(tri3_tight, c4_low):
     for case in (tri3_tight, c4_low):
-        _, non_radial = classify_radial(case)
-        plain = solve_model(build_extensive_scuc(case, non_radial))
-        pinned = solve_model(build_extensive_scuc_cnr(case, non_radial, z_max=0))
+        sens = build_sensitivities(case)
+        plain = solve_model(build_extensive_scuc(case, sens))
+        pinned = solve_model(build_extensive_scuc_cnr(case, sens, z_max=0))
         assert pinned.objective == pytest.approx(plain.objective, rel=1e-6)
 
 
 def test_switching_budget_one_is_a_relaxation(c4_low):
-    _, non_radial = classify_radial(c4_low)
-    plain = solve_model(build_extensive_scuc(c4_low, non_radial))
-    cnr = solve_model(build_extensive_scuc_cnr(c4_low, non_radial, z_max=1))
+    sens = build_sensitivities(c4_low)
+    plain = solve_model(build_extensive_scuc(c4_low, sens))
+    cnr = solve_model(build_extensive_scuc_cnr(c4_low, sens, z_max=1))
     assert cnr.objective <= plain.objective + 1e-6
 
 
 def test_switching_rescues_an_insecure_system(c4_high):
-    _, non_radial = classify_radial(c4_high)
-    assert solve_milp(build_extensive_scuc(c4_high, non_radial)).status == "infeasible"
-    cnr = solve_model(build_extensive_scuc_cnr(c4_high, non_radial, z_max=1))
+    sens = build_sensitivities(c4_high)
+    assert solve_milp(build_extensive_scuc(c4_high, sens)).status == "infeasible"
+    cnr = solve_model(build_extensive_scuc_cnr(c4_high, sens, z_max=1))
     assert cnr.status == "optimal"
-    plan = extract_switching_plan(c4_high, non_radial, cnr)
+    plan = extract_switching_plan(c4_high, sens, cnr)
     assert any(c == 3 for (c, t) in plan)  # losing the direct line needs a switch
 
 
 def test_relaxation_chain(tri3, tri3_tight, star, c4_low):
     for case in (tri3, tri3_tight, star, c4_low):
-        _, non_radial = classify_radial(case)
+        sens = build_sensitivities(case)
         muc = solve_model(build_muc(case)).objective
-        cnr = solve_model(build_extensive_scuc_cnr(case, non_radial, z_max=1)).objective
-        scuc = solve_model(build_extensive_scuc(case, non_radial)).objective
+        cnr = solve_model(build_extensive_scuc_cnr(case, sens, z_max=1)).objective
+        scuc = solve_model(build_extensive_scuc(case, sens)).objective
         slack = 1e-6 * max(1.0, abs(scuc))
         assert muc <= cnr + slack
         assert cnr <= scuc + slack
@@ -152,26 +151,12 @@ def test_binaries_are_integral(c4_low):
             assert min(abs(val), abs(val - 1.0)) <= 1e-6
 
 
-def test_big_m_rows_keep_slack_when_line_open(c4_high):
-    _, non_radial = classify_radial(c4_high)
-    res = solve_model(build_extensive_scuc_cnr(c4_high, non_radial, z_max=1))
-    assert check_big_m_slack(c4_high, non_radial, res) == []
-
-
-def test_big_m_policy_invariant(c4_high):
-    policy = BigMPolicy.from_case(c4_high)
-    for k in c4_high.branches:
-        assert policy.values[k.id] >= k.susceptance * c4_high.base_mva * policy.angle_span - 1e-9
-    with pytest.raises(ValueError):
-        BigMPolicy.from_case(c4_high, angle_span=0.0)
-
-
 def test_long_term_switched_rating_is_tighter(c4_low):
-    _, non_radial = classify_radial(c4_low)
+    sens = build_sensitivities(c4_low)
     emergency = solve_model(build_extensive_scuc_cnr(
-        c4_low, non_radial, z_max=1, switched_rating="emergency")).objective
+        c4_low, sens, z_max=1, switched_rating="emergency")).objective
     printed = solve_milp(build_extensive_scuc_cnr(
-        c4_low, non_radial, z_max=1, switched_rating="long_term"))
+        c4_low, sens, z_max=1, switched_rating="long_term"))
     if printed.status == "optimal":
         assert printed.objective >= emergency - 1e-6
     else:

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import fixture_family
 from scucnr.backend import solve_milp
-from scucnr.formulations import build_muc
+from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
+                             random_case, triangle3)
+from scucnr.formulations import build_extensive_scuc_cnr, build_muc
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, solve, verify_solution)
 from scucnr.subproblems import solve_nr_pcfc
@@ -63,6 +65,26 @@ def test_high_load_needs_switching(c4_high):
     assert ext.converged
     assert rel_close(ext.schedule.objective,
                      solve(c4_high, SolveOptions(method="td_scuc_cnr")).schedule.objective)
+
+
+@pytest.mark.parametrize("build", [
+    corridor4_low, corridor4_high, corridor4_stranded,
+    lambda: random_case(21), lambda: random_case(27),
+], ids=["corridor4_low", "corridor4_high", "corridor4_stranded", "random_21", "random_27"])
+def test_extensive_switches_are_the_switch_search_switches(build):
+    # the extensive CNR model and the switch search share one definition of
+    # a corrective switch, so every opened line passes the search's filter
+    # and its LP
+    case = build()
+    sens = build_sensitivities(case)
+    res = solve(case, SolveOptions(method="extensive_scuc_cnr"))
+    assert res.converged
+    for (c, t), j in res.switches.items():
+        assert case.branch(j).reconfigurable
+        assert j in sens.non_radial
+        assert not sens.islands((c, j))
+        out = solve_nr_pcfc(case, sens, res.schedule, c, t, j)
+        assert out.status == "feasible_via_switch", (c, t, j, out.slack)
 
 
 def test_switching_strictly_cheaper_at_low_load(c4_low):
@@ -127,10 +149,13 @@ def test_stranded_corridor_records_unresolved_then_predispatch(c4_stranded):
     assert res.schedule.commitment(2, 2) == 1
 
 
-def test_audits_pass_for_converged_runs(tri3, tri3_tight, c4_low, c4_high):
+def test_audits_pass_for_converged_runs(tri3, tri3_tight, c4_low, c4_high, c4_stranded):
     for case, method in [
         (tri3, "ad_scuc"), (tri3_tight, "ad_scuc"), (tri3_tight, "td_scuc"),
         (c4_low, "ad_scuc_cnr"), (c4_high, "ad_scuc_cnr"), (c4_high, "td_scuc_cnr"),
+        (tri3_tight, "extensive_scuc"), (c4_low, "extensive_scuc"),
+        (c4_low, "extensive_scuc_cnr"), (c4_high, "extensive_scuc_cnr"),
+        (c4_stranded, "extensive_scuc_cnr"),
     ]:
         res = solve(case, SolveOptions(method=method))
         assert res.converged
@@ -219,6 +244,12 @@ def test_invalid_options_rejected():
         SolveOptions(cbce_size=-1)
     with pytest.raises(ValueError):
         SolveOptions(workers=0)
+    # one corrective switch per post-outage state is all the extensive
+    # model represents exactly
+    with pytest.raises(ValueError, match="z_max"):
+        SolveOptions(z_max=2)
+    with pytest.raises(ValueError, match="z_max"):
+        build_extensive_scuc_cnr(triangle3(), build_sensitivities(triangle3()), z_max=2)
     assert set(METHODS) == {
         "extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
         "td_scuc_cnr", "ad_scuc_cnr"}
