@@ -318,35 +318,6 @@ def solution_invariant_violations(case: SystemCase, sol: MucSolution,
     return problems
 
 
-def power_balance_residuals(case: SystemCase, sol: MucSolution) -> np.ndarray:
-    """Per-(bus, period) residual of generation + net inflow - demand, MW."""
-    n_bus = len(sol.bus_ids)
-    res = np.zeros((n_bus, case.horizon))
-    for ni, nid in enumerate(sol.bus_ids):
-        for t in case.periods:
-            res[ni, t - 1] -= case.demand(nid, t)
-    for gi, gid in enumerate(sol.generator_ids):
-        ni = sol._bus_pos[case.generator(gid).bus]
-        res[ni, :] += sol.p[gi, :]
-    for ki, kid in enumerate(sol.branch_ids):
-        k = case.branch(kid)
-        res[sol._bus_pos[k.to_bus], :] += sol.flow[ki, :]
-        res[sol._bus_pos[k.from_bus], :] -= sol.flow[ki, :]
-    return res
-
-
-def operating_cost(case: SystemCase, u: np.ndarray, v: np.ndarray, p: np.ndarray,
-                   generator_ids: tuple[int, ...]) -> float:
-    """Total cost of a schedule: energy plus no-load plus start-up."""
-    total = 0.0
-    for gi, gid in enumerate(generator_ids):
-        g = case.generator(gid)
-        total += float(np.sum(g.cost_linear * p[gi, :]
-                              + g.cost_no_load * u[gi, :]
-                              + g.cost_startup * v[gi, :]))
-    return total
-
-
 @dataclass(frozen=True)
 class SubproblemOutcome:
     contingency: int

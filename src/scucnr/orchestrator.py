@@ -134,7 +134,11 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
     schedule = extract_solution(case, result)
     switches: dict[tuple[int, int], int] = {}
     if options.method == "extensive_scuc_cnr":
-        switches = extract_switching_plan(case, sens, result)
+        # opening a line costs nothing in the MILP, so it may open lines at
+        # pairs that survive without one; report only the pairs that need it
+        switches = {(c, t): j for (c, t), j in extract_switching_plan(case, sens, result).items()
+                    if solve_pcfc(case, sens, schedule, c, t,
+                                  options.slack_tolerance).status == "infeasible"}
     report = RunReport(method=options.method, status="converged", converged=True,
                        objective=schedule.objective, iterations=1,
                        switches=[(c, t, j) for (c, t), j in sorted(switches.items())],

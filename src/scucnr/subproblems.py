@@ -111,25 +111,25 @@ def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t:
         case, sens.outage_ptdf(removed)[in_service], t)
     n_k = len(rate)
 
+    free = np.full(n_g, np.inf)
+    free_k = np.full(n_k, np.inf)
+    # rd, ru, omin, omax, upper flow limit, lower flow limit, balance
+    row_lower = np.concatenate((-free, -free, p_min, -free, -free_k, demand_flow - rate,
+                                [total]))
+    row_upper = np.concatenate((ramp - p, ramp + p, free, p_max, rate + demand_flow, free_k,
+                                [total]))
+    rhs = np.where(np.isfinite(row_upper), row_upper, row_lower)
     eye = np.eye(n_g)
-    coef = np.vstack((-eye, eye, eye, eye, at_gens, at_gens))
-    rhs = np.concatenate((ramp - p, ramp + p, p_min, p_max,
-                          rate + demand_flow, demand_flow - rate))
-    # rd, ru, omin (>=), omax, upper flow limit, lower flow limit (>=)
-    sign = np.concatenate((np.ones(2 * n_g), -np.ones(n_g), np.ones(n_g + n_k),
-                           -np.ones(n_k)))
-    lp = LinearProgram(
+    coef = np.vstack((-eye, eye, eye, eye, at_gens, at_gens, np.ones(n_g)))
+    return LinearProgram(
         cost=np.concatenate(([1.0], np.zeros(n_g))),
-        a_ub=sign[:, None] * np.hstack((rhs[:, None], coef)),
-        b_ub=sign * rhs,
-        a_eq=np.concatenate(([total], np.ones(n_g)))[None, :],
-        b_eq=np.array([total]),
+        a=np.hstack((rhs[:, None], coef)),
+        row_lower=row_lower,
+        row_upper=row_upper,
         lb=np.concatenate(([0.0], np.full(n_g, -np.inf))),
         ub=np.full(n_g + 1, np.inf),
-        ub_sign=sign,
         name=name,
     )
-    return lp
 
 
 def _solve_slack_lp(lp: LinearProgram):

@@ -112,6 +112,34 @@ def net_injections(case: SystemCase, dispatch: dict[int, float], t: int) -> dict
     return inj
 
 
+def power_balance_residuals(case: SystemCase, sol) -> np.ndarray:
+    """Per-(bus, period) residual of generation + net inflow - demand, MW."""
+    bus_pos = {n: i for i, n in enumerate(sol.bus_ids)}
+    res = np.zeros((len(sol.bus_ids), case.horizon))
+    for ni, nid in enumerate(sol.bus_ids):
+        for t in case.periods:
+            res[ni, t - 1] -= case.demand(nid, t)
+    for gi, gid in enumerate(sol.generator_ids):
+        res[bus_pos[case.generator(gid).bus], :] += sol.p[gi, :]
+    for ki, kid in enumerate(sol.branch_ids):
+        k = case.branch(kid)
+        res[bus_pos[k.to_bus], :] += sol.flow[ki, :]
+        res[bus_pos[k.from_bus], :] -= sol.flow[ki, :]
+    return res
+
+
+def operating_cost(case: SystemCase, u: np.ndarray, v: np.ndarray, p: np.ndarray,
+                   generator_ids: tuple[int, ...]) -> float:
+    """Total cost of a schedule: energy plus no-load plus start-up."""
+    total = 0.0
+    for gi, gid in enumerate(generator_ids):
+        g = case.generator(gid)
+        total += float(np.sum(g.cost_linear * p[gi, :]
+                              + g.cost_no_load * u[gi, :]
+                              + g.cost_startup * v[gi, :]))
+    return total
+
+
 def _startup_pattern(case: SystemCase, u: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     v = {}
     for g in case.generators:
@@ -306,18 +334,30 @@ def brute_force_commitment(case: SystemCase, security: bool = False,
 def linprog_solution(lp, feasibility_tol: float = 1e-7):
     """A ``LinearProgram`` solved by ``linprog(method="highs")``.
 
+    Equality rows go to ``A_eq``; every other row goes to ``A_ub`` as it is
+    when its upper side is finite and negated when its lower side is.
     Returns ``x``, the objective and the duals in ``solve_lp``'s order and
-    orientation: inequality rows (flipped back where ``ub_sign`` is -1),
-    equality rows, then finite lower and finite upper bounds.
+    orientation: rows (negated ones flipped back), then finite lower and
+    finite upper bounds.
     """
-    res = linprog(lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+    lo, hi = lp.row_lower, lp.row_upper
+    eq = np.flatnonzero(lo == hi)
+    ineq = np.flatnonzero(lo != hi)
+    if not np.all(np.isinf(lo[ineq]) ^ np.isinf(hi[ineq])):
+        raise ValueError("every inequality row must have exactly one finite side")
+    sign = np.where(np.isinf(hi[ineq]), -1.0, 1.0)
+    a = lp.a.toarray() if hasattr(lp.a, "toarray") else lp.a
+    res = linprog(lp.cost, A_ub=sign[:, None] * a[ineq],
+                  b_ub=sign * np.where(sign > 0, hi[ineq], lo[ineq]),
+                  A_eq=a[eq], b_eq=hi[eq],
                   bounds=np.column_stack((lp.lb, lp.ub)), method="highs",
                   options={"primal_feasibility_tolerance": feasibility_tol,
                            "dual_feasibility_tolerance": feasibility_tol})
     if res.status != 0:
         raise AssertionError(f"reference LP failed: {res.message}")
-    sign = np.ones(len(lp.b_ub)) if lp.ub_sign is None else lp.ub_sign
-    duals = np.concatenate((sign * res.ineqlin.marginals, res.eqlin.marginals,
-                            res.lower.marginals[np.isfinite(lp.lb)],
+    row_duals = np.empty(len(lo))
+    row_duals[ineq] = sign * res.ineqlin.marginals
+    row_duals[eq] = res.eqlin.marginals
+    duals = np.concatenate((row_duals, res.lower.marginals[np.isfinite(lp.lb)],
                             res.upper.marginals[np.isfinite(lp.ub)]))
     return res.x, float(res.fun), duals

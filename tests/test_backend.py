@@ -2,13 +2,25 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import scucnr.subproblems
 from oracles import linprog_solution
-from scucnr.backend import Model, SolverError, _check_solution, solve_lp, solve_milp
+from scucnr.backend import (INF, LinearProgram, Model, SolverError, _check_solution,
+                            solve_lp, solve_milp)
 from scucnr.fixtures import random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities
+
+
+def make_lp(cost, a, row_lower, row_upper, lb=None, ub=None, name="lp"):
+    """A ``LinearProgram`` from lists; columns are free unless bounded."""
+    n = len(cost)
+    return LinearProgram(
+        cost=np.array(cost, dtype=float), a=np.array(a, dtype=float).reshape(-1, n),
+        row_lower=np.array(row_lower, dtype=float), row_upper=np.array(row_upper, dtype=float),
+        lb=np.full(n, -INF) if lb is None else np.array(lb, dtype=float),
+        ub=np.full(n, INF) if ub is None else np.array(ub, dtype=float), name=name)
 
 
 def test_simple_lp_via_milp_path():
@@ -18,9 +30,12 @@ def test_simple_lp_via_milp_path():
     res = solve_milp(m)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0, abs=1e-9)
-    # binary-free models fall through to the LP path and carry duals
-    assert res.duals is not None
-    assert res.dual("floor") == pytest.approx(1.0, abs=1e-9)
+    assert res.value("x") == pytest.approx(3.0, abs=1e-9)
+    # the MILP path returns primal values only; duals come from solve_lp
+    assert res.row_duals is None
+    lp = solve_lp(m.lower())
+    assert lp.objective == pytest.approx(3.0, abs=1e-9)
+    assert lp.row_duals[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_infeasible_pair():
@@ -32,31 +47,22 @@ def test_infeasible_pair():
 
 
 def test_unbounded():
-    m = Model()
-    m.add_variable("x", cost=-1.0)
-    assert solve_lp(m).status == "unbounded"
+    assert solve_lp(make_lp([-1.0], [], [], [])).status == "unbounded"
 
 
 def test_binding_row_dual_and_identity():
-    m = Model()
-    m.add_variable("s", lb=0.0, cost=1.0)
-    m.add_constraint("need", {"s": 1.0}, ">=", 0.4)
-    res = solve_lp(m)
+    res = solve_lp(make_lp([1.0], [[1.0]], [0.4], [INF], lb=[0.0]))
     assert res.objective == pytest.approx(0.4, abs=1e-12)
-    assert res.dual("need") == pytest.approx(1.0, abs=1e-9)
+    assert res.row_duals[0] == pytest.approx(1.0, abs=1e-9)
+    assert res.row_rhs[0] == 0.4
     assert res.dual_objective() == pytest.approx(res.objective, abs=1e-9)
 
 
 def test_degenerate_lp_duals_satisfy_identity():
     # three copies of the same binding row: dual mass may split arbitrarily,
     # but the rhs-weighted sum must still equal the optimum
-    m = Model()
-    m.add_variable("x", cost=1.0)
-    m.add_variable("y", lb=0.0, cost=0.0)
-    for i in range(3):
-        m.add_constraint(f"floor{i}", {"x": 1.0}, ">=", 1.0)
-    m.add_constraint("tie", {"x": 1.0, "y": 1.0}, ">=", 1.0)
-    res = solve_lp(m)
+    res = solve_lp(make_lp([1.0, 0.0], [[1, 0], [1, 0], [1, 0], [1, 1]],
+                           [1.0] * 4, [INF] * 4, lb=[-INF, 0.0]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-9)
     assert res.dual_objective() == pytest.approx(1.0, abs=1e-9)
@@ -66,27 +72,24 @@ def test_identity_on_random_lps():
     rng = np.random.default_rng(7)
     for trial in range(25):
         n = int(rng.integers(2, 6))
-        m = Model(f"rand{trial}")
-        xs = [m.add_variable(f"x{i}", cost=float(rng.uniform(0.1, 2.0))) for i in range(n)]
+        cost = rng.uniform(0.1, 2.0, size=n)
         x0 = rng.uniform(-1, 1, size=n)  # a known feasible point
-        for r in range(int(rng.integers(2, 7))):
-            coefs = {xs[i]: float(rng.normal()) for i in range(n)}
-            val = sum(coefs[xs[i]] * x0[i] for i in range(n))
-            m.add_constraint(f"ge{r}", coefs, ">=", val - abs(rng.normal()))
-        for i in range(n):
-            m.add_constraint(f"box_lo{i}", {xs[i]: 1.0}, ">=", float(x0[i] - 3))
-            m.add_constraint(f"box_hi{i}", {xs[i]: 1.0}, "<=", float(x0[i] + 3))
-        res = solve_lp(m)
+        ge = rng.normal(size=(int(rng.integers(2, 7)), n))
+        a = np.vstack((ge, np.eye(n), np.eye(n)))
+        row_lower = np.concatenate((ge @ x0 - np.abs(rng.normal(size=len(ge))), x0 - 3,
+                                    np.full(n, -INF)))
+        row_upper = np.concatenate((np.full(len(ge) + n, INF), x0 + 3))
+        res = solve_lp(make_lp(cost, a, row_lower, row_upper, name=f"rand{trial}"))
         assert res.status == "optimal"
         assert res.dual_objective() == pytest.approx(res.objective, abs=1e-6)
 
 
 def test_bounds_become_rows_in_lp_mode():
-    m = Model()
-    m.add_variable("x", lb=2.0, ub=5.0, cost=1.0)
-    res = solve_lp(m)
+    res = solve_lp(make_lp([1.0], [], [], [], lb=[2.0], ub=[5.0]))
     assert res.objective == pytest.approx(2.0)
-    assert "_lb[x]" in res.duals
+    # one dual per finite bound, after the (absent) rows: x >= 2, then x <= 5
+    assert res.row_rhs.tolist() == [2.0, 5.0]
+    assert res.row_duals == pytest.approx([1.0, 0.0], abs=1e-9)
     assert res.dual_objective() == pytest.approx(2.0, abs=1e-9)
 
 
@@ -95,14 +98,25 @@ def test_milp_binaries_and_no_duals():
     m.add_variable("a", binary=True, cost=-1.0)
     m.add_variable("b", binary=True, cost=-2.0)
     m.add_constraint("pick", {"a": 1.0, "b": 1.0}, "<=", 1.0)
+    assert m.lower().integrality.tolist() == [1, 1]
     res = solve_milp(m, gap=1e-9)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-2.0)
     assert res.values["b"] == pytest.approx(1.0)
-    assert res.duals is None
+    assert res.row_duals is None
     assert res.mip_gap is not None
     with pytest.raises(ValueError):
-        solve_lp(m)
+        solve_lp(m.lower())
+
+
+def test_infeasible_binary_milp():
+    m = Model("too_few")
+    for name in ("a", "b"):
+        m.add_variable(name, binary=True, cost=1.0)
+    m.add_constraint("need", {"a": 1.0, "b": 1.0}, ">=", 3.0)
+    res = solve_milp(m)
+    assert res.status == "infeasible"
+    assert res.objective is None and res.x is None
 
 
 def test_resolve_is_deterministic():
@@ -138,18 +152,22 @@ def test_duplicate_names_rejected():
         m.add_constraint("sense", {"x": 1.0}, "<", 0.0)
 
 
-def mixed_model():
-    """Named rows of every sense and columns with finite lower and upper bounds."""
-    m = Model("mixed")
-    m.add_variable("x", lb=0.0, ub=4.0, cost=1.0)
-    m.add_variable("y", lb=-2.0, ub=3.0, cost=-2.0)
-    m.add_variable("z", lb=1.0, cost=0.5)
-    m.add_variable("w", cost=0.1)
-    m.add_constraint("cap", {"x": 1.0, "y": 1.0}, "<=", 5.0)
-    m.add_constraint("floor", {"x": 1.0, "z": 2.0}, ">=", 5.0)
-    m.add_constraint("tie", {"x": 1.0, "y": -1.0, "w": 1.0}, "==", 1.0)
-    m.add_constraint("wcap", {"w": 1.0, "z": -1.0}, "<=", 2.0)
-    return m
+def mixed_lp():
+    """Rows of every sense and columns with finite lower and upper bounds.
+
+    Columns x in [0, 4], y in [-2, 3], z >= 1, w free; rows
+    ``cap: x + y <= 5``, ``floor: x + 2z >= 5``, ``tie: x - y + w == 1``,
+    ``wcap: w - z <= 2``.
+    """
+    return LinearProgram(
+        cost=np.array([1.0, -2.0, 0.5, 0.1]),
+        a=sp.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0],
+                                  [1.0, -1.0, 0.0, 1.0], [0.0, 0.0, -1.0, 1.0]])),
+        row_lower=np.array([-INF, 5.0, 1.0, -INF]),
+        row_upper=np.array([5.0, INF, 1.0, 2.0]),
+        lb=np.array([0.0, -2.0, 1.0, -INF]),
+        ub=np.array([4.0, 3.0, INF, INF]),
+        name="mixed")
 
 
 def test_adapter_matches_linprog(monkeypatch):
@@ -167,8 +185,8 @@ def test_adapter_matches_linprog(monkeypatch):
         for c in sens.contingencies:
             scucnr.subproblems.solve_pcfc(case, sens, muc, c, t)
     assert len(lps) == len(case.periods) * len(sens.contingencies)
-    mixed = mixed_model()
-    lps.append(mixed.lower())
+    mixed = mixed_lp()
+    lps.append(mixed)
     for lp in lps:
         res = solve_lp(lp)
         x, objective, duals = linprog_solution(lp)
@@ -177,13 +195,15 @@ def test_adapter_matches_linprog(monkeypatch):
         assert abs(res.objective - objective) <= 1e-9, lp.name
         assert res.row_duals.shape == duals.shape
         assert np.abs(res.row_duals - duals).max() <= 1e-9, lp.name
-    # the mixed model's optimum prices a >= row, the == row and both kinds of bound
-    duals = solve_lp(mixed).duals
-    assert all(duals[name] != 0.0 for name in ("floor", "tie", "_lb[x]", "_ub[y]"))
+    # the mixed optimum prices the >= row (1), the == row (2), x >= 0 (the
+    # first finite lower bound, 4) and y <= 3 (the second finite upper bound, 8)
+    duals = solve_lp(mixed).row_duals
+    assert len(duals) == 4 + 3 + 2
+    assert np.all(duals[[1, 2, 4, 8]] != 0.0)
 
 
 def test_engine_effort_is_reported():
-    res = solve_lp(mixed_model())
+    res = solve_lp(mixed_lp())
     assert res.simplex_iterations is not None and res.simplex_iterations >= 0
     assert res.mip_nodes is None
     m = Model()
@@ -196,26 +216,25 @@ def test_engine_effort_is_reported():
 
 
 def test_limit_and_failure_statuses():
-    assert solve_lp(mixed_model(), time_limit=0.0).status == "limit"
+    # a MILP stopped before its first incumbent has no answer to return
+    res = solve_milp(build_muc(random_case(101, n_buses=24, n_generators=8, horizon=4)),
+                     time_limit=0.0)
+    assert res.status == "limit"
+    assert res.objective is None and res.x is None
     # an unbounded direction over an infeasible row set: infeasible, as linprog says
-    m = Model("both")
-    m.add_variable("x", cost=-1.0)
-    m.add_variable("y")
-    m.add_constraint("hi", {"y": 1.0}, "<=", 0.0)
-    m.add_constraint("lo", {"y": 1.0}, ">=", 1.0)
-    assert solve_lp(m).status == "infeasible"
-    lp = mixed_model().lower()
-    with pytest.raises(SolverError, match="could not load LP 'mixed'"):
-        solve_lp(dataclasses.replace(lp, b_ub=np.full(len(lp.b_ub), np.nan)))
+    both = make_lp([-1.0, 0.0], [[0, 1], [0, 1]], [-INF, 1.0], [0.0, INF])
+    assert solve_lp(both).status == "infeasible"
+    lp = mixed_lp()
+    with pytest.raises(SolverError, match="could not load 'mixed'"):
+        solve_lp(dataclasses.replace(lp, row_upper=np.full(len(lp.row_upper), np.nan)))
     with pytest.raises(SolverError, match="'mixed'.*NaN"):
         solve_lp(dataclasses.replace(lp, cost=np.full(len(lp.cost), np.nan)))
 
 
 def test_residual_check_rejects_a_bad_optimum():
-    lp = mixed_model().lower()
+    lp = mixed_lp()
     res = solve_lp(lp)
-    row_value = np.concatenate((lp.a_ub @ res.x, lp.a_eq @ res.x))
-    _check_solution(lp, res.x, res.objective, row_value)
+    _check_solution(lp, res.x, res.objective, lp.a @ res.x)
     for x in (res.x + np.array([-1e-3, 0, 0, 0]), np.full(4, np.nan)):
         with pytest.raises(SolverError, match="mixed"):
-            _check_solution(lp, x, res.objective, np.concatenate((lp.a_ub @ x, lp.a_eq @ x)))
+            _check_solution(lp, x, res.objective, lp.a @ x)

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
+from oracles import operating_cost
 from scucnr.caseio import (CaseFormatError, CaseIOError, CaseValidationError,
                            case_from_dict, case_to_dict, load_solution,
                            parse_case, write_case, write_report)
 from scucnr.cli import main
-from scucnr.model import operating_cost
 from scucnr.orchestrator import SolveOptions, solve
 
 

@@ -10,7 +10,7 @@ from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
 from scucnr.formulations import build_extensive_scuc_cnr, build_muc
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, solve, verify_solution)
-from scucnr.subproblems import solve_nr_pcfc
+from scucnr.subproblems import solve_nr_pcfc, solve_pcfc
 
 
 def muc_objective(case):
@@ -74,11 +74,14 @@ def test_high_load_needs_switching(c4_high):
 def test_extensive_switches_are_the_switch_search_switches(build):
     # the extensive CNR model and the switch search share one definition of
     # a corrective switch, so every opened line passes the search's filter
-    # and its LP
+    # and its LP; a switch is listed exactly where the pair fails without one
     case = build()
     sens = build_sensitivities(case)
     res = solve(case, SolveOptions(method="extensive_scuc_cnr"))
     assert res.converged
+    failing = {(c, t) for t in case.periods for c in sens.contingencies
+               if solve_pcfc(case, sens, res.schedule, c, t).status == "infeasible"}
+    assert set(res.switches) == failing
     for (c, t), j in res.switches.items():
         assert case.branch(j).reconfigurable
         assert j in sens.non_radial

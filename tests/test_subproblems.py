@@ -155,9 +155,10 @@ def test_duals_satisfy_strong_duality_everywhere(tri3_tight, c4_high):
 
 
 def _row_rhs(lp):
-    """Right-hand sides of an LP in the order and orientation of ``row_rhs``."""
-    return np.concatenate((lp.ub_sign * lp.b_ub, lp.b_eq,
-                           lp.lb[np.isfinite(lp.lb)], lp.ub[np.isfinite(lp.ub)]))
+    """Right-hand sides of an LP in the order of ``row_rhs``: each row's finite
+    side, then the finite bounds."""
+    side = np.where(np.isfinite(lp.row_upper), lp.row_upper, lp.row_lower)
+    return np.concatenate((side, lp.lb[np.isfinite(lp.lb)], lp.ub[np.isfinite(lp.ub)]))
 
 
 def _check_cuts_off_their_point(case, points=20):
@@ -332,7 +333,7 @@ def test_slave_lp_size_is_generators_plus_one(c4_high, monkeypatch):
     seen = []
 
     def spy(lp, *args, **kwargs):
-        seen.append((len(lp.cost), len(lp.b_ub) + len(lp.b_eq)))
+        seen.append((len(lp.cost), len(lp.row_lower)))
         return solve_lp(lp, *args, **kwargs)
 
     monkeypatch.setattr(scucnr.subproblems, "solve_lp", spy)

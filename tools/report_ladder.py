@@ -7,7 +7,9 @@ cases, through the public API (``solve``, ``write_report``,
 ``verify_solution``) with the ``scucnr`` package under this checkout's
 ``src``.  Each run gets ``OUT_DIR/<case>/<method>/`` holding
 ``report.json``, ``schedule.csv`` and ``verify.json`` (the audit's
-verdict).  Nothing wall-clock is written, so two checkouts compare with
+verdict).  When a run raises ``SolverError`` or ``ValueError``, its
+``verify.json`` holds verdict ``error`` and the message, and the ladder
+carries on.  Nothing wall-clock is written, so two checkouts compare with
 one ``diff -r`` of their output directories.
 """
 
@@ -19,7 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from scucnr import METHODS, SolveOptions, solve, verify_solution, write_report  # noqa: E402
+from scucnr import (METHODS, SolveOptions, SolverError, solve,  # noqa: E402
+                    verify_solution, write_report)
 from scucnr.fixtures import (corridor4_high, corridor4_low,  # noqa: E402
                              corridor4_stranded, random_case, star4, triangle3,
                              triangle3_tight)
@@ -54,22 +57,31 @@ def ladder():
         yield name, random_case(*sizes), SolveOptions(method=method, workers=workers)
 
 
+def run_one(case, options, target: Path) -> tuple[str, dict]:
+    """Solve, report and audit one run; returns its status and audit verdict."""
+    result = solve(case, options)
+    paths = write_report(result.report, result.schedule, target)
+    paths["timings"].unlink()
+    if result.schedule is None:
+        return result.status, {"verdict": "no schedule"}
+    audit = verify_solution(case, result)
+    return result.status, {"verdict": "secure" if audit.secure else "insecure",
+                           "pairs_checked": audit.pairs_checked,
+                           "violations": [list(v) for v in audit.violations]}
+
+
 def run(out_dir: Path) -> int:
     count = 0
     for name, case, options in ladder():
         target = out_dir / name / options.method
-        result = solve(case, options)
-        paths = write_report(result.report, result.schedule, target)
-        paths["timings"].unlink()
-        if result.schedule is None:
-            verdict = {"verdict": "no schedule"}
-        else:
-            audit = verify_solution(case, result)
-            verdict = {"verdict": "secure" if audit.secure else "insecure",
-                       "pairs_checked": audit.pairs_checked,
-                       "violations": [list(v) for v in audit.violations]}
+        try:
+            status, verdict = run_one(case, options, target)
+        except (SolverError, ValueError) as exc:
+            # keep going, so a diff of two ladders names every broken run
+            status, verdict = "error", {"verdict": "error", "message": str(exc)}
+            target.mkdir(parents=True, exist_ok=True)
         (target / "verify.json").write_text(json.dumps(verdict, indent=2, sort_keys=True) + "\n")
-        print(f"{name}/{options.method}: {result.status}, {verdict['verdict']}")
+        print(f"{name}/{options.method}: {status}, {verdict['verdict']}")
         count += 1
     return count
 
