@@ -37,3 +37,42 @@ def test_ladder_records_a_failing_run_and_carries_on(tmp_path, monkeypatch):
     fine = json.loads((tmp_path / "fine" / "td_scuc" / "verify.json").read_text())
     assert fine["verdict"] == "secure"
     assert (tmp_path / "fine" / "td_scuc" / "report.json").exists()
+
+
+def write_run(root, report, verify):
+    run = root / "case" / "td_scuc"
+    run.mkdir(parents=True)
+    (run / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (run / "schedule.csv").write_text("generator,t1\n1,1:80.000000\n")
+    (run / "verify.json").write_text(json.dumps(verify, indent=2, sort_keys=True) + "\n")
+
+
+def synthetic_report(p=80.0, objective=1000.0, iterations=2):
+    return {
+        "status": "converged", "converged": True, "iterations": iterations,
+        "cuts_total": 1, "objective": objective, "switches": [], "unresolved": [],
+        "subproblems": [{"contingency": 2, "period": 1, "status": "feasible",
+                         "slack": 0.0, "switch": None}],
+        "solution": {"u": [[1]], "v": [[1]], "p": [[p]], "r": [[20.0]],
+                     "flow": [[p / 3]], "theta": [[0.0]], "objective": objective},
+    }
+
+
+def test_compare_accepts_float_noise_and_rejects_a_changed_decision(tmp_path, capsys):
+    ladder = load_ladder()
+    verify = {"verdict": "secure", "pairs_checked": 1, "violations": []}
+    write_run(tmp_path / "parent", synthetic_report(), verify)
+    write_run(tmp_path / "noise", synthetic_report(p=80.0 + 1e-12, objective=1000.0 + 1e-9),
+              verify)
+    write_run(tmp_path / "decided", synthetic_report(iterations=3), verify)
+
+    assert ladder.main(["--compare", str(tmp_path / "parent"), str(tmp_path / "noise")]) == 0
+    out = capsys.readouterr().out
+    assert "case/td_scuc: bytes differ in report.json" in out
+    assert "p 9.95e-13, r 0, flow 3.3e-13" in out
+    assert "1 runs compared, 0 decide differently" in out
+
+    assert ladder.main(["--compare", str(tmp_path / "parent"), str(tmp_path / "decided")]) == 1
+    out = capsys.readouterr().out
+    assert "case/td_scuc: decisions differ" in out
+    assert "1 runs compared, 1 decide differently" in out

@@ -1,6 +1,7 @@
 """Regression ladder: solve a fixed set of cases and write comparable reports.
 
 Usage: python tools/report_ladder.py OUT_DIR
+       python tools/report_ladder.py --compare PARENT_DIR CHANGE_DIR
 
 Runs the seven built-in fixtures under every method, plus four generated
 cases, through the public API (``solve``, ``write_report``,
@@ -11,13 +12,25 @@ verdict).  When a run raises ``SolverError`` or ``ValueError``, its
 ``verify.json`` holds verdict ``error`` and the message, and the ladder
 carries on.  Nothing wall-clock is written, so two checkouts compare with
 one ``diff -r`` of their output directories.
+
+``--compare`` checks two such directories against each other.  Every run
+must make the same decisions on both sides: status, ``converged``,
+iterations, ``cuts_total``, each pair's status and switch, the switch
+list, the unresolved pairs and the audit verdict in ``verify.json``.
+Objectives must agree within ``REL_TOL`` relative.  Each run whose files
+differ in any byte is printed with the largest absolute difference of
+each ``solution`` array.  The exit status is 1 when some run decides
+differently, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -36,6 +49,12 @@ FIXTURES = {
     "corridor4_low": corridor4_low,
     "corridor4_stranded": corridor4_stranded,
 }
+
+REL_TOL = 1e-4
+
+FILES = ("report.json", "schedule.csv", "verify.json")
+
+SOLUTION_ARRAYS = ("u", "v", "p", "r", "flow", "theta")
 
 # (seed, buses, generators, horizon), method, workers
 RANDOM_RUNS = (
@@ -86,9 +105,79 @@ def run(out_dir: Path) -> int:
     return count
 
 
+def _load(run_dir: Path, name: str) -> dict | None:
+    path = run_dir / name
+    return json.loads(path.read_text()) if path.exists() else None
+
+
+def _decisions(run_dir: Path) -> dict:
+    """What a run decided, as plain data: everything but its floats."""
+    report = _load(run_dir, "report.json") or {}
+    verify = _load(run_dir, "verify.json") or {}
+    out = {key: report.get(key) for key in
+           ("status", "converged", "iterations", "cuts_total", "switches", "unresolved")}
+    out["pairs"] = [(s["contingency"], s["period"], s["status"], s["switch"])
+                    for s in report.get("subproblems", [])]
+    out["audit"] = {**verify, "violations": [(c, t) for c, t, _ in verify.get("violations", [])]}
+    return out
+
+
+def _objectives_agree(a: float | None, b: float | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return math.isclose(a, b, rel_tol=REL_TOL)
+
+
+def _max_differences(parent: dict, change: dict) -> str:
+    """Largest absolute difference of each solution array, or why there is none."""
+    if parent is None and change is None:
+        return "no solution on either side"
+    if parent is None or change is None:
+        return "solution on one side only"
+    parts = []
+    for name in SOLUTION_ARRAYS + ("objective",):
+        a, b = np.asarray(parent[name], dtype=float), np.asarray(change[name], dtype=float)
+        diff = np.abs(a - b).max(initial=0.0) if a.shape == b.shape else math.inf
+        parts.append(f"{name} {diff:.3g}")
+    return ", ".join(parts)
+
+
+def compare(parent_dir: Path, change_dir: Path) -> int:
+    """Print every run that differs between two ladders; 1 if any decides differently."""
+    runs = sorted({path.parent.relative_to(root)
+                   for root in (parent_dir, change_dir) for path in root.glob("*/*/verify.json")})
+    failed = set()
+    for run_name in runs:
+        a, b = parent_dir / run_name, change_dir / run_name
+        if not (a.is_dir() and b.is_dir()):
+            failed.add(run_name)
+            print(f"{run_name}: present on one side only")
+            continue
+        if _decisions(a) != _decisions(b):
+            failed.add(run_name)
+            print(f"{run_name}: decisions differ")
+        objectives = [(_load(d, "report.json") or {}).get("objective") for d in (a, b)]
+        if not _objectives_agree(*objectives):
+            failed.add(run_name)
+            print(f"{run_name}: objectives {objectives[0]} and {objectives[1]} differ "
+                  f"by more than {REL_TOL} relative")
+        changed = [name for name in FILES
+                   if (a / name).exists() != (b / name).exists()
+                   or ((a / name).exists() and (a / name).read_bytes() != (b / name).read_bytes())]
+        if changed:
+            solutions = [(_load(d, "report.json") or {}).get("solution") for d in (a, b)]
+            print(f"{run_name}: bytes differ in {', '.join(changed)}; max |diff|: "
+                  f"{_max_differences(*solutions)}")
+    print(f"{len(runs)} runs compared, {len(failed)} decide differently")
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+    usage = "\n".join(__doc__.strip().splitlines()[2:4])
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(usage, file=sys.stderr)
         return 1
     print(f"{run(Path(argv[0]))} runs written to {argv[0]}")
     return 0
