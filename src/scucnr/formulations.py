@@ -306,20 +306,21 @@ def extract_solution(case: SystemCase, result: SolveResult) -> MucSolution:
     u = np.round(u_raw).astype(np.int8)
     v = np.round(v_raw).astype(np.int8)
 
-    # Scrub solver noise off dispatch and reserve: offline units sit at
-    # exactly zero and outputs stay inside their physical box.  Downstream
-    # subproblems scale their right-hand sides by these numbers, so an
-    # epsilon-negative output would otherwise masquerade as a real violation.
+    # Scrub solver noise off dispatch: offline units sit at exactly zero and
+    # outputs stay inside their physical box.  Downstream subproblems scale
+    # their right-hand sides by these numbers, so an epsilon-negative output
+    # would otherwise masquerade as a real violation.
     p = grid("p", gen_ids)
-    r = grid("r", gen_ids)
     p_max = np.array([[case.generator(g).p_max] for g in gen_ids])
-    r_max = np.array([[case.generator(g).ramp_10] for g in gen_ids])
+    ramp_10 = np.array([[case.generator(g).ramp_10] for g in gen_ids])
     cleaned_p = np.clip(p, 0.0, p_max) * u
-    cleaned_r = np.clip(r, 0.0, r_max) * u
-    drift = max(np.abs(cleaned_p - p).max(initial=0.0),
-                np.abs(cleaned_r - r).max(initial=0.0))
+    drift = np.abs(cleaned_p - p).max(initial=0.0)
     if drift > INTEGRALITY_TOL:
         raise SolverError(f"dispatch violates its box by {drift:.2e}")
+    # Reserve has no cost, so the solver's split depends on its path.  Report
+    # the largest reserve each unit can hold instead: it is at least the
+    # solver's, so it meets every reserve row the solver's split met.
+    reserve = np.minimum(ramp_10, p_max - cleaned_p) * u
     solution = MucSolution(
         generator_ids=gen_ids,
         branch_ids=br_ids,
@@ -327,7 +328,7 @@ def extract_solution(case: SystemCase, result: SolveResult) -> MucSolution:
         u=u,
         v=v,
         p=cleaned_p,
-        r=cleaned_r,
+        r=reserve,
         flow=grid("f", br_ids),
         theta=grid("theta", bus_ids),
         objective=float(result.objective),

@@ -306,6 +306,11 @@ def solution_invariant_violations(case: SystemCase, sol: MucSolution,
             if r < -tol or r > g.ramp_10 * u + tol:
                 problems.append(f"generator {gid} t={t}: reserve {r} outside [0, R10*u]")
             prev = u
+    # every unit's output must be covered by the other units' reserve
+    others = sol.r.sum(axis=0) - sol.r
+    for gi, t in np.argwhere(others < sol.p - tol):
+        problems.append(f"generator {sol.generator_ids[gi]} t={t + 1}: "
+                        f"other units' reserve {others[gi, t]} below output {sol.p[gi, t]}")
     for ki, kid in enumerate(sol.branch_ids):
         k = case.branch(kid)
         for t in case.periods:

@@ -5,12 +5,13 @@ import pytest
 
 from oracles import brute_force_commitment
 from scucnr.backend import solve_milp
-from scucnr.fixtures import corridor4_low, triangle3
+from scucnr.fixtures import corridor4_low, random_case, triangle3
 from scucnr.formulations import (build_extensive_scuc,
                                  build_extensive_scuc_cnr, build_muc,
                                  extract_solution, extract_switching_plan)
 from scucnr.model import validate_case
 from scucnr.network import build_sensitivities, classify_radial
+from scucnr.orchestrator import SolveOptions, solve
 from scucnr.subproblems import solve_pcfc
 
 GAP = 1e-9
@@ -82,6 +83,20 @@ def test_zero_ten_minute_ramp_kills_dispatch():
                                                      initial_output=0.0)
                                  for g in loaded.generators))
     assert solve_milp(build_muc(dead_loaded)).status == "infeasible"
+
+
+@pytest.mark.parametrize("build", [triangle3, lambda: random_case(101, 12, 5, 4)],
+                         ids=["triangle3", "random_101_12_5_4"])
+def test_reported_reserve_is_the_largest_each_unit_can_hold(build):
+    # reserve has no cost, so the schedule reports a canonical value instead
+    # of whatever split the MILP returned
+    case = build()
+    sched = solve(case, SolveOptions(method="extensive_scuc")).schedule
+    p_max = np.array([[g.p_max] for g in case.generators])
+    ramp_10 = np.array([[g.ramp_10] for g in case.generators])
+    assert np.array_equal(sched.r, np.minimum(ramp_10, p_max - sched.p) * sched.u)
+    others = sched.r.sum(axis=0) - sched.r
+    assert (others >= sched.p - 1e-6).all()
 
 
 # --- extensive models --------------------------------------------------------
