@@ -3,13 +3,15 @@ and the two extensive security-constrained models.
 
 Naming scheme shared by every model built here: ``u[g,t]``/``v[g,t]`` are
 commitment and start-up binaries, ``p[g,t]``/``r[g,t]`` dispatch and
-10-minute reserve in MW, ``f[k,t]`` base-case branch flow in MW,
-``theta[n,t]`` base-case bus angles in radians.  Post-outage columns carry
-the outaged branch id as a middle index: ``pc[g,c,t]`` is the redispatched
-output, and in the switching model ``z[j,c,t]`` keeps line ``j`` in service
-(1) or opens it (0), with ``w[j,c,t]`` the flow it sheds when opened.
-Post-outage flows are not columns: they are post-outage PTDF rows over
-``pc``, as in the feasibility LP.  Periods are 1-based.
+10-minute reserve in MW.  Post-outage columns carry the outaged branch id
+as a middle index: ``pc[g,c,t]`` is the redispatched output, and in the
+switching model ``z[j,c,t]`` keeps line ``j`` in service (1) or opens it
+(0), with ``w[j,c,t]`` the flow it sheds when opened.  Periods are 1-based.
+
+Every model is in shift-factor form: flows are not columns but PTDF rows
+over the generator outputs, built by ``post_outage_flows`` as in the
+feasibility LP, from ``NetworkSensitivities.ptdf`` in the base case and
+from ``outage_ptdf`` after an outage.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .backend import Model, SolveResult, SolverError
 from .model import (FeasibilityCut, MucSolution, SystemCase,
                     solution_invariant_violations)
-from .network import NetworkSensitivities
+from .network import NetworkSensitivities, bus_angles
 from .subproblems import post_outage_flows
 
 INTEGRALITY_TOL = 1e-5
@@ -27,12 +29,7 @@ INTEGRALITY_TOL = 1e-5
 SWITCHED_RATINGS = ("emergency", "long_term")
 
 
-def effective_susceptance(case: SystemCase, branch_id: int) -> float:
-    """Branch stiffness in MW per radian."""
-    return case.branch(branch_id).susceptance * case.base_mva
-
-
-def _add_base_model(model: Model, case: SystemCase) -> None:
+def _add_base_model(model: Model, case: SystemCase, sens: NetworkSensitivities) -> None:
     """Base-case commitment, dispatch, reserve and network rows."""
     T = case.horizon
     gens = case.generators
@@ -43,12 +40,6 @@ def _add_base_model(model: Model, case: SystemCase) -> None:
             model.add_variable(f"v[{g.id},{t}]", binary=True, cost=g.cost_startup)
             model.add_variable(f"p[{g.id},{t}]", lb=0.0, ub=g.p_max, cost=g.cost_linear)
             model.add_variable(f"r[{g.id},{t}]", lb=0.0, ub=g.ramp_10)
-    for k in case.branches:
-        for t in case.periods:
-            model.add_variable(f"f[{k.id},{t}]", lb=-k.rate_long_term, ub=k.rate_long_term)
-    for n in case.buses:
-        for t in case.periods:
-            model.add_variable(f"theta[{n.id},{t}]")
 
     for g in gens:
         u0 = 1.0 if g.initial_status else 0.0
@@ -105,35 +96,23 @@ def _add_base_model(model: Model, case: SystemCase) -> None:
             terms[f"u[{g.id},{t}]"] = terms.get(f"u[{g.id},{t}]", 0.0) + 1.0
             model.add_constraint(f"min_down[{g.id},{t}]", terms, "<=", 1.0)
 
-    for k in case.branches:
-        beff = effective_susceptance(case, k.id)
-        for t in case.periods:
-            model.add_constraint(
-                f"flow_def[{k.id},{t}]",
-                {f"f[{k.id},{t}]": 1.0,
-                 f"theta[{k.from_bus},{t}]": -beff,
-                 f"theta[{k.to_bus},{t}]": beff},
-                "==", 0.0)
-
-    for n in case.buses:
-        for t in case.periods:
-            terms = {f"p[{g.id},{t}]": 1.0 for g in case.generators_at_bus.get(n.id, ())}
-            for k in case.branches:
-                if k.to_bus == n.id:
-                    terms[f"f[{k.id},{t}]"] = terms.get(f"f[{k.id},{t}]", 0.0) + 1.0
-                if k.from_bus == n.id:
-                    terms[f"f[{k.id},{t}]"] = terms.get(f"f[{k.id},{t}]", 0.0) - 1.0
-            model.add_constraint(f"balance[{n.id},{t}]", terms, "==", case.demand(n.id, t))
-
-    ref = case.reference_bus
     for t in case.periods:
-        model.add_constraint(f"ref_angle[{t}]", {f"theta[{ref},{t}]": 1.0}, "==", 0.0)
+        at_gens, demand_flow, total = post_outage_flows(case, sens.ptdf, t)
+        p = [f"p[{g.id},{t}]" for g in gens]
+        model.add_constraint(f"balance[{t}]", dict.fromkeys(p, 1.0), "==", total)
+        for i, k in enumerate(case.branches):
+            terms = dict(zip(p, at_gens[i]))
+            model.add_constraint(f"flow_hi[{k.id},{t}]", terms, "<=",
+                                 demand_flow[i] + k.rate_long_term)
+            model.add_constraint(f"flow_lo[{k.id},{t}]", terms, ">=",
+                                 demand_flow[i] - k.rate_long_term)
 
 
-def build_muc(case: SystemCase, cuts: tuple[FeasibilityCut, ...] | list[FeasibilityCut] = ()) -> Model:
+def build_muc(case: SystemCase, sens: NetworkSensitivities,
+              cuts: tuple[FeasibilityCut, ...] | list[FeasibilityCut] = ()) -> Model:
     """Master unit commitment: base-case rows plus accumulated feasibility cuts."""
     model = Model("muc")
-    _add_base_model(model, case)
+    _add_base_model(model, case, sens)
     for i, cut in enumerate(cuts):
         terms: dict[str, float] = {}
         for g, coef in cut.coef_u.items():
@@ -222,7 +201,7 @@ def _add_post_outage_state(model: Model, case: SystemCase, c: int, t: int,
 def _build_extensive(name: str, case: SystemCase, sens: NetworkSensitivities,
                      rate: np.ndarray, reconfigurable: frozenset[int]) -> Model:
     model = Model(name)
-    _add_base_model(model, case)
+    _add_base_model(model, case, sens)
     for c in sens.contingencies:
         ptdf = sens.outage_ptdf((c,))
         switchable = tuple(j for j in sorted(reconfigurable - {c})
@@ -284,21 +263,23 @@ def build_extensive_scuc_cnr(case: SystemCase, sens: NetworkSensitivities,
     return _build_extensive("extensive_scuc_cnr", case, sens, rate, reconfigurable)
 
 
-def extract_solution(case: SystemCase, result: SolveResult) -> MucSolution:
-    """Pull the base-case schedule out of a master or extensive solve."""
+def extract_solution(case: SystemCase, sens: NetworkSensitivities,
+                     result: SolveResult) -> MucSolution:
+    """Pull the base-case schedule out of a master or extensive solve.
+
+    Only ``u``, ``v`` and ``p`` are read from the solve.  Reserve, flows
+    and angles are derived from the cleaned dispatch (see ``MucSolution``).
+    """
     if result.status != "optimal":
         raise SolverError(f"cannot extract a schedule from a {result.status} result")
     gen_ids = tuple(g.id for g in case.generators)
-    br_ids = tuple(k.id for k in case.branches)
-    bus_ids = tuple(b.id for b in case.buses)
-    T = case.horizon
 
-    def grid(prefix, ids):
+    def grid(prefix):
         return np.array([[result.value(f"{prefix}[{i},{t}]") for t in case.periods]
-                         for i in ids])
+                         for i in gen_ids])
 
-    u_raw = grid("u", gen_ids)
-    v_raw = grid("v", gen_ids)
+    u_raw = grid("u")
+    v_raw = grid("v")
     for name, arr in (("u", u_raw), ("v", v_raw)):
         drift = np.abs(arr - np.round(arr)).max() if arr.size else 0.0
         if drift > INTEGRALITY_TOL:
@@ -310,7 +291,7 @@ def extract_solution(case: SystemCase, result: SolveResult) -> MucSolution:
     # outputs stay inside their physical box.  Downstream subproblems scale
     # their right-hand sides by these numbers, so an epsilon-negative output
     # would otherwise masquerade as a real violation.
-    p = grid("p", gen_ids)
+    p = grid("p")
     p_max = np.array([[case.generator(g).p_max] for g in gen_ids])
     ramp_10 = np.array([[case.generator(g).ramp_10] for g in gen_ids])
     cleaned_p = np.clip(p, 0.0, p_max) * u
@@ -321,16 +302,18 @@ def extract_solution(case: SystemCase, result: SolveResult) -> MucSolution:
     # the largest reserve each unit can hold instead: it is at least the
     # solver's, so it meets every reserve row the solver's split met.
     reserve = np.minimum(ramp_10, p_max - cleaned_p) * u
+    injections = -np.array([b.demand for b in case.buses])
+    np.add.at(injections, [case.bus_index[g.bus] for g in case.generators], cleaned_p)
     solution = MucSolution(
         generator_ids=gen_ids,
-        branch_ids=br_ids,
-        bus_ids=bus_ids,
+        branch_ids=tuple(k.id for k in case.branches),
+        bus_ids=tuple(b.id for b in case.buses),
         u=u,
         v=v,
         p=cleaned_p,
         r=reserve,
-        flow=grid("f", br_ids),
-        theta=grid("theta", bus_ids),
+        flow=sens.ptdf @ injections,
+        theta=bus_angles(case, injections),
         objective=float(result.objective),
     )
     problems = solution_invariant_violations(case, solution, tol=INTEGRALITY_TOL)

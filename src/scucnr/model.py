@@ -77,13 +77,6 @@ class SystemCase:
         return {g.id: i for i, g in enumerate(self.generators)}
 
     @cached_property
-    def generators_at_bus(self) -> dict[int, tuple[Generator, ...]]:
-        out: dict[int, list[Generator]] = {b.id: [] for b in self.buses}
-        for g in self.generators:
-            out.setdefault(g.bus, []).append(g)
-        return {n: tuple(gs) for n, gs in out.items()}
-
-    @cached_property
     def reference_bus(self) -> int:
         refs = [b.id for b in self.buses if b.is_reference]
         if len(refs) != 1:
@@ -243,6 +236,14 @@ class MucSolution:
     """Commitment/dispatch schedule produced by a master or extensive solve.
 
     Arrays are indexed ``[entity_position, t - 1]`` following the id tuples.
+    ``u``, ``v`` and ``p`` come from the solve; the rest follows from them.
+    ``r`` is the largest reserve each unit can hold,
+    ``min(ramp_10, p_max - p) * u``, because reserve has no cost and the
+    solver's own split is arbitrary.  ``flow`` is ``PTDF @ injections``
+    with the bus injections (generation minus demand) of ``p``, and
+    ``theta`` the angles in radians that carry those injections with the
+    reference bus at exactly 0, so ``flow`` on branch ``k`` is
+    ``b_k * base_mva * (theta[from] - theta[to])``.
     """
 
     generator_ids: tuple[int, ...]
@@ -268,10 +269,6 @@ class MucSolution:
     def _branch_pos(self) -> dict[int, int]:
         return {k: i for i, k in enumerate(self.branch_ids)}
 
-    @cached_property
-    def _bus_pos(self) -> dict[int, int]:
-        return {n: i for i, n in enumerate(self.bus_ids)}
-
     def commitment(self, gen_id: int, t: int) -> int:
         return int(self.u[self._gen_pos[gen_id], t - 1])
 
@@ -286,9 +283,6 @@ class MucSolution:
 
     def branch_flow(self, branch_id: int, t: int) -> float:
         return float(self.flow[self._branch_pos[branch_id], t - 1])
-
-    def angle(self, bus_id: int, t: int) -> float:
-        return float(self.theta[self._bus_pos[bus_id], t - 1])
 
 
 def solution_invariant_violations(case: SystemCase, sol: MucSolution,
@@ -316,10 +310,6 @@ def solution_invariant_violations(case: SystemCase, sol: MucSolution,
         for t in case.periods:
             if abs(sol.flow[ki, t - 1]) > k.rate_long_term + tol:
                 problems.append(f"branch {kid} t={t}: base flow exceeds long-term rating")
-    ref_pos = sol._bus_pos[case.reference_bus]
-    for t in case.periods:
-        if abs(sol.theta[ref_pos, t - 1]) > tol:
-            problems.append(f"t={t}: reference angle not pinned to zero")
     return problems
 
 

@@ -1,10 +1,11 @@
 """Graph and DC-sensitivity analysis for a system case.
 
 Provides bridge classification (which fixes the contingency set to the
-non-radial branches), the injection-to-flow PTDF matrix, the line outage
-distribution factors derived from it (whose pair blocks decide whether a
-switching action islands a bus), and the ranked candidate list of branches
-closest to a contingency.
+non-radial branches), the bus angles that carry given injections, the
+injection-to-flow PTDF matrix built from the same reduced susceptance
+solve, the line outage distribution factors derived from it (whose pair
+blocks decide whether a switching action islands a bus), and the ranked
+candidate list of branches closest to a contingency.
 """
 
 from __future__ import annotations
@@ -85,6 +86,40 @@ def classify_radial(case: SystemCase) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(bridges), frozenset(non_radial)
 
 
+def _branch_incidence(case: SystemCase) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-by-bus incidence (+1 at the from bus) and stiffness in MW/rad."""
+    incidence = np.zeros((len(case.branches), len(case.buses)))
+    beff = np.zeros(len(case.branches))
+    for i, k in enumerate(case.branches):
+        incidence[i, case.bus_index[k.from_bus]] = 1.0
+        incidence[i, case.bus_index[k.to_bus]] = -1.0
+        beff[i] = k.susceptance * case.base_mva
+    return incidence, beff
+
+
+def bus_angles(case: SystemCase, injections: np.ndarray,
+               reference_bus: int | None = None) -> np.ndarray:
+    """Bus angles in radians that carry ``injections`` with the reference at 0.
+
+    ``injections`` is MW per bus in ``case.buses`` order, one column per
+    pattern; the reference bus absorbs whatever the other buses inject.
+    Solves the susceptance Laplacian with the reference row and column
+    removed, so the reference angle is exactly 0.
+    """
+    if not check_connectivity(case):
+        raise ValueError("bus_angles requires a connected case")
+    ref = case.reference_bus if reference_bus is None else reference_bus
+    incidence, beff = _branch_incidence(case)
+    laplacian = incidence.T @ (beff[:, None] * incidence)
+    keep = [i for i in range(len(case.buses)) if i != case.bus_index[ref]]
+    theta = np.zeros(injections.shape)
+    try:
+        theta[keep] = np.linalg.solve(laplacian[np.ix_(keep, keep)], injections[keep])
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular susceptance matrix: {exc}") from None
+    return theta
+
+
 def compute_ptdf(case: SystemCase, reference_bus: int | None = None) -> np.ndarray:
     """Injection sensitivities: MW on each branch per MW injected at each bus.
 
@@ -92,31 +127,9 @@ def compute_ptdf(case: SystemCase, reference_bus: int | None = None) -> np.ndarr
     ``n`` gives the flow change for 1 MW injected at bus ``n`` and withdrawn
     at the reference; the reference column is identically zero.
     """
-    if not check_connectivity(case):
-        raise ValueError("compute_ptdf requires a connected case")
-    ref = case.reference_bus if reference_bus is None else reference_bus
-    n_bus = len(case.buses)
-    n_br = len(case.branches)
-    bus_pos = case.bus_index
-
-    incidence = np.zeros((n_br, n_bus))
-    beff = np.zeros(n_br)
-    for i, k in enumerate(case.branches):
-        incidence[i, bus_pos[k.from_bus]] = 1.0
-        incidence[i, bus_pos[k.to_bus]] = -1.0
-        beff[i] = k.susceptance * case.base_mva
-
-    laplacian = incidence.T @ (beff[:, None] * incidence)
-    keep = [i for i in range(n_bus) if i != bus_pos[ref]]
-    reduced = laplacian[np.ix_(keep, keep)]
-    try:
-        theta_sens = np.linalg.solve(reduced, np.eye(len(keep)))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular susceptance matrix: {exc}") from None
-
-    ptdf = np.zeros((n_br, n_bus))
-    ptdf[:, keep] = (beff[:, None] * incidence[:, keep]) @ theta_sens
-    return ptdf
+    incidence, beff = _branch_incidence(case)
+    unit = np.eye(len(case.buses))
+    return (beff[:, None] * incidence) @ bus_angles(case, unit, reference_bus)
 
 
 def compute_lodf(case: SystemCase, ptdf: np.ndarray,

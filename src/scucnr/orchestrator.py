@@ -131,7 +131,7 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
     if result.status != "optimal":
         raise SolverError(f"extensive solve ended with status {result.status}")
 
-    schedule = extract_solution(case, result)
+    schedule = extract_solution(case, sens, result)
     switches: dict[tuple[int, int], int] = {}
     if options.method == "extensive_scuc_cnr":
         # opening a line costs nothing in the MILP, so it may open lines at
@@ -196,7 +196,7 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
     for iteration in range(1, options.max_iterations + 1):
         iterations = iteration
         t0 = time.perf_counter()
-        master = build_muc(case, cuts)
+        master = build_muc(case, sens, cuts)
         result = solve_milp(master, gap=options.milp_gap, time_limit=options.time_limit)
         timings.add("master", time.perf_counter() - t0)
         if result.status == "infeasible":
@@ -207,7 +207,7 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
             break
         if result.status != "optimal":
             raise SolverError(f"master solve ended with status {result.status}")
-        schedule = extract_solution(case, result)
+        schedule = extract_solution(case, sens, result)
 
         outcomes = {}
         audit_max: float | None = None

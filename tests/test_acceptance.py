@@ -161,10 +161,10 @@ def test_criterion_5_strong_duality_and_cut_values():
     checked_pairs = 0
     checked_cuts = 0
     for name, case in fixture_family().items():
-        res = solve_milp(build_muc(case), gap=1e-9)
-        sched = extract_solution(case, res)
-        _, non_radial = classify_radial(case)
         sens = build_sensitivities(case)
+        res = solve_milp(build_muc(case, sens), gap=1e-9)
+        sched = extract_solution(case, sens, res)
+        _, non_radial = classify_radial(case)
         for t in case.periods:
             for c in sorted(non_radial):
                 out = solve_pcfc(case, sens, sched, c, t)  # raises on identity gap
@@ -187,8 +187,8 @@ def test_criterion_6_switching_value():
     # enumeration oracle: which single switches rescue the (3, t=2) outage?
     from scucnr.backend import solve_milp
     from scucnr.formulations import build_muc, extract_solution
-    sched = extract_solution(hi, solve_milp(build_muc(hi), gap=1e-9))
     sens = build_sensitivities(hi)
+    sched = extract_solution(hi, sens, solve_milp(build_muc(hi, sens), gap=1e-9))
     oracle_feasible = []
     for j in sorted(sens.non_radial - {3}):
         if not check_connectivity(hi, {3, j}):

@@ -173,7 +173,7 @@ def mixed_lp():
 def test_adapter_matches_linprog(monkeypatch):
     case = random_case(101, n_buses=24, n_generators=8, horizon=4)
     sens = build_sensitivities(case)
-    muc = extract_solution(case, solve_milp(build_muc(case)))
+    muc = extract_solution(case, sens, solve_milp(build_muc(case, sens)))
     lps = []
 
     def spy(lp, *args, **kwargs):
@@ -217,8 +217,8 @@ def test_engine_effort_is_reported():
 
 def test_limit_and_failure_statuses():
     # a MILP stopped before its first incumbent has no answer to return
-    res = solve_milp(build_muc(random_case(101, n_buses=24, n_generators=8, horizon=4)),
-                     time_limit=0.0)
+    case = random_case(101, n_buses=24, n_generators=8, horizon=4)
+    res = solve_milp(build_muc(case, build_sensitivities(case)), time_limit=0.0)
     assert res.status == "limit"
     assert res.objective is None and res.x is None
     # an unbounded direction over an infeasible row set: infeasible, as linprog says

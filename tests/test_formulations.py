@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import brute_force_commitment
+from oracles import brute_force_commitment, net_injections, ptdf_pinv
 from scucnr.backend import solve_milp
-from scucnr.fixtures import corridor4_low, random_case, triangle3
+from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
+                             random_case, star4, triangle3, triangle3_tight)
 from scucnr.formulations import (build_extensive_scuc,
                                  build_extensive_scuc_cnr, build_muc,
                                  extract_solution, extract_switching_plan)
 from scucnr.model import validate_case
-from scucnr.network import build_sensitivities, classify_radial
+from scucnr.network import build_sensitivities
 from scucnr.orchestrator import SolveOptions, solve
 from scucnr.subproblems import solve_pcfc
 
@@ -34,34 +35,69 @@ def solve_model(model, gap=GAP):
 
 def test_muc_matches_commitment_enumeration(tri3):
     oracle = brute_force_commitment(tri3, security=False)
-    res = solve_model(build_muc(tri3))
+    res = solve_model(build_muc(tri3, build_sensitivities(tri3)))
     assert res.objective == pytest.approx(oracle, rel=1e-7)
 
 
 def test_muc_matches_enumeration_over_two_periods():
     case = triangle3((80.0, 60.0))
     oracle = brute_force_commitment(case, security=False)
-    res = solve_model(build_muc(case))
+    res = solve_model(build_muc(case, build_sensitivities(case)))
     assert res.objective == pytest.approx(oracle, rel=1e-7)
 
 
 def test_reserve_pool_forces_backup_commitment(tri3):
     # with one unit alone, total reserve cannot cover its own output, so the
     # costly unit must be committed purely as backup
-    res = solve_model(build_muc(tri3))
-    sched = extract_solution(tri3, res)
+    sens = build_sensitivities(tri3)
+    sched = extract_solution(tri3, sens, solve_model(build_muc(tri3, sens)))
     assert sched.commitment(1, 1) == 1
     assert sched.commitment(2, 1) == 1
     assert sched.dispatch(2, 1) == pytest.approx(0.0, abs=1e-7)
     assert sched.reserve(2, 1) >= sched.dispatch(1, 1) - 1e-6
 
 
+def test_master_has_no_angle_or_flow_columns(c4_low):
+    names = build_muc(c4_low, build_sensitivities(c4_low)).variable_names
+    assert not [n for n in names if n.startswith(("f[", "theta["))]
+    assert len(names) == 4 * len(c4_low.generators) * c4_low.horizon
+
+
+NETWORK_CASES = {
+    "triangle3": triangle3,
+    "triangle3_tight": triangle3_tight,
+    "star4": star4,
+    "corridor4_high": corridor4_high,
+    "corridor4_low": corridor4_low,
+    "corridor4_stranded": corridor4_stranded,
+    "random_101_24_8_4": lambda: random_case(101, 24, 8, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_CASES))
+def test_schedule_flows_and_angles_follow_the_dispatch(name):
+    case = NETWORK_CASES[name]()
+    sens = build_sensitivities(case)
+    sched = extract_solution(case, sens, solve_model(build_muc(case, sens)))
+    injections = np.array([
+        [net_injections(case, dict(zip(sched.generator_ids, sched.p[:, t - 1])), t)[b.id]
+         for t in case.periods] for b in case.buses])
+    assert np.abs(sched.flow - ptdf_pinv(case) @ injections).max() <= 1e-9
+
+    beff = np.array([[k.susceptance * case.base_mva] for k in case.branches])
+    frm = [case.bus_index[k.from_bus] for k in case.branches]
+    to = [case.bus_index[k.to_bus] for k in case.branches]
+    assert np.abs(beff * (sched.theta[frm] - sched.theta[to]) - sched.flow).max() <= 1e-9
+    assert (sched.theta[case.bus_index[case.reference_bus]] == 0.0).all()
+
+
 def test_one_cut_adds_exactly_one_row(tri3):
     from scucnr.model import FeasibilityCut
-    base = build_muc(tri3)
+    sens = build_sensitivities(tri3)
+    base = build_muc(tri3, sens)
     cut = FeasibilityCut(contingency=1, period=1, coef_u={1: 1.0}, coef_p={2: 0.5},
                          constant=-2.0)
-    with_cut = build_muc(tri3, [cut])
+    with_cut = build_muc(tri3, sens, [cut])
     assert with_cut.num_constraints == base.num_constraints + 1
 
 
@@ -73,8 +109,8 @@ def test_zero_ten_minute_ramp_kills_dispatch():
         base, generators=tuple(dataclasses.replace(g, ramp_10=0.0, p_min=0.0,
                                                    initial_output=0.0)
                                for g in base.generators))
-    res = solve_model(build_muc(dead))
-    sched = extract_solution(dead, res)
+    sens = build_sensitivities(dead)
+    sched = extract_solution(dead, sens, solve_model(build_muc(dead, sens)))
     assert np.abs(sched.p).max() == pytest.approx(0.0, abs=1e-9)
 
     loaded = triangle3((10.0,))
@@ -82,7 +118,7 @@ def test_zero_ten_minute_ramp_kills_dispatch():
         loaded, generators=tuple(dataclasses.replace(g, ramp_10=0.0, p_min=0.0,
                                                      initial_output=0.0)
                                  for g in loaded.generators))
-    assert solve_milp(build_muc(dead_loaded)).status == "infeasible"
+    assert solve_milp(build_muc(dead_loaded, build_sensitivities(dead_loaded))).status == "infeasible"
 
 
 @pytest.mark.parametrize("build", [triangle3, lambda: random_case(101, 12, 5, 4)],
@@ -104,14 +140,14 @@ def test_reported_reserve_is_the_largest_each_unit_can_hold(build):
 def test_huge_emergency_ratings_make_extensive_equal_muc(tri3):
     relaxed = scale_emergency(tri3, 100.0)
     sens = build_sensitivities(relaxed)
-    muc = solve_model(build_muc(relaxed))
+    muc = solve_model(build_muc(relaxed, sens))
     ext = solve_model(build_extensive_scuc(relaxed, sens))
     assert ext.objective == pytest.approx(muc.objective, rel=1e-9)
 
 
 def test_extensive_dominates_muc(c4_low):
     sens = build_sensitivities(c4_low)
-    muc = solve_model(build_muc(c4_low))
+    muc = solve_model(build_muc(c4_low, sens))
     ext = solve_model(build_extensive_scuc(c4_low, sens))
     assert ext.objective >= muc.objective - 1e-6
 
@@ -151,7 +187,7 @@ def test_switching_rescues_an_insecure_system(c4_high):
 def test_relaxation_chain(tri3, tri3_tight, star, c4_low):
     for case in (tri3, tri3_tight, star, c4_low):
         sens = build_sensitivities(case)
-        muc = solve_model(build_muc(case)).objective
+        muc = solve_model(build_muc(case, sens)).objective
         cnr = solve_model(build_extensive_scuc_cnr(case, sens, z_max=1)).objective
         scuc = solve_model(build_extensive_scuc(case, sens)).objective
         slack = 1e-6 * max(1.0, abs(scuc))
@@ -160,7 +196,7 @@ def test_relaxation_chain(tri3, tri3_tight, star, c4_low):
 
 
 def test_binaries_are_integral(c4_low):
-    res = solve_model(build_muc(c4_low))
+    res = solve_model(build_muc(c4_low, build_sensitivities(c4_low)))
     for name, val in res.values.items():
         if name.startswith(("u[", "v[")):
             assert min(abs(val), abs(val - 1.0)) <= 1e-6
@@ -182,12 +218,11 @@ def test_long_term_switched_rating_is_tighter(c4_low):
 
 def first_violated_pair(case, method="td_scuc"):
     """Schedule from a cut-free master plus its first unsurvivable pair."""
-    res = solve_model(build_muc(case))
-    sched = extract_solution(case, res)
-    _, non_radial = classify_radial(case)
+    sens = build_sensitivities(case)
+    sched = extract_solution(case, sens, solve_model(build_muc(case, sens)))
     for t in case.periods:
-        for c in sorted(non_radial):
-            out = solve_pcfc(case, build_sensitivities(case), sched, c, t)
+        for c in sens.contingencies:
+            out = solve_pcfc(case, sens, sched, c, t)
             if out.status == "infeasible":
                 return sched, out
     raise AssertionError("fixture produced no violated subproblem")
@@ -205,13 +240,14 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
     sched, out = first_violated_pair(c4_low)
     c, t = out.contingency, out.period
     cut = out.cut
+    sens = build_sensitivities(c4_low)
 
     rng = np.random.default_rng(11)
     checked_feasible = 0
     trials = 0
     while checked_feasible < 20 and trials < 200:
         trials += 1
-        model = build_muc(c4_low)
+        model = build_muc(c4_low, sens)
         # pin a random commitment pattern and a random dispatch floor to
         # scatter master points across the feasible region
         for g in c4_low.generators:
@@ -225,8 +261,8 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
         res = solve_milp(model, gap=GAP)
         if res.status != "optimal":
             continue
-        point = extract_solution(c4_low, res)
-        check = solve_pcfc(c4_low, build_sensitivities(c4_low), point, c, t)
+        point = extract_solution(c4_low, sens, res)
+        check = solve_pcfc(c4_low, sens, point, c, t)
         if check.status == "feasible":
             checked_feasible += 1
             # a valid feasibility cut never excludes a schedule whose
@@ -240,7 +276,7 @@ def test_cut_touches_only_its_own_period():
     sched, out = first_violated_pair(case)
     cut = out.cut
     assert out.period == 2
-    muc = build_muc(case, [cut])
+    muc = build_muc(case, build_sensitivities(case), [cut])
     # the cut row may only reference period-2 variables
     row = muc._rows[muc._row_index["cut[0]"]]
     names = [muc.variable_names[i] for i in row.terms]
@@ -250,10 +286,11 @@ def test_cut_touches_only_its_own_period():
 def test_adding_cut_changes_next_master(c4_low):
     sched, out = first_violated_pair(c4_low)
     cut = out.cut
-    first = solve_model(build_muc(c4_low))
-    second = solve_model(build_muc(c4_low, [cut]))
+    sens = build_sensitivities(c4_low)
+    first = solve_model(build_muc(c4_low, sens))
+    second = solve_model(build_muc(c4_low, sens, [cut]))
     assert second.objective >= first.objective - 1e-9
-    point = extract_solution(c4_low, second)
+    point = extract_solution(c4_low, sens, second)
     assert cut.evaluate_solution(point) <= 1e-6
 
 

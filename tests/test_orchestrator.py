@@ -14,7 +14,7 @@ from scucnr.subproblems import solve_nr_pcfc, solve_pcfc
 
 
 def muc_objective(case):
-    res = solve_milp(build_muc(case), gap=1e-9)
+    res = solve_milp(build_muc(case, build_sensitivities(case)), gap=1e-9)
     assert res.status == "optimal"
     return res.objective
 

@@ -17,9 +17,10 @@ from scucnr.subproblems import (_slack_lp, find_corrective_switch, run_csps,
 
 def cheap_point(case):
     """Schedule from the cut-free master (no security pressure yet)."""
-    res = solve_milp(build_muc(case), gap=1e-9)
+    sens = build_sensitivities(case)
+    res = solve_milp(build_muc(case, sens), gap=1e-9)
     assert res.status == "optimal"
-    return extract_solution(case, res)
+    return extract_solution(case, sens, res)
 
 
 def all_pairs(case, sens):
