@@ -103,11 +103,9 @@ def bus_angles(case: SystemCase, injections: np.ndarray,
 
     ``injections`` is MW per bus in ``case.buses`` order, one column per
     pattern; the reference bus absorbs whatever the other buses inject.
-    Solves the susceptance Laplacian with the reference row and column
-    removed, so the reference angle is exactly 0.
+    Solves the susceptance Laplacian of a connected case with the
+    reference row and column removed, so the reference angle is exactly 0.
     """
-    if not check_connectivity(case):
-        raise ValueError("bus_angles requires a connected case")
     ref = case.reference_bus if reference_bus is None else reference_bus
     incidence, beff = _branch_incidence(case)
     laplacian = incidence.T @ (beff[:, None] * incidence)
@@ -127,6 +125,8 @@ def compute_ptdf(case: SystemCase, reference_bus: int | None = None) -> np.ndarr
     ``n`` gives the flow change for 1 MW injected at bus ``n`` and withdrawn
     at the reference; the reference column is identically zero.
     """
+    if not check_connectivity(case):
+        raise ValueError("compute_ptdf requires a connected case")
     incidence, beff = _branch_incidence(case)
     unit = np.eye(len(case.buses))
     return (beff[:, None] * incidence) @ bus_angles(case, unit, reference_bus)

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import operating_cost, power_balance_residuals
-from scucnr.model import FeasibilityCut, SubproblemOutcome, validate_case
+from oracles import manual_schedule, operating_cost, power_balance_residuals
+from scucnr.model import (FeasibilityCut, SubproblemOutcome, solution_invariant_violations,
+                          validate_case)
 from scucnr.orchestrator import SolveOptions, solve
 
 
@@ -80,6 +81,14 @@ def test_operating_cost_matches_solver_objective(tri3):
     sched = result.schedule
     recomputed = operating_cost(tri3, sched.u, sched.v, sched.p, sched.generator_ids)
     assert recomputed == pytest.approx(sched.objective, abs=1e-6)
+
+
+def test_invariants_flag_output_the_other_units_cannot_cover(tri3):
+    sched = manual_schedule(tri3, {1: {1: 80.0}}, committed={1: {1, 2}})
+    pool = "generator 1 t=1: other units' reserve 0.0 below output 80.0"
+    assert pool in solution_invariant_violations(tri3, sched)
+    covered = dataclasses.replace(sched, r=np.array([[0.0], [80.0]]))
+    assert not [p for p in solution_invariant_violations(tri3, covered) if "reserve" in p]
 
 
 def test_outcome_invariants():

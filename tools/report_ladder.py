@@ -128,7 +128,7 @@ def _objectives_agree(a: float | None, b: float | None) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL)
 
 
-def _max_differences(parent: dict, change: dict) -> str:
+def _max_differences(parent: dict | None, change: dict | None) -> str:
     """Largest absolute difference of each solution array, or why there is none."""
     if parent is None and change is None:
         return "no solution on either side"
