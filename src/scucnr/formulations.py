@@ -302,7 +302,7 @@ def extract_solution(case: SystemCase, sens: NetworkSensitivities,
     # the largest reserve each unit can hold instead: it is at least the
     # solver's, so it meets every reserve row the solver's split met.
     reserve = np.minimum(ramp_10, p_max - cleaned_p) * u
-    injections = -np.array([b.demand for b in case.buses])
+    injections = -np.array([b.demand for b in case.buses], dtype=float)
     np.add.at(injections, [case.bus_index[g.bus] for g in case.generators], cleaned_p)
     solution = MucSolution(
         generator_ids=gen_ids,

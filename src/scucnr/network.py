@@ -97,8 +97,7 @@ def _branch_incidence(case: SystemCase) -> tuple[np.ndarray, np.ndarray]:
     return incidence, beff
 
 
-def bus_angles(case: SystemCase, injections: np.ndarray,
-               reference_bus: int | None = None) -> np.ndarray:
+def bus_angles(case: SystemCase, injections: np.ndarray) -> np.ndarray:
     """Bus angles in radians that carry ``injections`` with the reference at 0.
 
     ``injections`` is MW per bus in ``case.buses`` order, one column per
@@ -106,10 +105,9 @@ def bus_angles(case: SystemCase, injections: np.ndarray,
     Solves the susceptance Laplacian of a connected case with the
     reference row and column removed, so the reference angle is exactly 0.
     """
-    ref = case.reference_bus if reference_bus is None else reference_bus
     incidence, beff = _branch_incidence(case)
     laplacian = incidence.T @ (beff[:, None] * incidence)
-    keep = [i for i in range(len(case.buses)) if i != case.bus_index[ref]]
+    keep = [i for i in range(len(case.buses)) if i != case.bus_index[case.reference_bus]]
     theta = np.zeros(injections.shape)
     try:
         theta[keep] = np.linalg.solve(laplacian[np.ix_(keep, keep)], injections[keep])
@@ -118,7 +116,7 @@ def bus_angles(case: SystemCase, injections: np.ndarray,
     return theta
 
 
-def compute_ptdf(case: SystemCase, reference_bus: int | None = None) -> np.ndarray:
+def compute_ptdf(case: SystemCase) -> np.ndarray:
     """Injection sensitivities: MW on each branch per MW injected at each bus.
 
     Row order follows ``case.branches``, column order ``case.buses``.  Column
@@ -129,7 +127,7 @@ def compute_ptdf(case: SystemCase, reference_bus: int | None = None) -> np.ndarr
         raise ValueError("compute_ptdf requires a connected case")
     incidence, beff = _branch_incidence(case)
     unit = np.eye(len(case.buses))
-    return (beff[:, None] * incidence) @ bus_angles(case, unit, reference_bus)
+    return (beff[:, None] * incidence) @ bus_angles(case, unit)
 
 
 def compute_lodf(case: SystemCase, ptdf: np.ndarray,

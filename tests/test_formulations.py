@@ -91,6 +91,22 @@ def test_schedule_flows_and_angles_follow_the_dispatch(name):
     assert (sched.theta[case.bus_index[case.reference_bus]] == 0.0).all()
 
 
+def test_integer_demands_keep_fractional_flows():
+    # Bus.demand may hold ints when a case is built in code; the flows must
+    # still carry the fractional dispatch rather than a truncated one.
+    base = random_case(101, 24, 8, 4)
+    case = dataclasses.replace(base, buses=tuple(
+        dataclasses.replace(b, demand=tuple(int(round(d)) for d in b.demand))
+        for b in base.buses))
+    sens = build_sensitivities(case)
+    sched = extract_solution(case, sens, solve_model(build_muc(case, sens)))
+    assert np.abs(sched.p - np.round(sched.p)).max() > 0.1
+    injections = np.array([
+        [net_injections(case, dict(zip(sched.generator_ids, sched.p[:, t - 1])), t)[b.id]
+         for t in case.periods] for b in case.buses])
+    assert np.abs(sched.flow - ptdf_pinv(case) @ injections).max() <= 1e-9
+
+
 def test_one_cut_adds_exactly_one_row(tri3):
     from scucnr.model import FeasibilityCut
     sens = build_sensitivities(tri3)
