@@ -268,15 +268,6 @@ class RunReport:
     cuts_total: int = 0
     timings: dict[str, float] = field(default_factory=dict)
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.iterations < 1:
-            problems.append("iterations must be >= 1")
-        if self.converged and self.iteration_log:
-            if self.iteration_log[-1].cuts_added != 0:
-                problems.append("a converged run must add zero cuts in its final iteration")
-        return problems
-
 
 def _report_to_dict(report: RunReport, schedule: MucSolution | None) -> dict:
     doc = {

@@ -43,9 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--case", required=True, help="case JSON file")
     run.add_argument("--method", required=True, choices=METHODS)
     run.add_argument("--out", default="runs", help="output directory")
-    run.add_argument("--zmax", type=int, default=_DEFAULTS.z_max,
-                     help="switching actions per post-contingency state, 0 or 1 "
-                          "(extensive reconfiguration model)")
     run.add_argument("--cbce-size", type=int, default=_DEFAULTS.cbce_size,
                      help="length of the ranked switching candidate list")
     run.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iterations,
@@ -84,7 +81,6 @@ def _cmd_solve(args) -> int:
             slack_tolerance=args.slack_tol,
             milp_gap=args.milp_gap,
             cbce_size=args.cbce_size,
-            z_max=args.zmax,
             workers=args.workers,
             enumerate_reconfigurable=args.enumerate_kr,
         )

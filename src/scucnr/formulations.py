@@ -21,7 +21,7 @@ import numpy as np
 from .backend import Model, SolveResult, SolverError
 from .model import (FeasibilityCut, MucSolution, SystemCase,
                     solution_invariant_violations)
-from .network import NetworkSensitivities, bus_angles
+from .network import NetworkSensitivities, bus_angles, compute_lodf
 from .subproblems import post_outage_flows
 
 INTEGRALITY_TOL = 1e-5
@@ -139,22 +139,6 @@ def _add_contingency_generation(model: Model, case: SystemCase, c: int, t: int) 
                              {pc: 1.0, u: -g.p_max}, "<=", 0.0)
 
 
-def _switch_lodf(case: SystemCase, ptdf: np.ndarray, switchable: tuple[int, ...]) -> np.ndarray:
-    """LODFs of the network ``ptdf`` describes, one column per switchable branch.
-
-    Column ``j`` is the flow change on every branch per MW of flow on ``j``
-    when ``j`` is opened, with ``LODF[j, j] = -1``.
-    """
-    cols = np.arange(len(switchable))
-    pos = [case.branch_index[j] for j in switchable]
-    frm = [case.bus_index[case.branch(j).from_bus] for j in switchable]
-    to = [case.bus_index[case.branch(j).to_bus] for j in switchable]
-    transfer = ptdf[:, frm] - ptdf[:, to]
-    lodf = transfer / (1.0 - transfer[pos, cols])
-    lodf[pos, cols] = -1.0
-    return lodf
-
-
 def _add_post_outage_state(model: Model, case: SystemCase, c: int, t: int,
                            ptdf: np.ndarray, rate: np.ndarray,
                            switchable: tuple[int, ...], lodf: np.ndarray) -> None:
@@ -206,7 +190,8 @@ def _build_extensive(name: str, case: SystemCase, sens: NetworkSensitivities,
         ptdf = sens.outage_ptdf((c,))
         switchable = tuple(j for j in sorted(reconfigurable - {c})
                            if not sens.islands((c, j)))
-        lodf = _switch_lodf(case, ptdf, switchable)
+        positions = [case.branch_index[j] for j in switchable]
+        lodf = compute_lodf(case, ptdf, frozenset(switchable))[:, positions]
         for t in case.periods:
             _add_post_outage_state(model, case, c, t, ptdf, rate, switchable, lodf)
     return model
@@ -224,7 +209,6 @@ def build_extensive_scuc(case: SystemCase, sens: NetworkSensitivities) -> Model:
 
 
 def build_extensive_scuc_cnr(case: SystemCase, sens: NetworkSensitivities,
-                             z_max: int = 1,
                              switched_rating: str = "emergency") -> Model:
     """Co-optimized model where each post-outage state may also open one line.
 
@@ -245,21 +229,16 @@ def build_extensive_scuc_cnr(case: SystemCase, sens: NetworkSensitivities,
     ``|f_j|`` at every redispatch ``0 <= pc <= p_max``, so the big-M rows
     never cut off a feasible point.
 
-    ``z_max`` is 1, or 0 for no switching (the plain model).
     ``switched_rating`` selects the limit on every branch other than the
     outaged one: "emergency" (the default, which keeps this model a strict
     relaxation of the plain one) or the stricter "long_term".
     """
-    if z_max not in (0, 1):
-        raise ValueError(f"z_max must be 0 or 1 (got {z_max})")
     if switched_rating not in SWITCHED_RATINGS:
         raise ValueError(f"switched_rating must be one of {SWITCHED_RATINGS}")
     rate = np.array([k.rate_emergency if switched_rating == "emergency"
                      else k.rate_long_term for k in case.branches])
     reconfigurable = frozenset(
         k.id for k in case.branches if k.reconfigurable) & sens.non_radial
-    if z_max == 0:
-        reconfigurable = frozenset()
     return _build_extensive("extensive_scuc_cnr", case, sens, rate, reconfigurable)
 
 

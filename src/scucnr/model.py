@@ -111,27 +111,32 @@ class Violation:
         return f"[{self.kind}] {self.entity}: {self.message}"
 
 
-def _connected_components(bus_ids, edges) -> list[set[int]]:
-    adjacency: dict[int, list[int]] = {n: [] for n in bus_ids}
-    for frm, to in edges:
-        adjacency[frm].append(to)
-        adjacency[to].append(frm)
-    seen: set[int] = set()
-    comps = []
-    for start in bus_ids:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            n = queue.popleft()
-            for m in adjacency[n]:
-                if m not in comp:
-                    comp.add(m)
-                    queue.append(m)
-        seen |= comp
-        comps.append(comp)
-    return comps
+def _adjacency(bus_ids, branches) -> dict[int, list[tuple[int, int]]]:
+    """Each bus's incident branches as ``(branch id, neighbour)`` pairs."""
+    adjacency: dict[int, list[tuple[int, int]]] = {n: [] for n in bus_ids}
+    for k in branches:
+        adjacency[k.from_bus].append((k.id, k.to_bus))
+        adjacency[k.to_bus].append((k.id, k.from_bus))
+    return adjacency
+
+
+def _bfs(adjacency, sources) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """Breadth-first search from every bus in ``sources`` at once.
+
+    Returns the hop depth of each reached bus (0 at a source) and, for each
+    reached bus other than a source, ``up[bus] = (tree branch id, parent)``.
+    """
+    depth = dict.fromkeys(sources, 0)
+    up: dict[int, tuple[int, int]] = {}
+    queue = deque(depth)
+    while queue:
+        n = queue.popleft()
+        for kid, m in adjacency[n]:
+            if m not in depth:
+                depth[m] = depth[n] + 1
+                up[m] = (kid, n)
+                queue.append(m)
+    return depth, up
 
 
 def validate_case(case: SystemCase) -> list[Violation]:
@@ -219,9 +224,12 @@ def validate_case(case: SystemCase) -> list[Violation]:
             add("initial_output", f"generator {g.id}",
                 "offline unit must have initial_output 0")
 
-    valid_edges = [(k.from_bus, k.to_bus) for k in case.branches
-                   if k.from_bus in bus_ids and k.to_bus in bus_ids and k.from_bus != k.to_bus]
-    comps = _connected_components(sorted(bus_ids), valid_edges)
+    adjacency = _adjacency(bus_ids, [k for k in case.branches
+                                     if k.from_bus in bus_ids and k.to_bus in bus_ids])
+    comps: list[dict[int, int]] = []
+    for start in sorted(bus_ids):
+        if not any(start in comp for comp in comps):
+            comps.append(_bfs(adjacency, [start])[0])
     if len(comps) > 1:
         isolated = sorted(min(comps[1:], key=len))
         add("connectivity", "case",
@@ -271,9 +279,6 @@ class MucSolution:
 
     def commitment(self, gen_id: int, t: int) -> int:
         return int(self.u[self._gen_pos[gen_id], t - 1])
-
-    def startup(self, gen_id: int, t: int) -> int:
-        return int(self.v[self._gen_pos[gen_id], t - 1])
 
     def dispatch(self, gen_id: int, t: int) -> float:
         return float(self.p[self._gen_pos[gen_id], t - 1])

@@ -10,80 +10,52 @@ candidate list of branches closest to a contingency.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .model import SystemCase, _connected_components
+from .model import SystemCase, _adjacency, _bfs
 
 RADIAL_DENOMINATOR_TOL = 1e-8
 
 DEFAULT_CBCE_SIZE = 20
 
 
-def _adjacency(case: SystemCase) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in case.buses}
-    for k in case.branches:
-        adj[k.from_bus].append((k.id, k.to_bus))
-        adj[k.to_bus].append((k.id, k.from_bus))
-    return adj
-
-
 def check_connectivity(case: SystemCase, removed: set[int] | frozenset[int] = frozenset()) -> bool:
     """True iff all buses stay in one component after removing the given branches."""
-    edges = [(k.from_bus, k.to_bus) for k in case.branches if k.id not in removed]
-    return len(_connected_components([b.id for b in case.buses], edges)) == 1
+    kept = [k for k in case.branches if k.id not in removed]
+    depth, _ = _bfs(_adjacency([b.id for b in case.buses], kept), [case.buses[0].id])
+    return len(depth) == len(case.buses)
 
 
 def classify_radial(case: SystemCase) -> tuple[frozenset[int], frozenset[int]]:
     """Split branches into bridges and non-radial (on-cycle) branches.
 
-    A branch is a bridge iff its removal disconnects the network.  Parallel
-    branches between the same bus pair are never bridges: the DFS skips only
-    the tree edge itself, by branch id, so a parallel twin acts as a back
-    edge.
+    A branch is a bridge iff its removal disconnects the network.  Every
+    branch off the BFS tree of the first bus closes a cycle with the tree
+    path between its ends; walking both ends up by depth until they meet
+    marks each tree branch on that cycle as covered.  The bridges are the
+    tree branches no cycle covers.  A parallel twin of a tree branch is off
+    the tree, so it covers its twin and neither is a bridge.
     """
-    if not check_connectivity(case):
+    depth, up = _bfs(_adjacency([b.id for b in case.buses], case.branches),
+                     [case.buses[0].id])
+    if len(depth) < len(case.buses):
         raise ValueError("classify_radial requires a connected case")
-
-    adj = _adjacency(case)
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: set[int] = set()
-    counter = 0
-
-    root = case.buses[0].id
-    # Iterative DFS; each stack frame tracks the edge used to enter the node.
-    stack: list[tuple[int, int | None]] = [(root, None)]
-    iterators = {root: iter(adj[root])}
-    disc[root] = low[root] = counter
-    counter += 1
-    while stack:
-        node, entry_edge = stack[-1]
-        advanced = False
-        for edge_id, nbr in iterators[node]:
-            if edge_id == entry_edge:
-                continue
-            if nbr not in disc:
-                disc[nbr] = low[nbr] = counter
-                counter += 1
-                iterators[nbr] = iter(adj[nbr])
-                stack.append((nbr, edge_id))
-                advanced = True
-                break
-            low[node] = min(low[node], disc[nbr])
-        if not advanced:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[node])
-                if low[node] > disc[parent]:
-                    bridges.add(entry_edge)
-
-    non_radial = frozenset(k.id for k in case.branches) - bridges
-    return frozenset(bridges), frozenset(non_radial)
+    tree = {kid for kid, _ in up.values()}
+    covered: set[int] = set()
+    for k in case.branches:
+        if k.id in tree:
+            continue
+        a, b = k.from_bus, k.to_bus
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            kid, a = up[a]
+            covered.add(kid)
+    bridges = frozenset(tree - covered)
+    return bridges, frozenset(k.id for k in case.branches) - bridges
 
 
 def _branch_incidence(case: SystemCase) -> tuple[np.ndarray, np.ndarray]:
@@ -140,16 +112,13 @@ def compute_lodf(case: SystemCase, ptdf: np.ndarray,
     no distribution factor).  The diagonal of every valid column is -1.
     """
     bus_pos = case.bus_index
-    br_pos = case.branch_index
     n_br = len(case.branches)
     lodf = np.full((n_br, n_br), np.nan)
     # Flow sensitivity to a unit transfer across each branch's own terminals.
-    transfer = np.zeros((n_br, n_br))
-    for j, k in enumerate(case.branches):
-        transfer[:, j] = ptdf[:, bus_pos[k.from_bus]] - ptdf[:, bus_pos[k.to_bus]]
+    transfer = (ptdf[:, [bus_pos[k.from_bus] for k in case.branches]]
+                - ptdf[:, [bus_pos[k.to_bus] for k in case.branches]])
 
-    for k in case.branches:
-        c = br_pos[k.id]
+    for c, k in enumerate(case.branches):
         if k.id not in non_radial:
             continue
         denom = 1.0 - transfer[c, c]
@@ -179,24 +148,14 @@ def rank_cbce(case: SystemCase, contingency: int, size: int = DEFAULT_CBCE_SIZE,
         return []
 
     target = case.branch(contingency)
-    dist: dict[int, float] = {b.id: np.inf for b in case.buses}
-    queue = deque()
-    for src in (target.from_bus, target.to_bus):
-        dist[src] = 0
-        queue.append(src)
-    adj = _adjacency(case)
-    while queue:
-        n = queue.popleft()
-        for _, m in adj[n]:
-            if dist[m] == np.inf:
-                dist[m] = dist[n] + 1
-                queue.append(m)
+    depth, _ = _bfs(_adjacency([b.id for b in case.buses], case.branches),
+                    [target.from_bus, target.to_bus])
 
     scored = []
     for k in case.branches:
         if k.id == contingency or k.id in bridges:
             continue
-        score = min(dist[k.from_bus], dist[k.to_bus])
+        score = min(depth[k.from_bus], depth[k.to_bus])
         scored.append((score, k.id))
     scored.sort()
     return [kid for _, kid in scored[:size]]

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 from .backend import DEFAULT_MILP_GAP, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
-from .formulations import (build_extensive_scuc, build_extensive_scuc_cnr,
-                           build_muc, extract_solution, extract_switching_plan)
+from .formulations import (SWITCHED_RATINGS, build_extensive_scuc,
+                           build_extensive_scuc_cnr, build_muc, extract_solution,
+                           extract_switching_plan)
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
 from .network import NetworkSensitivities, build_sensitivities
@@ -45,7 +46,6 @@ class SolveOptions:
     slack_tolerance: float = SLACK_TOLERANCE
     milp_gap: float = DEFAULT_MILP_GAP
     cbce_size: int = 20
-    z_max: int = 1
     workers: int = 1
     enumerate_reconfigurable: bool = False
     audit_screening: bool = False
@@ -61,8 +61,13 @@ class SolveOptions:
             raise ValueError("cbce_size must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.z_max not in (0, 1):
-            raise ValueError(f"z_max must be 0 or 1 (got {self.z_max})")
+        if self.switched_rating not in SWITCHED_RATINGS:
+            raise ValueError(f"switched_rating must be one of {SWITCHED_RATINGS} "
+                             f"(got {self.switched_rating!r})")
+        if self.time_limit is not None and not (math.isfinite(self.time_limit)
+                                                and self.time_limit > 0):
+            raise ValueError("time_limit must be None or finite and > 0 "
+                             f"(got {self.time_limit})")
         check_tolerance("slack_tolerance", self.slack_tolerance)
         check_tolerance("milp_gap", self.milp_gap)
 
@@ -116,8 +121,7 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
     if options.method == "extensive_scuc":
         model = build_extensive_scuc(case, sens)
     else:
-        model = build_extensive_scuc_cnr(case, sens, z_max=options.z_max,
-                                         switched_rating=options.switched_rating)
+        model = build_extensive_scuc_cnr(case, sens, switched_rating=options.switched_rating)
     result = solve_milp(model, gap=options.milp_gap, time_limit=options.time_limit)
     timings.add("master", time.perf_counter() - t0)
     timings.add("total", time.perf_counter() - t0)

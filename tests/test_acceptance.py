@@ -224,7 +224,7 @@ def test_criterion_7_heuristic_cnr_bounding(generated_suite):
     cases.append(("corridor4_high", corridor4_high()))
     bounded = 0
     for name, case in cases:
-        ext_cnr = timed_solve(case, "extensive_scuc_cnr", name, z_max=1)
+        ext_cnr = timed_solve(case, "extensive_scuc_cnr", name)
         if ext_cnr.status != "converged":
             continue
         td_cnr = timed_solve(case, "td_scuc_cnr", name)

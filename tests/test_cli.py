@@ -48,6 +48,17 @@ def test_solve_with_switching_succeeds_where_plain_fails(hi_file, tmp_path):
     assert doc["switches"] == [{"contingency": 3, "period": 2, "branch": 2}]
 
 
+def test_enumerate_kr_needs_no_ranked_list(hi_file, tmp_path):
+    # --enumerate-kr reaches the switch search: with an empty ranked list
+    # only the enumeration can find the rescuing switch
+    out = tmp_path / "enum"
+    code = main(["solve", "--case", str(hi_file), "--method", "td_scuc_cnr",
+                 "--out", str(out), "--enumerate-kr", "--cbce-size", "0"])
+    assert code == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["switches"] == [{"contingency": 3, "period": 2, "branch": 2}]
+
+
 def test_unswitchable_network_exits_2(tmp_path):
     # external corridor rated below the load: no switch plan can save the
     # direct-line outage, so even the switching method proves infeasibility
@@ -120,8 +131,6 @@ def test_usage_errors_exit_1(tri3_file, capsys):
     ("--workers", "0", "workers"),
     ("--cbce-size", "-1", "cbce_size"),
     ("--max-iter", "0", "max_iterations"),
-    ("--zmax", "-1", "z_max"),
-    ("--zmax", "2", "z_max"),
     ("--slack-tol", "-1", "slack_tolerance"),
     ("--milp-gap", "-1", "milp_gap"),
 ])
@@ -156,7 +165,7 @@ def test_missing_case_file_exits_1(tmp_path, capsys):
 def test_help_lists_flags_with_defaults(capsys):
     assert main(["solve", "--help"]) == 0
     text = capsys.readouterr().out
-    for flag in ("--case", "--method", "--out", "--zmax", "--cbce-size",
+    for flag in ("--case", "--method", "--out", "--cbce-size",
                  "--max-iter", "--slack-tol", "--milp-gap", "--workers",
                  "--enumerate-kr"):
         assert flag in text

@@ -178,23 +178,27 @@ def test_security_constrained_optimum_matches_enumeration(tri3_tight):
 
 def test_switching_budget_zero_reduces_to_plain_model(tri3_tight, c4_low):
     for case in (tri3_tight, c4_low):
-        sens = build_sensitivities(case)
-        plain = solve_model(build_extensive_scuc(case, sens))
-        pinned = solve_model(build_extensive_scuc_cnr(case, sens, z_max=0))
+        pinned_case = dataclasses.replace(
+            case, branches=tuple(dataclasses.replace(k, reconfigurable=False)
+                                 for k in case.branches))
+        sens = build_sensitivities(pinned_case)
+        plain = solve_model(build_extensive_scuc(pinned_case, sens))
+        pinned = solve_model(build_extensive_scuc_cnr(pinned_case, sens))
+        assert not any(name.startswith("z[") for name in pinned.values)
         assert pinned.objective == pytest.approx(plain.objective, rel=1e-6)
 
 
 def test_switching_budget_one_is_a_relaxation(c4_low):
     sens = build_sensitivities(c4_low)
     plain = solve_model(build_extensive_scuc(c4_low, sens))
-    cnr = solve_model(build_extensive_scuc_cnr(c4_low, sens, z_max=1))
+    cnr = solve_model(build_extensive_scuc_cnr(c4_low, sens))
     assert cnr.objective <= plain.objective + 1e-6
 
 
 def test_switching_rescues_an_insecure_system(c4_high):
     sens = build_sensitivities(c4_high)
     assert solve_milp(build_extensive_scuc(c4_high, sens)).status == "infeasible"
-    cnr = solve_model(build_extensive_scuc_cnr(c4_high, sens, z_max=1))
+    cnr = solve_model(build_extensive_scuc_cnr(c4_high, sens))
     assert cnr.status == "optimal"
     plan = extract_switching_plan(c4_high, sens, cnr)
     assert any(c == 3 for (c, t) in plan)  # losing the direct line needs a switch
@@ -204,7 +208,7 @@ def test_relaxation_chain(tri3, tri3_tight, star, c4_low):
     for case in (tri3, tri3_tight, star, c4_low):
         sens = build_sensitivities(case)
         muc = solve_model(build_muc(case, sens)).objective
-        cnr = solve_model(build_extensive_scuc_cnr(case, sens, z_max=1)).objective
+        cnr = solve_model(build_extensive_scuc_cnr(case, sens)).objective
         scuc = solve_model(build_extensive_scuc(case, sens)).objective
         slack = 1e-6 * max(1.0, abs(scuc))
         assert muc <= cnr + slack
@@ -221,9 +225,9 @@ def test_binaries_are_integral(c4_low):
 def test_long_term_switched_rating_is_tighter(c4_low):
     sens = build_sensitivities(c4_low)
     emergency = solve_model(build_extensive_scuc_cnr(
-        c4_low, sens, z_max=1, switched_rating="emergency")).objective
+        c4_low, sens, switched_rating="emergency")).objective
     printed = solve_milp(build_extensive_scuc_cnr(
-        c4_low, sens, z_max=1, switched_rating="long_term"))
+        c4_low, sens, switched_rating="long_term"))
     if printed.status == "optimal":
         assert printed.objective >= emergency - 1e-6
     else:

@@ -71,17 +71,23 @@ def brute_force_bridges(case):
 
 def test_classification_matches_brute_force_on_random_graphs():
     rng = np.random.default_rng(42)
+    twin_rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(3, 31))
         pairs = [(int(rng.integers(1, b)), b) for b in range(2, n + 1)]
         for _ in range(int(rng.integers(0, n))):
             a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             pairs.append((int(a), int(b)) if a != b else (1, 2))
-        case = minimal_case(list(range(1, n + 1)), pairs)
-        bridges, non_radial = classify_radial(case)
-        assert bridges == brute_force_bridges(case)
-        assert bridges | non_radial == {k.id for k in case.branches}
-        assert not (bridges & non_radial)
+        # the same graph again with parallel twins, some reversed, of a few
+        # spanning-tree edges (the first n - 1 pairs)
+        picks = twin_rng.choice(n - 1, size=int(twin_rng.integers(1, min(n, 4))), replace=False)
+        twins = [pairs[i] if i % 2 else pairs[i][::-1] for i in picks]
+        for graph in (pairs, pairs + twins):
+            case = minimal_case(list(range(1, n + 1)), graph)
+            bridges, non_radial = classify_radial(case)
+            assert bridges == brute_force_bridges(case)
+            assert bridges | non_radial == {k.id for k in case.branches}
+            assert not (bridges & non_radial)
 
 
 # --- connectivity ----------------------------------------------------------
