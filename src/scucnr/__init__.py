@@ -3,8 +3,7 @@ network reconfiguration: extensive models and Benders-style decomposition
 with a distribution-factor screener and a ranked corrective-switch search.
 """
 
-from .backend import (LinearProgram, Model, SolveResult, SolverError, solve_lp,
-                      solve_milp)
+from .backend import LinearProgram, SolveResult, SolverError, solve_lp, solve_milp
 from .caseio import (CaseFormatError, CaseIOError, CaseValidationError,
                      RunReport, parse_case, write_case, write_report)
 from .model import (Branch, Bus, FeasibilityCut, Generator, MucSolution,
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "Bus", "CaseFormatError", "CaseIOError", "CaseValidationError",
-    "FeasibilityCut", "Generator", "LinearProgram", "METHODS", "Model", "MucSolution",
+    "FeasibilityCut", "Generator", "LinearProgram", "METHODS", "MucSolution",
     "NetworkSensitivities", "RunReport", "ScheduleResult", "ScreeningResult",
     "SolveOptions", "SolveResult", "SolverError", "SubproblemOutcome", "SystemCase", "VerificationReport",
     "build_sensitivities", "check_connectivity", "classify_radial",

@@ -1,10 +1,8 @@
 """LP/MILP solving on top of the HiGHS engine bundled with scipy.
 
-Models are assembled row by row with named constraints (``Model``), or
-directly in arrays (``LinearProgram``, HiGHS's own form: ``row_lower <=
-a @ x <= row_upper`` with column bounds and optional integrality).  A
-``Model`` lowers to a ``LinearProgram``, binaries becoming integer columns.
-One private runner loads every LP and MILP into a fresh engine through
+Every LP and MILP arrives as a ``LinearProgram``, HiGHS's own form:
+``row_lower <= a @ x <= row_upper`` with column bounds and optional
+integrality.  One private runner loads each one into a fresh engine through
 scipy's private binding ``scipy.optimize._highspy._core._Highs``, maps the
 model status through one table and applies the post-solve residual check of
 ``linprog(method="highs")`` to every optimal answer, without linprog's or
@@ -21,16 +19,13 @@ side, and a bound counts as the row ``x >= lb`` or ``x <= ub``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core as _hc
 
 INF = math.inf
-
-SENSES = ("<=", ">=", "==")
 
 DEFAULT_MILP_GAP = 1e-4
 
@@ -64,23 +59,6 @@ class SolverError(RuntimeError):
     """Engine-level failure (numerical trouble, unexpected status)."""
 
 
-@dataclass
-class _Variable:
-    name: str
-    lb: float
-    ub: float
-    cost: float
-    binary: bool
-
-
-@dataclass
-class _Row:
-    name: str
-    terms: dict[int, float]
-    sense: str
-    rhs: float
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """``min cost @ x`` s.t. ``row_lower <= a @ x <= row_upper``,
@@ -101,84 +79,6 @@ class LinearProgram:
     name: str = "lp"
 
 
-class Model:
-    """A linear model under construction: variables, named rows, min objective."""
-
-    def __init__(self, name: str = "model"):
-        self.name = name
-        self._vars: list[_Variable] = []
-        self._var_index: dict[str, int] = {}
-        self._rows: list[_Row] = []
-        self._row_index: dict[str, int] = {}
-
-    def add_variable(self, name: str, lb: float = -INF, ub: float = INF,
-                     cost: float = 0.0, binary: bool = False) -> str:
-        if name in self._var_index:
-            raise ValueError(f"duplicate variable name {name!r}")
-        if binary:
-            lb, ub = 0.0, 1.0
-        if lb > ub:
-            raise ValueError(f"variable {name!r} has empty bound range [{lb}, {ub}]")
-        self._var_index[name] = len(self._vars)
-        self._vars.append(_Variable(name, lb, ub, cost, binary))
-        return name
-
-    def add_constraint(self, name: str, terms: dict[str, float], sense: str,
-                       rhs: float) -> str:
-        if name in self._row_index:
-            raise ValueError(f"duplicate constraint name {name!r}")
-        if sense not in SENSES:
-            raise ValueError(f"unknown sense {sense!r}")
-        indexed: dict[int, float] = {}
-        for var, coef in terms.items():
-            if var not in self._var_index:
-                raise ValueError(f"constraint {name!r} references unknown variable {var!r}")
-            if coef != 0.0:
-                indexed[self._var_index[var]] = indexed.get(self._var_index[var], 0.0) + coef
-        self._row_index[name] = len(self._rows)
-        self._rows.append(_Row(name, indexed, sense, float(rhs)))
-        return name
-
-    @property
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self._vars]
-
-    @property
-    def num_variables(self) -> int:
-        return len(self._vars)
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self._rows)
-
-    @property
-    def has_binaries(self) -> bool:
-        return any(v.binary for v in self._vars)
-
-    def lower(self) -> LinearProgram:
-        """The model as arrays, in row and column order; binaries get integrality 1."""
-        data: list[float] = []
-        ri: list[int] = []
-        ci: list[int] = []
-        for r, row in enumerate(self._rows):
-            ri.extend([r] * len(row.terms))
-            ci.extend(row.terms.keys())
-            data.extend(row.terms.values())
-        mat = sp.csr_matrix((data, (ri, ci)), shape=(len(self._rows), len(self._vars)))
-        sense = np.array([row.sense for row in self._rows], dtype=object)
-        rhs = np.array([row.rhs for row in self._rows], dtype=float)
-        return LinearProgram(
-            cost=np.array([v.cost for v in self._vars], dtype=float),
-            a=mat,
-            row_lower=np.where(sense == "<=", -INF, rhs),
-            row_upper=np.where(sense == ">=", INF, rhs),
-            lb=np.array([v.lb for v in self._vars], dtype=float),
-            ub=np.array([v.ub for v in self._vars], dtype=float),
-            integrality=(np.array([1 if v.binary else 0 for v in self._vars])
-                         if self.has_binaries else None),
-            name=self.name)
-
-
 @dataclass
 class SolveResult:
     """Outcome of one solve.
@@ -188,8 +88,7 @@ class SolveResult:
     then finite upper, variable bound, and ``row_rhs`` the matching
     right-hand sides, so the dual objective can be recomputed exactly.
     ``simplex_iterations`` (LP solves) and ``mip_nodes`` (MILP solves) say
-    how hard the engine worked.  ``values`` keys ``x`` by column name when
-    the solved model had names.
+    how hard the engine worked.
     """
 
     status: str
@@ -200,16 +99,6 @@ class SolveResult:
     mip_gap: float | None = None
     simplex_iterations: int | None = None
     mip_nodes: int | None = None
-    col_names: tuple[str, ...] = field(default=(), repr=False)
-
-    @cached_property
-    def values(self) -> dict[str, float]:
-        if self.x is None:
-            return {}
-        return dict(zip(self.col_names, self.x.tolist()))
-
-    def value(self, name: str) -> float:
-        return self.values[name]
 
     def dual_objective(self) -> float:
         """Sum of rhs * dual over every row and bound; equals the LP optimum."""
@@ -322,16 +211,15 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
                        simplex_iterations=iterations)
 
 
-def solve_milp(model: Model, gap: float = DEFAULT_MILP_GAP,
+def solve_milp(lp: LinearProgram, gap: float = DEFAULT_MILP_GAP,
                time_limit: float | None = None) -> SolveResult:
     """Solve a MILP; ``x`` and the objective are set only when an incumbent exists."""
     options: dict[str, object] = {"log_to_console": False, "mip_rel_gap": float(gap)}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    status, _, info, solution = _run(model.lower(), options)
+    status, _, info, solution = _run(lp, options)
     found = solution is not None
     return SolveResult(status=status,
                        objective=float(info.objective_function_value) if found else None,
                        x=np.array(solution.col_value) if found else None,
-                       mip_gap=float(info.mip_gap), mip_nodes=int(info.mip_node_count),
-                       col_names=tuple(model.variable_names))
+                       mip_gap=float(info.mip_gap), mip_nodes=int(info.mip_node_count))

@@ -131,34 +131,29 @@ def compute_lodf(case: SystemCase, ptdf: np.ndarray,
     return lodf
 
 
-def rank_cbce(case: SystemCase, contingency: int, size: int = DEFAULT_CBCE_SIZE,
-              bridges: frozenset[int] | None = None) -> list[int]:
-    """Candidate switching branches nearest to a contingency, closest first.
+def rank_cbce(case: SystemCase, size: int = DEFAULT_CBCE_SIZE,
+              bridges: frozenset[int] | None = None) -> dict[int, tuple[int, ...]]:
+    """Candidate switching branches nearest to each contingency, closest first.
 
-    Candidates are the non-radial branches other than the contingency,
-    scored by the minimum bus-hop distance from either of their endpoints to
-    either endpoint of the contingency (0 = shares a bus).  Ties break by
-    ascending branch id; the list is truncated to ``size``.
+    Every non-radial branch is a contingency.  Its candidates are the other
+    non-radial branches, scored by the minimum bus-hop distance from either
+    of their endpoints to either endpoint of the contingency (0 = shares a
+    bus).  Ties break by ascending branch id; each list is truncated to
+    ``size``.  One adjacency serves the searches of every contingency.
     """
     if bridges is None:
         bridges, _ = classify_radial(case)
-    if contingency in bridges:
-        raise ValueError(f"branch {contingency} is a bridge and not a valid contingency")
+    non_radial = sorted((k for k in case.branches if k.id not in bridges), key=lambda k: k.id)
     if size <= 0:
-        return []
-
-    target = case.branch(contingency)
-    depth, _ = _bfs(_adjacency([b.id for b in case.buses], case.branches),
-                    [target.from_bus, target.to_bus])
-
-    scored = []
-    for k in case.branches:
-        if k.id == contingency or k.id in bridges:
-            continue
-        score = min(depth[k.from_bus], depth[k.to_bus])
-        scored.append((score, k.id))
-    scored.sort()
-    return [kid for _, kid in scored[:size]]
+        return {c.id: () for c in non_radial}
+    adjacency = _adjacency([b.id for b in case.buses], case.branches)
+    ranked = {}
+    for c in non_radial:
+        depth, _ = _bfs(adjacency, [c.from_bus, c.to_bus])
+        scored = sorted((min(depth[k.from_bus], depth[k.to_bus]), k.id)
+                        for k in non_radial if k.id != c.id)
+        ranked[c.id] = tuple(kid for _, kid in scored[:size])
+    return ranked
 
 
 @dataclass(frozen=True)
@@ -221,8 +216,7 @@ def build_sensitivities(case: SystemCase, cbce_size: int = DEFAULT_CBCE_SIZE) ->
     bridges, non_radial = classify_radial(case)
     ptdf = compute_ptdf(case)
     lodf = compute_lodf(case, ptdf, non_radial)
-    cbce = {c: tuple(rank_cbce(case, c, cbce_size, bridges))
-            for c in sorted(non_radial)}
+    cbce = rank_cbce(case, cbce_size, bridges)
     return NetworkSensitivities(
         bus_ids=tuple(b.id for b in case.buses),
         branch_ids=tuple(k.id for k in case.branches),

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 from .backend import DEFAULT_MILP_GAP, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
-from .formulations import (SWITCHED_RATINGS, build_extensive_scuc,
-                           build_extensive_scuc_cnr, build_muc, extract_solution,
-                           extract_switching_plan)
+from .formulations import (build_extensive_scuc, build_extensive_scuc_cnr,
+                           build_muc, extract_solution, extract_switching_plan)
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
 from .network import NetworkSensitivities, build_sensitivities
@@ -49,7 +48,6 @@ class SolveOptions:
     workers: int = 1
     enumerate_reconfigurable: bool = False
     audit_screening: bool = False
-    switched_rating: str = "emergency"
     time_limit: float | None = None
 
     def __post_init__(self):
@@ -61,9 +59,6 @@ class SolveOptions:
             raise ValueError("cbce_size must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.switched_rating not in SWITCHED_RATINGS:
-            raise ValueError(f"switched_rating must be one of {SWITCHED_RATINGS} "
-                             f"(got {self.switched_rating!r})")
         if self.time_limit is not None and not (math.isfinite(self.time_limit)
                                                 and self.time_limit > 0):
             raise ValueError("time_limit must be None or finite and > 0 "
@@ -118,11 +113,10 @@ class _Timings:
 def _solve_extensive(case: SystemCase, options: SolveOptions,
                      sens: NetworkSensitivities, timings: _Timings) -> ScheduleResult:
     t0 = time.perf_counter()
-    if options.method == "extensive_scuc":
-        model = build_extensive_scuc(case, sens)
-    else:
-        model = build_extensive_scuc_cnr(case, sens, switched_rating=options.switched_rating)
-    result = solve_milp(model, gap=options.milp_gap, time_limit=options.time_limit)
+    build = (build_extensive_scuc if options.method == "extensive_scuc"
+             else build_extensive_scuc_cnr)
+    lp, switch_columns = build(case, sens)
+    result = solve_milp(lp, gap=options.milp_gap, time_limit=options.time_limit)
     timings.add("master", time.perf_counter() - t0)
     timings.add("total", time.perf_counter() - t0)
 
@@ -136,13 +130,11 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
         raise SolverError(f"extensive solve ended with status {result.status}")
 
     schedule = extract_solution(case, sens, result)
-    switches: dict[tuple[int, int], int] = {}
-    if options.method == "extensive_scuc_cnr":
-        # opening a line costs nothing in the MILP, so it may open lines at
-        # pairs that survive without one; report only the pairs that need it
-        switches = {(c, t): j for (c, t), j in extract_switching_plan(case, sens, result).items()
-                    if solve_pcfc(case, sens, schedule, c, t,
-                                  options.slack_tolerance).status == "infeasible"}
+    # opening a line costs nothing in the MILP, so it may open lines at
+    # pairs that survive without one; report only the pairs that need it
+    switches = {(c, t): j for (c, t), j in extract_switching_plan(switch_columns, result).items()
+                if solve_pcfc(case, sens, schedule, c, t,
+                              options.slack_tolerance).status == "infeasible"}
     report = RunReport(method=options.method, status="converged", converged=True,
                        objective=schedule.objective, iterations=1,
                        switches=[(c, t, j) for (c, t), j in sorted(switches.items())],

@@ -6,44 +6,47 @@ import scipy.sparse as sp
 
 import scucnr.subproblems
 from oracles import linprog_solution
-from scucnr.backend import (INF, LinearProgram, Model, SolverError, _check_solution,
-                            solve_lp, solve_milp)
+from scucnr.backend import (INF, LinearProgram, SolverError, _check_solution, solve_lp,
+                            solve_milp)
 from scucnr.fixtures import random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities
 
 
-def make_lp(cost, a, row_lower, row_upper, lb=None, ub=None, name="lp"):
+def make_lp(cost, a, row_lower, row_upper, lb=None, ub=None, integrality=None, name="lp"):
     """A ``LinearProgram`` from lists; columns are free unless bounded."""
     n = len(cost)
     return LinearProgram(
         cost=np.array(cost, dtype=float), a=np.array(a, dtype=float).reshape(-1, n),
         row_lower=np.array(row_lower, dtype=float), row_upper=np.array(row_upper, dtype=float),
         lb=np.full(n, -INF) if lb is None else np.array(lb, dtype=float),
-        ub=np.full(n, INF) if ub is None else np.array(ub, dtype=float), name=name)
+        ub=np.full(n, INF) if ub is None else np.array(ub, dtype=float),
+        integrality=None if integrality is None else np.array(integrality), name=name)
+
+
+def binaries(cost, a, row_lower, row_upper, name="lp"):
+    """A pure 0/1 program from lists."""
+    n = len(cost)
+    return make_lp(cost, a, row_lower, row_upper, lb=[0.0] * n, ub=[1.0] * n,
+                   integrality=[1] * n, name=name)
 
 
 def test_simple_lp_via_milp_path():
-    m = Model()
-    m.add_variable("x", lb=0.0, ub=10.0, cost=1.0)
-    m.add_constraint("floor", {"x": 1.0}, ">=", 3.0)
-    res = solve_milp(m)
+    lp = make_lp([1.0], [[1.0]], [3.0], [INF], lb=[0.0], ub=[10.0])
+    res = solve_milp(lp)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0, abs=1e-9)
-    assert res.value("x") == pytest.approx(3.0, abs=1e-9)
+    assert res.x[0] == pytest.approx(3.0, abs=1e-9)
     # the MILP path returns primal values only; duals come from solve_lp
     assert res.row_duals is None
-    lp = solve_lp(m.lower())
-    assert lp.objective == pytest.approx(3.0, abs=1e-9)
-    assert lp.row_duals[0] == pytest.approx(1.0, abs=1e-9)
+    res = solve_lp(lp)
+    assert res.objective == pytest.approx(3.0, abs=1e-9)
+    assert res.row_duals[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_infeasible_pair():
-    m = Model()
-    m.add_variable("x")
-    m.add_constraint("hi", {"x": 1.0}, "<=", 1.0)
-    m.add_constraint("lo", {"x": 1.0}, ">=", 2.0)
-    assert solve_milp(m).status == "infeasible"
+    assert solve_milp(make_lp([0.0], [[1.0], [1.0]], [-INF, 2.0], [1.0, INF])).status \
+        == "infeasible"
 
 
 def test_unbounded():
@@ -94,62 +97,35 @@ def test_bounds_become_rows_in_lp_mode():
 
 
 def test_milp_binaries_and_no_duals():
-    m = Model()
-    m.add_variable("a", binary=True, cost=-1.0)
-    m.add_variable("b", binary=True, cost=-2.0)
-    m.add_constraint("pick", {"a": 1.0, "b": 1.0}, "<=", 1.0)
-    assert m.lower().integrality.tolist() == [1, 1]
-    res = solve_milp(m, gap=1e-9)
+    lp = binaries([-1.0, -2.0], [[1.0, 1.0]], [-INF], [1.0])
+    res = solve_milp(lp, gap=1e-9)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-2.0)
-    assert res.values["b"] == pytest.approx(1.0)
+    assert res.x[1] == pytest.approx(1.0)
     assert res.row_duals is None
     assert res.mip_gap is not None
     with pytest.raises(ValueError):
-        solve_lp(m.lower())
+        solve_lp(lp)
 
 
 def test_infeasible_binary_milp():
-    m = Model("too_few")
-    for name in ("a", "b"):
-        m.add_variable(name, binary=True, cost=1.0)
-    m.add_constraint("need", {"a": 1.0, "b": 1.0}, ">=", 3.0)
-    res = solve_milp(m)
+    res = solve_milp(binaries([1.0, 1.0], [[1.0, 1.0]], [3.0], [INF], name="too_few"))
     assert res.status == "infeasible"
     assert res.objective is None and res.x is None
 
 
 def test_resolve_is_deterministic():
     def build():
-        m = Model()
-        for i in range(6):
-            m.add_variable(f"x{i}", binary=(i % 2 == 0), cost=((-1) ** i) * (i + 1) * 0.7)
-        m.add_constraint("cap", {f"x{i}": 1.0 for i in range(6)}, "<=", 3.0)
-        for i in range(6):
-            if i % 2:
-                m.add_constraint(f"box{i}", {f"x{i}": 1.0}, "<=", 1.0)
-                m.add_constraint(f"nn{i}", {f"x{i}": 1.0}, ">=", 0.0)
-        return m
+        # binaries at even positions, continuous columns in [0, 1] at odd ones
+        return make_lp([((-1) ** i) * (i + 1) * 0.7 for i in range(6)], [[1.0] * 6],
+                       [-INF], [3.0], lb=[0.0] * 6, ub=[1.0] * 6,
+                       integrality=[1 - i % 2 for i in range(6)])
 
     first = solve_milp(build())
     second = solve_milp(build())
     assert first.status == second.status == "optimal"
     assert abs(first.objective - second.objective) <= 1e-9
-    assert first.values == second.values
-
-
-def test_duplicate_names_rejected():
-    m = Model()
-    m.add_variable("x")
-    with pytest.raises(ValueError):
-        m.add_variable("x")
-    m.add_constraint("row", {"x": 1.0}, "<=", 1.0)
-    with pytest.raises(ValueError):
-        m.add_constraint("row", {"x": 1.0}, "<=", 2.0)
-    with pytest.raises(ValueError):
-        m.add_constraint("bad", {"nope": 1.0}, "<=", 0.0)
-    with pytest.raises(ValueError):
-        m.add_constraint("sense", {"x": 1.0}, "<", 0.0)
+    assert np.array_equal(first.x, second.x)
 
 
 def mixed_lp():
@@ -206,11 +182,7 @@ def test_engine_effort_is_reported():
     res = solve_lp(mixed_lp())
     assert res.simplex_iterations is not None and res.simplex_iterations >= 0
     assert res.mip_nodes is None
-    m = Model()
-    for i in range(4):
-        m.add_variable(f"b{i}", binary=True, cost=-(i + 1.0))
-    m.add_constraint("pick", {f"b{i}": 1.0 for i in range(4)}, "<=", 2.0)
-    milp = solve_milp(m)
+    milp = solve_milp(binaries([-1.0, -2.0, -3.0, -4.0], [[1.0] * 4], [-INF], [2.0]))
     assert milp.mip_nodes is not None and milp.mip_nodes >= 0
     assert milp.simplex_iterations is None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from scucnr.caseio import write_case
 from scucnr.cli import main
 from scucnr.fixtures import corridor4, corridor4_high, triangle3
+from scucnr.model import validate_case
 
 
 @pytest.fixture
@@ -280,3 +282,20 @@ def test_gen_fixture_smallest_sizes_are_kept(tmp_path, capsys):
                  "--generators", "1", "--horizon", "1"]) == 0
     doc = json.loads(target.read_text())
     assert (len(doc["buses"]), len(doc["generators"]), doc["horizon"]) == (3, 1, 1)
+
+
+def test_zero_susceptance_parallel_twin_exits_1(tmp_path, capsys):
+    # a twin at zero susceptance closes a cycle in the graph but can carry no
+    # flow; the case is rejected before any solve, with the branch named
+    base = triangle3()
+    twin = dataclasses.replace(base.branches[0], id=9, susceptance=0.0)
+    case = dataclasses.replace(base, branches=base.branches + (twin,))
+    assert [(v.kind, v.entity) for v in validate_case(case)] == [("susceptance", "branch 9")]
+    path = tmp_path / "twin.json"
+    write_case(case, path)
+    out = tmp_path / "r"
+    assert main(["solve", "--case", str(path), "--method", "td_scuc", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "branch 9" in err and "susceptance" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -2,15 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import brute_force_commitment, net_injections, ptdf_pinv
-from scucnr.backend import solve_milp
+from scucnr.backend import INF, solve_milp
 from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
                              random_case, star4, triangle3, triangle3_tight)
-from scucnr.formulations import (build_extensive_scuc,
+from scucnr.formulations import (base_columns, build_extensive_scuc,
                                  build_extensive_scuc_cnr, build_muc,
                                  extract_solution, extract_switching_plan)
-from scucnr.model import validate_case
+from scucnr.model import FeasibilityCut, validate_case
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import SolveOptions, solve
 from scucnr.subproblems import solve_pcfc
@@ -25,10 +26,16 @@ def scale_emergency(case, factor):
             for k in case.branches))
 
 
-def solve_model(model, gap=GAP):
-    res = solve_milp(model, gap=gap)
+def solve_model(lp, gap=GAP):
+    res = solve_milp(lp, gap=gap)
     assert res.status == "optimal"
     return res
+
+
+def extensive(build, case, sens):
+    """The solved extensive model of ``build`` and its switch columns."""
+    lp, switches = build(case, sens)
+    return solve_model(lp), switches
 
 
 # --- master unit commitment --------------------------------------------------
@@ -58,9 +65,24 @@ def test_reserve_pool_forces_backup_commitment(tri3):
 
 
 def test_master_has_no_angle_or_flow_columns(c4_low):
-    names = build_muc(c4_low, build_sensitivities(c4_low)).variable_names
-    assert not [n for n in names if n.startswith(("f[", "theta["))]
-    assert len(names) == 4 * len(c4_low.generators) * c4_low.horizon
+    lp = build_muc(c4_low, build_sensitivities(c4_low))
+    # u, v, p and r cover every column once: there is no angle or flow column
+    layout = np.concatenate([cols.ravel() for cols in base_columns(c4_low)])
+    assert np.array_equal(np.sort(layout), np.arange(len(lp.cost)))
+    assert len(lp.cost) == 4 * len(c4_low.generators) * c4_low.horizon
+
+
+def test_master_size_is_pinned():
+    # counts that do not depend on the machine: a change to the master's
+    # column or row layout shows up here
+    case = random_case(101, 24, 8, 4)
+    sens = build_sensitivities(case)
+    g1, g2 = case.generators[0].id, case.generators[1].id
+    cut = FeasibilityCut(contingency=sens.contingencies[0], period=2,
+                         coef_u={g1: 1.0, g2: -3.0}, coef_p={g1: 0.5}, constant=-2.0)
+    sizes = [(len(lp.cost), len(lp.row_lower), lp.a.nnz)
+             for lp in (build_muc(case, sens), build_muc(case, sens, [cut]))]
+    assert sizes == [(128, 535, 2967), (128, 536, 2970)]
 
 
 NETWORK_CASES = {
@@ -108,13 +130,12 @@ def test_integer_demands_keep_fractional_flows():
 
 
 def test_one_cut_adds_exactly_one_row(tri3):
-    from scucnr.model import FeasibilityCut
     sens = build_sensitivities(tri3)
     base = build_muc(tri3, sens)
     cut = FeasibilityCut(contingency=1, period=1, coef_u={1: 1.0}, coef_p={2: 0.5},
                          constant=-2.0)
     with_cut = build_muc(tri3, sens, [cut])
-    assert with_cut.num_constraints == base.num_constraints + 1
+    assert len(with_cut.row_lower) == len(base.row_lower) + 1
 
 
 def test_zero_ten_minute_ramp_kills_dispatch():
@@ -157,14 +178,14 @@ def test_huge_emergency_ratings_make_extensive_equal_muc(tri3):
     relaxed = scale_emergency(tri3, 100.0)
     sens = build_sensitivities(relaxed)
     muc = solve_model(build_muc(relaxed, sens))
-    ext = solve_model(build_extensive_scuc(relaxed, sens))
+    ext, _ = extensive(build_extensive_scuc, relaxed, sens)
     assert ext.objective == pytest.approx(muc.objective, rel=1e-9)
 
 
 def test_extensive_dominates_muc(c4_low):
     sens = build_sensitivities(c4_low)
     muc = solve_model(build_muc(c4_low, sens))
-    ext = solve_model(build_extensive_scuc(c4_low, sens))
+    ext, _ = extensive(build_extensive_scuc, c4_low, sens)
     assert ext.objective >= muc.objective - 1e-6
 
 
@@ -172,7 +193,7 @@ def test_security_constrained_optimum_matches_enumeration(tri3_tight):
     sens = build_sensitivities(tri3_tight)
     oracle = brute_force_commitment(tri3_tight, security=True,
                                     contingencies=tuple(sens.contingencies))
-    ext = solve_model(build_extensive_scuc(tri3_tight, sens))
+    ext, _ = extensive(build_extensive_scuc, tri3_tight, sens)
     assert ext.objective == pytest.approx(oracle, rel=1e-7)
 
 
@@ -182,25 +203,24 @@ def test_switching_budget_zero_reduces_to_plain_model(tri3_tight, c4_low):
             case, branches=tuple(dataclasses.replace(k, reconfigurable=False)
                                  for k in case.branches))
         sens = build_sensitivities(pinned_case)
-        plain = solve_model(build_extensive_scuc(pinned_case, sens))
-        pinned = solve_model(build_extensive_scuc_cnr(pinned_case, sens))
-        assert not any(name.startswith("z[") for name in pinned.values)
+        plain, _ = extensive(build_extensive_scuc, pinned_case, sens)
+        pinned, switches = extensive(build_extensive_scuc_cnr, pinned_case, sens)
+        assert not any(switches.values())
         assert pinned.objective == pytest.approx(plain.objective, rel=1e-6)
 
 
 def test_switching_budget_one_is_a_relaxation(c4_low):
     sens = build_sensitivities(c4_low)
-    plain = solve_model(build_extensive_scuc(c4_low, sens))
-    cnr = solve_model(build_extensive_scuc_cnr(c4_low, sens))
+    plain, _ = extensive(build_extensive_scuc, c4_low, sens)
+    cnr, _ = extensive(build_extensive_scuc_cnr, c4_low, sens)
     assert cnr.objective <= plain.objective + 1e-6
 
 
 def test_switching_rescues_an_insecure_system(c4_high):
     sens = build_sensitivities(c4_high)
-    assert solve_milp(build_extensive_scuc(c4_high, sens)).status == "infeasible"
-    cnr = solve_model(build_extensive_scuc_cnr(c4_high, sens))
-    assert cnr.status == "optimal"
-    plan = extract_switching_plan(c4_high, sens, cnr)
+    assert solve_milp(build_extensive_scuc(c4_high, sens)[0]).status == "infeasible"
+    cnr, switches = extensive(build_extensive_scuc_cnr, c4_high, sens)
+    plan = extract_switching_plan(switches, cnr)
     assert any(c == 3 for (c, t) in plan)  # losing the direct line needs a switch
 
 
@@ -208,30 +228,20 @@ def test_relaxation_chain(tri3, tri3_tight, star, c4_low):
     for case in (tri3, tri3_tight, star, c4_low):
         sens = build_sensitivities(case)
         muc = solve_model(build_muc(case, sens)).objective
-        cnr = solve_model(build_extensive_scuc_cnr(case, sens)).objective
-        scuc = solve_model(build_extensive_scuc(case, sens)).objective
+        cnr = extensive(build_extensive_scuc_cnr, case, sens)[0].objective
+        scuc = extensive(build_extensive_scuc, case, sens)[0].objective
         slack = 1e-6 * max(1.0, abs(scuc))
         assert muc <= cnr + slack
         assert cnr <= scuc + slack
 
 
 def test_binaries_are_integral(c4_low):
-    res = solve_model(build_muc(c4_low, build_sensitivities(c4_low)))
-    for name, val in res.values.items():
-        if name.startswith(("u[", "v[")):
-            assert min(abs(val), abs(val - 1.0)) <= 1e-6
-
-
-def test_long_term_switched_rating_is_tighter(c4_low):
-    sens = build_sensitivities(c4_low)
-    emergency = solve_model(build_extensive_scuc_cnr(
-        c4_low, sens, switched_rating="emergency")).objective
-    printed = solve_milp(build_extensive_scuc_cnr(
-        c4_low, sens, switched_rating="long_term"))
-    if printed.status == "optimal":
-        assert printed.objective >= emergency - 1e-6
-    else:
-        assert printed.status == "infeasible"
+    lp = build_muc(c4_low, build_sensitivities(c4_low))
+    res = solve_model(lp)
+    u, v, _, _ = base_columns(c4_low)
+    binary = np.concatenate((u.ravel(), v.ravel()))
+    assert np.flatnonzero(lp.integrality).tolist() == sorted(binary.tolist())
+    assert np.abs(res.x[binary] - np.round(res.x[binary])).max() <= 1e-6
 
 
 # --- feasibility cuts --------------------------------------------------------
@@ -261,24 +271,29 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
     c, t = out.contingency, out.period
     cut = out.cut
     sens = build_sensitivities(c4_low)
+    u, _, p, _ = base_columns(c4_low)
+    g2 = c4_low.generator_index[2]
+    lp = build_muc(c4_low, sens)
 
     rng = np.random.default_rng(11)
     checked_feasible = 0
     trials = 0
     while checked_feasible < 20 and trials < 200:
         trials += 1
-        model = build_muc(c4_low, sens)
         # pin a random commitment pattern and a random dispatch floor to
         # scatter master points across the feasible region
-        for g in c4_low.generators:
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        for gi, g in enumerate(c4_low.generators):
             for tt in c4_low.periods:
                 must_run = g.initial_status or rng.random() < 0.7
-                model.add_constraint(f"pin_u[{g.id},{tt}]",
-                                     {f"u[{g.id},{tt}]": 1.0}, "==",
-                                     1.0 if must_run else 0.0)
+                lb[u[gi, tt - 1]] = ub[u[gi, tt - 1]] = 1.0 if must_run else 0.0
         floor = float(rng.uniform(0.0, 40.0))
-        model.add_constraint("push", {f"p[2,{t}]": 1.0, f"u[2,{t}]": -floor}, ">=", 0.0)
-        res = solve_milp(model, gap=GAP)
+        push = np.zeros((1, len(lp.cost)))
+        push[0, p[g2, t - 1]], push[0, u[g2, t - 1]] = 1.0, -floor
+        res = solve_milp(dataclasses.replace(
+            lp, lb=lb, ub=ub, a=sp.vstack((lp.a, push), format="csr"),
+            row_lower=np.append(lp.row_lower, 0.0), row_upper=np.append(lp.row_upper, INF)),
+            gap=GAP)
         if res.status != "optimal":
             continue
         point = extract_solution(c4_low, sens, res)
@@ -297,10 +312,12 @@ def test_cut_touches_only_its_own_period():
     cut = out.cut
     assert out.period == 2
     muc = build_muc(case, build_sensitivities(case), [cut])
-    # the cut row may only reference period-2 variables
-    row = muc._rows[muc._row_index["cut[0]"]]
-    names = [muc.variable_names[i] for i in row.terms]
-    assert all(name.endswith(f",{out.period}]") for name in names)
+    # the cut row, the last one, may only touch period-2 u and p columns
+    u, _, p, _ = base_columns(case)
+    touched = muc.a.tocsr()[-1].indices
+    assert len(touched) > 0
+    own = u[:, out.period - 1].tolist() + p[:, out.period - 1].tolist()
+    assert set(touched.tolist()) <= set(own)
 
 
 def test_adding_cut_changes_next_master(c4_low):

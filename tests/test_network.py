@@ -206,44 +206,45 @@ def test_lodf_matches_outaged_dc_resolve(builder):
 # --- CBCE ranking ----------------------------------------------------------
 
 def test_triangle_cbce_all_adjacent_ordered_by_id(tri3):
-    assert rank_cbce(tri3, 1) == [2, 3]
-    assert rank_cbce(tri3, 2) == [1, 3]
+    ranked = rank_cbce(tri3)
+    assert ranked[1] == (2, 3)
+    assert ranked[2] == (1, 3)
 
 
 def test_cbce_size_zero_is_empty(tri3):
-    assert rank_cbce(tri3, 1, size=0) == []
+    assert rank_cbce(tri3, size=0) == {1: (), 2: (), 3: ()}
 
 
 def test_corridor_ranks_companion_leg_first(c4_high):
-    ranked = rank_cbce(c4_high, 3)
-    assert ranked[0] == 2
-    assert ranked == [2, 4, 5, 6]
+    ranked = rank_cbce(c4_high)
+    assert ranked[3][0] == 2
+    assert ranked[3] == (2, 4, 5, 6)
     # contingency on the 1-2 leg: its id-0 peers come first, distant line last
-    assert rank_cbce(c4_high, 2) == [3, 4, 5, 6]
+    assert ranked[2] == (3, 4, 5, 6)
 
 
 def test_cbce_excludes_bridges_and_self(tri3):
     spur = Branch(9, 3, 4, susceptance=5.0, rate_long_term=50.0, rate_emergency=60.0)
     case = dataclasses.replace(
         tri3, buses=tri3.buses + (Bus(4, (0.0,)),), branches=tri3.branches + (spur,))
-    ranked = rank_cbce(case, 3)
-    assert 9 not in ranked
-    assert 3 not in ranked
-    assert len(ranked) <= 20
+    ranked = rank_cbce(case)
+    assert sorted(ranked) == [1, 2, 3]
+    assert 9 not in ranked[3]
+    assert 3 not in ranked[3]
+    assert len(ranked[3]) <= 20
 
 
 def test_cbce_rejects_bridge_contingency(star):
-    with pytest.raises(ValueError):
-        rank_cbce(star, 1)
+    # every branch of a star is a bridge, so none is a contingency
+    assert rank_cbce(star) == {}
 
 
 def test_truncation_and_tiebreak():
     # ring of 6 buses: distances from branch (1,2) differ by hops
     pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]
     case = minimal_case([1, 2, 3, 4, 5, 6], pairs)
-    ranked = rank_cbce(case, 1, size=3)
-    assert ranked == [2, 6, 3]  # scores 0, 0, 1 -> ids break the tie
-    assert len(rank_cbce(case, 1, size=2)) == 2
+    assert rank_cbce(case, size=3)[1] == (2, 6, 3)  # scores 0, 0, 1 -> ids break the tie
+    assert len(rank_cbce(case, size=2)[1]) == 2
 
 
 # --- bundle ----------------------------------------------------------------

@@ -5,9 +5,8 @@ import pytest
 
 from conftest import fixture_family
 from scucnr.backend import solve_milp
-from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
-                             random_case, triangle3)
-from scucnr.formulations import build_extensive_scuc_cnr, build_muc
+from scucnr.fixtures import corridor4_high, corridor4_low, corridor4_stranded, random_case
+from scucnr.formulations import build_muc
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, solve, verify_solution)
 from scucnr.subproblems import solve_nr_pcfc, solve_pcfc
@@ -257,12 +256,6 @@ def test_invalid_options_rejected():
         SolveOptions(cbce_size=-1)
     with pytest.raises(ValueError):
         SolveOptions(workers=0)
-    # every method rejects an unknown rating, not only the extensive one
-    with pytest.raises(ValueError, match="switched_rating"):
-        SolveOptions(method="td_scuc_cnr", switched_rating="bogus")
-    with pytest.raises(ValueError, match="switched_rating"):
-        build_extensive_scuc_cnr(triangle3(), build_sensitivities(triangle3()),
-                                 switched_rating="bogus")
     with pytest.raises(ValueError, match="time_limit"):
         SolveOptions(time_limit=0.0)
     assert SolveOptions(time_limit=1.5).time_limit == 1.5
