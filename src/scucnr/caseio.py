@@ -347,7 +347,8 @@ def write_report(report: RunReport, schedule: MucSolution | None,
 def check_solution_fits(case: SystemCase, schedule: MucSolution, path: str | Path) -> None:
     """Raise CaseFormatError at the first way the schedule read from ``path``
     does not fit ``case``: generator, branch and bus ids in the case's order,
-    every array shaped (entities x horizon), 0/1 commitment and start-up."""
+    every array shaped (entities x horizon) and finite, 0/1 commitment and
+    start-up."""
     for key, entities in (("generator_ids", case.generators),
                           ("branch_ids", case.branches), ("bus_ids", case.buses)):
         ids = getattr(schedule, key)
@@ -362,6 +363,11 @@ def check_solution_fits(case: SystemCase, schedule: MucSolution, path: str | Pat
         if arr.shape != shape:
             raise CaseFormatError(f"{path}: solution.{key} has shape {arr.shape}, "
                                   f"expected {shape} ({entity}s x horizon)")
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            i, t = bad[0]
+            raise CaseFormatError(f"{path}: solution.{key}[{i}][{t}] is {arr[i, t]}, "
+                                  "expected a finite number")
     for key in ("u", "v"):
         arr = getattr(schedule, key)
         bad = np.argwhere((arr != 0) & (arr != 1))

@@ -118,10 +118,10 @@ def _cmd_verify(args) -> int:
         # the method decides whether the audit may rescue a pair by switching
         raise CaseFormatError(f"{args.result}: report names no known method "
                               f"(got {method!r}; expected one of {METHODS})")
-    pseudo = ScheduleResult(method=method,
-                            status="converged", converged=True, schedule=schedule,
-                            iterations=int(doc.get("iterations", 1)), cuts=(),
-                            switches={}, unresolved=(), report=None)
+    # the audit reads only the method and the schedule
+    pseudo = ScheduleResult(method=method, status="converged", converged=True,
+                            schedule=schedule, iterations=1, cuts=(), switches={},
+                            unresolved=(), report=None)
     audit = verify_solution(case, pseudo, slack_tolerance=args.slack_tol)
     if audit.secure:
         print(f"secure: {audit.pairs_checked} post-contingency states verified")

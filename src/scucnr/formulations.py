@@ -27,7 +27,7 @@ from .backend import INF, LinearProgram, SolveResult, SolverError
 from .model import (FeasibilityCut, MucSolution, SystemCase,
                     solution_invariant_violations)
 from .network import NetworkSensitivities, bus_angles, compute_lodf
-from .subproblems import post_outage_flows
+from .subproblems import post_outage_flows, switch_candidates
 
 INTEGRALITY_TOL = 1e-5
 
@@ -230,15 +230,15 @@ def _add_post_outage_state(prob: _Problem, case: SystemCase, c: int, t: int,
 
 
 def _build_extensive(name: str, case: SystemCase, sens: NetworkSensitivities,
-                     reconfigurable: frozenset[int]) -> tuple[LinearProgram, SwitchColumns]:
+                     switching: bool) -> tuple[LinearProgram, SwitchColumns]:
     prob = _Problem()
     _add_base_model(prob, case, sens)
     rate = np.array([k.rate_emergency for k in case.branches])
     switches: SwitchColumns = {}
     for c in sens.contingencies:
         ptdf = sens.outage_ptdf((c,))
-        switchable = tuple(j for j in sorted(reconfigurable - {c})
-                           if not sens.islands((c, j)))
+        switchable = (tuple(switch_candidates(case, sens, c, enumerate_all=True))
+                      if switching else ())
         positions = [case.branch_index[j] for j in switchable]
         lodf = compute_lodf(case, ptdf, frozenset(switchable))[:, positions]
         for t in case.periods:
@@ -256,7 +256,7 @@ def build_extensive_scuc(case: SystemCase,
     the post-outage PTDF the feasibility LP uses.  No line is switchable,
     so every state's switch map is empty.
     """
-    return _build_extensive("extensive_scuc", case, sens, frozenset())
+    return _build_extensive("extensive_scuc", case, sens, False)
 
 
 def build_extensive_scuc_cnr(case: SystemCase,
@@ -264,10 +264,11 @@ def build_extensive_scuc_cnr(case: SystemCase,
     """Co-optimized model where each post-outage state may also open one line.
 
     A line ``j`` is switchable after outage ``c`` exactly when
-    ``find_corrective_switch`` would try it: reconfigurable, non-radial,
-    not ``c``, and not islanding together with ``c``.  It gets a binary
-    ``z`` (1 keeps it in service) and a flow-cancelling transaction ``w``
-    (Ruiz, Foster, Rudkevich & Caramanis, IEEE TPWRS 2012):
+    ``switch_candidates`` yields it, the rule the switch search uses:
+    reconfigurable, non-radial, not ``c``, and not islanding together with
+    ``c``.  It gets a binary ``z`` (1 keeps it in service) and a
+    flow-cancelling transaction ``w`` (Ruiz, Foster, Rudkevich & Caramanis,
+    IEEE TPWRS 2012):
     ``|w| <= M (1 - z)`` and ``|w - f_j| <= M z``, where ``f_j`` is the
     post-outage flow on ``j`` before switching.  Every branch carries its
     post-outage flow plus ``LODF_c[k, j] w``, with ``LODF_c`` the LODFs of
@@ -281,9 +282,7 @@ def build_extensive_scuc_cnr(case: SystemCase,
     ``|f_j|`` at every redispatch ``0 <= pc <= p_max``, so the big-M rows
     never cut off a feasible point.
     """
-    return _build_extensive("extensive_scuc_cnr", case, sens,
-                            frozenset(k.id for k in case.branches if k.reconfigurable)
-                            & sens.non_radial)
+    return _build_extensive("extensive_scuc_cnr", case, sens, True)
 
 
 def extract_solution(case: SystemCase, sens: NetworkSensitivities,

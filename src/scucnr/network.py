@@ -160,14 +160,12 @@ def rank_cbce(case: SystemCase, size: int = DEFAULT_CBCE_SIZE,
 class NetworkSensitivities:
     """Precomputed topology/sensitivity bundle, shared read-only by workers."""
 
-    bus_ids: tuple[int, ...]
     branch_ids: tuple[int, ...]
     bridges: frozenset[int]
     non_radial: frozenset[int]
     ptdf: np.ndarray
     lodf: np.ndarray
     cbce: dict[int, tuple[int, ...]]
-    cbce_size: int
 
     def __post_init__(self):
         self.ptdf.setflags(write=False)
@@ -218,12 +216,10 @@ def build_sensitivities(case: SystemCase, cbce_size: int = DEFAULT_CBCE_SIZE) ->
     lodf = compute_lodf(case, ptdf, non_radial)
     cbce = rank_cbce(case, cbce_size, bridges)
     return NetworkSensitivities(
-        bus_ids=tuple(b.id for b in case.buses),
         branch_ids=tuple(k.id for k in case.branches),
         bridges=bridges,
         non_radial=non_radial,
         ptdf=ptdf,
         lodf=lodf,
         cbce=cbce,
-        cbce_size=cbce_size,
     )

@@ -1,11 +1,15 @@
 """Solution drivers: extensive solves and the decomposed master/slave loops.
 
-The decomposed loop alternates a master commitment solve with per-outage
-feasibility checks.  Plain security methods cut on every unsurvivable
-outage; reconfiguration methods first search for a single corrective switch
-and cut only when the search fails.  Accelerated variants screen the
-candidate set with distribution factors before solving any LP.  The loop
-converges when an iteration adds no cuts.
+The decomposed loop alternates a master commitment solve with one recourse
+decision per (outage, period) pair: screened out, feasible, rescued by a
+corrective switch, or cut.  Plain security methods cut on every
+unsurvivable outage; reconfiguration methods first search for a single
+corrective switch and cut only when the search fails.  Accelerated variants
+screen the candidate set with distribution factors before solving any LP.
+The loop converges when an iteration adds no cuts.  One routine,
+``_examine_pair``, decides every examined pair, for the loop and for
+``verify_solution`` alike; each iteration's counts and the run's switches,
+unresolved pairs and cuts are read off its outcomes.
 """
 
 from __future__ import annotations
@@ -101,31 +105,41 @@ class VerificationReport:
         return not self.violations
 
 
-class _Timings:
-    def __init__(self):
-        self.values: dict[str, float] = {"master": 0.0, "screening": 0.0,
-                                         "pcfc": 0.0, "nr_pcfc": 0.0, "total": 0.0}
+def _finish(method: str, status: str, schedule: MucSolution | None, iterations: int,
+            timings: dict[str, float], start: float, *, outcomes=(), log=(), cuts=(),
+            switches: dict[tuple[int, int], int] | None = None) -> ScheduleResult:
+    """Report and result of a run, built once for both solve paths and every end state.
 
-    def add(self, phase: str, dt: float):
-        self.values[phase] = self.values.get(phase, 0.0) + dt
+    ``switches`` defaults to the pairs the outcomes rescue by switching."""
+    timings["total"] = time.perf_counter() - start
+    outcomes = sorted(outcomes, key=lambda o: (o.period, o.contingency))
+    if switches is None:
+        switches = {(o.contingency, o.period): o.switch for o in outcomes
+                    if o.status == "feasible_via_switch"}
+    unresolved = tuple(sorted((o.contingency, o.period) for o in outcomes
+                              if o.status == "infeasible"))
+    converged = status == "converged"
+    report = RunReport(
+        method=method, status=status, converged=converged,
+        objective=schedule.objective if converged else None,
+        iterations=iterations, iteration_log=list(log), subproblems=outcomes,
+        switches=[(c, t, j) for (c, t), j in sorted(switches.items())],
+        unresolved=list(unresolved), cuts_total=len(cuts), timings=timings)
+    return ScheduleResult(method=method, status=status, converged=converged,
+                          schedule=schedule, iterations=iterations, cuts=tuple(cuts),
+                          switches=dict(switches), unresolved=unresolved, report=report)
 
 
 def _solve_extensive(case: SystemCase, options: SolveOptions,
-                     sens: NetworkSensitivities, timings: _Timings) -> ScheduleResult:
-    t0 = time.perf_counter()
+                     sens: NetworkSensitivities, timings: dict[str, float]) -> ScheduleResult:
+    start = time.perf_counter()
     build = (build_extensive_scuc if options.method == "extensive_scuc"
              else build_extensive_scuc_cnr)
     lp, switch_columns = build(case, sens)
     result = solve_milp(lp, gap=options.milp_gap, time_limit=options.time_limit)
-    timings.add("master", time.perf_counter() - t0)
-    timings.add("total", time.perf_counter() - t0)
-
+    timings["master"] += time.perf_counter() - start
     if result.status == "infeasible":
-        report = RunReport(method=options.method, status="infeasible", converged=False,
-                           objective=None, iterations=1, timings=timings.values)
-        return ScheduleResult(method=options.method, status="infeasible",
-                              converged=False, schedule=None, iterations=1,
-                              cuts=(), switches={}, unresolved=(), report=report)
+        return _finish(options.method, "infeasible", None, 1, timings, start)
     if result.status != "optimal":
         raise SolverError(f"extensive solve ended with status {result.status}")
 
@@ -135,37 +149,27 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
     switches = {(c, t): j for (c, t), j in extract_switching_plan(switch_columns, result).items()
                 if solve_pcfc(case, sens, schedule, c, t,
                               options.slack_tolerance).status == "infeasible"}
-    report = RunReport(method=options.method, status="converged", converged=True,
-                       objective=schedule.objective, iterations=1,
-                       switches=[(c, t, j) for (c, t), j in sorted(switches.items())],
-                       timings=timings.values)
-    return ScheduleResult(method=options.method, status="converged", converged=True,
-                          schedule=schedule, iterations=1, cuts=(),
-                          switches=switches, unresolved=(), report=report)
+    return _finish(options.method, "converged", schedule, 1, timings, start,
+                   switches=switches)
 
 
-def _examine_pair(case, sens, muc, c, t, options, counters: Counter) -> SubproblemOutcome:
-    """PCFC one pair; for reconfiguration methods, chase a switch on failure.
+def _examine_pair(case, sens, muc, c, t, slack_tolerance: float, switching: bool,
+                  enumerate_all: bool, counters: Counter) -> SubproblemOutcome:
+    """PCFC one pair; with ``switching``, chase a switch on failure.
 
     The outcome is infeasible, and carries its cut, only when the pair ends
     up with no feasible recourse.
     """
-    outcome = solve_pcfc(case, sens, muc, c, t, options.slack_tolerance)
-    counters["pcfc_solved"] += 1
+    outcome = solve_pcfc(case, sens, muc, c, t, slack_tolerance)
     if outcome.status == "feasible":
         return outcome
-    counters["pcfc_infeasible"] += 1
-    if options.uses_cnr:
+    if switching:
         t0 = time.perf_counter()
-        found = find_corrective_switch(
-            case, sens, muc, c, t,
-            slack_tolerance=options.slack_tolerance,
-            enumerate_all=options.enumerate_reconfigurable,
-            counters=counters)
+        found = find_corrective_switch(case, sens, muc, c, t, slack_tolerance=slack_tolerance,
+                                       enumerate_all=enumerate_all, counters=counters)
         counters["nr_seconds"] += time.perf_counter() - t0
         if found is not None:
             j, s2 = found
-            counters["switches_found"] += 1
             return SubproblemOutcome(contingency=c, period=t, slack=s2,
                                      status="feasible_via_switch", switch=j)
     # the cut is the subproblem's dual objective: at the schedule that
@@ -176,131 +180,100 @@ def _examine_pair(case, sens, muc, c, t, options, counters: Counter) -> Subprobl
     return outcome
 
 
+def _examine(case, sens, muc, pairs, slack_tolerance: float, switching: bool,
+             enumerate_all: bool, workers: int) -> tuple[list[SubproblemOutcome], Counter]:
+    """``_examine_pair`` over ``pairs`` in (period, contingency) order.
+
+    Returns the outcomes in that order and the merged counters.  Each task
+    gets its own counters, merged after the barrier, so worker threads
+    share only immutable inputs.
+    """
+    def examine(pair):
+        local = Counter()
+        return _examine_pair(case, sens, muc, *pair, slack_tolerance, switching,
+                             enumerate_all, local), local
+
+    ordered = sorted(pairs, key=lambda ct: (ct[1], ct[0]))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            examined = list(pool.map(examine, ordered))
+    else:
+        examined = list(map(examine, ordered))
+    counters = Counter()
+    for _, local in examined:
+        counters.update(local)
+    return [out for out, _ in examined], counters
+
+
 def _solve_decomposed(case: SystemCase, options: SolveOptions,
-                      sens: NetworkSensitivities, timings: _Timings) -> ScheduleResult:
+                      sens: NetworkSensitivities, timings: dict[str, float]) -> ScheduleResult:
     start = time.perf_counter()
     all_pairs = [(c, t) for t in case.periods for c in sens.contingencies]
     cuts: list[FeasibilityCut] = []
     log: list[IterationStats] = []
-    schedule: MucSolution | None = None
-    outcomes: dict[tuple[int, int], SubproblemOutcome] = {}
     status = "iteration_limit"
-    iterations = 0
-    switches: dict[tuple[int, int], int] = {}
-    unresolved: tuple[tuple[int, int], ...] = ()
 
     for iteration in range(1, options.max_iterations + 1):
-        iterations = iteration
         t0 = time.perf_counter()
         master = build_muc(case, sens, cuts)
         result = solve_milp(master, gap=options.milp_gap, time_limit=options.time_limit)
-        timings.add("master", time.perf_counter() - t0)
+        timings["master"] += time.perf_counter() - t0
         if result.status == "infeasible":
-            status = "infeasible"
-            schedule = None
-            outcomes = {}
-            switches = {}
+            status, schedule, outcomes = "infeasible", None, []
             break
         if result.status != "optimal":
             raise SolverError(f"master solve ended with status {result.status}")
         schedule = extract_solution(case, sens, result)
 
-        outcomes = {}
+        outcomes = []
+        candidates = all_pairs
         audit_max: float | None = None
         if options.accelerated:
             t0 = time.perf_counter()
-            screen = run_csps(case, sens, schedule, all_pairs)
-            timings.add("screening", time.perf_counter() - t0)
-            candidates = list(screen.critical)
+            candidates = run_csps(case, sens, schedule, all_pairs).critical
+            timings["screening"] += time.perf_counter() - t0
             critical = set(candidates)
-            screened_out = [pair for pair in all_pairs if pair not in critical]
-            for c, t in screened_out:
-                outcomes[(c, t)] = SubproblemOutcome(
-                    contingency=c, period=t, status="screened_out", slack=0.0)
+            outcomes = [SubproblemOutcome(contingency=c, period=t, status="screened_out", slack=0.0)
+                        for c, t in all_pairs if (c, t) not in critical]
             if options.audit_screening:
                 audit_max = 0.0
-                for c, t in screened_out:
-                    check = solve_pcfc(case, sens, schedule, c, t, options.slack_tolerance)
+                for out in outcomes:
+                    check = solve_pcfc(case, sens, schedule, out.contingency, out.period,
+                                       options.slack_tolerance)
                     audit_max = max(audit_max, check.slack)
                     if check.slack > options.slack_tolerance:
-                        raise SolverError(
-                            f"screen dropped ({c},{t}) but its slack is {check.slack}")
-        else:
-            candidates = list(all_pairs)
-
-        # each task gets its own counters, merged after the barrier, so
-        # worker threads share only immutable inputs
-        def examine(pair):
-            local = Counter()
-            out = _examine_pair(case, sens, schedule, pair[0], pair[1], options, local)
-            return pair, out, local
+                        raise SolverError(f"screen dropped ({out.contingency},{out.period}) "
+                                          f"but its slack is {check.slack}")
 
         t0 = time.perf_counter()
-        ordered = sorted(candidates, key=lambda ct: (ct[1], ct[0]))
-        if options.workers > 1:
-            with ThreadPoolExecutor(max_workers=options.workers) as pool:
-                examined = list(pool.map(examine, ordered))
-        else:
-            examined = list(map(examine, ordered))
-        counters = Counter()
-        for *_, local in examined:
-            counters.update(local)
-        examine_seconds = time.perf_counter() - t0
-        timings.add("nr_pcfc", counters["nr_seconds"])
-        timings.add("pcfc", max(examine_seconds - counters["nr_seconds"], 0.0))
+        examined, counters = _examine(case, sens, schedule, candidates, options.slack_tolerance,
+                                      options.uses_cnr, options.enumerate_reconfigurable,
+                                      options.workers)
+        timings["pcfc"] += max(time.perf_counter() - t0 - counters["nr_seconds"], 0.0)
+        timings["nr_pcfc"] += counters["nr_seconds"]
 
-        new_cuts: list[FeasibilityCut] = []
-        switches = {}
-        for pair, out, _ in examined:
-            outcomes[pair] = out
-            if out.status == "feasible_via_switch":
-                switches[pair] = out.switch
-            if out.status == "infeasible":
-                for old in cuts:
-                    if old.same_coefficients(out.cut):
-                        raise SolverError(
-                            f"duplicate cut generated for pair {pair}; "
-                            "the master should have excluded this point")
-                new_cuts.append(out.cut)
-
+        outcomes += examined
+        new_cuts = [out.cut for out in examined if out.status == "infeasible"]
+        for cut in new_cuts:
+            if any(old.same_coefficients(cut) for old in cuts):
+                raise SolverError(
+                    f"duplicate cut generated for pair {(cut.contingency, cut.period)}; "
+                    "the master should have excluded this point")
+        statuses = Counter(out.status for out in outcomes)
         log.append(IterationStats(
-            iteration=iteration,
-            muc_objective=schedule.objective,
-            candidates=len(all_pairs),
-            screened_out=len(all_pairs) - len(candidates),
-            pcfc_solved=counters["pcfc_solved"],
-            pcfc_infeasible=counters["pcfc_infeasible"],
+            iteration=iteration, muc_objective=schedule.objective, candidates=len(all_pairs),
+            screened_out=statuses["screened_out"], pcfc_solved=len(examined),
+            pcfc_infeasible=len(examined) - statuses["feasible"],
             nr_pcfc_solved=counters["nr_pcfc_solved"],
-            switches_found=counters["switches_found"],
-            cuts_added=len(new_cuts),
-            screen_audit_max_slack=audit_max,
-        ))
+            switches_found=statuses["feasible_via_switch"], cuts_added=statuses["infeasible"],
+            screen_audit_max_slack=audit_max))
         if not new_cuts:
             status = "converged"
             break
         cuts.extend(new_cuts)
 
-    unresolved = tuple(sorted(pair for pair, out in outcomes.items()
-                              if out.status == "infeasible"))
-    timings.add("total", time.perf_counter() - start)
-    converged = status == "converged"
-    report = RunReport(
-        method=options.method,
-        status=status,
-        converged=converged,
-        objective=schedule.objective if (schedule is not None and converged) else None,
-        iterations=iterations,
-        iteration_log=log,
-        subproblems=[outcomes[pair] for pair in sorted(outcomes, key=lambda ct: (ct[1], ct[0]))],
-        switches=[(c, t, j) for (c, t), j in sorted(switches.items())],
-        unresolved=list(unresolved),
-        cuts_total=len(cuts),
-        timings=timings.values,
-    )
-    return ScheduleResult(method=options.method, status=status, converged=converged,
-                          schedule=schedule, iterations=iterations,
-                          cuts=tuple(cuts), switches=dict(switches),
-                          unresolved=unresolved, report=report)
+    return _finish(options.method, status, schedule, iteration, timings, start,
+                   outcomes=outcomes, log=log, cuts=cuts)
 
 
 def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResult:
@@ -310,7 +283,7 @@ def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResu
     if violations:
         raise ValueError("case failed validation: "
                          + "; ".join(str(v) for v in violations))
-    timings = _Timings()
+    timings = dict.fromkeys(("master", "screening", "pcfc", "nr_pcfc", "total"), 0.0)
     sens = build_sensitivities(case, options.cbce_size)
     if options.method in ("extensive_scuc", "extensive_scuc_cnr"):
         return _solve_extensive(case, options, sens, timings)
@@ -321,9 +294,9 @@ def verify_solution(case: SystemCase, result: ScheduleResult,
                     slack_tolerance: float = SLACK_TOLERANCE) -> VerificationReport:
     """Audit a schedule against every non-radial outage in every period.
 
-    Ignores whatever screening or search the producing run did: each pair
-    gets a fresh feasibility LP, and for reconfiguration methods a failed
-    pair is retried against the full reconfigurable set.  An empty
+    Ignores whatever screening or search the producing run did: every pair
+    goes through the loop's pair routine, and for reconfiguration methods a
+    failed pair is retried against the full reconfigurable set.  An empty
     violations list means the schedule is N-1 secure (with single-switch
     recourse where the method allows it).
     """
@@ -332,19 +305,9 @@ def verify_solution(case: SystemCase, result: ScheduleResult,
         raise ValueError("result carries no schedule to verify")
     # the audit enumerates every switch, so it needs no ranked candidate list
     sens = build_sensitivities(case, cbce_size=0)
-    allow_switching = result.method in _CNR_METHODS
-    violations: list[tuple[int, int, float]] = []
-    checked = 0
-    for t in case.periods:
-        for c in sens.contingencies:
-            checked += 1
-            out = solve_pcfc(case, sens, result.schedule, c, t, slack_tolerance)
-            if out.status == "feasible":
-                continue
-            if allow_switching and find_corrective_switch(
-                    case, sens, result.schedule, c, t,
-                    slack_tolerance=slack_tolerance, enumerate_all=True) is not None:
-                continue
-            violations.append((c, t, out.slack))
-    return VerificationReport(method=result.method, pairs_checked=checked,
-                              violations=tuple(violations))
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    outcomes, _ = _examine(case, sens, result.schedule, pairs, slack_tolerance,
+                           result.method in _CNR_METHODS, True, workers=1)
+    return VerificationReport(method=result.method, pairs_checked=len(pairs),
+                              violations=tuple((o.contingency, o.period, o.slack)
+                                               for o in outcomes if o.status == "infeasible"))

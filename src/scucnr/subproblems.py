@@ -202,6 +202,24 @@ def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution
                              status="infeasible")
 
 
+def switch_candidates(case: SystemCase, sens: NetworkSensitivities, c: int,
+                      enumerate_all: bool = False):
+    """Lines that may open after outage ``c``, in the order they are tried.
+
+    Walks the ranked closest-branches list of ``c`` (or, with
+    ``enumerate_all``, every non-radial branch in id order) and yields each
+    line that is reconfigurable, non-radial, not ``c``, and does not island
+    a bus together with ``c`` by the LODF block test.  The ranked list is
+    truncated before it is filtered.  Lazy, so a search that stops at its
+    first rescue tests no later candidate.
+    """
+    ordered = sorted(sens.non_radial) if enumerate_all else sens.cbce.get(c, ())
+    for j in ordered:
+        if (j != c and j in sens.non_radial and case.branch(j).reconfigurable
+                and not sens.islands((c, j))):
+            yield j
+
+
 def find_corrective_switch(case: SystemCase, sens: NetworkSensitivities,
                            muc: MucSolution, c: int, t: int,
                            slack_tolerance: float = SLACK_TOLERANCE,
@@ -209,23 +227,12 @@ def find_corrective_switch(case: SystemCase, sens: NetworkSensitivities,
                            counters: dict | None = None) -> tuple[int, float] | None:
     """First switching candidate that makes the outage survivable, if any.
 
-    Candidates come from the ranked closest-branches list (or, with
-    ``enumerate_all``, the full reconfigurable set in id order, as the audit
-    uses it) and are tried one at a time; candidates that are not
-    reconfigurable, or whose opening together with ``c`` islands a bus by
-    the LODF block test, are skipped without an LP solve.  Returns
-    ``(branch, slack)`` for the first feasible candidate, or None when the
-    list is exhausted.
+    Candidates come from ``switch_candidates`` (the ranked list, or with
+    ``enumerate_all`` the full reconfigurable set, as the audit uses it)
+    and are tried one at a time.  Returns ``(branch, slack)`` for the first
+    feasible candidate, or None when the list is exhausted.
     """
-    reconfigurable = frozenset(
-        k.id for k in case.branches if k.reconfigurable) & sens.non_radial
-    if enumerate_all:
-        candidates = sorted(reconfigurable - {c})
-    else:
-        candidates = sens.cbce.get(c, ())
-    for j in candidates:
-        if j not in reconfigurable or sens.islands((c, j)):
-            continue
+    for j in switch_candidates(case, sens, c, enumerate_all):
         outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance)
         if counters is not None:
             counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1

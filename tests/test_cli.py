@@ -122,6 +122,22 @@ def test_verify_rejects_report_without_method(tri3_file, tmp_path, capsys):
     assert "no known method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iterations", [None, "x"])
+def test_verify_ignores_the_iterations_field(iterations, hi_file, tmp_path, capsys):
+    # the audit needs only the method and the schedule
+    out = tmp_path / "runs"
+    assert main(["solve", "--case", str(hi_file), "--method", "ad_scuc_cnr",
+                 "--out", str(out)]) == 0
+    report_path = out / "report.json"
+    doc = json.loads(report_path.read_text())
+    doc["iterations"] = iterations
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", "--case", str(hi_file), "--result", str(report_path)])
+    assert code == 0
+    assert "secure" in capsys.readouterr().out
+
+
 def test_usage_errors_exit_1(tri3_file, capsys):
     assert main(["solve", "--case", str(tri3_file)]) == 1          # missing --method
     assert main(["solve", "--case", str(tri3_file), "--method", "bogus"]) == 1
@@ -231,13 +247,19 @@ def _fractional_u(doc):
     return doc
 
 
+def _nan_p(doc):
+    doc["solution"]["p"][0][0] = float("nan")
+    return doc
+
+
 @pytest.mark.parametrize("tamper, message", [
     (lambda doc: [doc], "must be a JSON object"),
     (_truncated_p, "solution.p has shape (2, 1), expected (2, 2)"),
     (_ragged_p, "solution.p is missing or not a rectangular array"),
     (_wide_u, "solution.u has shape (3, 5), expected (2, 2)"),
     (_fractional_u, "solution.u[1][0]"),
-], ids=["array", "truncated_p", "ragged_p", "wide_u", "fractional_u"])
+    (_nan_p, "solution.p[0][0] is nan, expected a finite number"),
+], ids=["array", "truncated_p", "ragged_p", "wide_u", "fractional_u", "nan_p"])
 def test_verify_rejects_report_that_does_not_fit_case(tamper, message, tmp_path, capsys):
     case_file = tmp_path / "tri3_T2.json"
     write_case(triangle3((80.0, 60.0)), case_file)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import fixture_family
 from oracles import brute_force_commitment, net_injections, ptdf_pinv
 from scucnr.backend import INF, solve_milp
 from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
@@ -12,7 +13,7 @@ from scucnr.formulations import (base_columns, build_extensive_scuc,
                                  build_extensive_scuc_cnr, build_muc,
                                  extract_solution, extract_switching_plan)
 from scucnr.model import FeasibilityCut, validate_case
-from scucnr.network import build_sensitivities
+from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
 from scucnr.subproblems import solve_pcfc
 
@@ -222,6 +223,28 @@ def test_switching_rescues_an_insecure_system(c4_high):
     cnr, switches = extensive(build_extensive_scuc_cnr, c4_high, sens)
     plan = extract_switching_plan(switches, cnr)
     assert any(c == 3 for (c, t) in plan)  # losing the direct line needs a switch
+
+
+SWITCH_CASES = {**fixture_family(), "random_101_12_5_4": random_case(101, 12, 5, 4)}
+# no generated or fixture line is pinned, so pin every odd one of a copy
+SWITCH_CASES["random_101_12_5_4_pinned"] = dataclasses.replace(
+    SWITCH_CASES["random_101_12_5_4"],
+    branches=tuple(dataclasses.replace(k, reconfigurable=k.id % 2 == 0)
+                   for k in SWITCH_CASES["random_101_12_5_4"].branches))
+
+
+@pytest.mark.parametrize("name", sorted(SWITCH_CASES))
+def test_switchable_lines_are_the_connectivity_brute_force(name):
+    # after outage c, line j may open iff it is reconfigurable, is not c, and
+    # opening both keeps every bus connected
+    case = SWITCH_CASES[name]
+    sens = build_sensitivities(case)
+    _, switches = build_extensive_scuc_cnr(case, sens)
+    assert set(switches) == {(c, t) for c in sens.contingencies for t in case.periods}
+    for (c, t), z in switches.items():
+        expected = [k.id for k in sorted(case.branches, key=lambda k: k.id)
+                    if k.reconfigurable and k.id != c and check_connectivity(case, {c, k.id})]
+        assert list(z) == expected, (c, t)
 
 
 def test_relaxation_chain(tri3, tri3_tight, star, c4_low):

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -219,6 +220,22 @@ def test_worker_pool_matches_serial(c4_high, tri3_tight):
         assert serial.report.subproblems == parallel.report.subproblems
 
 
+@pytest.mark.parametrize("build, workers", [
+    (corridor4_high, 1), (lambda: random_case(9, 40, 12, 8), 2),
+], ids=["corridor4_high", "random_9_40_12_8"])
+def test_iteration_counts_are_read_off_the_pair_outcomes(build, workers):
+    res = solve(build(), SolveOptions(method="ad_scuc_cnr", workers=workers))
+    stats = res.report.iteration_log[-1]
+    statuses = Counter(o.status for o in res.report.subproblems)
+    assert stats.candidates == len(res.report.subproblems)
+    assert stats.screened_out == statuses["screened_out"]
+    assert stats.pcfc_solved == stats.candidates - statuses["screened_out"]
+    assert stats.pcfc_infeasible == statuses["feasible_via_switch"] + statuses["infeasible"]
+    assert stats.switches_found == statuses["feasible_via_switch"] == len(res.switches)
+    assert stats.cuts_added == statuses["infeasible"]
+    assert stats.nr_pcfc_solved >= stats.switches_found
+
+
 def test_repeat_runs_are_identical(c4_high):
     a = solve(c4_high, SolveOptions(method="ad_scuc_cnr"))
     b = solve(c4_high, SolveOptions(method="ad_scuc_cnr"))
@@ -235,6 +252,10 @@ def test_iteration_limit_reported(c4_high):
     assert res.iterations == 1
     assert res.unresolved  # the direct-line outage is still open
     assert res.report.status == "iteration_limit"
+    # the audit decides pairs through the loop's routine, so at the loop's
+    # last schedule it finds exactly the pairs the loop left open
+    audit = verify_solution(c4_high, res)
+    assert sorted((c, t) for c, t, _ in audit.violations) == list(res.unresolved)
 
 
 def test_enumerated_switches_replace_the_ranked_list(c4_high):

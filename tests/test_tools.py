@@ -47,10 +47,14 @@ def write_run(root, report, verify):
     (run / "verify.json").write_text(json.dumps(verify, indent=2, sort_keys=True) + "\n")
 
 
-def synthetic_report(p=80.0, objective=1000.0, iterations=2):
+def synthetic_report(p=80.0, objective=1000.0, iterations=2, nr_pcfc_solved=0):
     return {
         "status": "converged", "converged": True, "iterations": iterations,
         "cuts_total": 1, "objective": objective, "switches": [], "unresolved": [],
+        "iteration_log": [{"iteration": 1, "muc_objective": objective, "candidates": 1,
+                           "screened_out": 0, "pcfc_solved": 1, "pcfc_infeasible": 0,
+                           "nr_pcfc_solved": nr_pcfc_solved, "switches_found": 0,
+                           "cuts_added": 0}],
         "subproblems": [{"contingency": 2, "period": 1, "status": "feasible",
                          "slack": 0.0, "switch": None}],
         "solution": {"u": [[1]], "v": [[1]], "p": [[p]], "r": [[20.0]],
@@ -65,6 +69,7 @@ def test_compare_accepts_float_noise_and_rejects_a_changed_decision(tmp_path, ca
     write_run(tmp_path / "noise", synthetic_report(p=80.0 + 1e-12, objective=1000.0 + 1e-9),
               verify)
     write_run(tmp_path / "decided", synthetic_report(iterations=3), verify)
+    write_run(tmp_path / "counted", synthetic_report(nr_pcfc_solved=1), verify)
 
     assert ladder.main(["--compare", str(tmp_path / "parent"), str(tmp_path / "noise")]) == 0
     out = capsys.readouterr().out
@@ -76,3 +81,7 @@ def test_compare_accepts_float_noise_and_rejects_a_changed_decision(tmp_path, ca
     out = capsys.readouterr().out
     assert "case/td_scuc: decisions differ" in out
     assert "1 runs compared, 1 decide differently" in out
+
+    assert ladder.main(["--compare", str(tmp_path / "parent"), str(tmp_path / "counted")]) == 1
+    out = capsys.readouterr().out
+    assert "case/td_scuc: decisions differ" in out

@@ -15,8 +15,10 @@ one ``diff -r`` of their output directories.
 
 ``--compare`` checks two such directories against each other.  Every run
 must make the same decisions on both sides: status, ``converged``,
-iterations, ``cuts_total``, each pair's status and switch, the switch
-list, the unresolved pairs and the audit verdict in ``verify.json``.
+iterations, ``cuts_total``, each iteration's counts in ``iteration_log``
+(every field but ``muc_objective`` and ``screen_audit_max_slack``), each
+pair's status and switch, the switch list, the unresolved pairs and the
+audit verdict in ``verify.json``.
 Objectives must agree within ``REL_TOL`` relative.  Each run whose files
 differ in any byte is printed with the largest absolute difference of
 each ``solution`` array.  The exit status is 1 when some run decides
@@ -55,6 +57,9 @@ REL_TOL = 1e-4
 FILES = ("report.json", "schedule.csv", "verify.json")
 
 SOLUTION_ARRAYS = ("u", "v", "p", "r", "flow", "theta")
+
+# the floats of an iteration_log entry; every other field is a count
+ITERATION_FLOATS = ("muc_objective", "screen_audit_max_slack")
 
 # (seed, buses, generators, horizon), method, workers
 RANDOM_RUNS = (
@@ -116,6 +121,9 @@ def _decisions(run_dir: Path) -> dict:
     verify = _load(run_dir, "verify.json") or {}
     out = {key: report.get(key) for key in
            ("status", "converged", "iterations", "cuts_total", "switches", "unresolved")}
+    out["iteration_log"] = [{key: value for key, value in stats.items()
+                              if key not in ITERATION_FLOATS}
+                             for stats in report.get("iteration_log", [])]
     out["pairs"] = [(s["contingency"], s["period"], s["status"], s["switch"])
                     for s in report.get("subproblems", [])]
     out["audit"] = {**verify, "violations": [(c, t) for c, t, _ in verify.get("violations", [])]}
