@@ -12,7 +12,8 @@ from .network import (NetworkSensitivities, build_sensitivities,
                       check_connectivity, classify_radial, compute_lodf,
                       compute_ptdf, rank_cbce)
 from .orchestrator import (METHODS, ScheduleResult, SolveOptions,
-                           VerificationReport, solve, verify_solution)
+                           VerificationReport, solve, verify_schedule,
+                           verify_solution)
 from .subproblems import (ScreeningResult, find_corrective_switch, run_csps,
                           solve_nr_pcfc, solve_pcfc)
 
@@ -26,6 +27,6 @@ __all__ = [
     "build_sensitivities", "check_connectivity", "classify_radial",
     "compute_lodf", "compute_ptdf", "find_corrective_switch", "parse_case",
     "rank_cbce", "run_csps", "solve", "solve_lp", "solve_milp",
-    "solve_nr_pcfc", "solve_pcfc", "validate_case", "verify_solution",
+    "solve_nr_pcfc", "solve_pcfc", "validate_case", "verify_schedule", "verify_solution",
     "write_case", "write_report",
 ]

@@ -117,19 +117,19 @@ def _csc(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return start, rows, a[rows, cols]
 
 
-def _check_solution(lp: LinearProgram, x: np.ndarray, objective: float,
-                    row_value: np.ndarray) -> None:
-    """linprog's post-solve check: no NaN, bounds and rows hold to 10*sqrt(1e-9)."""
-    tol = _RESIDUAL_TOL
-    if np.isnan(x).any() or math.isnan(objective) or np.isnan(row_value).any():
-        problem = "holds NaN"
-    elif not np.all((x >= lp.lb - tol) & (x <= lp.ub + tol)):
-        problem = f"breaks a variable bound by more than {tol:.2e}"
-    elif not np.all((row_value >= lp.row_lower - tol) & (row_value <= lp.row_upper + tol)):
-        problem = f"breaks a row by more than {tol:.2e}"
-    else:
-        return
-    raise SolverError(f"HiGHS reported optimal on {lp.name!r}, but its solution {problem}")
+def violation(lp: LinearProgram, x: np.ndarray, tol: float) -> tuple[str, int, float] | None:
+    """The worst way ``x`` breaks ``lp`` by more than ``tol``, or None.
+
+    Column bounds come first, as ``("column", j, excess)``, then rows, as
+    ``("row", i, excess)``.  A NaN breaks its bound by infinity.
+    """
+    for kind, value, lower, upper in (("column", x, lp.lb, lp.ub),
+                                      ("row", lp.a @ x, lp.row_lower, lp.row_upper)):
+        excess = np.nan_to_num(np.maximum(lower - value, value - upper), nan=INF)
+        if excess.size and excess.max() > tol:
+            worst = int(excess.argmax())
+            return kind, worst, float(excess[worst])
+    return None
 
 
 def _run(lp: LinearProgram, options: dict):
@@ -137,7 +137,7 @@ def _run(lp: LinearProgram, options: dict):
 
     Returns the status, the engine, its info and its solution.  The solution
     is None unless the engine holds an answer: an optimum, which must pass
-    ``_check_solution``, or a MILP incumbent found before a limit.
+    linprog's residual check, or a MILP incumbent found before a limit.
     """
     n_col = lp.cost.shape[0]
     n_row = lp.row_lower.shape[0]
@@ -179,8 +179,10 @@ def _run(lp: LinearProgram, options: dict):
         return status, highs, info, None
     solution = highs.getSolution()
     if status == "optimal":
-        _check_solution(lp, np.array(solution.col_value), float(info.objective_function_value),
-                        np.array(solution.row_value))
+        broken = violation(lp, np.array(solution.col_value), _RESIDUAL_TOL)
+        if broken is not None or math.isnan(info.objective_function_value):
+            problem = "breaks {} {} by {:.2e}".format(*broken) if broken else "has a NaN objective"
+            raise SolverError(f"HiGHS reported optimal on {lp.name!r}, but its solution {problem}")
     return status, highs, info, solution
 
 

@@ -14,8 +14,7 @@ from .backend import SolverError
 from .caseio import (CaseFormatError, CaseIOError, check_solution_fits,
                      load_solution, parse_case, write_case, write_report)
 from .fixtures import random_case
-from .orchestrator import (METHODS, ScheduleResult, SolveOptions, check_tolerance,
-                           solve, verify_solution)
+from .orchestrator import METHODS, SolveOptions, check_tolerance, solve, verify_schedule
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -118,14 +117,12 @@ def _cmd_verify(args) -> int:
         # the method decides whether the audit may rescue a pair by switching
         raise CaseFormatError(f"{args.result}: report names no known method "
                               f"(got {method!r}; expected one of {METHODS})")
-    # the audit reads only the method and the schedule
-    pseudo = ScheduleResult(method=method, status="converged", converged=True,
-                            schedule=schedule, iterations=1, cuts=(), switches={},
-                            unresolved=(), report=None)
-    audit = verify_solution(case, pseudo, slack_tolerance=args.slack_tol)
+    audit = verify_schedule(case, method, schedule, slack_tolerance=args.slack_tol)
     if audit.secure:
         print(f"secure: {audit.pairs_checked} post-contingency states verified")
         return EXIT_OK
+    if audit.base_case is not None:
+        print(f"violation: base case: {audit.base_case}", file=sys.stderr)
     for c, t, slack in audit.violations:
         print(f"violation: contingency {c} period {t} slack {slack:.6f}",
               file=sys.stderr)

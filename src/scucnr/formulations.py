@@ -23,9 +23,8 @@ from collections.abc import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import INF, LinearProgram, SolveResult, SolverError
-from .model import (FeasibilityCut, MucSolution, SystemCase,
-                    solution_invariant_violations)
+from .backend import INF, LinearProgram, SolveResult, SolverError, violation
+from .model import FeasibilityCut, MucSolution, SystemCase
 from .network import NetworkSensitivities, bus_angles, compute_lodf
 from .subproblems import post_outage_flows, switch_candidates
 
@@ -285,37 +284,56 @@ def build_extensive_scuc_cnr(case: SystemCase,
     return _build_extensive("extensive_scuc_cnr", case, sens, True)
 
 
-def extract_solution(case: SystemCase, sens: NetworkSensitivities,
-                     result: SolveResult) -> MucSolution:
-    """Pull the base-case schedule out of a master or extensive solve.
+def schedule_violation(case: SystemCase, lp: LinearProgram, schedule: MucSolution,
+                       x: np.ndarray | None = None) -> str | None:
+    """How ``schedule`` breaks a bound or row of ``lp`` by more than
+    ``INTEGRALITY_TOL``, naming the periods of its base columns, or None.
 
-    Only ``u``, ``v`` and ``p`` are read from the solve.  Reserve, flows
-    and angles are derived from the cleaned dispatch (see ``MucSolution``).
+    The schedule's ``u, v, p, r`` fill the base columns of ``x`` (zero
+    without it), which holds the values of ``lp``'s other columns.
+    """
+    point = np.zeros(len(lp.cost)) if x is None else x.copy()
+    for columns, values in zip(base_columns(case),
+                               (schedule.u, schedule.v, schedule.p, schedule.r)):
+        point[columns] = values
+    broken = violation(lp, point, INTEGRALITY_TOL)
+    if broken is None:
+        return None
+    kind, index, excess = broken
+    columns = [index] if kind == "column" else sp.csr_array(lp.a[[index]]).indices
+    n_base = 4 * len(case.generators) * case.horizon
+    periods = sorted({col // 4 % case.horizon + 1 for col in columns if col < n_base})
+    where = ""
+    if periods:
+        where = f" in period {periods[0]}" + (f"-{periods[-1]}" if len(periods) > 1 else "")
+    return f"{kind} {index} of {lp.name!r}{where} is broken by {excess:.3g}"
+
+
+def extract_solution(case: SystemCase, sens: NetworkSensitivities, lp: LinearProgram,
+                     result: SolveResult) -> MucSolution:
+    """Pull the base-case schedule out of the solve ``result`` of ``lp``.
+
+    ``lp`` is a master or extensive model.  Only ``u``, ``v`` and ``p`` are
+    read from the solve.  Reserve, flows and angles are derived from the
+    cleaned dispatch (see ``MucSolution``).  The cleaned schedule must still
+    meet every row and bound of ``lp``, its cuts or post-outage states too.
     """
     if result.status != "optimal":
         raise SolverError(f"cannot extract a schedule from a {result.status} result")
-    gen_ids = tuple(g.id for g in case.generators)
     u_col, v_col, p_col, _ = base_columns(case)
-    u_raw = result.x[u_col]
-    v_raw = result.x[v_col]
-    for name, arr in (("u", u_raw), ("v", v_raw)):
-        drift = np.abs(arr - np.round(arr)).max() if arr.size else 0.0
+    p_max = np.array([[g.p_max] for g in case.generators])
+    ramp_10 = np.array([[g.ramp_10] for g in case.generators])
+    # Scrub solver noise off the schedule: binaries at 0 or 1, offline units
+    # at exactly zero and outputs inside their physical box.  Downstream
+    # subproblems scale their right-hand sides by these numbers, so an
+    # epsilon-negative output would otherwise masquerade as a real violation.
+    u = np.round(result.x[u_col]).astype(np.int8)
+    v = np.round(result.x[v_col]).astype(np.int8)
+    cleaned_p = np.clip(result.x[p_col], 0.0, p_max) * u
+    for name, cleaned, col in (("u", u, u_col), ("v", v, v_col), ("p", cleaned_p, p_col)):
+        drift = np.abs(cleaned - result.x[col]).max(initial=0.0)
         if drift > INTEGRALITY_TOL:
-            raise SolverError(f"binary variable {name} off integer by {drift:.2e}")
-    u = np.round(u_raw).astype(np.int8)
-    v = np.round(v_raw).astype(np.int8)
-
-    # Scrub solver noise off dispatch: offline units sit at exactly zero and
-    # outputs stay inside their physical box.  Downstream subproblems scale
-    # their right-hand sides by these numbers, so an epsilon-negative output
-    # would otherwise masquerade as a real violation.
-    p = result.x[p_col]
-    p_max = np.array([[case.generator(g).p_max] for g in gen_ids])
-    ramp_10 = np.array([[case.generator(g).ramp_10] for g in gen_ids])
-    cleaned_p = np.clip(p, 0.0, p_max) * u
-    drift = np.abs(cleaned_p - p).max(initial=0.0)
-    if drift > INTEGRALITY_TOL:
-        raise SolverError(f"dispatch violates its box by {drift:.2e}")
+            raise SolverError(f"cleaning moves {name} by {drift:.2e}")
     # Reserve has no cost, so the solver's split depends on its path.  Report
     # the largest reserve each unit can hold instead: it is at least the
     # solver's, so it meets every reserve row the solver's split met.
@@ -323,20 +341,13 @@ def extract_solution(case: SystemCase, sens: NetworkSensitivities,
     injections = -np.array([b.demand for b in case.buses], dtype=float)
     np.add.at(injections, [case.bus_index[g.bus] for g in case.generators], cleaned_p)
     solution = MucSolution(
-        generator_ids=gen_ids,
-        branch_ids=tuple(k.id for k in case.branches),
-        bus_ids=tuple(b.id for b in case.buses),
-        u=u,
-        v=v,
-        p=cleaned_p,
-        r=reserve,
-        flow=sens.ptdf @ injections,
-        theta=bus_angles(case, injections),
-        objective=float(result.objective),
-    )
-    problems = solution_invariant_violations(case, solution, tol=INTEGRALITY_TOL)
-    if problems:
-        raise SolverError("schedule fails invariants: " + "; ".join(problems))
+        generator_ids=tuple(g.id for g in case.generators),
+        branch_ids=tuple(k.id for k in case.branches), bus_ids=tuple(b.id for b in case.buses),
+        u=u, v=v, p=cleaned_p, r=reserve, flow=sens.ptdf @ injections,
+        theta=bus_angles(case, injections), objective=float(result.objective))
+    problem = schedule_violation(case, lp, solution, result.x)
+    if problem is not None:
+        raise SolverError(f"cleaned schedule fails its model: {problem}")
     return solution
 
 

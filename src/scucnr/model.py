@@ -290,34 +290,6 @@ class MucSolution:
         return float(self.flow[self._branch_pos[branch_id], t - 1])
 
 
-def solution_invariant_violations(case: SystemCase, sol: MucSolution,
-                                  tol: float = 1e-6) -> list[str]:
-    """Sanity checks a schedule must satisfy before it is used downstream."""
-    problems: list[str] = []
-    for gi, gid in enumerate(sol.generator_ids):
-        g = case.generator(gid)
-        prev = 1 if g.initial_status else 0
-        for t in case.periods:
-            u, v = sol.u[gi, t - 1], sol.v[gi, t - 1]
-            if v < u - prev - tol:
-                problems.append(f"generator {gid} t={t}: startup indicator below u change")
-            r = sol.r[gi, t - 1]
-            if r < -tol or r > g.ramp_10 * u + tol:
-                problems.append(f"generator {gid} t={t}: reserve {r} outside [0, R10*u]")
-            prev = u
-    # every unit's output must be covered by the other units' reserve
-    others = sol.r.sum(axis=0) - sol.r
-    for gi, t in np.argwhere(others < sol.p - tol):
-        problems.append(f"generator {sol.generator_ids[gi]} t={t + 1}: "
-                        f"other units' reserve {others[gi, t]} below output {sol.p[gi, t]}")
-    for ki, kid in enumerate(sol.branch_ids):
-        k = case.branch(kid)
-        for t in case.periods:
-            if abs(sol.flow[ki, t - 1]) > k.rate_long_term + tol:
-                problems.append(f"branch {kid} t={t}: base flow exceeds long-term rating")
-    return problems
-
-
 @dataclass(frozen=True)
 class SubproblemOutcome:
     contingency: int

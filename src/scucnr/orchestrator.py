@@ -7,9 +7,11 @@ unsurvivable outage; reconfiguration methods first search for a single
 corrective switch and cut only when the search fails.  Accelerated variants
 screen the candidate set with distribution factors before solving any LP.
 The loop converges when an iteration adds no cuts.  One routine,
-``_examine_pair``, decides every examined pair, for the loop and for
-``verify_solution`` alike; each iteration's counts and the run's switches,
-unresolved pairs and cuts are read off its outcomes.
+``_examine_pair``, decides every examined pair, for the loop, its screen
+audit and ``verify_schedule`` alike; each iteration's counts and the run's
+switches, unresolved pairs and cuts are read off its outcomes.  Each
+schedule must meet the rows of the model it came from, and the audit holds
+it to the cut-free master's rows before it examines any pair.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from dataclasses import dataclass
 from .backend import DEFAULT_MILP_GAP, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
 from .formulations import (build_extensive_scuc, build_extensive_scuc_cnr,
-                           build_muc, extract_solution, extract_switching_plan)
+                           build_muc, extract_solution, extract_switching_plan,
+                           schedule_violation)
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
-from .network import NetworkSensitivities, build_sensitivities
+from .network import DEFAULT_CBCE_SIZE, NetworkSensitivities, build_sensitivities
 from .subproblems import find_corrective_switch, run_csps, solve_pcfc
 
 METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
@@ -48,7 +51,7 @@ class SolveOptions:
     max_iterations: int = 50
     slack_tolerance: float = SLACK_TOLERANCE
     milp_gap: float = DEFAULT_MILP_GAP
-    cbce_size: int = 20
+    cbce_size: int = DEFAULT_CBCE_SIZE
     workers: int = 1
     enumerate_reconfigurable: bool = False
     audit_screening: bool = False
@@ -94,15 +97,17 @@ class ScheduleResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Independent exhaustive audit of a schedule's post-outage survivability."""
+    """Independent audit of a schedule: how it breaks the master's base-case
+    rows (``base_case``, None if it does not) and its unsurvivable pairs."""
 
     method: str
     pairs_checked: int
     violations: tuple[tuple[int, int, float], ...]
+    base_case: str | None
 
     @property
     def secure(self) -> bool:
-        return not self.violations
+        return self.base_case is None and not self.violations
 
 
 def _finish(method: str, status: str, schedule: MucSolution | None, iterations: int,
@@ -143,7 +148,7 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
     if result.status != "optimal":
         raise SolverError(f"extensive solve ended with status {result.status}")
 
-    schedule = extract_solution(case, sens, result)
+    schedule = extract_solution(case, sens, lp, result)
     # opening a line costs nothing in the MILP, so it may open lines at
     # pairs that survive without one; report only the pairs that need it
     switches = {(c, t): j for (c, t), j in extract_switching_plan(switch_columns, result).items()
@@ -158,9 +163,11 @@ def _examine_pair(case, sens, muc, c, t, slack_tolerance: float, switching: bool
     """PCFC one pair; with ``switching``, chase a switch on failure.
 
     The outcome is infeasible, and carries its cut, only when the pair ends
-    up with no feasible recourse.
+    up with no feasible recourse.  ``counters`` gets the seconds of its LPs.
     """
+    t0 = time.perf_counter()
     outcome = solve_pcfc(case, sens, muc, c, t, slack_tolerance)
+    counters["pcfc_seconds"] += time.perf_counter() - t0
     if outcome.status == "feasible":
         return outcome
     if switching:
@@ -223,7 +230,7 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
             break
         if result.status != "optimal":
             raise SolverError(f"master solve ended with status {result.status}")
-        schedule = extract_solution(case, sens, result)
+        schedule = extract_solution(case, sens, master, result)
 
         outcomes = []
         candidates = all_pairs
@@ -233,23 +240,22 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
             candidates = run_csps(case, sens, schedule, all_pairs).critical
             timings["screening"] += time.perf_counter() - t0
             critical = set(candidates)
+            dropped = [pair for pair in all_pairs if pair not in critical]
             outcomes = [SubproblemOutcome(contingency=c, period=t, status="screened_out", slack=0.0)
-                        for c, t in all_pairs if (c, t) not in critical]
+                        for c, t in dropped]
             if options.audit_screening:
-                audit_max = 0.0
-                for out in outcomes:
-                    check = solve_pcfc(case, sens, schedule, out.contingency, out.period,
-                                       options.slack_tolerance)
-                    audit_max = max(audit_max, check.slack)
-                    if check.slack > options.slack_tolerance:
+                audited, _ = _examine(case, sens, schedule, dropped, options.slack_tolerance,
+                                      False, False, options.workers)
+                audit_max = max((out.slack for out in audited), default=0.0)
+                for out in audited:
+                    if out.status == "infeasible":
                         raise SolverError(f"screen dropped ({out.contingency},{out.period}) "
-                                          f"but its slack is {check.slack}")
+                                          f"but its slack is {out.slack}")
 
-        t0 = time.perf_counter()
         examined, counters = _examine(case, sens, schedule, candidates, options.slack_tolerance,
                                       options.uses_cnr, options.enumerate_reconfigurable,
                                       options.workers)
-        timings["pcfc"] += max(time.perf_counter() - t0 - counters["nr_seconds"], 0.0)
+        timings["pcfc"] += counters["pcfc_seconds"]
         timings["nr_pcfc"] += counters["nr_seconds"]
 
         outcomes += examined
@@ -290,24 +296,33 @@ def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResu
     return _solve_decomposed(case, options, sens, timings)
 
 
-def verify_solution(case: SystemCase, result: ScheduleResult,
+def verify_schedule(case: SystemCase, method: str, schedule: MucSolution,
                     slack_tolerance: float = SLACK_TOLERANCE) -> VerificationReport:
-    """Audit a schedule against every non-radial outage in every period.
+    """Audit a schedule of ``method``: its base case, then every outage.
 
-    Ignores whatever screening or search the producing run did: every pair
-    goes through the loop's pair routine, and for reconfiguration methods a
-    failed pair is retried against the full reconfigurable set.  An empty
-    violations list means the schedule is N-1 secure (with single-switch
-    recourse where the method allows it).
+    The schedule must meet every row and bound of the cut-free master.
+    Then, whatever screening or search the producing run did, every
+    non-radial outage in every period goes through the loop's pair routine,
+    and for reconfiguration methods against the full reconfigurable set.
     """
     check_tolerance("slack_tolerance", slack_tolerance)
-    if result.schedule is None:
-        raise ValueError("result carries no schedule to verify")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     # the audit enumerates every switch, so it needs no ranked candidate list
     sens = build_sensitivities(case, cbce_size=0)
+    base_case = schedule_violation(case, build_muc(case, sens), schedule)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
-    outcomes, _ = _examine(case, sens, result.schedule, pairs, slack_tolerance,
-                           result.method in _CNR_METHODS, True, workers=1)
-    return VerificationReport(method=result.method, pairs_checked=len(pairs),
+    outcomes, _ = _examine(case, sens, schedule, pairs, slack_tolerance,
+                           method in _CNR_METHODS, True, workers=1)
+    return VerificationReport(method=method, pairs_checked=len(pairs),
                               violations=tuple((o.contingency, o.period, o.slack)
-                                               for o in outcomes if o.status == "infeasible"))
+                                               for o in outcomes if o.status == "infeasible"),
+                              base_case=base_case)
+
+
+def verify_solution(case: SystemCase, result: ScheduleResult,
+                    slack_tolerance: float = SLACK_TOLERANCE) -> VerificationReport:
+    """``verify_schedule`` on the method and schedule of a run."""
+    if result.schedule is None:
+        raise ValueError("result carries no schedule to verify")
+    return verify_schedule(case, result.method, result.schedule, slack_tolerance)

@@ -162,8 +162,8 @@ def test_criterion_5_strong_duality_and_cut_values():
     checked_cuts = 0
     for name, case in fixture_family().items():
         sens = build_sensitivities(case)
-        res = solve_milp(build_muc(case, sens), gap=1e-9)
-        sched = extract_solution(case, sens, res)
+        lp = build_muc(case, sens)
+        sched = extract_solution(case, sens, lp, solve_milp(lp, gap=1e-9))
         _, non_radial = classify_radial(case)
         for t in case.periods:
             for c in sorted(non_radial):
@@ -188,7 +188,8 @@ def test_criterion_6_switching_value():
     from scucnr.backend import solve_milp
     from scucnr.formulations import build_muc, extract_solution
     sens = build_sensitivities(hi)
-    sched = extract_solution(hi, sens, solve_milp(build_muc(hi, sens), gap=1e-9))
+    lp = build_muc(hi, sens)
+    sched = extract_solution(hi, sens, lp, solve_milp(lp, gap=1e-9))
     oracle_feasible = []
     for j in sorted(sens.non_radial - {3}):
         if not check_connectivity(hi, {3, j}):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import scucnr.backend
 import scucnr.subproblems
 from oracles import linprog_solution
-from scucnr.backend import (INF, LinearProgram, SolverError, _check_solution, solve_lp,
-                            solve_milp)
+from scucnr.backend import (_RESIDUAL_TOL, INF, LinearProgram, SolverError, solve_lp,
+                            solve_milp, violation)
 from scucnr.fixtures import random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities
@@ -149,7 +150,8 @@ def mixed_lp():
 def test_adapter_matches_linprog(monkeypatch):
     case = random_case(101, n_buses=24, n_generators=8, horizon=4)
     sens = build_sensitivities(case)
-    muc = extract_solution(case, sens, solve_milp(build_muc(case, sens)))
+    lp = build_muc(case, sens)
+    muc = extract_solution(case, sens, lp, solve_milp(lp))
     lps = []
 
     def spy(lp, *args, **kwargs):
@@ -203,10 +205,15 @@ def test_limit_and_failure_statuses():
         solve_lp(dataclasses.replace(lp, cost=np.full(len(lp.cost), np.nan)))
 
 
-def test_residual_check_rejects_a_bad_optimum():
+def test_residual_check_rejects_a_bad_optimum(monkeypatch):
     lp = mixed_lp()
     res = solve_lp(lp)
-    _check_solution(lp, res.x, res.objective, lp.a @ res.x)
-    for x in (res.x + np.array([-1e-3, 0, 0, 0]), np.full(4, np.nan)):
-        with pytest.raises(SolverError, match="mixed"):
-            _check_solution(lp, x, res.objective, lp.a @ x)
+    assert violation(lp, res.x, _RESIDUAL_TOL) is None
+    # x >= 0 breaks, then the == row 2 alone; a NaN breaks its bound by infinity
+    assert violation(lp, res.x + [-1e-3, 0, 0, 0], _RESIDUAL_TOL)[:2] == ("column", 0)
+    assert violation(lp, res.x + [0, 0, 0, 1e-3], _RESIDUAL_TOL)[:2] == ("row", 2)
+    assert violation(lp, np.full(4, np.nan), _RESIDUAL_TOL) == ("column", 0, INF)
+    # the runner raises on whatever the check finds in an optimum
+    monkeypatch.setattr(scucnr.backend, "_RESIDUAL_TOL", -1.0)
+    with pytest.raises(SolverError, match="optimal on 'mixed', but its solution breaks"):
+        solve_lp(lp)

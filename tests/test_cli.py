@@ -109,6 +109,35 @@ def test_verify_tampered_schedule_exits_3(tmp_path, capsys):
     assert "contingency 1" in err and "period 1" in err
 
 
+def _idle_dispatch(doc):
+    doc["solution"]["u"] = [[1] * len(row) for row in doc["solution"]["u"]]
+    doc["solution"]["p"] = [[0.0] * len(row) for row in doc["solution"]["p"]]
+    return doc
+
+
+def _negative_output(doc):
+    doc["solution"]["p"][0][0] = -1.0
+    return doc
+
+
+@pytest.mark.parametrize("tamper", [_idle_dispatch, _negative_output],
+                         ids=["idle_dispatch", "negative_output"])
+def test_verify_flags_a_schedule_that_breaks_the_base_case(tamper, tri3_file, tmp_path,
+                                                           capsys):
+    # every outage stays survivable, so only the base-case rows catch these
+    out = tmp_path / "runs"
+    assert main(["solve", "--case", str(tri3_file), "--method", "ad_scuc",
+                 "--out", str(out)]) == 0
+    report_path = out / "report.json"
+    report_path.write_text(json.dumps(tamper(json.loads(report_path.read_text()))))
+    capsys.readouterr()
+    code = main(["verify", "--case", str(tri3_file), "--result", str(report_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "violation: base case:" in captured.err and "in period 1" in captured.err
+    assert "secure" not in captured.out
+
+
 def test_verify_rejects_report_without_method(tri3_file, tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["solve", "--case", str(tri3_file), "--method", "ad_scuc_cnr",

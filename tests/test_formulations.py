@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from conftest import fixture_family
 from oracles import brute_force_commitment, net_injections, ptdf_pinv
-from scucnr.backend import INF, solve_milp
+from scucnr.backend import INF, SolverError, solve_milp
 from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
                              random_case, star4, triangle3, triangle3_tight)
 from scucnr.formulations import (base_columns, build_extensive_scuc,
@@ -31,6 +31,12 @@ def solve_model(lp, gap=GAP):
     res = solve_milp(lp, gap=gap)
     assert res.status == "optimal"
     return res
+
+
+def master_schedule(case, sens):
+    """The schedule extracted from the solved cut-free master."""
+    lp = build_muc(case, sens)
+    return extract_solution(case, sens, lp, solve_model(lp))
 
 
 def extensive(build, case, sens):
@@ -58,7 +64,7 @@ def test_reserve_pool_forces_backup_commitment(tri3):
     # with one unit alone, total reserve cannot cover its own output, so the
     # costly unit must be committed purely as backup
     sens = build_sensitivities(tri3)
-    sched = extract_solution(tri3, sens, solve_model(build_muc(tri3, sens)))
+    sched = master_schedule(tri3, sens)
     assert sched.commitment(1, 1) == 1
     assert sched.commitment(2, 1) == 1
     assert sched.dispatch(2, 1) == pytest.approx(0.0, abs=1e-7)
@@ -101,7 +107,7 @@ NETWORK_CASES = {
 def test_schedule_flows_and_angles_follow_the_dispatch(name):
     case = NETWORK_CASES[name]()
     sens = build_sensitivities(case)
-    sched = extract_solution(case, sens, solve_model(build_muc(case, sens)))
+    sched = master_schedule(case, sens)
     injections = np.array([
         [net_injections(case, dict(zip(sched.generator_ids, sched.p[:, t - 1])), t)[b.id]
          for t in case.periods] for b in case.buses])
@@ -122,12 +128,25 @@ def test_integer_demands_keep_fractional_flows():
         dataclasses.replace(b, demand=tuple(int(round(d)) for d in b.demand))
         for b in base.buses))
     sens = build_sensitivities(case)
-    sched = extract_solution(case, sens, solve_model(build_muc(case, sens)))
+    sched = master_schedule(case, sens)
     assert np.abs(sched.p - np.round(sched.p)).max() > 0.1
     injections = np.array([
         [net_injections(case, dict(zip(sched.generator_ids, sched.p[:, t - 1])), t)[b.id]
          for t in case.periods] for b in case.buses])
     assert np.abs(sched.flow - ptdf_pinv(case) @ injections).max() <= 1e-9
+
+
+def test_extraction_rejects_an_answer_that_breaks_its_model(tri3):
+    sens = build_sensitivities(tri3)
+    lp = build_muc(tri3, sens)
+    res = solve_model(lp)
+    assert extract_solution(tri3, sens, lp, res).p.sum() == pytest.approx(80.0)
+    # the balance row asks for one MW less than the answer serves
+    balance = int(np.flatnonzero(lp.row_lower == lp.row_upper)[0])
+    tight = dataclasses.replace(lp, row_upper=lp.row_upper.copy())
+    tight.row_upper[balance] -= 1.0
+    with pytest.raises(SolverError, match=f"row {balance} of 'muc' in period 1 is broken by 1"):
+        extract_solution(tri3, sens, tight, res)
 
 
 def test_one_cut_adds_exactly_one_row(tri3):
@@ -148,7 +167,7 @@ def test_zero_ten_minute_ramp_kills_dispatch():
                                                    initial_output=0.0)
                                for g in base.generators))
     sens = build_sensitivities(dead)
-    sched = extract_solution(dead, sens, solve_model(build_muc(dead, sens)))
+    sched = master_schedule(dead, sens)
     assert np.abs(sched.p).max() == pytest.approx(0.0, abs=1e-9)
 
     loaded = triangle3((10.0,))
@@ -272,7 +291,7 @@ def test_binaries_are_integral(c4_low):
 def first_violated_pair(case, method="td_scuc"):
     """Schedule from a cut-free master plus its first unsurvivable pair."""
     sens = build_sensitivities(case)
-    sched = extract_solution(case, sens, solve_model(build_muc(case, sens)))
+    sched = master_schedule(case, sens)
     for t in case.periods:
         for c in sens.contingencies:
             out = solve_pcfc(case, sens, sched, c, t)
@@ -313,13 +332,13 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
         floor = float(rng.uniform(0.0, 40.0))
         push = np.zeros((1, len(lp.cost)))
         push[0, p[g2, t - 1]], push[0, u[g2, t - 1]] = 1.0, -floor
-        res = solve_milp(dataclasses.replace(
+        pinned = dataclasses.replace(
             lp, lb=lb, ub=ub, a=sp.vstack((lp.a, push), format="csr"),
-            row_lower=np.append(lp.row_lower, 0.0), row_upper=np.append(lp.row_upper, INF)),
-            gap=GAP)
+            row_lower=np.append(lp.row_lower, 0.0), row_upper=np.append(lp.row_upper, INF))
+        res = solve_milp(pinned, gap=GAP)
         if res.status != "optimal":
             continue
-        point = extract_solution(c4_low, sens, res)
+        point = extract_solution(c4_low, sens, pinned, res)
         check = solve_pcfc(c4_low, sens, point, c, t)
         if check.status == "feasible":
             checked_feasible += 1
@@ -348,9 +367,10 @@ def test_adding_cut_changes_next_master(c4_low):
     cut = out.cut
     sens = build_sensitivities(c4_low)
     first = solve_model(build_muc(c4_low, sens))
-    second = solve_model(build_muc(c4_low, sens, [cut]))
+    cut_master = build_muc(c4_low, sens, [cut])
+    second = solve_model(cut_master)
     assert second.objective >= first.objective - 1e-9
-    point = extract_solution(c4_low, sens, second)
+    point = extract_solution(c4_low, sens, cut_master, second)
     assert cut.evaluate_solution(point) <= 1e-6
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import manual_schedule, operating_cost, power_balance_residuals
-from scucnr.model import (FeasibilityCut, SubproblemOutcome, solution_invariant_violations,
-                          validate_case)
+from scucnr.formulations import build_muc, schedule_violation
+from scucnr.model import FeasibilityCut, SubproblemOutcome, validate_case
+from scucnr.network import build_sensitivities
 from scucnr.orchestrator import SolveOptions, solve
 
 
@@ -84,11 +85,16 @@ def test_operating_cost_matches_solver_objective(tri3):
 
 
 def test_invariants_flag_output_the_other_units_cannot_cover(tri3):
+    # the schedule is checked against the master's own rows: the reserve
+    # pool row of unit 1 breaks by its whole 80 MW output
+    muc = build_muc(tri3, build_sensitivities(tri3))
     sched = manual_schedule(tri3, {1: {1: 80.0}}, committed={1: {1, 2}})
-    pool = "generator 1 t=1: other units' reserve 0.0 below output 80.0"
-    assert pool in solution_invariant_violations(tri3, sched)
-    covered = dataclasses.replace(sched, r=np.array([[0.0], [80.0]]))
-    assert not [p for p in solution_invariant_violations(tri3, covered) if "reserve" in p]
+    problem = schedule_violation(tri3, muc, sched)
+    assert problem is not None and problem.endswith("in period 1 is broken by 80")
+    # unit 2 holds 80 MW of reserve and records its start-up: nothing breaks
+    covered = dataclasses.replace(sched, r=np.array([[0.0], [80.0]]),
+                                  v=np.array([[0], [1]], dtype=np.int8))
+    assert schedule_violation(tri3, muc, covered) is None
 
 
 def test_outcome_invariants():

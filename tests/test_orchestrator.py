@@ -198,13 +198,36 @@ def test_audit_uses_full_enumeration_for_switching_methods(c4_high):
     assert (3, 2) in {(c, t) for c, t, _ in plain_audit.violations}
 
 
+def test_audit_flags_a_schedule_that_serves_no_load(tri3):
+    res = solve(tri3, SolveOptions(method="ad_scuc"))
+    idle = dataclasses.replace(res.schedule, u=np.ones_like(res.schedule.u),
+                               p=np.zeros_like(res.schedule.p))
+    audit = verify_solution(tri3, dataclasses.replace(res, schedule=idle))
+    assert not audit.secure
+    # every outage is survivable by redispatch; the base case is not
+    assert audit.base_case is not None and "in period 1" in audit.base_case
+    assert audit.violations == ()
+    assert verify_solution(tri3, res).base_case is None
+
+
 def test_screen_audit_flag_runs_clean(c4_high, tri3_tight):
     for case in (c4_high, tri3_tight):
-        res = solve(case, SolveOptions(method="ad_scuc_cnr", audit_screening=True))
-        assert res.converged
-        for stats in res.report.iteration_log:
-            assert stats.screen_audit_max_slack is not None
-            assert stats.screen_audit_max_slack <= 1e-6
+        for workers in (1, 2):
+            res = solve(case, SolveOptions(method="ad_scuc_cnr", audit_screening=True,
+                                           workers=workers))
+            assert res.converged
+            for stats in res.report.iteration_log:
+                assert stats.screen_audit_max_slack is not None
+                assert stats.screen_audit_max_slack <= 1e-6
+
+
+def test_serial_phase_timings_fit_inside_the_total(c4_high):
+    # each pair times its own LP and switch search, so serially the phases
+    # are disjoint slices of the run's wall time
+    timings = solve(c4_high, SolveOptions(method="td_scuc_cnr")).report.timings
+    phases = ("master", "screening", "pcfc", "nr_pcfc")
+    assert sum(timings[k] for k in phases) <= timings["total"]
+    assert timings["pcfc"] > 0 and timings["nr_pcfc"] > 0
 
 
 def test_worker_pool_matches_serial(c4_high, tri3_tight):

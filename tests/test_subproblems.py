@@ -18,9 +18,10 @@ from scucnr.subproblems import (_slack_lp, find_corrective_switch, run_csps,
 def cheap_point(case):
     """Schedule from the cut-free master (no security pressure yet)."""
     sens = build_sensitivities(case)
-    res = solve_milp(build_muc(case, sens), gap=1e-9)
+    lp = build_muc(case, sens)
+    res = solve_milp(lp, gap=1e-9)
     assert res.status == "optimal"
-    return extract_solution(case, sens, res)
+    return extract_solution(case, sens, lp, res)
 
 
 def all_pairs(case, sens):
