@@ -11,9 +11,10 @@ that keeps it in service (1) or opens it (0) and the flow ``w`` it sheds
 when opened.  Periods are 1-based.
 
 Every model is in shift-factor form: flows are not columns but PTDF rows
-over the generator outputs, built by ``post_outage_flows`` as in the
-feasibility LP, from ``NetworkSensitivities.ptdf`` in the base case and
-from ``outage_ptdf`` after an outage.
+over the generator outputs, built by ``post_outage_flows`` from
+``NetworkSensitivities.ptdf`` in the base case.  Each post-outage state is
+the feasibility LP's own row block, ``post_outage_rows`` over
+``outage_ptdf``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 from .backend import INF, LinearProgram, SolveResult, SolverError, violation
 from .model import FeasibilityCut, MucSolution, SystemCase
 from .network import NetworkSensitivities, bus_angles, compute_lodf
-from .subproblems import post_outage_flows, switch_candidates
+from .subproblems import post_outage_flows, post_outage_rows, switch_candidates
 
 INTEGRALITY_TOL = 1e-5
 
@@ -75,6 +76,16 @@ class _Problem:
                 self._vals.append(coef)
         self.row_lower.append(float(lo))
         self.row_upper.append(float(hi))
+
+    def add_rows(self, coef: np.ndarray, cols: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> None:
+        """Append ``lo <= coef @ x[cols] <= hi`` over distinct ``cols``; zeros are dropped."""
+        rows, at = np.nonzero(coef)
+        self._rows.extend((rows + len(self.row_lower)).tolist())
+        self._cols.extend(cols[at].tolist())
+        self._vals.extend(coef[rows, at].tolist())
+        self.row_lower.extend(lo.tolist())
+        self.row_upper.extend(hi.tolist())
 
     def lower(self, name: str) -> LinearProgram:
         shape = (len(self.row_lower), len(self.cost))
@@ -167,42 +178,39 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
     prob = _Problem()
     _add_base_model(prob, case, sens)
     u, _, p, _ = base_columns(case)
-    pos = case.generator_index
+    n_g = len(case.generators)
     for cut in cuts:
+        if len(cut.coef_u) != n_g or len(cut.coef_p) != n_g:
+            raise ValueError(f"cut for pair ({cut.contingency},{cut.period}) needs one u and "
+                             f"one p coefficient per generator; the case has {n_g} generators")
         t = cut.period - 1
-        prob.add_row([(u[pos[g], t], coef) for g, coef in cut.coef_u.items()]
-                     + [(p[pos[g], t], coef) for g, coef in cut.coef_p.items()],
-                     hi=-cut.constant)
+        prob.add_row([*zip(u[:, t], cut.coef_u), *zip(p[:, t], cut.coef_p)], hi=-cut.constant)
     return prob.lower("muc")
 
 
 def _add_post_outage_state(prob: _Problem, case: SystemCase, c: int, t: int,
-                           ptdf: np.ndarray, rate: np.ndarray,
-                           switchable: tuple[int, ...], lodf: np.ndarray) -> dict[int, int]:
-    """Redispatch, system balance and flow limits after outage ``c`` in period ``t``.
+                           ptdf: np.ndarray, switchable: tuple[int, ...],
+                           shed: np.ndarray) -> dict[int, int]:
+    """The ``post_outage_rows`` of outage ``c`` in period ``t`` over a new redispatch ``pc``.
 
-    ``ptdf`` is ``outage_ptdf((c,))``, so branch ``k`` carries
-    ``at_gens[k] @ pc - demand_flow[k]`` as in the feasibility LP, plus
-    ``lodf[k] @ w`` over the switch columns of ``switchable``.  Returns the
-    ``z`` column of each switchable line.
+    ``ptdf`` is ``outage_ptdf((c,))``.  The switch rows of ``switchable`` go
+    between the balance and the flow limits, which also carry ``shed`` over
+    the switch columns ``w``.  Returns the ``z`` column of each switchable
+    line.
     """
     u, _, p, _ = base_columns(case)
-    pc = []
-    for gi, g in enumerate(case.generators):
-        ut, pt = u[gi, t - 1], p[gi, t - 1]
-        pcg = prob.add_column(lb=0.0, ub=g.p_max)
-        pc.append(pcg)
-        # within ramp_10 of the base-case output, and inside the committed range
-        prob.add_row([(pt, 1.0), (pcg, -1.0), (ut, -g.ramp_10)], hi=0.0)
-        prob.add_row([(pcg, 1.0), (pt, -1.0), (ut, -g.ramp_10)], hi=0.0)
-        prob.add_row([(pcg, 1.0), (ut, -g.p_min)], lo=0.0)
-        prob.add_row([(pcg, 1.0), (ut, -g.p_max)], hi=0.0)
-    at_gens, demand_flow, total = post_outage_flows(case, ptdf, t)
-    prob.add_row([(q, 1.0) for q in pc], lo=total, hi=total)
+    a, b, lo, hi = post_outage_rows(case, ptdf, (c,), t)
+    gen_rows = 4 * len(case.generators) + 1
+    # generator rows and the balance, then the switch rows, then the flow rows
+    pc = np.array([prob.add_column(lb=0.0, ub=g.p_max) for g in case.generators])
+    prob.add_rows(np.hstack((a[:gen_rows], b[:gen_rows])),
+                  np.concatenate((pc, u[:, t - 1], p[:, t - 1])), lo[:gen_rows], hi[:gen_rows])
 
-    p_max = np.array([g.p_max for g in case.generators])
     z: dict[int, int] = {}
     w: list[int] = []
+    if switchable:
+        at_gens, demand_flow, _ = post_outage_flows(case, ptdf, t)
+        p_max = np.array([g.p_max for g in case.generators])
     for j in switchable:
         i = case.branch_index[j]
         m = float(np.abs(at_gens[i]) @ p_max + abs(demand_flow[i]))
@@ -213,18 +221,14 @@ def _add_post_outage_state(prob: _Problem, case: SystemCase, c: int, t: int,
         prob.add_row([(wj, 1.0), (zj, m)], hi=m)
         prob.add_row([(wj, 1.0), (zj, -m)], lo=-m)
         # ... and w = at_gens[j] @ pc - demand_flow[j] once it is opened (z = 0)
-        dev = list(zip(pc, -at_gens[i])) + [(wj, 1.0)]
+        dev = list(zip(pc.tolist(), -at_gens[i])) + [(wj, 1.0)]
         prob.add_row(dev + [(zj, -m)], hi=-demand_flow[i])
         prob.add_row(dev + [(zj, m)], lo=-demand_flow[i])
     if switchable:
         prob.add_row([(zj, 1.0) for zj in z.values()], lo=len(z) - 1)
 
-    for i, k in enumerate(case.branches):
-        if k.id == c:
-            continue
-        terms = list(zip(pc, at_gens[i])) + list(zip(w, lodf[i]))
-        prob.add_row(terms, hi=demand_flow[i] + rate[i])
-        prob.add_row(terms, lo=demand_flow[i] - rate[i])
+    prob.add_rows(np.hstack((a[gen_rows:], shed)), np.concatenate((pc, np.array(w, dtype=int))),
+                  lo[gen_rows:], hi[gen_rows:])
     return z
 
 
@@ -232,7 +236,6 @@ def _build_extensive(name: str, case: SystemCase, sens: NetworkSensitivities,
                      switching: bool) -> tuple[LinearProgram, SwitchColumns]:
     prob = _Problem()
     _add_base_model(prob, case, sens)
-    rate = np.array([k.rate_emergency for k in case.branches])
     switches: SwitchColumns = {}
     for c in sens.contingencies:
         ptdf = sens.outage_ptdf((c,))
@@ -240,9 +243,10 @@ def _build_extensive(name: str, case: SystemCase, sens: NetworkSensitivities,
                       if switching else ())
         positions = [case.branch_index[j] for j in switchable]
         lodf = compute_lodf(case, ptdf, frozenset(switchable))[:, positions]
+        # both limit rows of every in-service branch k carry lodf[k] @ w
+        shed = np.repeat(np.delete(lodf, case.branch_index[c], axis=0), 2, axis=0)
         for t in case.periods:
-            switches[(c, t)] = _add_post_outage_state(prob, case, c, t, ptdf, rate,
-                                                      switchable, lodf)
+            switches[(c, t)] = _add_post_outage_state(prob, case, c, t, ptdf, switchable, shed)
     return prob.lower(name), switches
 
 

@@ -269,26 +269,6 @@ class MucSolution:
         for arr in (self.u, self.v, self.p, self.r, self.flow, self.theta):
             arr.setflags(write=False)
 
-    @cached_property
-    def _gen_pos(self) -> dict[int, int]:
-        return {g: i for i, g in enumerate(self.generator_ids)}
-
-    @cached_property
-    def _branch_pos(self) -> dict[int, int]:
-        return {k: i for i, k in enumerate(self.branch_ids)}
-
-    def commitment(self, gen_id: int, t: int) -> int:
-        return int(self.u[self._gen_pos[gen_id], t - 1])
-
-    def dispatch(self, gen_id: int, t: int) -> float:
-        return float(self.p[self._gen_pos[gen_id], t - 1])
-
-    def reserve(self, gen_id: int, t: int) -> float:
-        return float(self.r[self._gen_pos[gen_id], t - 1])
-
-    def branch_flow(self, branch_id: int, t: int) -> float:
-        return float(self.flow[self._branch_pos[branch_id], t - 1])
-
 
 @dataclass(frozen=True)
 class SubproblemOutcome:
@@ -310,38 +290,38 @@ class SubproblemOutcome:
             raise ValueError("slack must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityCut:
-    """Linear inequality over master variables u[g,t], p[g,t] of one period.
+    """Linear inequality over the master's ``u`` and ``p`` of one period.
 
-    The master must keep ``sum(coef_u * u) + sum(coef_p * p) + constant <= 0``.
+    ``coef_u`` and ``coef_p`` hold one coefficient per generator, in
+    ``case.generators`` order, as read-only float vectors.  The master must
+    keep ``coef_u @ u + coef_p @ p + constant <= 0``.
     """
 
     contingency: int
     period: int
-    coef_u: dict[int, float]
-    coef_p: dict[int, float]
+    coef_u: np.ndarray
+    coef_p: np.ndarray
     constant: float
 
-    def evaluate(self, u: dict[int, float], p: dict[int, float]) -> float:
-        val = self.constant
-        val += sum(c * u[g] for g, c in self.coef_u.items())
-        val += sum(c * p[g] for g, c in self.coef_p.items())
-        return val
+    def __post_init__(self):
+        for name in ("coef_u", "coef_p"):
+            vec = np.array(getattr(self, name), dtype=float)
+            vec.setflags(write=False)
+            object.__setattr__(self, name, vec)
+
+    def __eq__(self, other) -> bool:
+        fields = ("contingency", "period", "coef_u", "coef_p", "constant")
+        return isinstance(other, FeasibilityCut) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in fields)
 
     def evaluate_solution(self, sol: MucSolution) -> float:
-        t = self.period
-        u = {g: sol.commitment(g, t) for g in self.coef_u}
-        p = {g: sol.dispatch(g, t) for g in self.coef_p}
-        return self.evaluate(u, p)
+        t = self.period - 1
+        return float(self.coef_u @ sol.u[:, t] + self.coef_p @ sol.p[:, t] + self.constant)
 
     def same_coefficients(self, other: "FeasibilityCut", tol: float = 1e-9) -> bool:
-        if (self.contingency, self.period) != (other.contingency, other.period):
-            return False
-        keys = set(self.coef_u) | set(other.coef_u) | set(self.coef_p) | set(other.coef_p)
-        for g in keys:
-            if abs(self.coef_u.get(g, 0.0) - other.coef_u.get(g, 0.0)) > tol:
-                return False
-            if abs(self.coef_p.get(g, 0.0) - other.coef_p.get(g, 0.0)) > tol:
-                return False
-        return abs(self.constant - other.constant) <= tol
+        mine = np.concatenate((self.coef_u, self.coef_p, [self.constant]))
+        theirs = np.concatenate((other.coef_u, other.coef_p, [other.constant]))
+        return ((self.contingency, self.period) == (other.contingency, other.period)
+                and mine.shape == theirs.shape and np.abs(mine - theirs).max() <= tol)

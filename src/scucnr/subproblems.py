@@ -7,14 +7,14 @@ whose proportional slack indicates whether the outage is survivable within
 additional line opened.  The switch search walks the ranked candidate list
 and stops at the first feasible reconfiguration.
 
-The feasibility LP is in shift-factor form and built directly in arrays:
-its columns are the slack and one redispatch per generator, and branch
-flows are post-outage PTDF products of the bus injections (generalised
-LODFs for a switched pair), so no angle or flow variables appear.  Only
-the four generator rows have a right-hand side that depends on the
-schedule, so the Benders feasibility cut of an unsurvivable outage is read
-straight off the LP's rhs-weighted duals: the generator rows give the
-coefficients on ``u`` and ``p``, every other row the constant.
+The rows of a post-outage state are defined once, by ``post_outage_rows``,
+as arrays ``lo <= a @ pc + b @ [u; p] <= hi`` over the redispatch ``pc``
+and the schedule's ``u`` and ``p``, with flows from the post-outage PTDF
+(generalised LODFs for a switched pair).  The feasibility LP moves
+``b @ [u; p]`` to the right-hand side; the Benders feasibility cut of an
+unsurvivable outage is its dual objective with ``u`` and ``p`` left free,
+read straight off the duals; the extensive models append the same rows
+over their own ``pc``, ``u`` and ``p`` columns.
 """
 
 from __future__ import annotations
@@ -76,54 +76,77 @@ def post_outage_flows(case: SystemCase, ptdf: np.ndarray,
     ``ptdf`` holds rows of ``NetworkSensitivities.outage_ptdf(removed)``.
     With ``pg`` the outputs in ``case.generators`` order, the flows are
     ``at_gens @ pg - demand_flow``; they hold when ``pg`` sums to
-    ``total``, the period's demand.  The feasibility LP and the extensive
-    models build every post-outage flow from these three.
+    ``total``, the period's demand.  The master's base case and
+    ``post_outage_rows`` build every flow from these three.
     """
-    demand = np.array([case.demand(n.id, t) for n in case.buses])
+    demand = np.array([n.demand[t - 1] for n in case.buses])
     at_gens = ptdf[:, [case.bus_index[g.bus] for g in case.generators]]
     return at_gens, ptdf @ demand, demand.sum()
 
 
-def _slack_lp(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution, t: int,
-              removed: tuple[int, ...], name: str) -> LinearProgram:
-    """Redispatch feasibility LP in shift-factor form.
+# per generator, on its own pc, u and p: ramp-down, ramp-up, minimum, maximum
+_GEN_PC = np.array([-1.0, 1.0, 1.0, 1.0])
+_GEN_P = np.array([1.0, -1.0, 0.0, 0.0])
+_GEN_LO = np.array([-np.inf, -np.inf, 0.0, -np.inf])
+_GEN_HI = np.array([0.0, 0.0, np.inf, 0.0])
 
-    Columns are the slack ``s`` and one post-outage output per generator.
-    Rows: four ramp/output limits per generator, the system balance, and
-    the two emergency limits of every in-service branch, whose flow is the
-    post-outage PTDF times the bus injections.  The slack scales each
-    right-hand side towards the universally feasible all-zeros point, so
-    the slack column equals the rhs column.
+
+def post_outage_rows(case: SystemCase, ptdf: np.ndarray, removed: tuple[int, ...],
+                     t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows ``lo <= a @ pc + b @ [u; p] <= hi`` of period ``t`` with
+    the branches ``removed`` out of service, as ``(a, b, lo, hi)``.
+
+    ``ptdf`` is ``NetworkSensitivities.outage_ptdf(removed)``, ``pc`` the
+    redispatch and ``u``, ``p`` the schedule, each in ``case.generators``
+    order.  Rows: per generator its ramp-down (``p - pc <= R10 u``), ramp-up
+    (``pc - p <= R10 u``), minimum (``pc >= p_min u``) and maximum
+    (``pc <= p_max u``) rows; the system balance; per in-service branch its
+    upper, then lower emergency limit.  Each row is an equality or has one
+    finite side.  Only the ``4 G`` generator rows involve the schedule, each
+    its own generator's ``u`` and ``p``; the other rows of ``b`` are zero.
     """
-    gens = case.generators
-    n_g = len(gens)
-    u = np.array([muc.commitment(g.id, t) for g in gens], dtype=float)
-    p = np.array([muc.dispatch(g.id, t) for g in gens])
-    ramp = np.array([g.ramp_10 for g in gens]) * u
-    p_min = np.array([g.p_min for g in gens]) * u
-    p_max = np.array([g.p_max for g in gens]) * u
-
+    n_g = len(case.generators)
+    n_b = 4 * n_g
     in_service = np.ones(len(case.branches), dtype=bool)
     in_service[[case.branch_index[k] for k in removed]] = False
     rate = np.array([k.rate_emergency for k in case.branches])[in_service]
-    # branch flow is at_gens @ pg - demand_flow * (1 - s)
-    at_gens, demand_flow, total = post_outage_flows(
-        case, sens.outage_ptdf(removed)[in_service], t)
-    n_k = len(rate)
+    # the bounds come from the flows of the whole post-outage network, so a
+    # branch's limits do not depend on which other rows are dropped
+    at_gens, demand_flow, total = post_outage_flows(case, ptdf, t)
+    at_gens, demand_flow = at_gens[in_service], demand_flow[in_service]
 
-    free = np.full(n_g, np.inf)
-    free_k = np.full(n_k, np.inf)
-    # rd, ru, omin, omax, upper flow limit, lower flow limit, balance
-    row_lower = np.concatenate((-free, -free, p_min, -free, -free_k, demand_flow - rate,
-                                [total]))
-    row_upper = np.concatenate((ramp - p, ramp + p, free, p_max, rate + demand_flow, free_k,
-                                [total]))
+    eye = np.eye(n_g)[:, None, :]
+    limits = np.array([(g.ramp_10, g.ramp_10, g.p_min, g.p_max) for g in case.generators])
+    gen = np.concatenate((eye * _GEN_PC[:, None], eye * -limits[:, :, None],
+                          eye * _GEN_P[:, None]), axis=2).reshape(n_b, 3 * n_g)
+    a = np.empty((n_b + 1 + 2 * len(rate), n_g))
+    a[:n_b], a[n_b] = gen[:, :n_g], 1.0
+    a[n_b + 1::2] = a[n_b + 2::2] = at_gens
+    b = np.zeros((len(a), 2 * n_g))
+    b[:n_b] = gen[:, n_g:]
+    lo, hi = np.empty((2, len(a)))
+    lo[:n_b].reshape(n_g, 4)[:], hi[:n_b].reshape(n_g, 4)[:] = _GEN_LO, _GEN_HI
+    lo[n_b] = hi[n_b] = total
+    lo[n_b + 1::2], hi[n_b + 1::2] = -np.inf, demand_flow + rate
+    lo[n_b + 2::2], hi[n_b + 2::2] = demand_flow - rate, np.inf
+    return a, b, lo, hi
+
+
+def _slack_lp(rows: tuple, muc: MucSolution, t: int, name: str) -> LinearProgram:
+    """Redispatch feasibility LP over the ``post_outage_rows`` of period ``t``.
+
+    Columns are the slack ``s`` and ``pc``.  The schedule's terms move to
+    the right-hand side, and the slack scales it towards the always
+    feasible all-zeros point, so the slack column equals the rhs column.
+    """
+    a, b, lo, hi = rows
+    n_g = a.shape[1]
+    shift = b @ np.concatenate((muc.u[:, t - 1], muc.p[:, t - 1]))
+    row_lower, row_upper = lo - shift, hi - shift
     rhs = np.where(np.isfinite(row_upper), row_upper, row_lower)
-    eye = np.eye(n_g)
-    coef = np.vstack((-eye, eye, eye, eye, at_gens, at_gens, np.ones(n_g)))
     return LinearProgram(
         cost=np.concatenate(([1.0], np.zeros(n_g))),
-        a=np.hstack((rhs[:, None], coef)),
+        a=np.hstack((rhs[:, None], a)),
         row_lower=row_lower,
         row_upper=row_upper,
         lb=np.concatenate(([0.0], np.full(n_g, -np.inf))),
@@ -154,30 +177,21 @@ def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
     Minimizes a proportional slack over the 10-minute redispatch polytope of
     the given schedule with branch ``c`` out of service.  Slack zero means
     the outage is survivable.  An infeasible outcome carries its Benders
-    feasibility cut: the LP's dual objective ``row_rhs @ row_duals`` with
-    the generator rows' right-hand sides (``R10 u - p``, ``R10 u + p``,
-    ``p_min u``, ``p_max u``) written as functions of the master's ``u`` and
-    ``p``, and every other row summed into the constant.
+    feasibility cut, the LP's dual objective ``pi @ (rhs - b @ [u; p])``
+    over the rows of ``post_outage_rows`` plus the bound terms, with the
+    master's ``u`` and ``p`` left free: ``-(pi @ b)`` gives the
+    coefficients and everything else the constant.
     """
-    lp = _slack_lp(case, sens, muc, t, (c,), f"pcfc[{c},{t}]")
-    result, slack = _solve_slack_lp(lp)
+    rows = post_outage_rows(case, sens.outage_ptdf((c,)), (c,), t)
+    result, slack = _solve_slack_lp(_slack_lp(rows, muc, t, f"pcfc[{c},{t}]"))
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, status="feasible", slack=slack)
 
-    gens = case.generators
-    n_g = len(gens)
-    # duals in the orientation _slack_lp writes each row in
-    rd, ru, omin, omax = result.row_duals[:4 * n_g].reshape(4, n_g)
-    p_min = np.array([g.p_min for g in gens])
-    p_max = np.array([g.p_max for g in gens])
-    ramp = np.array([g.ramp_10 for g in gens])
-    coef_u = p_min * omin + p_max * omax + ramp * (rd + ru)
-    coef_p = ru - rd
-    cut = FeasibilityCut(
-        contingency=c, period=t,
-        coef_u={g.id: v for g, v in zip(gens, coef_u.tolist()) if v != 0.0},
-        coef_p={g.id: v for g, v in zip(gens, coef_p.tolist()) if v != 0.0},
-        constant=float(result.row_rhs[4 * n_g:] @ result.row_duals[4 * n_g:]))
+    _, b, lo, hi = rows
+    coef_u, coef_p = -(result.row_duals[:len(b)] @ b).reshape(2, -1)
+    rhs = np.concatenate((np.where(np.isfinite(hi), hi, lo), result.row_rhs[len(b):]))
+    cut = FeasibilityCut(contingency=c, period=t, coef_u=coef_u, coef_p=coef_p,
+                         constant=float(rhs @ result.row_duals))
     return SubproblemOutcome(contingency=c, period=t, status="infeasible",
                              slack=slack, cut=cut)
 
@@ -193,8 +207,8 @@ def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution
     """
     if j == c:
         raise ValueError("switch candidate must differ from the contingency")
-    lp = _slack_lp(case, sens, muc, t, (c, j), f"nr_pcfc[{c},{t},{j}]")
-    _, slack = _solve_slack_lp(lp)
+    rows = post_outage_rows(case, sens.outage_ptdf((c, j)), (c, j), t)
+    _, slack = _solve_slack_lp(_slack_lp(rows, muc, t, f"nr_pcfc[{c},{t},{j}]"))
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, slack=slack,
                                  status="feasible_via_switch", switch=j)

@@ -73,8 +73,8 @@ def redispatch_slack(case: SystemCase, sol, t: int,
     # columns: pc[g] for every generator, then w
     a_ub, b_ub = [], []
     for gi, g in enumerate(gens):
-        u = sol.commitment(g.id, t)
-        p = sol.dispatch(g.id, t)
+        u = sol.u[gi, t - 1]
+        p = sol.p[gi, t - 1]
         lo = max(p - g.ramp_10 * u, g.p_min * u)
         hi = min(p + g.ramp_10 * u, g.p_max * u)
         for side, bound in ((1.0, hi), (-1.0, -lo)):

@@ -150,10 +150,11 @@ def test_reported_objective_recomputes_from_emitted_schedule(tri3_tight, tmp_pat
     lines = paths["schedule"].read_text().strip().splitlines()[1:]
     for line in lines:
         gid, *cells = line.split(",")
-        for t, cell in enumerate(cells, start=1):
+        gi = schedule.generator_ids.index(int(gid))
+        for t, cell in enumerate(cells):
             u_str, p_str = cell.split(":")
-            assert int(u_str) == schedule.commitment(int(gid), t)
-            assert float(p_str) == pytest.approx(schedule.dispatch(int(gid), t), abs=5e-7)
+            assert int(u_str) == schedule.u[gi, t]
+            assert float(p_str) == pytest.approx(schedule.p[gi, t], abs=5e-7)
 
 
 def test_unwritable_path_raises(tri3, tmp_path):

@@ -65,10 +65,11 @@ def test_reserve_pool_forces_backup_commitment(tri3):
     # costly unit must be committed purely as backup
     sens = build_sensitivities(tri3)
     sched = master_schedule(tri3, sens)
-    assert sched.commitment(1, 1) == 1
-    assert sched.commitment(2, 1) == 1
-    assert sched.dispatch(2, 1) == pytest.approx(0.0, abs=1e-7)
-    assert sched.reserve(2, 1) >= sched.dispatch(1, 1) - 1e-6
+    g1, g2 = tri3.generator_index[1], tri3.generator_index[2]
+    assert sched.u[g1, 0] == 1
+    assert sched.u[g2, 0] == 1
+    assert sched.p[g2, 0] == pytest.approx(0.0, abs=1e-7)
+    assert sched.r[g2, 0] >= sched.p[g1, 0] - 1e-6
 
 
 def test_master_has_no_angle_or_flow_columns(c4_low):
@@ -84,9 +85,10 @@ def test_master_size_is_pinned():
     # column or row layout shows up here
     case = random_case(101, 24, 8, 4)
     sens = build_sensitivities(case)
-    g1, g2 = case.generators[0].id, case.generators[1].id
+    coef_u, coef_p = np.zeros(len(case.generators)), np.zeros(len(case.generators))
+    coef_u[:2], coef_p[0] = (1.0, -3.0), 0.5
     cut = FeasibilityCut(contingency=sens.contingencies[0], period=2,
-                         coef_u={g1: 1.0, g2: -3.0}, coef_p={g1: 0.5}, constant=-2.0)
+                         coef_u=coef_u, coef_p=coef_p, constant=-2.0)
     sizes = [(len(lp.cost), len(lp.row_lower), lp.a.nnz)
              for lp in (build_muc(case, sens), build_muc(case, sens, [cut]))]
     assert sizes == [(128, 535, 2967), (128, 536, 2970)]
@@ -152,10 +154,20 @@ def test_extraction_rejects_an_answer_that_breaks_its_model(tri3):
 def test_one_cut_adds_exactly_one_row(tri3):
     sens = build_sensitivities(tri3)
     base = build_muc(tri3, sens)
-    cut = FeasibilityCut(contingency=1, period=1, coef_u={1: 1.0}, coef_p={2: 0.5},
+    cut = FeasibilityCut(contingency=1, period=1, coef_u=[1.0, 0.0], coef_p=[0.0, 0.5],
                          constant=-2.0)
     with_cut = build_muc(tri3, sens, [cut])
     assert len(with_cut.row_lower) == len(base.row_lower) + 1
+
+
+def test_cut_needs_one_coefficient_per_generator(tri3):
+    # zip would pair a short vector with the first generators without a word
+    sens = build_sensitivities(tri3)
+    for coef_u, coef_p in (([1.0], [0.0, 0.5]), ([1.0, 0.0], [0.5]), ([1.0, 0.0, 2.0],) * 2):
+        cut = FeasibilityCut(contingency=1, period=1, coef_u=coef_u, coef_p=coef_p,
+                             constant=-2.0)
+        with pytest.raises(ValueError, match="the case has 2 generators"):
+            build_muc(tri3, sens, [cut])
 
 
 def test_zero_ten_minute_ramp_kills_dispatch():
@@ -234,6 +246,23 @@ def test_switching_budget_one_is_a_relaxation(c4_low):
     plain, _ = extensive(build_extensive_scuc, c4_low, sens)
     cnr, _ = extensive(build_extensive_scuc_cnr, c4_low, sens)
     assert cnr.objective <= plain.objective + 1e-6
+
+
+@pytest.mark.parametrize("name, build, size", [
+    ("random_101_12_5_4", build_extensive_scuc, (3363, 380, 11275, 0)),
+    ("random_101_12_5_4", build_extensive_scuc_cnr, (6623, 1980, 48795, 800)),
+    ("corridor4_high", build_extensive_scuc, (283, 54, 529, 0)),
+    ("corridor4_high", build_extensive_scuc_cnr, (421, 118, 1137, 32)),
+], ids=["random_101_12_5_4-plain", "random_101_12_5_4-cnr", "corridor4_high-plain",
+        "corridor4_high-cnr"])
+def test_extensive_size_is_pinned(name, build, size):
+    # rows, columns, nonzeros and z columns do not depend on the machine: a
+    # change to the extensive layout shows up here
+    case = {"random_101_12_5_4": lambda: random_case(101, 12, 5, 4),
+            "corridor4_high": corridor4_high}[name]()
+    lp, switches = build(case, build_sensitivities(case))
+    assert (len(lp.row_lower), len(lp.cost), lp.a.nnz,
+            sum(len(z) for z in switches.values())) == size
 
 
 def test_switching_rescues_an_insecure_system(c4_high):

@@ -110,7 +110,7 @@ def test_outcome_invariants():
 
 
 def test_outcome_carries_a_cut_only_when_infeasible():
-    cut = FeasibilityCut(contingency=1, period=1, coef_u={}, coef_p={}, constant=0.5)
+    cut = FeasibilityCut(contingency=1, period=1, coef_u=[], coef_p=[], constant=0.5)
     for status in ("screened_out", "feasible", "feasible_via_switch"):
         with pytest.raises(ValueError, match="cut"):
             SubproblemOutcome(contingency=1, period=1, status=status, slack=0.0, cut=cut)
@@ -118,14 +118,29 @@ def test_outcome_carries_a_cut_only_when_infeasible():
     assert out.cut is cut
 
 
-def test_cut_evaluation_and_comparison():
-    cut = FeasibilityCut(contingency=3, period=2, coef_u={1: 2.0}, coef_p={1: -0.5},
+def test_cut_evaluation_and_comparison(tri3):
+    cut = FeasibilityCut(contingency=3, period=1, coef_u=[2.0, 0.0], coef_p=[-0.5, 0.0],
                          constant=1.0)
-    assert cut.evaluate({1: 1.0}, {1: 4.0}) == pytest.approx(1.0)
-    twin = FeasibilityCut(contingency=3, period=2, coef_u={1: 2.0}, coef_p={1: -0.5},
+    # unit 1 committed at 4 MW: 2 * 1 - 0.5 * 4 + 1
+    sched = manual_schedule(tri3, {1: {1: 4.0}})
+    assert cut.evaluate_solution(sched) == pytest.approx(1.0)
+    twin = FeasibilityCut(contingency=3, period=1, coef_u=[2.0, 0.0], coef_p=[-0.5, 0.0],
                           constant=1.0 + 1e-12)
-    other = FeasibilityCut(contingency=3, period=2, coef_u={1: 2.1}, coef_p={1: -0.5},
+    other = FeasibilityCut(contingency=3, period=1, coef_u=[2.1, 0.0], coef_p=[-0.5, 0.0],
                            constant=1.0)
     assert cut.same_coefficients(twin)
     assert not cut.same_coefficients(other)
-    assert not cut.same_coefficients(dataclasses.replace(twin, period=1))
+    assert not cut.same_coefficients(dataclasses.replace(twin, period=2))
+    assert cut == dataclasses.replace(cut) and cut != twin
+
+
+def test_cut_holds_read_only_float_vectors():
+    cut = FeasibilityCut(contingency=3, period=1, coef_u=[2, 0], coef_p=(-0.5, 0.0),
+                         constant=1.0)
+    assert cut.coef_u.dtype == float and cut.coef_p.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        cut.coef_u[0] = 5.0
+    # a dict would zip its keys, the generator ids, as coefficients
+    with pytest.raises(TypeError):
+        FeasibilityCut(contingency=3, period=1, coef_u={1: 2.0}, coef_p={1: -0.5},
+                       constant=1.0)

@@ -149,7 +149,7 @@ def test_stranded_corridor_records_unresolved_then_predispatch(c4_stranded):
     assert res.converged
     assert res.iterations == 2
     assert res.report.iteration_log[0].cuts_added == 1
-    assert res.schedule.commitment(2, 2) == 1
+    assert res.schedule.u[c4_stranded.generator_index[2], 1] == 1
 
 
 def test_audits_pass_for_converged_runs(tri3, tri3_tight, c4_low, c4_high, c4_stranded):

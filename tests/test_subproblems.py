@@ -11,8 +11,8 @@ from scucnr.fixtures import random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
-from scucnr.subproblems import (_slack_lp, find_corrective_switch, run_csps,
-                                solve_nr_pcfc, solve_pcfc)
+from scucnr.subproblems import (_slack_lp, find_corrective_switch, post_outage_rows,
+                                run_csps, solve_nr_pcfc, solve_pcfc)
 
 
 def cheap_point(case):
@@ -52,7 +52,7 @@ def test_triangle_overload_is_flagged(tri3):
         + tri3.branches[1:])
     sens = build_sensitivities(tight)
     muc = manual_schedule(tight, {1: {1: 80.0}}, committed={1: {1, 2}})
-    assert muc.branch_flow(1, 1) == pytest.approx(2.0 / 3.0 * 80.0, abs=1e-9)
+    assert muc.flow[tight.branch_index[1], 0] == pytest.approx(2.0 / 3.0 * 80.0, abs=1e-9)
     screen = run_csps(tight, sens, muc, all_pairs(tight, sens))
     assert (2, 1) in screen.critical
     assert screen.overload_ratio[(2, 1)] == pytest.approx(80.0 / 75.0, rel=1e-9)
@@ -175,13 +175,14 @@ def _check_cuts_off_their_point(case, points=20):
         out = solve_pcfc(case, sens, muc, c, t)
         if out.status != "infeasible":
             continue
-        lp = _slack_lp(case, sens, muc, t, (c,), "at_point")
+        rows = post_outage_rows(case, sens.outage_ptdf((c,)), (c,), t)
+        lp = _slack_lp(rows, muc, t, "at_point")
         duals = solve_lp(lp).row_duals
         assert _row_rhs(lp) @ duals == pytest.approx(out.slack, abs=1e-6)
         for _ in range(points):
             other = dataclasses.replace(muc, u=rng.integers(0, 2, size=muc.u.shape),
                                         p=rng.uniform(0.0, 1.0, size=muc.p.shape) * p_max)
-            terms = _row_rhs(_slack_lp(case, sens, other, t, (c,), "away")) * duals
+            terms = _row_rhs(_slack_lp(rows, other, t, "away")) * duals
             scale = max(1.0, np.abs(terms).sum())
             assert abs(out.cut.evaluate_solution(other) - terms.sum()) <= 1e-9 * scale
         checked += 1
@@ -207,7 +208,7 @@ def test_companion_switch_rescues_direct_outage(c4_high):
     assert out.slack <= 1e-6
     # independent check: with branches 3 and 2 gone, the full 130 MW rides
     # the external corridor, inside its 165 MW emergency rating
-    disp = {g: muc.dispatch(g, 2) for g in (1, 2, 3)}
+    disp = dict(zip(muc.generator_ids, muc.p[:, 1]))
     flows = dc_flows(c4_high, net_injections(c4_high, disp, 2), removed=frozenset({3, 2}))
     for k in c4_high.branches:
         if k.id in (3, 2):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -85,3 +86,25 @@ def test_compare_accepts_float_noise_and_rejects_a_changed_decision(tmp_path, ca
     assert ladder.main(["--compare", str(tmp_path / "parent"), str(tmp_path / "counted")]) == 1
     out = capsys.readouterr().out
     assert "case/td_scuc: decisions differ" in out
+
+
+def test_ladder_records_and_compares_a_broken_base_case(tmp_path, capsys, monkeypatch):
+    ladder = load_ladder()
+    runs = [("case", triangle3(), SolveOptions(method="td_scuc"))]
+    monkeypatch.setattr(ladder, "ladder", lambda: iter(runs))
+    verify = ladder.verify_solution
+    broken = {"parent": "row 3 of 'muc' in period 1 is broken by 1",
+              "change": "row 5 of 'muc' in period 1 is broken by 2"}
+    for side, reason in broken.items():
+        monkeypatch.setattr(ladder, "verify_solution", lambda case, result, reason=reason:
+                            dataclasses.replace(verify(case, result), base_case=reason))
+        ladder.run(tmp_path / side)
+        written = json.loads((tmp_path / side / "case" / "td_scuc" / "verify.json").read_text())
+        assert written["verdict"] == "insecure" and written["base_case"] == reason
+    capsys.readouterr()
+
+    # the two ladders differ only in why the base case is broken
+    assert ladder.main(["--compare", str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    out = capsys.readouterr().out
+    assert "case/td_scuc: decisions differ" in out
+    assert "bytes differ in verify.json" in out

@@ -8,17 +8,19 @@ cases, through the public API (``solve``, ``write_report``,
 ``verify_solution``) with the ``scucnr`` package under this checkout's
 ``src``.  Each run gets ``OUT_DIR/<case>/<method>/`` holding
 ``report.json``, ``schedule.csv`` and ``verify.json`` (the audit's
-verdict).  When a run raises ``SolverError`` or ``ValueError``, its
-``verify.json`` holds verdict ``error`` and the message, and the ladder
-carries on.  Nothing wall-clock is written, so two checkouts compare with
-one ``diff -r`` of their output directories.
+verdict, with ``base_case`` when the schedule breaks a base-case row).
+When a run raises ``SolverError`` or ``ValueError``, its ``verify.json``
+holds verdict ``error`` and the message, and the ladder carries on.
+Nothing wall-clock is written, so two checkouts compare with one
+``diff -r`` of their output directories.
 
 ``--compare`` checks two such directories against each other.  Every run
 must make the same decisions on both sides: status, ``converged``,
 iterations, ``cuts_total``, each iteration's counts in ``iteration_log``
 (every field but ``muc_objective`` and ``screen_audit_max_slack``), each
 pair's status and switch, the switch list, the unresolved pairs and the
-audit verdict in ``verify.json``.
+audit in ``verify.json`` (verdict, pairs checked, unsurvivable pairs and
+``base_case``).
 Objectives must agree within ``REL_TOL`` relative.  Each run whose files
 differ in any byte is printed with the largest absolute difference of
 each ``solution`` array.  The exit status is 1 when some run decides
@@ -89,9 +91,13 @@ def run_one(case, options, target: Path) -> tuple[str, dict]:
     if result.schedule is None:
         return result.status, {"verdict": "no schedule"}
     audit = verify_solution(case, result)
-    return result.status, {"verdict": "secure" if audit.secure else "insecure",
-                           "pairs_checked": audit.pairs_checked,
-                           "violations": [list(v) for v in audit.violations]}
+    verdict = {"verdict": "secure" if audit.secure else "insecure",
+               "pairs_checked": audit.pairs_checked,
+               "violations": [list(v) for v in audit.violations]}
+    if audit.base_case is not None:
+        # only when there is one, so the verdicts of secure runs keep their bytes
+        verdict["base_case"] = audit.base_case
+    return result.status, verdict
 
 
 def run(out_dir: Path) -> int:
