@@ -2,9 +2,9 @@
 
 Every LP and MILP arrives as a ``LinearProgram``, HiGHS's own form:
 ``row_lower <= a @ x <= row_upper`` with column bounds and optional
-integrality.  One private runner loads each one into a fresh engine through
-scipy's private binding ``scipy.optimize._highspy._core._Highs``, maps the
-model status through one table and applies the post-solve residual check of
+integrality.  One private runner loads each one into an engine of scipy's
+private binding ``scipy.optimize._highspy._core._Highs``, maps the model
+status through one table and applies the post-solve residual check of
 ``linprog(method="highs")`` to every optimal answer, without linprog's or
 ``milp``'s per-call input checking and option validation.  That module is
 not public API, so ``pyproject.toml`` pins scipy to the 1.17 series it was
@@ -14,6 +14,10 @@ row and per finite variable bound; ``solve_milp`` runs with
 are normalised so that ``sum(rhs * dual)`` over rows and bounds equals the
 optimal objective of the minimisation problem: a row's rhs is its finite
 side, and a bound counts as the row ``x >= lb`` or ``x <= ub``.
+
+Every solve gets a fresh engine, so concurrent calls share no state,
+unless ``solve_lp`` is given an ``Engine``: one engine kept for a chain of
+LPs on one thread, each started from the last optimal basis of its shape.
 """
 
 from __future__ import annotations
@@ -132,10 +136,36 @@ def violation(lp: LinearProgram, x: np.ndarray, tol: float) -> tuple[str, int, f
     return None
 
 
-def _run(lp: LinearProgram, options: dict):
-    """Solve ``lp`` in a fresh engine, so concurrent calls share no state.
+def _new_engine(options: dict):
+    """A HiGHS engine with ``options`` set."""
+    highs = _hc._Highs()
+    for key, val in options.items():
+        if highs.setOptionValue(key, val) == _hc.HighsStatus.kError:
+            raise SolverError(f"HiGHS rejected option {key}={val!r}")
+    return highs
 
-    Returns the status, the engine, its info and its solution.  The solution
+
+class Engine:
+    """One HiGHS engine, with ``solve_lp``'s options, for a chain of LPs.
+
+    ``solve_lp(lp, engine)`` loads each LP into it and, when the last LP it
+    solved to optimality had the same shape, starts from that optimal
+    basis.  HiGHS then skips presolve and needs fewer simplex iterations.
+    The optimum is the same as a fresh engine's, up to the feasibility
+    tolerances, but where the optimal vertex or the duals are not unique it
+    may return other ones.  An engine holds state: use it from one thread.
+    """
+
+    def __init__(self):
+        self.highs = _new_engine(_LP_OPTIONS)
+        self.shape: tuple[int, int] | None = None
+        self.basis = None
+
+
+def _run(lp: LinearProgram, highs, basis=None):
+    """Solve ``lp`` in ``highs``, from ``basis`` when one is given.
+
+    Returns the status, the engine's info and its solution.  The solution
     is None unless the engine holds an answer: an optimum, which must pass
     linprog's residual check, or a MILP incumbent found before a limit.
     """
@@ -160,12 +190,10 @@ def _run(lp: LinearProgram, options: dict):
     if lp.integrality is not None:
         model.integrality_ = [_hc.HighsVarType(int(i)) for i in lp.integrality]
 
-    highs = _hc._Highs()
-    for key, val in options.items():
-        if highs.setOptionValue(key, val) == _hc.HighsStatus.kError:
-            raise SolverError(f"HiGHS rejected option {key}={val!r}")
     if highs.passModel(model) == _hc.HighsStatus.kError:
         raise SolverError(f"HiGHS could not load {lp.name!r}")
+    if basis is not None and highs.setBasis(basis) == _hc.HighsStatus.kError:
+        raise SolverError(f"HiGHS rejected the starting basis of {lp.name!r}")
     highs.run()
     model_status = highs.getModelStatus()
     status = _STATUS.get(model_status)
@@ -176,21 +204,29 @@ def _run(lp: LinearProgram, options: dict):
     incumbent = (lp.integrality is not None and status == "limit"
                  and info.objective_function_value < _hc.kHighsInf)
     if status != "optimal" and not incumbent:
-        return status, highs, info, None
+        return status, info, None
     solution = highs.getSolution()
     if status == "optimal":
         broken = violation(lp, np.array(solution.col_value), _RESIDUAL_TOL)
         if broken is not None or math.isnan(info.objective_function_value):
             problem = "breaks {} {} by {:.2e}".format(*broken) if broken else "has a NaN objective"
             raise SolverError(f"HiGHS reported optimal on {lp.name!r}, but its solution {problem}")
-    return status, highs, info, solution
+    return status, info, solution
 
 
-def solve_lp(lp: LinearProgram) -> SolveResult:
-    """Solve a pure LP with HiGHS and return primal values plus normalised duals."""
+def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
+    """Solve a pure LP with HiGHS and return primal values plus normalised duals.
+
+    Without ``engine`` the LP gets a fresh engine; with one, see ``Engine``.
+    """
     if lp.integrality is not None and lp.integrality.any():
         raise ValueError(f"{lp.name!r} has integer columns; solve it with solve_milp")
-    status, highs, info, solution = _run(lp, _LP_OPTIONS)
+    shape = (lp.row_lower.shape[0], lp.cost.shape[0])
+    if engine is None:
+        highs, start = _new_engine(_LP_OPTIONS), None
+    else:
+        highs, start = engine.highs, (engine.basis if engine.shape == shape else None)
+    status, info, solution = _run(lp, highs, start)
     iterations = int(info.simplex_iteration_count)
     if solution is None:
         return SolveResult(status=status, objective=None, simplex_iterations=iterations)
@@ -198,7 +234,10 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     # A bound's dual is the column dual where the basis holds the column at
     # that bound, as linprog reports it.  Row duals are sensitivities of the
     # optimum to each row's finite side, which is their normalised form.
-    col_status = np.array([int(s) for s in highs.getBasis().col_status])
+    basis = highs.getBasis()
+    if engine is not None:
+        engine.shape, engine.basis = shape, basis
+    col_status = np.array([int(s) for s in basis.col_status])
     col_dual = np.array(solution.col_dual)
     lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)
     upper_duals = np.where(col_status == _AT_UPPER, col_dual, 0.0)
@@ -219,7 +258,7 @@ def solve_milp(lp: LinearProgram, gap: float = DEFAULT_MILP_GAP,
     options: dict[str, object] = {"log_to_console": False, "mip_rel_gap": float(gap)}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    status, _, info, solution = _run(lp, options)
+    status, info, solution = _run(lp, _new_engine(options))
     found = solution is not None
     return SolveResult(status=status,
                        objective=float(info.objective_function_value) if found else None,

@@ -13,7 +13,7 @@ when opened.  Periods are 1-based.
 Every model is in shift-factor form: flows are not columns but PTDF rows
 over the generator outputs, built by ``post_outage_flows`` from
 ``NetworkSensitivities.ptdf`` in the base case.  Each post-outage state is
-the feasibility LP's own row block, ``post_outage_rows`` over
+the feasibility LP's own row block, ``subproblems.OutageRows`` over
 ``outage_ptdf``.
 """
 
@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .backend import INF, LinearProgram, SolveResult, SolverError, violation
 from .model import FeasibilityCut, MucSolution, SystemCase
 from .network import NetworkSensitivities, bus_angles, compute_lodf
-from .subproblems import post_outage_flows, post_outage_rows, switch_candidates
+from .subproblems import OutageRows, post_outage_flows, switch_candidates
 
 INTEGRALITY_TOL = 1e-5
 
@@ -188,18 +188,16 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
     return prob.lower("muc")
 
 
-def _add_post_outage_state(prob: _Problem, case: SystemCase, c: int, t: int,
-                           ptdf: np.ndarray, switchable: tuple[int, ...],
-                           shed: np.ndarray) -> dict[int, int]:
-    """The ``post_outage_rows`` of outage ``c`` in period ``t`` over a new redispatch ``pc``.
+def _add_post_outage_state(prob: _Problem, case: SystemCase, rows: OutageRows, t: int,
+                           switchable: tuple[int, ...], shed: np.ndarray) -> dict[int, int]:
+    """The ``rows`` of one outage in period ``t`` over a new redispatch ``pc``.
 
-    ``ptdf`` is ``outage_ptdf((c,))``.  The switch rows of ``switchable`` go
-    between the balance and the flow limits, which also carry ``shed`` over
-    the switch columns ``w``.  Returns the ``z`` column of each switchable
-    line.
+    The switch rows of ``switchable`` go between the balance and the flow
+    limits, which also carry ``shed`` over the switch columns ``w``.
+    Returns the ``z`` column of each switchable line.
     """
     u, _, p, _ = base_columns(case)
-    a, b, lo, hi = post_outage_rows(case, ptdf, (c,), t)
+    a, b, lo, hi = rows.at(t)
     gen_rows = 4 * len(case.generators) + 1
     # generator rows and the balance, then the switch rows, then the flow rows
     pc = np.array([prob.add_column(lb=0.0, ub=g.p_max) for g in case.generators])
@@ -209,7 +207,7 @@ def _add_post_outage_state(prob: _Problem, case: SystemCase, c: int, t: int,
     z: dict[int, int] = {}
     w: list[int] = []
     if switchable:
-        at_gens, demand_flow, _ = post_outage_flows(case, ptdf, t)
+        at_gens, demand_flow, _ = post_outage_flows(case, rows.ptdf, t)
         p_max = np.array([g.p_max for g in case.generators])
     for j in switchable:
         i = case.branch_index[j]
@@ -245,8 +243,9 @@ def _build_extensive(name: str, case: SystemCase, sens: NetworkSensitivities,
         lodf = compute_lodf(case, ptdf, frozenset(switchable))[:, positions]
         # both limit rows of every in-service branch k carry lodf[k] @ w
         shed = np.repeat(np.delete(lodf, case.branch_index[c], axis=0), 2, axis=0)
+        rows = OutageRows(case, ptdf, (c,))
         for t in case.periods:
-            switches[(c, t)] = _add_post_outage_state(prob, case, c, t, ptdf, switchable, shed)
+            switches[(c, t)] = _add_post_outage_state(prob, case, rows, t, switchable, shed)
     return prob.lower(name), switches
 
 

@@ -73,10 +73,6 @@ class SystemCase:
         return {b.id: i for i, b in enumerate(self.branches)}
 
     @cached_property
-    def generator_index(self) -> dict[int, int]:
-        return {g.id: i for i, g in enumerate(self.generators)}
-
-    @cached_property
     def reference_bus(self) -> int:
         refs = [b.id for b in self.buses if b.is_reference]
         if len(refs) != 1:
@@ -85,9 +81,6 @@ class SystemCase:
 
     def branch(self, branch_id: int) -> Branch:
         return self.branches[self.branch_index[branch_id]]
-
-    def generator(self, gen_id: int) -> Generator:
-        return self.generators[self.generator_index[gen_id]]
 
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_index[bus_id]]

@@ -9,9 +9,12 @@ screen the candidate set with distribution factors before solving any LP.
 The loop converges when an iteration adds no cuts.  One routine,
 ``_examine_pair``, decides every examined pair, for the loop, its screen
 audit and ``verify_schedule`` alike; each iteration's counts and the run's
-switches, unresolved pairs and cuts are read off its outcomes.  Each
-schedule must meet the rows of the model it came from, and the audit holds
-it to the cut-free master's rows before it examines any pair.
+switches, unresolved pairs and cuts are read off its outcomes.  Pairs go
+one task per contingency, its periods in order on one warm HiGHS engine
+(see ``subproblems.solve_pcfc``), and come back in (period, contingency)
+order.  Each schedule must meet the rows of the model it came from, and
+the audit holds it to the cut-free master's rows before it examines any
+pair.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .backend import DEFAULT_MILP_GAP, SolverError, solve_milp
+from .backend import DEFAULT_MILP_GAP, Engine, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
 from .formulations import (build_extensive_scuc, build_extensive_scuc_cnr,
                            build_muc, extract_solution, extract_switching_plan,
@@ -30,7 +33,7 @@ from .formulations import (build_extensive_scuc, build_extensive_scuc_cnr,
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
 from .network import DEFAULT_CBCE_SIZE, NetworkSensitivities, build_sensitivities
-from .subproblems import find_corrective_switch, run_csps, solve_pcfc
+from .subproblems import OutageRows, find_corrective_switch, run_csps, solve_pcfc
 
 METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
            "td_scuc_cnr", "ad_scuc_cnr")
@@ -159,14 +162,16 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
 
 
 def _examine_pair(case, sens, muc, c, t, slack_tolerance: float, switching: bool,
-                  enumerate_all: bool, counters: Counter) -> SubproblemOutcome:
-    """PCFC one pair; with ``switching``, chase a switch on failure.
+                  enumerate_all: bool, counters: Counter, rows: OutageRows,
+                  engine: Engine) -> SubproblemOutcome:
+    """PCFC one pair on its outage's ``rows`` and warm ``engine``; with
+    ``switching``, chase a switch on failure.
 
     The outcome is infeasible, and carries its cut, only when the pair ends
     up with no feasible recourse.  ``counters`` gets the seconds of its LPs.
     """
     t0 = time.perf_counter()
-    outcome = solve_pcfc(case, sens, muc, c, t, slack_tolerance)
+    outcome = solve_pcfc(case, sens, muc, c, t, slack_tolerance, rows, engine)
     counters["pcfc_seconds"] += time.perf_counter() - t0
     if outcome.status == "feasible":
         return outcome
@@ -189,27 +194,38 @@ def _examine_pair(case, sens, muc, c, t, slack_tolerance: float, switching: bool
 
 def _examine(case, sens, muc, pairs, slack_tolerance: float, switching: bool,
              enumerate_all: bool, workers: int) -> tuple[list[SubproblemOutcome], Counter]:
-    """``_examine_pair`` over ``pairs`` in (period, contingency) order.
+    """``_examine_pair`` over ``pairs``, one task per contingency.
 
-    Returns the outcomes in that order and the merged counters.  Each task
-    gets its own counters, merged after the barrier, so worker threads
-    share only immutable inputs.
+    A task builds its contingency's ``OutageRows`` and one warm ``Engine``
+    and takes its periods in order.  Returns the outcomes in (period,
+    contingency) order, the order of the master's cut rows, and the merged
+    counters.  Each task has its own rows, engine and counters, so worker
+    threads share only immutable inputs and the outcomes do not depend on
+    ``workers``.
     """
-    def examine(pair):
-        local = Counter()
-        return _examine_pair(case, sens, muc, *pair, slack_tolerance, switching,
-                             enumerate_all, local), local
+    periods: dict[int, list[int]] = {}
+    for c, t in sorted(pairs):
+        periods.setdefault(c, []).append(t)
 
-    ordered = sorted(pairs, key=lambda ct: (ct[1], ct[0]))
+    def examine(c):
+        local = Counter()
+        t0 = time.perf_counter()
+        rows, engine = OutageRows(case, sens.outage_ptdf((c,)), (c,)), Engine()
+        local["pcfc_seconds"] += time.perf_counter() - t0
+        return [_examine_pair(case, sens, muc, c, t, slack_tolerance, switching,
+                              enumerate_all, local, rows, engine) for t in periods[c]], local
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            examined = list(pool.map(examine, ordered))
+            examined = list(pool.map(examine, periods))
     else:
-        examined = list(map(examine, ordered))
+        examined = list(map(examine, periods))
     counters = Counter()
     for _, local in examined:
         counters.update(local)
-    return [out for out, _ in examined], counters
+    outcomes = sorted((out for outs, _ in examined for out in outs),
+                      key=lambda o: (o.period, o.contingency))
+    return outcomes, counters
 
 
 def _solve_decomposed(case: SystemCase, options: SolveOptions,

@@ -7,14 +7,23 @@ whose proportional slack indicates whether the outage is survivable within
 additional line opened.  The switch search walks the ranked candidate list
 and stops at the first feasible reconfiguration.
 
-The rows of a post-outage state are defined once, by ``post_outage_rows``,
-as arrays ``lo <= a @ pc + b @ [u; p] <= hi`` over the redispatch ``pc``
+The rows of a post-outage state are defined once, by ``OutageRows``, as
+arrays ``lo <= a @ pc + b @ [u; p] <= hi`` over the redispatch ``pc``
 and the schedule's ``u`` and ``p``, with flows from the post-outage PTDF
 (generalised LODFs for a switched pair).  The feasibility LP moves
 ``b @ [u; p]`` to the right-hand side; the Benders feasibility cut of an
 unsurvivable outage is its dual objective with ``u`` and ``p`` left free,
 read straight off the duals; the extensive models append the same rows
 over their own ``pc``, ``u`` and ``p`` columns.
+
+The slack optimum of a feasibility LP is exactly 0 or 1.  Each of its rows
+reads ``s r + A pc <= r``, ``>= r`` or ``= r``, where ``r`` is the row's
+finite side, and ``pc`` is free, so the feasible set is a cone in
+``(pc, 1 - s)``: if some ``s < 1`` is feasible, then ``pc / (1 - s)`` with
+``s = 0`` is too.  So an LP started from another period's basis
+(``backend.Engine``) reaches the verdict a fresh engine would, whatever
+optimal vertex it lands on.  The duals, and with them the cut, are not
+unique, so a cut is always read off a fresh engine's solve.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import LinearProgram, SolverError, solve_lp
+from .backend import Engine, LinearProgram, SolverError, solve_lp
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase)
 from .network import NetworkSensitivities
@@ -91,10 +100,9 @@ _GEN_LO = np.array([-np.inf, -np.inf, 0.0, -np.inf])
 _GEN_HI = np.array([0.0, 0.0, np.inf, 0.0])
 
 
-def post_outage_rows(case: SystemCase, ptdf: np.ndarray, removed: tuple[int, ...],
-                     t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows ``lo <= a @ pc + b @ [u; p] <= hi`` of period ``t`` with
-    the branches ``removed`` out of service, as ``(a, b, lo, hi)``.
+class OutageRows:
+    """The rows ``lo <= a @ pc + b @ [u; p] <= hi`` of every period with the
+    branches ``removed`` out of service; ``at(t)`` gives ``(a, b, lo, hi)``.
 
     ``ptdf`` is ``NetworkSensitivities.outage_ptdf(removed)``, ``pc`` the
     redispatch and ``u``, ``p`` the schedule, each in ``case.generators``
@@ -104,32 +112,59 @@ def post_outage_rows(case: SystemCase, ptdf: np.ndarray, removed: tuple[int, ...
     upper, then lower emergency limit.  Each row is an equality or has one
     finite side.  Only the ``4 G`` generator rows involve the schedule, each
     its own generator's ``u`` and ``p``; the other rows of ``b`` are zero.
-    """
-    n_g = len(case.generators)
-    n_b = 4 * n_g
-    in_service = np.ones(len(case.branches), dtype=bool)
-    in_service[[case.branch_index[k] for k in removed]] = False
-    rate = np.array([k.rate_emergency for k in case.branches])[in_service]
-    # the bounds come from the flows of the whole post-outage network, so a
-    # branch's limits do not depend on which other rows are dropped
-    at_gens, demand_flow, total = post_outage_flows(case, ptdf, t)
-    at_gens, demand_flow = at_gens[in_service], demand_flow[in_service]
 
-    eye = np.eye(n_g)[:, None, :]
-    limits = np.array([(g.ramp_10, g.ramp_10, g.p_min, g.p_max) for g in case.generators])
-    gen = np.concatenate((eye * _GEN_PC[:, None], eye * -limits[:, :, None],
-                          eye * _GEN_P[:, None]), axis=2).reshape(n_b, 3 * n_g)
-    a = np.empty((n_b + 1 + 2 * len(rate), n_g))
-    a[:n_b], a[n_b] = gen[:, :n_g], 1.0
-    a[n_b + 1::2] = a[n_b + 2::2] = at_gens
-    b = np.zeros((len(a), 2 * n_g))
-    b[:n_b] = gen[:, n_g:]
-    lo, hi = np.empty((2, len(a)))
-    lo[:n_b].reshape(n_g, 4)[:], hi[:n_b].reshape(n_g, 4)[:] = _GEN_LO, _GEN_HI
-    lo[n_b] = hi[n_b] = total
-    lo[n_b + 1::2], hi[n_b + 1::2] = -np.inf, demand_flow + rate
-    lo[n_b + 2::2], hi[n_b + 2::2] = demand_flow - rate, np.inf
-    return a, b, lo, hi
+    Only the balance and flow bounds depend on the period.  Everything else
+    (the generator rows, the emergency ratings, the generators' bus
+    positions, each period's demand and the read-only ``a`` and ``b``) is
+    built once, here.
+    """
+
+    def __init__(self, case: SystemCase, ptdf: np.ndarray, removed: tuple[int, ...]):
+        self.ptdf = ptdf
+        self.removed = tuple(removed)
+        n_g = len(case.generators)
+        n_b = self._gen_rows = 4 * n_g
+        self._in_service = np.ones(len(case.branches), dtype=bool)
+        self._in_service[[case.branch_index[k] for k in removed]] = False
+        self._rate = np.array([k.rate_emergency for k in case.branches])[self._in_service]
+        # one contiguous row of bus demands per period
+        self._demand = np.array([n.demand for n in case.buses]).T.copy()
+        at_gens = ptdf[:, [case.bus_index[g.bus] for g in case.generators]][self._in_service]
+
+        eye = np.eye(n_g)[:, None, :]
+        limits = np.array([(g.ramp_10, g.ramp_10, g.p_min, g.p_max) for g in case.generators])
+        gen = np.concatenate((eye * _GEN_PC[:, None], eye * -limits[:, :, None],
+                              eye * _GEN_P[:, None]), axis=2).reshape(n_b, 3 * n_g)
+        a = np.empty((n_b + 1 + 2 * len(self._rate), n_g))
+        a[:n_b], a[n_b] = gen[:, :n_g], 1.0
+        a[n_b + 1::2] = a[n_b + 2::2] = at_gens
+        b = np.zeros((len(a), 2 * n_g))
+        b[:n_b] = gen[:, n_g:]
+        a.setflags(write=False)
+        b.setflags(write=False)
+        self.a, self.b = a, b
+        self._lo, self._hi = np.empty((2, len(a)))
+        self._lo[:n_b].reshape(n_g, 4)[:], self._hi[:n_b].reshape(n_g, 4)[:] = _GEN_LO, _GEN_HI
+        self._lo[n_b + 1::2], self._hi[n_b + 2::2] = -np.inf, np.inf
+
+    def at(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(a, b, lo, hi)`` of period ``t``."""
+        demand = self._demand[t - 1]
+        # the bounds come from the flows of the whole post-outage network, so
+        # a branch's limits do not depend on which other rows are dropped
+        demand_flow = (self.ptdf @ demand)[self._in_service]
+        n_b = self._gen_rows
+        lo, hi = self._lo.copy(), self._hi.copy()
+        lo[n_b] = hi[n_b] = demand.sum()
+        hi[n_b + 1::2] = demand_flow + self._rate
+        lo[n_b + 2::2] = demand_flow - self._rate
+        return self.a, self.b, lo, hi
+
+
+def post_outage_rows(case: SystemCase, ptdf: np.ndarray, removed: tuple[int, ...],
+                     t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``OutageRows(case, ptdf, removed).at(t)``: the rows of one post-outage state."""
+    return OutageRows(case, ptdf, removed).at(t)
 
 
 def _slack_lp(rows: tuple, muc: MucSolution, t: int, name: str) -> LinearProgram:
@@ -155,9 +190,9 @@ def _slack_lp(rows: tuple, muc: MucSolution, t: int, name: str) -> LinearProgram
     )
 
 
-def _solve_slack_lp(lp: LinearProgram):
+def _solve_slack_lp(lp: LinearProgram, engine: Engine | None = None):
     name = lp.name
-    result = solve_lp(lp)
+    result = solve_lp(lp, engine)
     if result.status != "optimal":
         # the all-zeros redispatch with slack 1 is always feasible
         raise SolverError(f"{name} must always be solvable, engine says {result.status}")
@@ -171,7 +206,8 @@ def _solve_slack_lp(lp: LinearProgram):
 
 
 def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
-               c: int, t: int, slack_tolerance: float = SLACK_TOLERANCE) -> SubproblemOutcome:
+               c: int, t: int, slack_tolerance: float = SLACK_TOLERANCE,
+               rows: OutageRows | None = None, engine: Engine | None = None) -> SubproblemOutcome:
     """Redispatch feasibility check for one outage in one period.
 
     Minimizes a proportional slack over the 10-minute redispatch polytope of
@@ -181,13 +217,26 @@ def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
     over the rows of ``post_outage_rows`` plus the bound terms, with the
     master's ``u`` and ``p`` left free: ``-(pi @ b)`` gives the
     coefficients and everything else the constant.
+
+    A caller that checks ``c`` in several periods may pass its
+    ``OutageRows`` and one ``backend.Engine`` for all of them.  The LP then
+    starts from the last period's basis, which decides the verdict (the
+    slack is 0 or 1); an infeasible pair is solved again in a fresh engine,
+    as without one, and its cut read off that solve.
     """
-    rows = post_outage_rows(case, sens.outage_ptdf((c,)), (c,), t)
-    result, slack = _solve_slack_lp(_slack_lp(rows, muc, t, f"pcfc[{c},{t}]"))
+    if rows is None:
+        rows = OutageRows(case, sens.outage_ptdf((c,)), (c,))
+    elif rows.removed != (c,):
+        raise ValueError(f"rows of outage {rows.removed} given for outage {c}")
+    block = rows.at(t)
+    lp = _slack_lp(block, muc, t, f"pcfc[{c},{t}]")
+    result, slack = _solve_slack_lp(lp, engine)
+    if slack > slack_tolerance and engine is not None:
+        result, slack = _solve_slack_lp(lp)
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, status="feasible", slack=slack)
 
-    _, b, lo, hi = rows
+    _, b, lo, hi = block
     coef_u, coef_p = -(result.row_duals[:len(b)] @ b).reshape(2, -1)
     rhs = np.concatenate((np.where(np.isfinite(hi), hi, lo), result.row_rhs[len(b):]))
     cut = FeasibilityCut(contingency=c, period=t, coef_u=coef_u, coef_p=coef_p,

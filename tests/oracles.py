@@ -107,8 +107,9 @@ def redispatch_slack(case: SystemCase, sol, t: int,
 def net_injections(case: SystemCase, dispatch: dict[int, float], t: int) -> dict[int, float]:
     """Bus injections (generation minus demand) for one period."""
     inj = {b.id: -case.demand(b.id, t) for b in case.buses}
+    bus_of = {g.id: g.bus for g in case.generators}
     for gid, p in dispatch.items():
-        inj[case.generator(gid).bus] += p
+        inj[bus_of[gid]] += p
     return inj
 
 
@@ -119,8 +120,9 @@ def power_balance_residuals(case: SystemCase, sol) -> np.ndarray:
     for ni, nid in enumerate(sol.bus_ids):
         for t in case.periods:
             res[ni, t - 1] -= case.demand(nid, t)
+    bus_of = {g.id: g.bus for g in case.generators}
     for gi, gid in enumerate(sol.generator_ids):
-        res[bus_pos[case.generator(gid).bus], :] += sol.p[gi, :]
+        res[bus_pos[bus_of[gid]], :] += sol.p[gi, :]
     for ki, kid in enumerate(sol.branch_ids):
         k = case.branch(kid)
         res[bus_pos[k.to_bus], :] += sol.flow[ki, :]
@@ -132,8 +134,9 @@ def operating_cost(case: SystemCase, u: np.ndarray, v: np.ndarray, p: np.ndarray
                    generator_ids: tuple[int, ...]) -> float:
     """Total cost of a schedule: energy plus no-load plus start-up."""
     total = 0.0
+    by_id = {g.id: g for g in case.generators}
     for gi, gid in enumerate(generator_ids):
-        g = case.generator(gid)
+        g = by_id[gid]
         total += float(np.sum(g.cost_linear * p[gi, :]
                               + g.cost_no_load * u[gi, :]
                               + g.cost_startup * v[gi, :]))

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scucnr.backend
 import scucnr.subproblems
 from oracles import linprog_solution
-from scucnr.backend import (_RESIDUAL_TOL, INF, LinearProgram, SolverError, solve_lp,
+from scucnr.backend import (_RESIDUAL_TOL, INF, Engine, LinearProgram, SolverError, solve_lp,
                             solve_milp, violation)
 from scucnr.fixtures import random_case
 from scucnr.formulations import build_muc, extract_solution
@@ -187,6 +187,23 @@ def test_engine_effort_is_reported():
     milp = solve_milp(binaries([-1.0, -2.0, -3.0, -4.0], [[1.0] * 4], [-INF], [2.0]))
     assert milp.mip_nodes is not None and milp.mip_nodes >= 0
     assert milp.simplex_iterations is None
+
+
+def test_engine_starts_from_the_last_optimal_basis_of_the_same_shape():
+    rng = np.random.default_rng(3)
+    cost, x0, ge = rng.uniform(0.1, 2.0, 12), rng.uniform(-1, 1, 12), rng.normal(size=(20, 12))
+    lp = make_lp(cost, ge, ge @ x0 - np.abs(rng.normal(size=20)), np.full(20, INF))
+    other = make_lp([1.0], [[1.0]], [0.4], [INF], lb=[0.0])
+    cold = solve_lp(lp)
+    engine = Engine()
+    first = solve_lp(lp, engine)
+    again = solve_lp(lp, engine)
+    assert first.simplex_iterations == cold.simplex_iterations > 0
+    assert again.simplex_iterations == 0
+    assert again.objective == pytest.approx(cold.objective, abs=1e-9)
+    # an LP of another shape runs cold and replaces the basis the engine keeps
+    assert solve_lp(other, engine).objective == pytest.approx(0.4)
+    assert solve_lp(lp, engine).simplex_iterations == cold.simplex_iterations
 
 
 def test_limit_and_failure_statuses():

@@ -65,7 +65,8 @@ def test_reserve_pool_forces_backup_commitment(tri3):
     # costly unit must be committed purely as backup
     sens = build_sensitivities(tri3)
     sched = master_schedule(tri3, sens)
-    g1, g2 = tri3.generator_index[1], tri3.generator_index[2]
+    ids = [g.id for g in tri3.generators]
+    g1, g2 = ids.index(1), ids.index(2)
     assert sched.u[g1, 0] == 1
     assert sched.u[g2, 0] == 1
     assert sched.p[g2, 0] == pytest.approx(0.0, abs=1e-7)
@@ -343,7 +344,7 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
     cut = out.cut
     sens = build_sensitivities(c4_low)
     u, _, p, _ = base_columns(c4_low)
-    g2 = c4_low.generator_index[2]
+    g2 = [g.id for g in c4_low.generators].index(2)
     lp = build_muc(c4_low, sens)
 
     rng = np.random.default_rng(11)

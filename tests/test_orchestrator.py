@@ -4,12 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import scucnr.orchestrator
+import scucnr.subproblems
 from conftest import fixture_family
-from scucnr.backend import solve_milp
+from scucnr.backend import _hc, solve_milp
 from scucnr.fixtures import corridor4_high, corridor4_low, corridor4_stranded, random_case
-from scucnr.formulations import build_muc
+from scucnr.formulations import build_muc, extract_solution
+from scucnr.model import SLACK_TOLERANCE
 from scucnr.network import build_sensitivities
-from scucnr.orchestrator import (METHODS, SolveOptions, solve, verify_solution)
+from scucnr.orchestrator import (METHODS, SolveOptions, _examine, solve, verify_schedule,
+                                 verify_solution)
 from scucnr.subproblems import solve_nr_pcfc, solve_pcfc
 
 
@@ -149,7 +153,15 @@ def test_stranded_corridor_records_unresolved_then_predispatch(c4_stranded):
     assert res.converged
     assert res.iterations == 2
     assert res.report.iteration_log[0].cuts_added == 1
-    assert res.schedule.u[c4_stranded.generator_index[2], 1] == 1
+    assert res.schedule.u[[g.id for g in c4_stranded.generators].index(2), 1] == 1
+
+
+def test_stranded_corridor_keeps_its_objective_and_switch(c4_stranded):
+    # a cut read off the duals of a warm-started LP instead of a fresh solve
+    # moves this run to another schedule
+    res = solve(c4_stranded, SolveOptions(method="td_scuc_cnr"))
+    assert res.schedule.objective == pytest.approx(5140.0, rel=1e-9)
+    assert res.switches == {(3, 2): 2}
 
 
 def test_audits_pass_for_converged_runs(tri3, tri3_tight, c4_low, c4_high, c4_stranded):
@@ -241,6 +253,69 @@ def test_worker_pool_matches_serial(c4_high, tri3_tight):
         assert len(serial.cuts) == len(parallel.cuts)
         assert serial.report.iteration_log == parallel.report.iteration_log
         assert serial.report.subproblems == parallel.report.subproblems
+
+
+@pytest.mark.parametrize("method", ["ad_scuc_cnr", "td_scuc_cnr"])
+def test_worker_pool_matches_serial_at_40_buses(method):
+    case = random_case(9, 40, 12, 8)
+    serial, parallel = (solve(case, SolveOptions(method=method, workers=workers))
+                        for workers in (1, 2))
+    assert serial.report.subproblems == parallel.report.subproblems
+    assert serial.report.iteration_log == parallel.report.iteration_log
+    assert serial.cuts == parallel.cuts
+
+
+def first_master_schedule(case, sens):
+    lp = build_muc(case, sens)
+    return extract_solution(case, sens, lp, solve_milp(lp))
+
+
+def test_warm_chain_matches_cold_solves():
+    case = random_case(9, 40, 12, 8)
+    sens = build_sensitivities(case)
+    muc = first_master_schedule(case, sens)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    warm, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, False, False, workers=1)
+    cold = [solve_pcfc(case, sens, muc, c, t) for c, t in pairs]
+    assert len(warm) == 440
+    assert warm == cold
+    assert sum(out.cut is not None for out in warm) == 13
+
+
+def test_audit_builds_one_engine_per_contingency_plus_its_cold_solves(monkeypatch):
+    case = random_case(9, 40, 12, 8)
+    sens = build_sensitivities(case)
+    result = solve(case, SolveOptions(method="ad_scuc_cnr"))
+    first = first_master_schedule(case, sens)
+    new_engine, pcfc, nr_pcfc = (_hc._Highs, scucnr.orchestrator.solve_pcfc,
+                                 scucnr.subproblems.solve_nr_pcfc)
+    counts = Counter()
+
+    def counted_engine():
+        counts["engines"] += 1
+        return new_engine()
+
+    def counted_pcfc(*args, **kwargs):
+        out = pcfc(*args, **kwargs)
+        counts["infeasible"] += out.status == "infeasible"
+        return out
+
+    def counted_nr_pcfc(*args, **kwargs):
+        counts["switch_lps"] += 1
+        return nr_pcfc(*args, **kwargs)
+
+    monkeypatch.setattr(_hc, "_Highs", counted_engine)
+    monkeypatch.setattr(scucnr.orchestrator, "solve_pcfc", counted_pcfc)
+    monkeypatch.setattr(scucnr.subproblems, "solve_nr_pcfc", counted_nr_pcfc)
+    # the converged schedule, then the first master's, whose 13 unsurvivable
+    # pairs take a cold solve each and a switch search
+    for audit in (lambda: verify_solution(case, result),
+                  lambda: verify_schedule(case, "ad_scuc_cnr", first)):
+        counts.clear()
+        assert audit().pairs_checked == 440
+        assert counts["engines"] <= (len(sens.contingencies) + counts["infeasible"]
+                                     + counts["switch_lps"])
+    assert counts["infeasible"] == 13 and counts["switch_lps"] > 0
 
 
 @pytest.mark.parametrize("build, workers", [

@@ -7,7 +7,7 @@ import scucnr.subproblems
 from conftest import fixture_family
 from oracles import dc_flows, manual_schedule, net_injections, redispatch_slack
 from scucnr.backend import solve_lp, solve_milp
-from scucnr.fixtures import random_case
+from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
@@ -196,6 +196,21 @@ def test_cut_matches_slave_lp_away_from_its_point_on_fixtures():
 
 def test_cut_matches_slave_lp_away_from_its_point_on_random_case():
     assert _check_cuts_off_their_point(random_case(101, 24, 8, 4)) >= 1
+
+
+def test_slack_optimum_is_zero_or_one():
+    # every row is s r + A pc <= r, >= r or = r with pc free, so the feasible
+    # set is a cone in (pc, 1 - s): any s < 1 scales to s = 0
+    cases = [*fixture_family().values(), corridor4_high(), corridor4_stranded(),
+             random_case(9, 40, 12, 8)]
+    for case in cases:
+        sens = build_sensitivities(case)
+        muc = cheap_point(case)
+        slacks = np.array([solve_pcfc(case, sens, muc, c, t).slack
+                           for c, t in all_pairs(case, sens)])
+        assert np.minimum(slacks, np.abs(1.0 - slacks)).max(initial=0.0) <= 1e-9
+    # the 40-bus schedule has pairs on both sides
+    assert ((slacks < 0.5).sum(), (slacks > 0.5).sum()) == (427, 13)
 
 
 # --- switched feasibility ------------------------------------------------------
