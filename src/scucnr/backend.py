@@ -17,7 +17,8 @@ side, and a bound counts as the row ``x >= lb`` or ``x <= ub``.
 
 Every solve gets a fresh engine, so concurrent calls share no state,
 unless ``solve_lp`` is given an ``Engine``: one engine kept for a chain of
-LPs on one thread, each started from the last optimal basis of its shape.
+LPs on one thread, which keeps one optimal basis per LP shape it has
+solved and starts each LP from the basis of its shape.
 """
 
 from __future__ import annotations
@@ -148,18 +149,19 @@ def _new_engine(options: dict):
 class Engine:
     """One HiGHS engine, with ``solve_lp``'s options, for a chain of LPs.
 
-    ``solve_lp(lp, engine)`` loads each LP into it and, when the last LP it
-    solved to optimality had the same shape, starts from that optimal
-    basis.  HiGHS then skips presolve and needs fewer simplex iterations.
-    The optimum is the same as a fresh engine's, up to the feasibility
-    tolerances, but where the optimal vertex or the duals are not unique it
-    may return other ones.  An engine holds state: use it from one thread.
+    ``solve_lp(lp, engine)`` loads each LP into it and starts from the
+    last optimal basis of an LP of the same (rows, columns) shape, if the
+    engine has solved one: ``bases`` keeps one per shape, so LPs of
+    several shapes can interleave on one engine without evicting each
+    other's starts.  HiGHS then skips presolve.  The optimum is the same as
+    a fresh engine's, up to the feasibility tolerances, but where the
+    optimal vertex or the duals are not unique it may return other ones.
+    An engine holds state: use it from one thread.
     """
 
     def __init__(self):
         self.highs = _new_engine(_LP_OPTIONS)
-        self.shape: tuple[int, int] | None = None
-        self.basis = None
+        self.bases: dict[tuple[int, int], _hc.HighsBasis] = {}
 
 
 def _run(lp: LinearProgram, highs, basis=None):
@@ -225,7 +227,7 @@ def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
     if engine is None:
         highs, start = _new_engine(_LP_OPTIONS), None
     else:
-        highs, start = engine.highs, (engine.basis if engine.shape == shape else None)
+        highs, start = engine.highs, engine.bases.get(shape)
     status, info, solution = _run(lp, highs, start)
     iterations = int(info.simplex_iteration_count)
     if solution is None:
@@ -236,7 +238,7 @@ def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
     # optimum to each row's finite side, which is their normalised form.
     basis = highs.getBasis()
     if engine is not None:
-        engine.shape, engine.basis = shape, basis
+        engine.bases[shape] = basis
     col_status = np.array([int(s) for s in basis.col_status])
     col_dual = np.array(solution.col_dual)
     lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)

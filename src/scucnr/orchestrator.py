@@ -11,10 +11,10 @@ The loop converges when an iteration adds no cuts.  One routine,
 audit and ``verify_schedule`` alike; each iteration's counts and the run's
 switches, unresolved pairs and cuts are read off its outcomes.  Pairs go
 one task per contingency, its periods in order on one warm HiGHS engine
-(see ``subproblems.solve_pcfc``), and come back in (period, contingency)
-order.  Each schedule must meet the rows of the model it came from, and
-the audit holds it to the cut-free master's rows before it examines any
-pair.
+that also runs the task's switch LPs, one basis per LP shape (see
+``subproblems``), and come back in (period, contingency) order.  Each
+schedule must meet the rows of the model it came from, and the audit
+holds it to the cut-free master's rows before it examines any pair.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def _examine_pair(case, sens, muc, c, t, slack_tolerance: float, switching: bool
                   enumerate_all: bool, counters: Counter, rows: OutageRows,
                   engine: Engine) -> SubproblemOutcome:
     """PCFC one pair on its outage's ``rows`` and warm ``engine``; with
-    ``switching``, chase a switch on failure.
+    ``switching``, chase a switch on failure, its LPs on the same engine.
 
     The outcome is infeasible, and carries its cut, only when the pair ends
     up with no feasible recourse.  ``counters`` gets the seconds of its LPs.
@@ -178,7 +178,8 @@ def _examine_pair(case, sens, muc, c, t, slack_tolerance: float, switching: bool
     if switching:
         t0 = time.perf_counter()
         found = find_corrective_switch(case, sens, muc, c, t, slack_tolerance=slack_tolerance,
-                                       enumerate_all=enumerate_all, counters=counters)
+                                       enumerate_all=enumerate_all, counters=counters,
+                                       engine=engine)
         counters["nr_seconds"] += time.perf_counter() - t0
         if found is not None:
             j, s2 = found
@@ -196,12 +197,12 @@ def _examine(case, sens, muc, pairs, slack_tolerance: float, switching: bool,
              enumerate_all: bool, workers: int) -> tuple[list[SubproblemOutcome], Counter]:
     """``_examine_pair`` over ``pairs``, one task per contingency.
 
-    A task builds its contingency's ``OutageRows`` and one warm ``Engine``
-    and takes its periods in order.  Returns the outcomes in (period,
-    contingency) order, the order of the master's cut rows, and the merged
-    counters.  Each task has its own rows, engine and counters, so worker
-    threads share only immutable inputs and the outcomes do not depend on
-    ``workers``.
+    A task builds its contingency's ``OutageRows`` and one warm ``Engine``,
+    which its pair and switch LPs share, and takes its periods in order.
+    Returns the outcomes in (period, contingency) order, the order of the
+    master's cut rows, and the merged counters.  Each task has its own
+    rows, engine and counters, so worker threads share only immutable
+    inputs and the outcomes do not depend on ``workers``.
     """
     periods: dict[int, list[int]] = {}
     for c, t in sorted(pairs):

@@ -20,10 +20,14 @@ The slack optimum of a feasibility LP is exactly 0 or 1.  Each of its rows
 reads ``s r + A pc <= r``, ``>= r`` or ``= r``, where ``r`` is the row's
 finite side, and ``pc`` is free, so the feasible set is a cone in
 ``(pc, 1 - s)``: if some ``s < 1`` is feasible, then ``pc / (1 - s)`` with
-``s = 0`` is too.  So an LP started from another period's basis
+``s = 0`` is too.  So an LP started from another LP's basis
 (``backend.Engine``) reaches the verdict a fresh engine would, whatever
-optimal vertex it lands on.  The duals, and with them the cut, are not
-unique, so a cut is always read off a fresh engine's solve.
+optimal vertex it lands on.  That holds for the switch LPs of
+``solve_nr_pcfc`` as for the pair LPs of ``solve_pcfc``: one engine may
+serve both, keeping a basis for each of the two shapes, and the switch
+LPs of an outage chain across candidates and periods.  The duals, and
+with them the cut, are not unique, so a cut is always read off a fresh
+engine's solve; no cut is read off a switch LP.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def post_outage_flows(case: SystemCase, ptdf: np.ndarray,
     With ``pg`` the outputs in ``case.generators`` order, the flows are
     ``at_gens @ pg - demand_flow``; they hold when ``pg`` sums to
     ``total``, the period's demand.  The master's base case and
-    ``post_outage_rows`` build every flow from these three.
+    ``OutageRows`` build every flow from these three.
     """
     demand = np.array([n.demand[t - 1] for n in case.buses])
     at_gens = ptdf[:, [case.bus_index[g.bus] for g in case.generators]]
@@ -161,14 +165,8 @@ class OutageRows:
         return self.a, self.b, lo, hi
 
 
-def post_outage_rows(case: SystemCase, ptdf: np.ndarray, removed: tuple[int, ...],
-                     t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``OutageRows(case, ptdf, removed).at(t)``: the rows of one post-outage state."""
-    return OutageRows(case, ptdf, removed).at(t)
-
-
 def _slack_lp(rows: tuple, muc: MucSolution, t: int, name: str) -> LinearProgram:
-    """Redispatch feasibility LP over the ``post_outage_rows`` of period ``t``.
+    """Redispatch feasibility LP over the ``OutageRows.at(t)`` block ``rows``.
 
     Columns are the slack ``s`` and ``pc``.  The schedule's terms move to
     the right-hand side, and the slack scales it towards the always
@@ -214,7 +212,7 @@ def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
     the given schedule with branch ``c`` out of service.  Slack zero means
     the outage is survivable.  An infeasible outcome carries its Benders
     feasibility cut, the LP's dual objective ``pi @ (rhs - b @ [u; p])``
-    over the rows of ``post_outage_rows`` plus the bound terms, with the
+    over the rows of ``OutageRows.at(t)`` plus the bound terms, with the
     master's ``u`` and ``p`` left free: ``-(pi @ b)`` gives the
     coefficients and everything else the constant.
 
@@ -246,18 +244,20 @@ def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
 
 
 def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
-                  c: int, t: int, j: int,
-                  slack_tolerance: float = SLACK_TOLERANCE) -> SubproblemOutcome:
+                  c: int, t: int, j: int, slack_tolerance: float = SLACK_TOLERANCE,
+                  engine: Engine | None = None) -> SubproblemOutcome:
     """Feasibility check with branch ``c`` out and branch ``j`` switched open.
 
     Raises ValueError when opening both branches islands a bus (see
     ``NetworkSensitivities.islands``).  No cut is formed; the outcome
-    only records whether this reconfiguration rescues the schedule.
+    only records whether this reconfiguration rescues the schedule, so
+    with ``engine`` the LP starts from the basis of the last switch LP of
+    its shape, which every switch LP of outage ``c`` shares.
     """
     if j == c:
         raise ValueError("switch candidate must differ from the contingency")
-    rows = post_outage_rows(case, sens.outage_ptdf((c, j)), (c, j), t)
-    _, slack = _solve_slack_lp(_slack_lp(rows, muc, t, f"nr_pcfc[{c},{t},{j}]"))
+    rows = OutageRows(case, sens.outage_ptdf((c, j)), (c, j)).at(t)
+    _, slack = _solve_slack_lp(_slack_lp(rows, muc, t, f"nr_pcfc[{c},{t},{j}]"), engine)
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, slack=slack,
                                  status="feasible_via_switch", switch=j)
@@ -286,17 +286,18 @@ def switch_candidates(case: SystemCase, sens: NetworkSensitivities, c: int,
 def find_corrective_switch(case: SystemCase, sens: NetworkSensitivities,
                            muc: MucSolution, c: int, t: int,
                            slack_tolerance: float = SLACK_TOLERANCE,
-                           enumerate_all: bool = False,
-                           counters: dict | None = None) -> tuple[int, float] | None:
+                           enumerate_all: bool = False, counters: dict | None = None,
+                           engine: Engine | None = None) -> tuple[int, float] | None:
     """First switching candidate that makes the outage survivable, if any.
 
     Candidates come from ``switch_candidates`` (the ranked list, or with
     ``enumerate_all`` the full reconfigurable set, as the audit uses it)
-    and are tried one at a time.  Returns ``(branch, slack)`` for the first
+    and are tried one at a time, each LP on ``engine`` when one is given
+    (see ``solve_nr_pcfc``).  Returns ``(branch, slack)`` for the first
     feasible candidate, or None when the list is exhausted.
     """
     for j in switch_candidates(case, sens, c, enumerate_all):
-        outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance)
+        outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance, engine)
         if counters is not None:
             counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
         if outcome.status == "feasible_via_switch":

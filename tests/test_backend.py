@@ -189,7 +189,7 @@ def test_engine_effort_is_reported():
     assert milp.simplex_iterations is None
 
 
-def test_engine_starts_from_the_last_optimal_basis_of_the_same_shape():
+def test_engine_keeps_one_optimal_basis_per_shape():
     rng = np.random.default_rng(3)
     cost, x0, ge = rng.uniform(0.1, 2.0, 12), rng.uniform(-1, 1, 12), rng.normal(size=(20, 12))
     lp = make_lp(cost, ge, ge @ x0 - np.abs(rng.normal(size=20)), np.full(20, INF))
@@ -201,9 +201,11 @@ def test_engine_starts_from_the_last_optimal_basis_of_the_same_shape():
     assert first.simplex_iterations == cold.simplex_iterations > 0
     assert again.simplex_iterations == 0
     assert again.objective == pytest.approx(cold.objective, abs=1e-9)
-    # an LP of another shape runs cold and replaces the basis the engine keeps
+    # an LP of another shape starts cold and keeps its own basis beside the first
     assert solve_lp(other, engine).objective == pytest.approx(0.4)
-    assert solve_lp(lp, engine).simplex_iterations == cold.simplex_iterations
+    assert set(engine.bases) == {(20, 12), (1, 1)}
+    assert solve_lp(lp, engine).simplex_iterations == 0
+    assert solve_lp(other, engine).simplex_iterations == 0
 
 
 def test_limit_and_failure_statuses():

@@ -14,7 +14,7 @@ from scucnr.model import SLACK_TOLERANCE
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, _examine, solve, verify_schedule,
                                  verify_solution)
-from scucnr.subproblems import solve_nr_pcfc, solve_pcfc
+from scucnr.subproblems import find_corrective_switch, solve_nr_pcfc, solve_pcfc
 
 
 def muc_objective(case):
@@ -282,6 +282,32 @@ def test_warm_chain_matches_cold_solves():
     assert sum(out.cut is not None for out in warm) == 13
 
 
+@pytest.mark.parametrize("build, rescued", [
+    (corridor4_high, 1), (lambda: random_case(9, 40, 12, 8), 6),
+], ids=["corridor4_high", "random_9_40_12_8"])
+def test_warm_switch_searches_match_cold_ones(build, rescued):
+    case = build()
+    sens = build_sensitivities(case)
+    muc = first_master_schedule(case, sens)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    warm, counters = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, True, True, workers=1)
+    cold_counters = Counter()
+    for out, (c, t) in zip(warm, pairs, strict=True):
+        assert (out.contingency, out.period) == (c, t)
+        cold = solve_pcfc(case, sens, muc, c, t)
+        found = None
+        if cold.status == "infeasible":
+            found = find_corrective_switch(case, sens, muc, c, t, enumerate_all=True,
+                                           counters=cold_counters)
+        if found is None:
+            assert out == cold
+        else:
+            assert (out.status, out.switch, out.cut) == ("feasible_via_switch", found[0], None)
+            assert out.slack <= SLACK_TOLERANCE
+    assert sum(out.status == "feasible_via_switch" for out in warm) == rescued
+    assert counters["nr_pcfc_solved"] == cold_counters["nr_pcfc_solved"] > 0
+
+
 def test_audit_builds_one_engine_per_contingency_plus_its_cold_solves(monkeypatch):
     case = random_case(9, 40, 12, 8)
     sens = build_sensitivities(case)
@@ -308,13 +334,12 @@ def test_audit_builds_one_engine_per_contingency_plus_its_cold_solves(monkeypatc
     monkeypatch.setattr(scucnr.orchestrator, "solve_pcfc", counted_pcfc)
     monkeypatch.setattr(scucnr.subproblems, "solve_nr_pcfc", counted_nr_pcfc)
     # the converged schedule, then the first master's, whose 13 unsurvivable
-    # pairs take a cold solve each and a switch search
+    # pairs take a cold solve each and a switch search on the task's engine
     for audit in (lambda: verify_solution(case, result),
                   lambda: verify_schedule(case, "ad_scuc_cnr", first)):
         counts.clear()
         assert audit().pairs_checked == 440
-        assert counts["engines"] <= (len(sens.contingencies) + counts["infeasible"]
-                                     + counts["switch_lps"])
+        assert counts["engines"] <= len(sens.contingencies) + counts["infeasible"]
     assert counts["infeasible"] == 13 and counts["switch_lps"] > 0
 
 

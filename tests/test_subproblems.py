@@ -11,8 +11,8 @@ from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
-from scucnr.subproblems import (_slack_lp, find_corrective_switch, post_outage_rows,
-                                run_csps, solve_nr_pcfc, solve_pcfc)
+from scucnr.subproblems import (OutageRows, _slack_lp, find_corrective_switch, run_csps,
+                                solve_nr_pcfc, solve_pcfc)
 
 
 def cheap_point(case):
@@ -175,7 +175,7 @@ def _check_cuts_off_their_point(case, points=20):
         out = solve_pcfc(case, sens, muc, c, t)
         if out.status != "infeasible":
             continue
-        rows = post_outage_rows(case, sens.outage_ptdf((c,)), (c,), t)
+        rows = OutageRows(case, sens.outage_ptdf((c,)), (c,)).at(t)
         lp = _slack_lp(rows, muc, t, "at_point")
         duals = solve_lp(lp).row_duals
         assert _row_rhs(lp) @ duals == pytest.approx(out.slack, abs=1e-6)
