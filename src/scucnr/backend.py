@@ -223,12 +223,9 @@ def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
     """
     if lp.integrality is not None and lp.integrality.any():
         raise ValueError(f"{lp.name!r} has integer columns; solve it with solve_milp")
+    engine = Engine() if engine is None else engine
     shape = (lp.row_lower.shape[0], lp.cost.shape[0])
-    if engine is None:
-        highs, start = _new_engine(_LP_OPTIONS), None
-    else:
-        highs, start = engine.highs, engine.bases.get(shape)
-    status, info, solution = _run(lp, highs, start)
+    status, info, solution = _run(lp, engine.highs, engine.bases.get(shape))
     iterations = int(info.simplex_iteration_count)
     if solution is None:
         return SolveResult(status=status, objective=None, simplex_iterations=iterations)
@@ -236,9 +233,7 @@ def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
     # A bound's dual is the column dual where the basis holds the column at
     # that bound, as linprog reports it.  Row duals are sensitivities of the
     # optimum to each row's finite side, which is their normalised form.
-    basis = highs.getBasis()
-    if engine is not None:
-        engine.bases[shape] = basis
+    basis = engine.bases[shape] = engine.highs.getBasis()
     col_status = np.array([int(s) for s in basis.col_status])
     col_dual = np.array(solution.col_dual)
     lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)

@@ -1,14 +1,16 @@
-"""Optimization models: master unit commitment with its feasibility cuts
-and the two extensive security-constrained models.
+"""Optimization models: the master unit commitment, with its feasibility
+cuts and post-outage states, and the extraction of its schedule.
 
-Every model is built straight into a ``LinearProgram`` and addressed by
-column position.  It opens with the base-case columns of ``base_columns``:
-per generator and period, the commitment and start-up binaries ``u`` and
-``v``, the dispatch ``p`` and the 10-minute reserve ``r`` in MW.  An
-extensive model then adds, per (outage, period), the redispatched outputs
-``pc`` and, in the switching model, per switchable line a binary ``z``
-that keeps it in service (1) or opens it (0) and the flow ``w`` it sheds
-when opened.  Periods are 1-based.
+Every model is built straight into a ``LinearProgram`` by ``build_muc`` and
+addressed by column position.  It opens with the base-case columns of
+``base_columns``: per generator and period, the commitment and start-up
+binaries ``u`` and ``v``, the dispatch ``p`` and the 10-minute reserve
+``r`` in MW.  Each post-outage state, an (outage, period) pair, then adds
+the redispatched outputs ``pc`` and, with switching, per switchable line a
+binary ``z`` that keeps it in service (1) or opens it (0) and the flow
+``w`` it sheds when opened.  The two extensive security-constrained models
+are the master with every pair as a state, without and with switching.
+Periods are 1-based.
 
 Every model is in shift-factor form: flows are not columns but PTDF rows
 over the generator outputs, built by ``post_outage_flows`` from
@@ -173,8 +175,22 @@ def _add_base_model(prob: _Problem, case: SystemCase, sens: NetworkSensitivities
 
 
 def build_muc(case: SystemCase, sens: NetworkSensitivities,
-              cuts: tuple[FeasibilityCut, ...] | list[FeasibilityCut] = ()) -> LinearProgram:
-    """Master unit commitment: base-case rows plus one row per feasibility cut."""
+              cuts: Iterable[FeasibilityCut] = (), states: Iterable[tuple[int, int]] = (),
+              switching: bool = False) -> tuple[LinearProgram, SwitchColumns]:
+    """Master unit commitment: the base case, a row per feasibility cut and
+    a post-outage state per (contingency, period) of ``states``.
+
+    With every pair as ``states`` this is the co-optimized N-1 SCUC, and
+    with ``switching`` the N-1 SCUC with corrective network reconfiguration:
+    each state may also open one line that ``switch_candidates`` yields, the
+    switch search's rule (reconfigurable, non-radial, not the outage and not
+    islanding with it; see ``_add_post_outage_state``).  States go in sorted
+    ``(c, t)`` order, and each contingency builds its post-outage PTDF,
+    ``OutageRows`` and LODF shedding once.  Returns the model and, per
+    state, the ``z`` column of each switchable line.  A malformed cut or a
+    state outside ``sens.contingencies`` x ``case.periods`` raises
+    ``ValueError``.
+    """
     prob = _Problem()
     _add_base_model(prob, case, sens)
     u, _, p, _ = base_columns(case)
@@ -185,16 +201,49 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
                              f"one p coefficient per generator; the case has {n_g} generators")
         t = cut.period - 1
         prob.add_row([*zip(u[:, t], cut.coef_u), *zip(p[:, t], cut.coef_p)], hi=-cut.constant)
-    return prob.lower("muc")
+
+    periods: dict[int, list[int]] = {}
+    for c, t in sorted(states):
+        if c not in sens.non_radial or t not in case.periods:
+            raise ValueError(f"state ({c},{t}) is not a contingency in a period of the case")
+        periods.setdefault(c, []).append(t)
+    switches: SwitchColumns = {}
+    for c, ts in periods.items():
+        ptdf = sens.outage_ptdf((c,))
+        switchable = (tuple(switch_candidates(case, sens, c, enumerate_all=True))
+                      if switching else ())
+        positions = [case.branch_index[j] for j in switchable]
+        lodf = compute_lodf(case, ptdf, frozenset(switchable))[:, positions]
+        # both limit rows of every in-service branch k carry lodf[k] @ w
+        shed = np.repeat(np.delete(lodf, case.branch_index[c], axis=0), 2, axis=0)
+        rows = OutageRows(case, ptdf, (c,))
+        for t in ts:
+            switches[(c, t)] = _add_post_outage_state(prob, case, rows, t, switchable, shed)
+    return prob.lower("muc"), switches
 
 
 def _add_post_outage_state(prob: _Problem, case: SystemCase, rows: OutageRows, t: int,
                            switchable: tuple[int, ...], shed: np.ndarray) -> dict[int, int]:
     """The ``rows`` of one outage in period ``t`` over a new redispatch ``pc``.
 
-    The switch rows of ``switchable`` go between the balance and the flow
-    limits, which also carry ``shed`` over the switch columns ``w``.
-    Returns the ``z`` column of each switchable line.
+    Each state gets its own redispatch, system balance and the emergency
+    limits of every branch but the outaged one, with flows from the
+    post-outage PTDF the feasibility LP uses.  Each line ``j`` of
+    ``switchable`` gets a binary ``z`` (1 keeps it in service) and a
+    flow-cancelling transaction ``w`` (Ruiz, Foster, Rudkevich & Caramanis,
+    IEEE TPWRS 2012): ``|w| <= M (1 - z)`` and ``|w - f_j| <= M z``, where
+    ``f_j`` is the post-outage flow on ``j`` before switching.  These rows
+    go between the balance and the flow limits.  Every branch ``k`` carries
+    its post-outage flow plus ``LODF_c[k, j] w`` (``shed``), with
+    ``LODF_c`` the LODFs of the network without the outage and
+    ``LODF_c[j, j] = -1``, so an opened line carries zero and the rest see
+    the single-switch generalised LODF flow of the switch search's LP.  At
+    most one line opens per state, so the model is exact.
+
+    ``M = sum_g |PTDF_c[j, bus g]| p_max_g + |PTDF_c[j] @ d_t|`` bounds
+    ``|f_j|`` at every redispatch ``0 <= pc <= p_max``, so the big-M rows
+    never cut off a feasible point.  Returns the ``z`` column of each
+    switchable line.
     """
     u, _, p, _ = base_columns(case)
     a, b, lo, hi = rows.at(t)
@@ -230,63 +279,6 @@ def _add_post_outage_state(prob: _Problem, case: SystemCase, rows: OutageRows, t
     return z
 
 
-def _build_extensive(name: str, case: SystemCase, sens: NetworkSensitivities,
-                     switching: bool) -> tuple[LinearProgram, SwitchColumns]:
-    prob = _Problem()
-    _add_base_model(prob, case, sens)
-    switches: SwitchColumns = {}
-    for c in sens.contingencies:
-        ptdf = sens.outage_ptdf((c,))
-        switchable = (tuple(switch_candidates(case, sens, c, enumerate_all=True))
-                      if switching else ())
-        positions = [case.branch_index[j] for j in switchable]
-        lodf = compute_lodf(case, ptdf, frozenset(switchable))[:, positions]
-        # both limit rows of every in-service branch k carry lodf[k] @ w
-        shed = np.repeat(np.delete(lodf, case.branch_index[c], axis=0), 2, axis=0)
-        rows = OutageRows(case, ptdf, (c,))
-        for t in case.periods:
-            switches[(c, t)] = _add_post_outage_state(prob, case, rows, t, switchable, shed)
-    return prob.lower(name), switches
-
-
-def build_extensive_scuc(case: SystemCase,
-                         sens: NetworkSensitivities) -> tuple[LinearProgram, SwitchColumns]:
-    """One co-optimized MILP: base case plus redispatch for every outage.
-
-    Each (outage, period) gets its own redispatch ``pc``, a system balance
-    and the two emergency limits of every surviving branch, with flows from
-    the post-outage PTDF the feasibility LP uses.  No line is switchable,
-    so every state's switch map is empty.
-    """
-    return _build_extensive("extensive_scuc", case, sens, False)
-
-
-def build_extensive_scuc_cnr(case: SystemCase,
-                             sens: NetworkSensitivities) -> tuple[LinearProgram, SwitchColumns]:
-    """Co-optimized model where each post-outage state may also open one line.
-
-    A line ``j`` is switchable after outage ``c`` exactly when
-    ``switch_candidates`` yields it, the rule the switch search uses:
-    reconfigurable, non-radial, not ``c``, and not islanding together with
-    ``c``.  It gets a binary ``z`` (1 keeps it in service) and a
-    flow-cancelling transaction ``w`` (Ruiz, Foster, Rudkevich & Caramanis,
-    IEEE TPWRS 2012):
-    ``|w| <= M (1 - z)`` and ``|w - f_j| <= M z``, where ``f_j`` is the
-    post-outage flow on ``j`` before switching.  Every branch carries its
-    post-outage flow plus ``LODF_c[k, j] w``, with ``LODF_c`` the LODFs of
-    the network without ``c`` and ``LODF_c[j, j] = -1``, so an opened line
-    carries zero and the rest see the single-switch generalised LODF flow
-    of the switch search's LP.  At most one line opens per state, so the
-    model is exact.  Every branch but the outaged one is held to its
-    emergency rating.
-
-    ``M = sum_g |PTDF_c[j, bus g]| p_max_g + |PTDF_c[j] @ d_t|`` bounds
-    ``|f_j|`` at every redispatch ``0 <= pc <= p_max``, so the big-M rows
-    never cut off a feasible point.
-    """
-    return _build_extensive("extensive_scuc_cnr", case, sens, True)
-
-
 def schedule_violation(case: SystemCase, lp: LinearProgram, schedule: MucSolution,
                        x: np.ndarray | None = None) -> str | None:
     """How ``schedule`` breaks a bound or row of ``lp`` by more than
@@ -316,7 +308,7 @@ def extract_solution(case: SystemCase, sens: NetworkSensitivities, lp: LinearPro
                      result: SolveResult) -> MucSolution:
     """Pull the base-case schedule out of the solve ``result`` of ``lp``.
 
-    ``lp`` is a master or extensive model.  Only ``u``, ``v`` and ``p`` are
+    ``lp`` is a model of ``build_muc``.  Only ``u``, ``v`` and ``p`` are
     read from the solve.  Reserve, flows and angles are derived from the
     cleaned dispatch (see ``MucSolution``).  The cleaned schedule must still
     meet every row and bound of ``lp``, its cuts or post-outage states too.
@@ -356,10 +348,10 @@ def extract_solution(case: SystemCase, sens: NetworkSensitivities, lp: LinearPro
 
 def extract_switching_plan(switches: SwitchColumns,
                            result: SolveResult) -> dict[tuple[int, int], int]:
-    """The line opened per (contingency, period) by an extensive CNR solve.
+    """The line opened per (contingency, period) state by a switching master.
 
-    ``switches`` is the map of ``z`` columns the extensive builder returned
-    with the solved model.
+    ``switches`` is the map of ``z`` columns ``build_muc`` returned with the
+    solved model.
     """
     return {state: j for state, columns in switches.items()
             for j, col in columns.items() if result.x[col] < 0.5}

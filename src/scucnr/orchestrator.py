@@ -1,19 +1,20 @@
 """Solution drivers: extensive solves and the decomposed master/slave loops.
 
-The decomposed loop alternates a master commitment solve with one recourse
-decision per (outage, period) pair: screened out, feasible, rescued by a
-corrective switch, or cut.  Plain security methods cut on every
-unsurvivable outage; reconfiguration methods first search for a single
-corrective switch and cut only when the search fails.  Accelerated variants
-screen the candidate set with distribution factors before solving any LP.
-The loop converges when an iteration adds no cuts.  One routine,
-``_examine_pair``, decides every examined pair, for the loop, its screen
-audit and ``verify_schedule`` alike; each iteration's counts and the run's
-switches, unresolved pairs and cuts are read off its outcomes.  Pairs go
-one task per contingency, its periods in order on one warm HiGHS engine
-that also runs the task's switch LPs, one basis per LP shape (see
-``subproblems``), and come back in (period, contingency) order.  Each
-schedule must meet the rows of the model it came from, and the audit
+Both solve the master in one step, ``_solve_master``: an extensive solve
+with every (outage, period) pair as a post-outage state, and the decomposed
+loop with its cuts, alternating with one recourse decision per pair:
+screened out, feasible, rescued by a corrective switch, or cut.  Plain
+security methods cut on every unsurvivable outage; reconfiguration methods
+first search for a single corrective switch and cut only when the search
+fails.  Accelerated variants screen the candidate set with distribution
+factors before solving any LP.  The loop converges when an iteration adds
+no cuts.  One routine, ``_examine_pair``, decides every examined pair, for
+the loop, its screen audit and ``verify_schedule`` alike; each iteration's
+counts and the run's switches, unresolved pairs and cuts are read off its
+outcomes.  Pairs go one task per contingency, its periods in order on one
+warm HiGHS engine that also runs the task's switch LPs, one basis per LP
+shape (see ``subproblems``), and come back in (period, contingency) order.
+Each schedule must meet the rows of the model it came from, and the audit
 holds it to the cut-free master's rows before it examines any pair.
 """
 
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 
 from .backend import DEFAULT_MILP_GAP, Engine, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
-from .formulations import (build_extensive_scuc, build_extensive_scuc_cnr,
-                           build_muc, extract_solution, extract_switching_plan,
+from .formulations import (build_muc, extract_solution, extract_switching_plan,
                            schedule_violation)
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
@@ -138,23 +138,39 @@ def _finish(method: str, status: str, schedule: MucSolution | None, iterations: 
                           switches=dict(switches), unresolved=unresolved, report=report)
 
 
+def _every_pair(case: SystemCase, sens: NetworkSensitivities) -> list[tuple[int, int]]:
+    """Every (contingency, period) pair, in (period, contingency) order."""
+    return [(c, t) for t in case.periods for c in sens.contingencies]
+
+
+def _solve_master(case: SystemCase, sens: NetworkSensitivities, options: SolveOptions,
+                  timings: dict[str, float], cuts=(), states=()
+                  ) -> tuple[MucSolution | None, dict[tuple[int, int], int]]:
+    """The schedule of the master over ``cuts`` and ``states``, switchable
+    under a CNR method, and the line opened per state; ``(None, {})`` when
+    it is infeasible.  Build and solve seconds go to ``timings["master"]``.
+    """
+    t0 = time.perf_counter()
+    lp, switch_columns = build_muc(case, sens, cuts, states, switching=options.uses_cnr)
+    result = solve_milp(lp, gap=options.milp_gap, time_limit=options.time_limit)
+    timings["master"] += time.perf_counter() - t0
+    if result.status == "infeasible":
+        return None, {}
+    if result.status != "optimal":
+        raise SolverError(f"{options.method} master solve ended with status {result.status}")
+    return (extract_solution(case, sens, lp, result),
+            extract_switching_plan(switch_columns, result))
+
+
 def _solve_extensive(case: SystemCase, options: SolveOptions,
                      sens: NetworkSensitivities, timings: dict[str, float]) -> ScheduleResult:
     start = time.perf_counter()
-    build = (build_extensive_scuc if options.method == "extensive_scuc"
-             else build_extensive_scuc_cnr)
-    lp, switch_columns = build(case, sens)
-    result = solve_milp(lp, gap=options.milp_gap, time_limit=options.time_limit)
-    timings["master"] += time.perf_counter() - start
-    if result.status == "infeasible":
+    schedule, plan = _solve_master(case, sens, options, timings, states=_every_pair(case, sens))
+    if schedule is None:
         return _finish(options.method, "infeasible", None, 1, timings, start)
-    if result.status != "optimal":
-        raise SolverError(f"extensive solve ended with status {result.status}")
-
-    schedule = extract_solution(case, sens, lp, result)
     # opening a line costs nothing in the MILP, so it may open lines at
     # pairs that survive without one; report only the pairs that need it
-    switches = {(c, t): j for (c, t), j in extract_switching_plan(switch_columns, result).items()
+    switches = {(c, t): j for (c, t), j in plan.items()
                 if solve_pcfc(case, sens, schedule, c, t,
                               options.slack_tolerance).status == "infeasible"}
     return _finish(options.method, "converged", schedule, 1, timings, start,
@@ -232,22 +248,16 @@ def _examine(case, sens, muc, pairs, slack_tolerance: float, switching: bool,
 def _solve_decomposed(case: SystemCase, options: SolveOptions,
                       sens: NetworkSensitivities, timings: dict[str, float]) -> ScheduleResult:
     start = time.perf_counter()
-    all_pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    all_pairs = _every_pair(case, sens)
     cuts: list[FeasibilityCut] = []
     log: list[IterationStats] = []
     status = "iteration_limit"
 
     for iteration in range(1, options.max_iterations + 1):
-        t0 = time.perf_counter()
-        master = build_muc(case, sens, cuts)
-        result = solve_milp(master, gap=options.milp_gap, time_limit=options.time_limit)
-        timings["master"] += time.perf_counter() - t0
-        if result.status == "infeasible":
-            status, schedule, outcomes = "infeasible", None, []
+        schedule, _ = _solve_master(case, sens, options, timings, cuts)
+        if schedule is None:
+            status, outcomes = "infeasible", []
             break
-        if result.status != "optimal":
-            raise SolverError(f"master solve ended with status {result.status}")
-        schedule = extract_solution(case, sens, master, result)
 
         outcomes = []
         candidates = all_pairs
@@ -327,8 +337,8 @@ def verify_schedule(case: SystemCase, method: str, schedule: MucSolution,
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     # the audit enumerates every switch, so it needs no ranked candidate list
     sens = build_sensitivities(case, cbce_size=0)
-    base_case = schedule_violation(case, build_muc(case, sens), schedule)
-    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    base_case = schedule_violation(case, build_muc(case, sens)[0], schedule)
+    pairs = _every_pair(case, sens)
     outcomes, _ = _examine(case, sens, schedule, pairs, slack_tolerance,
                            method in _CNR_METHODS, True, workers=1)
     return VerificationReport(method=method, pairs_checked=len(pairs),

@@ -162,7 +162,7 @@ def test_criterion_5_strong_duality_and_cut_values():
     checked_cuts = 0
     for name, case in fixture_family().items():
         sens = build_sensitivities(case)
-        lp = build_muc(case, sens)
+        lp, _ = build_muc(case, sens)
         sched = extract_solution(case, sens, lp, solve_milp(lp, gap=1e-9))
         _, non_radial = classify_radial(case)
         for t in case.periods:
@@ -188,7 +188,7 @@ def test_criterion_6_switching_value():
     from scucnr.backend import solve_milp
     from scucnr.formulations import build_muc, extract_solution
     sens = build_sensitivities(hi)
-    lp = build_muc(hi, sens)
+    lp, _ = build_muc(hi, sens)
     sched = extract_solution(hi, sens, lp, solve_milp(lp, gap=1e-9))
     oracle_feasible = []
     for j in sorted(sens.non_radial - {3}):

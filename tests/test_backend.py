@@ -150,7 +150,7 @@ def mixed_lp():
 def test_adapter_matches_linprog(monkeypatch):
     case = random_case(101, n_buses=24, n_generators=8, horizon=4)
     sens = build_sensitivities(case)
-    lp = build_muc(case, sens)
+    lp, _ = build_muc(case, sens)
     muc = extract_solution(case, sens, lp, solve_milp(lp))
     lps = []
 
@@ -211,7 +211,7 @@ def test_engine_keeps_one_optimal_basis_per_shape():
 def test_limit_and_failure_statuses():
     # a MILP stopped before its first incumbent has no answer to return
     case = random_case(101, n_buses=24, n_generators=8, horizon=4)
-    res = solve_milp(build_muc(case, build_sensitivities(case)), time_limit=0.0)
+    res = solve_milp(build_muc(case, build_sensitivities(case))[0], time_limit=0.0)
     assert res.status == "limit"
     assert res.objective is None and res.x is None
     # an unbounded direction over an infeasible row set: infeasible, as linprog says

@@ -9,12 +9,11 @@ from oracles import brute_force_commitment, net_injections, ptdf_pinv
 from scucnr.backend import INF, SolverError, solve_milp
 from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
                              random_case, star4, triangle3, triangle3_tight)
-from scucnr.formulations import (base_columns, build_extensive_scuc,
-                                 build_extensive_scuc_cnr, build_muc,
-                                 extract_solution, extract_switching_plan)
+from scucnr.formulations import (base_columns, build_muc, extract_solution,
+                                 extract_switching_plan)
 from scucnr.model import FeasibilityCut, validate_case
 from scucnr.network import build_sensitivities, check_connectivity
-from scucnr.orchestrator import SolveOptions, solve
+from scucnr.orchestrator import SolveOptions, _every_pair, solve
 from scucnr.subproblems import solve_pcfc
 
 GAP = 1e-9
@@ -35,13 +34,18 @@ def solve_model(lp, gap=GAP):
 
 def master_schedule(case, sens):
     """The schedule extracted from the solved cut-free master."""
-    lp = build_muc(case, sens)
+    lp, _ = build_muc(case, sens)
     return extract_solution(case, sens, lp, solve_model(lp))
 
 
-def extensive(build, case, sens):
-    """The solved extensive model of ``build`` and its switch columns."""
-    lp, switches = build(case, sens)
+def build_extensive(case, sens, switching=False):
+    """The master with every (contingency, period) pair as a post-outage state."""
+    return build_muc(case, sens, states=_every_pair(case, sens), switching=switching)
+
+
+def extensive(case, sens, switching=False):
+    """The solved extensive model and its switch columns."""
+    lp, switches = build_extensive(case, sens, switching)
     return solve_model(lp), switches
 
 
@@ -49,14 +53,14 @@ def extensive(build, case, sens):
 
 def test_muc_matches_commitment_enumeration(tri3):
     oracle = brute_force_commitment(tri3, security=False)
-    res = solve_model(build_muc(tri3, build_sensitivities(tri3)))
+    res = solve_model(build_muc(tri3, build_sensitivities(tri3))[0])
     assert res.objective == pytest.approx(oracle, rel=1e-7)
 
 
 def test_muc_matches_enumeration_over_two_periods():
     case = triangle3((80.0, 60.0))
     oracle = brute_force_commitment(case, security=False)
-    res = solve_model(build_muc(case, build_sensitivities(case)))
+    res = solve_model(build_muc(case, build_sensitivities(case))[0])
     assert res.objective == pytest.approx(oracle, rel=1e-7)
 
 
@@ -74,7 +78,7 @@ def test_reserve_pool_forces_backup_commitment(tri3):
 
 
 def test_master_has_no_angle_or_flow_columns(c4_low):
-    lp = build_muc(c4_low, build_sensitivities(c4_low))
+    lp, _ = build_muc(c4_low, build_sensitivities(c4_low))
     # u, v, p and r cover every column once: there is no angle or flow column
     layout = np.concatenate([cols.ravel() for cols in base_columns(c4_low)])
     assert np.array_equal(np.sort(layout), np.arange(len(lp.cost)))
@@ -91,7 +95,7 @@ def test_master_size_is_pinned():
     cut = FeasibilityCut(contingency=sens.contingencies[0], period=2,
                          coef_u=coef_u, coef_p=coef_p, constant=-2.0)
     sizes = [(len(lp.cost), len(lp.row_lower), lp.a.nnz)
-             for lp in (build_muc(case, sens), build_muc(case, sens, [cut]))]
+             for lp in (build_muc(case, sens)[0], build_muc(case, sens, [cut])[0])]
     assert sizes == [(128, 535, 2967), (128, 536, 2970)]
 
 
@@ -141,7 +145,7 @@ def test_integer_demands_keep_fractional_flows():
 
 def test_extraction_rejects_an_answer_that_breaks_its_model(tri3):
     sens = build_sensitivities(tri3)
-    lp = build_muc(tri3, sens)
+    lp, _ = build_muc(tri3, sens)
     res = solve_model(lp)
     assert extract_solution(tri3, sens, lp, res).p.sum() == pytest.approx(80.0)
     # the balance row asks for one MW less than the answer serves
@@ -154,10 +158,10 @@ def test_extraction_rejects_an_answer_that_breaks_its_model(tri3):
 
 def test_one_cut_adds_exactly_one_row(tri3):
     sens = build_sensitivities(tri3)
-    base = build_muc(tri3, sens)
+    base, _ = build_muc(tri3, sens)
     cut = FeasibilityCut(contingency=1, period=1, coef_u=[1.0, 0.0], coef_p=[0.0, 0.5],
                          constant=-2.0)
-    with_cut = build_muc(tri3, sens, [cut])
+    with_cut, _ = build_muc(tri3, sens, [cut])
     assert len(with_cut.row_lower) == len(base.row_lower) + 1
 
 
@@ -188,7 +192,8 @@ def test_zero_ten_minute_ramp_kills_dispatch():
         loaded, generators=tuple(dataclasses.replace(g, ramp_10=0.0, p_min=0.0,
                                                      initial_output=0.0)
                                  for g in loaded.generators))
-    assert solve_milp(build_muc(dead_loaded, build_sensitivities(dead_loaded))).status == "infeasible"
+    lp, _ = build_muc(dead_loaded, build_sensitivities(dead_loaded))
+    assert solve_milp(lp).status == "infeasible"
 
 
 @pytest.mark.parametrize("build", [triangle3, lambda: random_case(101, 12, 5, 4)],
@@ -210,15 +215,15 @@ def test_reported_reserve_is_the_largest_each_unit_can_hold(build):
 def test_huge_emergency_ratings_make_extensive_equal_muc(tri3):
     relaxed = scale_emergency(tri3, 100.0)
     sens = build_sensitivities(relaxed)
-    muc = solve_model(build_muc(relaxed, sens))
-    ext, _ = extensive(build_extensive_scuc, relaxed, sens)
+    muc = solve_model(build_muc(relaxed, sens)[0])
+    ext, _ = extensive(relaxed, sens)
     assert ext.objective == pytest.approx(muc.objective, rel=1e-9)
 
 
 def test_extensive_dominates_muc(c4_low):
     sens = build_sensitivities(c4_low)
-    muc = solve_model(build_muc(c4_low, sens))
-    ext, _ = extensive(build_extensive_scuc, c4_low, sens)
+    muc = solve_model(build_muc(c4_low, sens)[0])
+    ext, _ = extensive(c4_low, sens)
     assert ext.objective >= muc.objective - 1e-6
 
 
@@ -226,7 +231,7 @@ def test_security_constrained_optimum_matches_enumeration(tri3_tight):
     sens = build_sensitivities(tri3_tight)
     oracle = brute_force_commitment(tri3_tight, security=True,
                                     contingencies=tuple(sens.contingencies))
-    ext, _ = extensive(build_extensive_scuc, tri3_tight, sens)
+    ext, _ = extensive(tri3_tight, sens)
     assert ext.objective == pytest.approx(oracle, rel=1e-7)
 
 
@@ -236,45 +241,89 @@ def test_switching_budget_zero_reduces_to_plain_model(tri3_tight, c4_low):
             case, branches=tuple(dataclasses.replace(k, reconfigurable=False)
                                  for k in case.branches))
         sens = build_sensitivities(pinned_case)
-        plain, _ = extensive(build_extensive_scuc, pinned_case, sens)
-        pinned, switches = extensive(build_extensive_scuc_cnr, pinned_case, sens)
+        plain, _ = extensive(pinned_case, sens)
+        pinned, switches = extensive(pinned_case, sens, switching=True)
         assert not any(switches.values())
         assert pinned.objective == pytest.approx(plain.objective, rel=1e-6)
 
 
 def test_switching_budget_one_is_a_relaxation(c4_low):
     sens = build_sensitivities(c4_low)
-    plain, _ = extensive(build_extensive_scuc, c4_low, sens)
-    cnr, _ = extensive(build_extensive_scuc_cnr, c4_low, sens)
+    plain, _ = extensive(c4_low, sens)
+    cnr, _ = extensive(c4_low, sens, switching=True)
     assert cnr.objective <= plain.objective + 1e-6
 
 
-@pytest.mark.parametrize("name, build, size", [
-    ("random_101_12_5_4", build_extensive_scuc, (3363, 380, 11275, 0)),
-    ("random_101_12_5_4", build_extensive_scuc_cnr, (6623, 1980, 48795, 800)),
-    ("corridor4_high", build_extensive_scuc, (283, 54, 529, 0)),
-    ("corridor4_high", build_extensive_scuc_cnr, (421, 118, 1137, 32)),
+@pytest.mark.parametrize("name, switching, size", [
+    ("random_101_12_5_4", False, (3363, 380, 11275, 0)),
+    ("random_101_12_5_4", True, (6623, 1980, 48795, 800)),
+    ("corridor4_high", False, (283, 54, 529, 0)),
+    ("corridor4_high", True, (421, 118, 1137, 32)),
 ], ids=["random_101_12_5_4-plain", "random_101_12_5_4-cnr", "corridor4_high-plain",
         "corridor4_high-cnr"])
-def test_extensive_size_is_pinned(name, build, size):
+def test_extensive_size_is_pinned(name, switching, size):
     # rows, columns, nonzeros and z columns do not depend on the machine: a
     # change to the extensive layout shows up here
     case = {"random_101_12_5_4": lambda: random_case(101, 12, 5, 4),
             "corridor4_high": corridor4_high}[name]()
-    lp, switches = build(case, build_sensitivities(case))
+    lp, switches = build_extensive(case, build_sensitivities(case), switching)
     assert (len(lp.row_lower), len(lp.cost), lp.a.nnz,
             sum(len(z) for z in switches.values())) == size
 
 
 def test_switching_rescues_an_insecure_system(c4_high):
     sens = build_sensitivities(c4_high)
-    assert solve_milp(build_extensive_scuc(c4_high, sens)[0]).status == "infeasible"
-    cnr, switches = extensive(build_extensive_scuc_cnr, c4_high, sens)
+    assert solve_milp(build_extensive(c4_high, sens)[0]).status == "infeasible"
+    cnr, switches = extensive(c4_high, sens, switching=True)
     plan = extract_switching_plan(switches, cnr)
     assert any(c == 3 for (c, t) in plan)  # losing the direct line needs a switch
 
 
-SWITCH_CASES = {**fixture_family(), "random_101_12_5_4": random_case(101, 12, 5, 4)}
+def test_a_state_is_a_contingency_in_a_period(c4_high, star):
+    # period 0 would read the columns of period T through index -1
+    sens = build_sensitivities(c4_high)
+    for state in ((3, 0), (3, c4_high.horizon + 1), (1, 1)):
+        with pytest.raises(ValueError, match=rf"state \({state[0]},{state[1]}\)"):
+            build_muc(c4_high, sens, states=[state])
+    with pytest.raises(ValueError, match=r"state \(1,1\)"):  # a radial line
+        build_muc(star, build_sensitivities(star), states=[(1, 1)])
+
+
+def test_one_state_models_its_own_pair(c4_high):
+    # losing the direct line needs a switch in period 2 only
+    sens = build_sensitivities(c4_high)
+    assert solve_milp(build_muc(c4_high, sens, states=[(3, 2)])[0]).status == "infeasible"
+    for states, switching in (([(3, 2)], True), ([(3, 1)], False)):
+        lp, _ = build_muc(c4_high, sens, states=states, switching=switching)
+        assert solve_model(lp).objective == pytest.approx(4340.0, rel=1e-9)
+
+
+def fix_schedule(case, lp, schedule):
+    """``lp`` with its ``u``, ``v`` and ``p`` columns fixed at ``schedule``."""
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    u, v, p, _ = base_columns(case)
+    for columns, values in ((u, schedule.u), (v, schedule.v), (p, schedule.p)):
+        lb[columns] = ub[columns] = values
+    return dataclasses.replace(lp, lb=lb, ub=ub)
+
+
+def test_restricted_model_agrees_with_the_switch_search():
+    # the loop rescues (27, 2) by opening line 10: at its schedule, the model
+    # of that one state is infeasible without switches, and the big-M switch
+    # rows keep a feasible point
+    case = random_case(101, 24, 8, 4)
+    res = solve(case, SolveOptions(method="td_scuc_cnr"))
+    assert res.switches[(27, 2)] == 10
+    sens = build_sensitivities(case)
+    lp, _ = build_muc(case, sens, states=[(27, 2)])
+    assert solve_milp(fix_schedule(case, lp, res.schedule)).status == "infeasible"
+    lp, switches = build_muc(case, sens, states=[(27, 2)], switching=True)
+    rescued = solve_milp(fix_schedule(case, lp, res.schedule))
+    assert rescued.status == "optimal"
+    assert (27, 2) in extract_switching_plan(switches, rescued)
+
+
+SWITCH_CASES ={**fixture_family(), "random_101_12_5_4": random_case(101, 12, 5, 4)}
 # no generated or fixture line is pinned, so pin every odd one of a copy
 SWITCH_CASES["random_101_12_5_4_pinned"] = dataclasses.replace(
     SWITCH_CASES["random_101_12_5_4"],
@@ -288,7 +337,7 @@ def test_switchable_lines_are_the_connectivity_brute_force(name):
     # opening both keeps every bus connected
     case = SWITCH_CASES[name]
     sens = build_sensitivities(case)
-    _, switches = build_extensive_scuc_cnr(case, sens)
+    _, switches = build_extensive(case, sens, switching=True)
     assert set(switches) == {(c, t) for c in sens.contingencies for t in case.periods}
     for (c, t), z in switches.items():
         expected = [k.id for k in sorted(case.branches, key=lambda k: k.id)
@@ -299,16 +348,16 @@ def test_switchable_lines_are_the_connectivity_brute_force(name):
 def test_relaxation_chain(tri3, tri3_tight, star, c4_low):
     for case in (tri3, tri3_tight, star, c4_low):
         sens = build_sensitivities(case)
-        muc = solve_model(build_muc(case, sens)).objective
-        cnr = extensive(build_extensive_scuc_cnr, case, sens)[0].objective
-        scuc = extensive(build_extensive_scuc, case, sens)[0].objective
+        muc = solve_model(build_muc(case, sens)[0]).objective
+        cnr = extensive(case, sens, switching=True)[0].objective
+        scuc = extensive(case, sens)[0].objective
         slack = 1e-6 * max(1.0, abs(scuc))
         assert muc <= cnr + slack
         assert cnr <= scuc + slack
 
 
 def test_binaries_are_integral(c4_low):
-    lp = build_muc(c4_low, build_sensitivities(c4_low))
+    lp, _ = build_muc(c4_low, build_sensitivities(c4_low))
     res = solve_model(lp)
     u, v, _, _ = base_columns(c4_low)
     binary = np.concatenate((u.ravel(), v.ravel()))
@@ -345,7 +394,7 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
     sens = build_sensitivities(c4_low)
     u, _, p, _ = base_columns(c4_low)
     g2 = [g.id for g in c4_low.generators].index(2)
-    lp = build_muc(c4_low, sens)
+    lp, _ = build_muc(c4_low, sens)
 
     rng = np.random.default_rng(11)
     checked_feasible = 0
@@ -383,7 +432,7 @@ def test_cut_touches_only_its_own_period():
     sched, out = first_violated_pair(case)
     cut = out.cut
     assert out.period == 2
-    muc = build_muc(case, build_sensitivities(case), [cut])
+    muc, _ = build_muc(case, build_sensitivities(case), [cut])
     # the cut row, the last one, may only touch period-2 u and p columns
     u, _, p, _ = base_columns(case)
     touched = muc.a.tocsr()[-1].indices
@@ -396,8 +445,8 @@ def test_adding_cut_changes_next_master(c4_low):
     sched, out = first_violated_pair(c4_low)
     cut = out.cut
     sens = build_sensitivities(c4_low)
-    first = solve_model(build_muc(c4_low, sens))
-    cut_master = build_muc(c4_low, sens, [cut])
+    first = solve_model(build_muc(c4_low, sens)[0])
+    cut_master, _ = build_muc(c4_low, sens, [cut])
     second = solve_model(cut_master)
     assert second.objective >= first.objective - 1e-9
     point = extract_solution(c4_low, sens, cut_master, second)

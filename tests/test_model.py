@@ -87,7 +87,7 @@ def test_operating_cost_matches_solver_objective(tri3):
 def test_invariants_flag_output_the_other_units_cannot_cover(tri3):
     # the schedule is checked against the master's own rows: the reserve
     # pool row of unit 1 breaks by its whole 80 MW output
-    muc = build_muc(tri3, build_sensitivities(tri3))
+    muc, _ = build_muc(tri3, build_sensitivities(tri3))
     sched = manual_schedule(tri3, {1: {1: 80.0}}, committed={1: {1, 2}})
     problem = schedule_violation(tri3, muc, sched)
     assert problem is not None and problem.endswith("in period 1 is broken by 80")

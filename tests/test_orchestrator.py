@@ -7,7 +7,7 @@ import pytest
 import scucnr.orchestrator
 import scucnr.subproblems
 from conftest import fixture_family
-from scucnr.backend import _hc, solve_milp
+from scucnr.backend import SolveResult, SolverError, _hc, solve_milp
 from scucnr.fixtures import corridor4_high, corridor4_low, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.model import SLACK_TOLERANCE
@@ -18,9 +18,18 @@ from scucnr.subproblems import find_corrective_switch, solve_nr_pcfc, solve_pcfc
 
 
 def muc_objective(case):
-    res = solve_milp(build_muc(case, build_sensitivities(case)), gap=1e-9)
+    res = solve_milp(build_muc(case, build_sensitivities(case))[0], gap=1e-9)
     assert res.status == "optimal"
     return res.objective
+
+
+@pytest.mark.parametrize("method", ["extensive_scuc", "td_scuc"])
+def test_both_drivers_share_the_master_step(method, c4_low, monkeypatch):
+    # a limit with no incumbent ends either driver with the same error
+    monkeypatch.setattr(scucnr.orchestrator, "solve_milp",
+                        lambda lp, **_: SolveResult(status="limit", objective=None))
+    with pytest.raises(SolverError, match=f"^{method} master solve ended with status limit$"):
+        solve(c4_low, SolveOptions(method=method))
 
 
 def rel_close(a, b, tol=1e-4):
@@ -266,7 +275,7 @@ def test_worker_pool_matches_serial_at_40_buses(method):
 
 
 def first_master_schedule(case, sens):
-    lp = build_muc(case, sens)
+    lp, _ = build_muc(case, sens)
     return extract_solution(case, sens, lp, solve_milp(lp))
 
 

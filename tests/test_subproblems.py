@@ -18,7 +18,7 @@ from scucnr.subproblems import (OutageRows, _slack_lp, find_corrective_switch, r
 def cheap_point(case):
     """Schedule from the cut-free master (no security pressure yet)."""
     sens = build_sensitivities(case)
-    lp = build_muc(case, sens)
+    lp, _ = build_muc(case, sens)
     res = solve_milp(lp, gap=1e-9)
     assert res.status == "optimal"
     return extract_solution(case, sens, lp, res)
