@@ -3,17 +3,18 @@
 Every LP and MILP arrives as a ``LinearProgram``, HiGHS's own form:
 ``row_lower <= a @ x <= row_upper`` with column bounds and optional
 integrality.  One private runner loads each one into an engine of scipy's
-private binding ``scipy.optimize._highspy._core._Highs``, maps the model
-status through one table and applies the post-solve residual check of
-``linprog(method="highs")`` to every optimal answer, without linprog's or
-``milp``'s per-call input checking and option validation.  That module is
-not public API, so ``pyproject.toml`` pins scipy to the 1.17 series it was
-checked on.  ``solve_lp`` runs with linprog's options and adds one dual per
-row and per finite variable bound; ``solve_milp`` runs with
-``scipy.optimize.milp``'s options and returns primal values only.  Duals
-are normalised so that ``sum(rhs * dual)`` over rows and bounds equals the
-optimal objective of the minimisation problem: a row's rhs is its finite
-side, and a bound counts as the row ``x >= lb`` or ``x <= ub``.
+private binding ``scipy.optimize._highspy._core._Highs`` with one call, the
+array overload of ``passModel``, maps the model status through one table
+and applies the post-solve residual check of ``linprog(method="highs")`` to
+every optimal answer, without linprog's or ``milp``'s per-call input
+checking and option validation.  That module is not public API, so
+``pyproject.toml`` pins scipy to the 1.17 series it was checked on.
+``solve_lp`` runs with linprog's options and adds one dual per row and per
+finite variable bound; ``solve_milp`` runs with ``scipy.optimize.milp``'s
+options and returns primal values only.  Duals are normalised so that
+``sum(rhs * dual)`` over rows and bounds equals the optimal objective of
+the minimisation problem: a row's rhs is its finite side, and a bound
+counts as the row ``x >= lb`` or ``x <= ub``.
 
 Every solve gets a fresh engine, so concurrent calls share no state,
 unless ``solve_lp`` is given an ``Engine``: one engine kept for a chain of
@@ -53,6 +54,8 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-7,
     "dual_feasibility_tolerance": 1e-7,
 }
+_COLWISE = int(_hc.MatrixFormat.kColwise)
+_MINIMIZE = int(_hc.ObjSense.kMinimize)
 _AT_LOWER = int(_hc.HighsBasisStatus.kLower)
 _AT_UPPER = int(_hc.HighsBasisStatus.kUpper)
 # linprog's acceptance bound on the residuals of an optimal answer: 10*sqrt(tol)
@@ -130,10 +133,14 @@ def violation(lp: LinearProgram, x: np.ndarray, tol: float) -> tuple[str, int, f
     """
     for kind, value, lower, upper in (("column", x, lp.lb, lp.ub),
                                       ("row", lp.a @ x, lp.row_lower, lp.row_upper)):
-        excess = np.nan_to_num(np.maximum(lower - value, value - upper), nan=INF)
-        if excess.size and excess.max() > tol:
-            worst = int(excess.argmax())
-            return kind, worst, float(excess[worst])
+        if not value.size:
+            continue
+        excess = np.maximum(lower - value, value - upper)
+        # argmax takes the first NaN over any number, and a NaN fails every comparison
+        worst = int(excess.argmax())
+        amount = float(excess[worst])
+        if not amount <= tol:
+            return kind, worst, INF if math.isnan(amount) else amount
     return None
 
 
@@ -167,32 +174,25 @@ class Engine:
 def _run(lp: LinearProgram, highs, basis=None):
     """Solve ``lp`` in ``highs``, from ``basis`` when one is given.
 
-    Returns the status, the engine's info and its solution.  The solution
-    is None unless the engine holds an answer: an optimum, which must pass
-    linprog's residual check, or a MILP incumbent found before a limit.
+    The whole problem goes in through one array call; HiGHS drops matrix
+    entries of magnitude 1e-9 or less as it loads them and answers with a
+    warning, so only a load error raises.  Returns the status, the
+    engine's info and its solution.  The solution is None unless the
+    engine holds an answer: an optimum, which must pass linprog's residual
+    check, or a MILP incumbent found before a limit.
     """
-    n_col = lp.cost.shape[0]
-    n_row = lp.row_lower.shape[0]
+    n_col, n_row = lp.cost.shape[0], lp.row_lower.shape[0]
+    # the overload reads one integrality entry per column, so an LP passes zeros
+    integrality = np.zeros(n_col, np.int32) if lp.integrality is None else lp.integrality
+    # it reads n_col or n_row entries of each array without checking their sizes
+    if not (lp.lb.shape == lp.ub.shape == integrality.shape == (n_col,)
+            and lp.row_upper.shape == (n_row,) and lp.a.shape == (n_row, n_col)):
+        raise SolverError(f"HiGHS could not load {lp.name!r}: its arrays disagree in size")
     start, index, value = _csc(lp.a)
-    model = _hc.HighsLp()
-    model.num_col_ = n_col
-    model.num_row_ = n_row
-    model.col_cost_ = lp.cost
-    model.col_lower_ = lp.lb
-    model.col_upper_ = lp.ub
     # kHighsInf is IEEE infinity in the pinned HiGHS, so infinite sides pass as they are
-    model.row_lower_ = lp.row_lower
-    model.row_upper_ = lp.row_upper
-    model.a_matrix_.format_ = _hc.MatrixFormat.kColwise
-    model.a_matrix_.num_col_ = n_col
-    model.a_matrix_.num_row_ = n_row
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = index
-    model.a_matrix_.value_ = value
-    if lp.integrality is not None:
-        model.integrality_ = [_hc.HighsVarType(int(i)) for i in lp.integrality]
-
-    if highs.passModel(model) == _hc.HighsStatus.kError:
+    if highs.passModel(n_col, n_row, value.shape[0], _COLWISE, _MINIMIZE, 0.0,
+                       lp.cost, lp.lb, lp.ub, lp.row_lower, lp.row_upper,
+                       start, index, value, integrality) == _hc.HighsStatus.kError:
         raise SolverError(f"HiGHS could not load {lp.name!r}")
     if basis is not None and highs.setBasis(basis) == _hc.HighsStatus.kError:
         raise SolverError(f"HiGHS rejected the starting basis of {lp.name!r}")

@@ -27,7 +27,8 @@ optimal vertex it lands on.  That holds for the switch LPs of
 serve both, keeping a basis for each of the two shapes, and the switch
 LPs of an outage chain across candidates and periods.  The duals, and
 with them the cut, are not unique, so a cut is always read off a fresh
-engine's solve; no cut is read off a switch LP.
+engine's solve (``cut_pcfc``), made only for a pair that needs one; no cut
+is read off a switch LP.
 """
 
 from __future__ import annotations
@@ -210,27 +211,42 @@ def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
 
     Minimizes a proportional slack over the 10-minute redispatch polytope of
     the given schedule with branch ``c`` out of service.  Slack zero means
-    the outage is survivable.  An infeasible outcome carries its Benders
-    feasibility cut, the LP's dual objective ``pi @ (rhs - b @ [u; p])``
-    over the rows of ``OutageRows.at(t)`` plus the bound terms, with the
-    master's ``u`` and ``p`` left free: ``-(pi @ b)`` gives the
-    coefficients and everything else the constant.
+    the outage is survivable.  Without ``engine`` this is ``cut_pcfc``: an
+    infeasible outcome carries its Benders feasibility cut.
 
     A caller that checks ``c`` in several periods may pass its
     ``OutageRows`` and one ``backend.Engine`` for all of them.  The LP then
     starts from the last period's basis, which decides the verdict (the
-    slack is 0 or 1); an infeasible pair is solved again in a fresh engine,
-    as without one, and its cut read off that solve.
+    slack is 0 or 1), and an infeasible outcome carries no cut, because the
+    warm duals are not unique.  ``cut_pcfc`` solves such a pair again in a
+    fresh engine for its cut, once the caller knows it needs one: the
+    decomposed loop asks only after the switch search has failed.
     """
     if rows is None:
         rows = OutageRows(case, sens.outage_ptdf((c,)), (c,))
     elif rows.removed != (c,):
         raise ValueError(f"rows of outage {rows.removed} given for outage {c}")
+    if engine is None:
+        return cut_pcfc(rows, muc, t, slack_tolerance)
+    _, slack = _solve_slack_lp(_slack_lp(rows.at(t), muc, t, f"pcfc[{c},{t}]"), engine)
+    return SubproblemOutcome(contingency=c, period=t, slack=slack,
+                             status="feasible" if slack <= slack_tolerance else "infeasible")
+
+
+def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int,
+             slack_tolerance: float = SLACK_TOLERANCE) -> SubproblemOutcome:
+    """The feasibility LP of the single outage of ``rows`` in period ``t``,
+    in a fresh engine, with the Benders feasibility cut of an infeasible one.
+
+    The cut is the LP's dual objective ``pi @ (rhs - b @ [u; p])`` over the
+    rows of ``OutageRows.at(t)`` plus the bound terms, with the master's
+    ``u`` and ``p`` left free: ``-(pi @ b)`` gives the coefficients and
+    everything else the constant.  At ``muc`` it must reproduce the slack
+    optimum.
+    """
+    (c,) = rows.removed
     block = rows.at(t)
-    lp = _slack_lp(block, muc, t, f"pcfc[{c},{t}]")
-    result, slack = _solve_slack_lp(lp, engine)
-    if slack > slack_tolerance and engine is not None:
-        result, slack = _solve_slack_lp(lp)
+    result, slack = _solve_slack_lp(_slack_lp(block, muc, t, f"pcfc[{c},{t}]"))
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, status="feasible", slack=slack)
 
@@ -239,6 +255,9 @@ def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
     rhs = np.concatenate((np.where(np.isfinite(hi), hi, lo), result.row_rhs[len(b):]))
     cut = FeasibilityCut(contingency=c, period=t, coef_u=coef_u, coef_p=coef_p,
                          constant=float(rhs @ result.row_duals))
+    drift = abs(cut.evaluate_solution(muc) - slack)
+    if drift > 1e-6:
+        raise SolverError(f"cut for pair ({c},{t}) misses its slack by {drift:.2e}")
     return SubproblemOutcome(contingency=c, period=t, status="infeasible",
                              slack=slack, cut=cut)
 

@@ -208,6 +208,47 @@ def test_engine_keeps_one_optimal_basis_per_shape():
     assert solve_lp(other, engine).simplex_iterations == 0
 
 
+def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):
+    # the array overload of passModel is private binding surface: pin what
+    # it loads, for an LP and a MILP
+    run, loaded = scucnr.backend._run, []
+
+    def spy(lp, highs, basis=None):
+        out = run(lp, highs, basis)
+        loaded.append((lp, highs.getLp()))
+        return out
+
+    monkeypatch.setattr(scucnr.backend, "_run", spy)
+    case = random_case(101, n_buses=24, n_generators=8, horizon=4)
+    sens = build_sensitivities(case)
+    master, _ = build_muc(case, sens)
+    muc = extract_solution(case, sens, master, solve_milp(master))
+    scucnr.subproblems.solve_pcfc(case, sens, muc, sens.contingencies[0], 1)
+    tiny = mixed_lp()
+    a = tiny.a.toarray()
+    a[0, 2] = 1e-12
+    solve_lp(dataclasses.replace(tiny, a=a))
+    assert [lp.integrality is None for lp, _ in loaded] == [False, True, True]
+    for lp, held in loaded:
+        assert (held.num_col_, held.num_row_) == (len(lp.cost), len(lp.row_lower)), lp.name
+        for mine, theirs in ((lp.cost, held.col_cost_), (lp.lb, held.col_lower_),
+                             (lp.ub, held.col_upper_), (lp.row_lower, held.row_lower_),
+                             (lp.row_upper, held.row_upper_)):
+            assert np.array_equal(mine, theirs), lp.name
+        mat = held.a_matrix_
+        assert mat.format_ == scucnr.backend._hc.MatrixFormat.kColwise
+        dense = lp.a.toarray() if sp.issparse(lp.a) else lp.a
+        # HiGHS drops entries of magnitude 1e-9 or less as it loads them
+        assert np.array_equal(
+            sp.csc_array((mat.value_, mat.index_, mat.start_), shape=dense.shape).toarray(),
+            np.where(np.abs(dense) > 1e-9, dense, 0.0)), lp.name
+        kinds = [int(v) for v in held.integrality_]
+        if lp.integrality is None:
+            assert not any(kinds), lp.name
+        else:
+            assert kinds == lp.integrality.tolist() and any(kinds), lp.name
+
+
 def test_limit_and_failure_statuses():
     # a MILP stopped before its first incumbent has no answer to return
     case = random_case(101, n_buses=24, n_generators=8, horizon=4)
@@ -220,6 +261,8 @@ def test_limit_and_failure_statuses():
     lp = mixed_lp()
     with pytest.raises(SolverError, match="could not load 'mixed'"):
         solve_lp(dataclasses.replace(lp, row_upper=np.full(len(lp.row_upper), np.nan)))
+    with pytest.raises(SolverError, match="could not load 'mixed'"):
+        solve_lp(dataclasses.replace(lp, lb=lp.lb[:-1]))
     with pytest.raises(SolverError, match="'mixed'.*NaN"):
         solve_lp(dataclasses.replace(lp, cost=np.full(len(lp.cost), np.nan)))
 

@@ -352,6 +352,30 @@ def test_audit_builds_one_engine_per_contingency_plus_its_cold_solves(monkeypatc
     assert counts["infeasible"] == 13 and counts["switch_lps"] > 0
 
 
+@pytest.mark.parametrize("build, rescued, left", [
+    (corridor4_high, 1, 0), (lambda: random_case(9, 40, 12, 8), 6, 7),
+], ids=["corridor4_high", "random_9_40_12_8"])
+def test_cold_cut_lp_runs_only_for_pairs_no_switch_rescues(build, rescued, left, monkeypatch):
+    case = build()
+    sens = build_sensitivities(case)
+    muc = first_master_schedule(case, sens)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    solve_lp, cold = scucnr.subproblems.solve_lp, Counter()
+
+    def counted(lp, engine=None):
+        cold[lp.name] += engine is None
+        return solve_lp(lp, engine)
+
+    monkeypatch.setattr(scucnr.subproblems, "solve_lp", counted)
+    outcomes, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, True, True, workers=1)
+    statuses = Counter(out.status for out in outcomes)
+    ended = [f"pcfc[{o.contingency},{o.period}]" for o in outcomes if o.status == "infeasible"]
+    assert (statuses["feasible_via_switch"], len(ended)) == (rescued, left)
+    # one engine-less solve per pair left infeasible, none for a rescued pair
+    assert +cold == Counter(ended)
+    assert all(o.cut is not None for o in outcomes if o.status == "infeasible")
+
+
 @pytest.mark.parametrize("build, workers", [
     (corridor4_high, 1), (lambda: random_case(9, 40, 12, 8), 2),
 ], ids=["corridor4_high", "random_9_40_12_8"])
