@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -236,19 +236,9 @@ class IterationStats:
     screen_audit_max_slack: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "iteration": self.iteration,
-            "muc_objective": self.muc_objective,
-            "candidates": self.candidates,
-            "screened_out": self.screened_out,
-            "pcfc_solved": self.pcfc_solved,
-            "pcfc_infeasible": self.pcfc_infeasible,
-            "nr_pcfc_solved": self.nr_pcfc_solved,
-            "switches_found": self.switches_found,
-            "cuts_added": self.cuts_added,
-        }
-        if self.screen_audit_max_slack is not None:
-            out["screen_audit_max_slack"] = self.screen_audit_max_slack
+        out = asdict(self)
+        if self.screen_audit_max_slack is None:
+            del out["screen_audit_max_slack"]
         return out
 
 

@@ -43,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", required=True, choices=METHODS)
     run.add_argument("--out", default="runs", help="output directory")
     run.add_argument("--cbce-size", type=int, default=_DEFAULTS.cbce_size,
-                     help="length of the ranked switching candidate list")
+                     help="how many of an outage's ranked lines a switch search may "
+                          "try; 0 turns switching off, and at least the branch count "
+                          "tries every reconfigurable line")
     run.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iterations,
                      help="iteration cap for decomposed methods")
     run.add_argument("--slack-tol", type=float, default=_DEFAULTS.slack_tolerance,
@@ -52,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="relative MIP gap for master/extensive solves")
     run.add_argument("--workers", type=int, default=_DEFAULTS.workers,
                      help="parallel subproblem workers")
-    run.add_argument("--enumerate-kr", action="store_true",
-                     help="benchmark mode: try every reconfigurable line instead "
-                          "of the ranked list")
 
     ver = sub.add_parser("verify", help="re-audit a written result against its case",
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -81,7 +80,6 @@ def _cmd_solve(args) -> int:
             milp_gap=args.milp_gap,
             cbce_size=args.cbce_size,
             workers=args.workers,
-            enumerate_reconfigurable=args.enumerate_kr,
         )
     except ValueError as exc:
         print(f"scucnr solve: error: {exc}", file=sys.stderr)

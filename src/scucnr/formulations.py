@@ -182,13 +182,14 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
 
     With every pair as ``states`` this is the co-optimized N-1 SCUC, and
     with ``switching`` the N-1 SCUC with corrective network reconfiguration:
-    each state may also open one line that ``switch_candidates`` yields, the
-    switch search's rule (reconfigurable, non-radial, not the outage and not
-    islanding with it; see ``_add_post_outage_state``).  States go in sorted
-    ``(c, t)`` order, and each contingency builds its post-outage PTDF,
-    ``OutageRows`` and LODF shedding once.  Returns the model and, per
-    state, the ``z`` column of each switchable line.  A malformed cut or a
-    state outside ``sens.contingencies`` x ``case.periods`` raises
+    each state may also open one line that ``switch_candidates`` yields over
+    the outage's whole ranking, the switch search's rule (reconfigurable,
+    non-radial, not the outage and not islanding with it; see
+    ``_add_post_outage_state``), its ``z`` columns in id order.  States go
+    in sorted ``(c, t)`` order, and each contingency builds its post-outage
+    PTDF, ``OutageRows`` and LODF shedding once.  Returns the model and,
+    per state, the ``z`` column of each switchable line.  A malformed cut
+    or a state outside ``sens.contingencies`` x ``case.periods`` raises
     ``ValueError``.
     """
     prob = _Problem()
@@ -210,8 +211,7 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
     switches: SwitchColumns = {}
     for c, ts in periods.items():
         ptdf = sens.outage_ptdf((c,))
-        switchable = (tuple(switch_candidates(case, sens, c, enumerate_all=True))
-                      if switching else ())
+        switchable = tuple(sorted(switch_candidates(case, sens, c))) if switching else ()
         positions = [case.branch_index[j] for j in switchable]
         lodf = compute_lodf(case, ptdf, frozenset(switchable))[:, positions]
         # both limit rows of every in-service branch k carry lodf[k] @ w

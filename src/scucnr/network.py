@@ -4,8 +4,8 @@ Provides bridge classification (which fixes the contingency set to the
 non-radial branches), the bus angles that carry given injections, the
 injection-to-flow PTDF matrix built from the same reduced susceptance
 solve, the line outage distribution factors derived from it (whose pair
-blocks decide whether a switching action islands a bus), and the ranked
-candidate list of branches closest to a contingency.
+blocks decide whether a switching action islands a bus), and each
+contingency's switch candidates, ranked closest first.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from .model import SystemCase, _adjacency, _bfs
 
 RADIAL_DENOMINATOR_TOL = 1e-8
-
-DEFAULT_CBCE_SIZE = 20
 
 
 def check_connectivity(case: SystemCase, removed: set[int] | frozenset[int] = frozenset()) -> bool:
@@ -131,28 +129,27 @@ def compute_lodf(case: SystemCase, ptdf: np.ndarray,
     return lodf
 
 
-def rank_cbce(case: SystemCase, size: int = DEFAULT_CBCE_SIZE,
+def rank_cbce(case: SystemCase,
               bridges: frozenset[int] | None = None) -> dict[int, tuple[int, ...]]:
-    """Candidate switching branches nearest to each contingency, closest first.
+    """Candidate switching branches of each contingency, closest first.
 
-    Every non-radial branch is a contingency.  Its candidates are the other
-    non-radial branches, scored by the minimum bus-hop distance from either
-    of their endpoints to either endpoint of the contingency (0 = shares a
-    bus).  Ties break by ascending branch id; each list is truncated to
-    ``size``.  One adjacency serves the searches of every contingency.
+    Every non-radial branch is a contingency.  Its ranking holds every
+    other non-radial branch, scored by the minimum bus-hop distance from
+    either of their endpoints to either endpoint of the contingency (0 =
+    shares a bus), ties broken by ascending branch id.  A switch search
+    walks a prefix of it (``subproblems.switch_candidates``).  One
+    adjacency serves the searches of every contingency.
     """
     if bridges is None:
         bridges, _ = classify_radial(case)
     non_radial = sorted((k for k in case.branches if k.id not in bridges), key=lambda k: k.id)
-    if size <= 0:
-        return {c.id: () for c in non_radial}
     adjacency = _adjacency([b.id for b in case.buses], case.branches)
     ranked = {}
     for c in non_radial:
         depth, _ = _bfs(adjacency, [c.from_bus, c.to_bus])
         scored = sorted((min(depth[k.from_bus], depth[k.to_bus]), k.id)
                         for k in non_radial if k.id != c.id)
-        ranked[c.id] = tuple(kid for _, kid in scored[:size])
+        ranked[c.id] = tuple(kid for _, kid in scored)
     return ranked
 
 
@@ -210,11 +207,12 @@ class NetworkSensitivities:
         return sorted(self.non_radial)
 
 
-def build_sensitivities(case: SystemCase, cbce_size: int = DEFAULT_CBCE_SIZE) -> NetworkSensitivities:
+def build_sensitivities(case: SystemCase) -> NetworkSensitivities:
+    """Bridges, PTDF, LODF and each contingency's full switch ranking."""
     bridges, non_radial = classify_radial(case)
     ptdf = compute_ptdf(case)
     lodf = compute_lodf(case, ptdf, non_radial)
-    cbce = rank_cbce(case, cbce_size, bridges)
+    cbce = rank_cbce(case, bridges)
     return NetworkSensitivities(
         branch_ids=tuple(k.id for k in case.branches),
         bridges=bridges,

@@ -6,14 +6,18 @@ loop with its cuts, alternating with one recourse decision per pair:
 screened out, feasible, rescued by a corrective switch, or cut.  Plain
 security methods cut on every unsurvivable outage; reconfiguration methods
 first search for a single corrective switch and cut only when the search
-fails.  Accelerated variants screen the candidate set with distribution
-factors before solving any LP.  The loop converges when an iteration adds
-no cuts.  One routine, ``_examine_pair``, decides every examined pair, for
-the loop, its screen audit and ``verify_schedule`` alike; each iteration's
-counts and the run's switches, unresolved pairs and cuts are read off its
-outcomes.  Pairs go one task per contingency, its periods in order on one
-warm HiGHS engine that also runs the task's switch LPs, one basis per LP
-shape (see ``subproblems``), and come back in (period, contingency) order.
+fails.  The search walks a prefix of the outage's ranked switch list, its
+budget: ``cbce_size`` lines in a solve, the whole list in the audit and
+none for plain methods and the screen audit.  Accelerated variants screen
+the candidate set with distribution factors before solving any LP.  The
+loop converges when an iteration adds no cuts.  One routine,
+``_examine_pair``, decides every examined pair, for the loop, its screen
+audit, the extensive switch filter and ``verify_schedule`` alike; each
+iteration's counts and the run's switches, unresolved pairs and cuts are
+read off its outcomes.  Pairs go one task per contingency, its periods in
+order on one warm HiGHS engine that also runs the task's switch LPs, one
+basis per LP shape (see ``subproblems``), and come back in (period,
+contingency) order.
 Each schedule must meet the rows of the model it came from, and the audit
 holds it to the cut-free master's rows before it examines any pair.
 """
@@ -32,15 +36,17 @@ from .formulations import (build_muc, extract_solution, extract_switching_plan,
                            schedule_violation)
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
-from .network import DEFAULT_CBCE_SIZE, NetworkSensitivities, build_sensitivities
-from .subproblems import (OutageRows, cut_pcfc, find_corrective_switch, run_csps,
-                          solve_pcfc)
+from .network import NetworkSensitivities, build_sensitivities
+from .subproblems import OutageRows, cut_pcfc, find_corrective_switch, run_csps, solve_pcfc
 
 METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
            "td_scuc_cnr", "ad_scuc_cnr")
 
 _CNR_METHODS = {"extensive_scuc_cnr", "td_scuc_cnr", "ad_scuc_cnr"}
 _ACCELERATED = {"ad_scuc", "ad_scuc_cnr"}
+
+# how many of an outage's ranked lines a switch search may try
+DEFAULT_CBCE_SIZE = 20
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -57,7 +63,6 @@ class SolveOptions:
     milp_gap: float = DEFAULT_MILP_GAP
     cbce_size: int = DEFAULT_CBCE_SIZE
     workers: int = 1
-    enumerate_reconfigurable: bool = False
     audit_screening: bool = False
     time_limit: float | None = None
 
@@ -171,18 +176,21 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
         return _finish(options.method, "infeasible", None, 1, timings, start)
     # opening a line costs nothing in the MILP, so it may open lines at
     # pairs that survive without one; report only the pairs that need it
-    switches = {(c, t): j for (c, t), j in plan.items()
-                if solve_pcfc(case, sens, schedule, c, t,
-                              options.slack_tolerance).status == "infeasible"}
+    outcomes, _ = _examine(case, sens, schedule, plan, options.slack_tolerance, 0,
+                           options.workers)
+    switches = {(o.contingency, o.period): plan[o.contingency, o.period]
+                for o in outcomes if o.status == "infeasible"}
     return _finish(options.method, "converged", schedule, 1, timings, start,
                    switches=switches)
 
 
-def _examine_pair(case, sens, muc, c, t, slack_tolerance: float, switching: bool,
-                  enumerate_all: bool, counters: Counter, rows: OutageRows,
+def _examine_pair(case, sens, muc, c, t, slack_tolerance: float,
+                  switch_budget: int | None, counters: Counter, rows: OutageRows,
                   engine: Engine) -> SubproblemOutcome:
-    """PCFC one pair on its outage's ``rows`` and warm ``engine``; with
-    ``switching``, chase a switch on failure, its LPs on the same engine.
+    """PCFC one pair on its outage's ``rows`` and warm ``engine``; on
+    failure, search the first ``switch_budget`` ranked lines of the outage
+    for a switch (all of them when None, none when 0), its LPs on the same
+    engine.
 
     The outcome is infeasible only when the pair ends up with no feasible
     recourse; only then is the pair solved again cold, by ``cut_pcfc``,
@@ -194,24 +202,22 @@ def _examine_pair(case, sens, muc, c, t, slack_tolerance: float, switching: bool
     counters["pcfc_seconds"] += time.perf_counter() - t0
     if outcome.status == "feasible":
         return outcome
-    if switching:
+    if switch_budget != 0:
         t0 = time.perf_counter()
         found = find_corrective_switch(case, sens, muc, c, t, slack_tolerance=slack_tolerance,
-                                       enumerate_all=enumerate_all, counters=counters,
+                                       switch_budget=switch_budget, counters=counters,
                                        engine=engine)
         counters["nr_seconds"] += time.perf_counter() - t0
         if found is not None:
-            j, s2 = found
-            return SubproblemOutcome(contingency=c, period=t, slack=s2,
-                                     status="feasible_via_switch", switch=j)
+            return found
     t0 = time.perf_counter()
     outcome = cut_pcfc(rows, muc, t, slack_tolerance)
     counters["pcfc_seconds"] += time.perf_counter() - t0
     return outcome
 
 
-def _examine(case, sens, muc, pairs, slack_tolerance: float, switching: bool,
-             enumerate_all: bool, workers: int) -> tuple[list[SubproblemOutcome], Counter]:
+def _examine(case, sens, muc, pairs, slack_tolerance: float, switch_budget: int | None,
+             workers: int) -> tuple[list[SubproblemOutcome], Counter]:
     """``_examine_pair`` over ``pairs``, one task per contingency.
 
     A task builds its contingency's ``OutageRows`` and one warm ``Engine``,
@@ -230,8 +236,8 @@ def _examine(case, sens, muc, pairs, slack_tolerance: float, switching: bool,
         t0 = time.perf_counter()
         rows, engine = OutageRows(case, sens.outage_ptdf((c,)), (c,)), Engine()
         local["pcfc_seconds"] += time.perf_counter() - t0
-        return [_examine_pair(case, sens, muc, c, t, slack_tolerance, switching,
-                              enumerate_all, local, rows, engine) for t in periods[c]], local
+        return [_examine_pair(case, sens, muc, c, t, slack_tolerance, switch_budget,
+                              local, rows, engine) for t in periods[c]], local
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -273,7 +279,7 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
                         for c, t in dropped]
             if options.audit_screening:
                 audited, _ = _examine(case, sens, schedule, dropped, options.slack_tolerance,
-                                      False, False, options.workers)
+                                      0, options.workers)
                 audit_max = max((out.slack for out in audited), default=0.0)
                 for out in audited:
                     if out.status == "infeasible":
@@ -281,7 +287,7 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
                                           f"but its slack is {out.slack}")
 
         examined, counters = _examine(case, sens, schedule, candidates, options.slack_tolerance,
-                                      options.uses_cnr, options.enumerate_reconfigurable,
+                                      options.cbce_size if options.uses_cnr else 0,
                                       options.workers)
         timings["pcfc"] += counters["pcfc_seconds"]
         timings["nr_pcfc"] += counters["nr_seconds"]
@@ -318,7 +324,7 @@ def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResu
         raise ValueError("case failed validation: "
                          + "; ".join(str(v) for v in violations))
     timings = dict.fromkeys(("master", "screening", "pcfc", "nr_pcfc", "total"), 0.0)
-    sens = build_sensitivities(case, options.cbce_size)
+    sens = build_sensitivities(case)
     if options.method in ("extensive_scuc", "extensive_scuc_cnr"):
         return _solve_extensive(case, options, sens, timings)
     return _solve_decomposed(case, options, sens, timings)
@@ -331,17 +337,17 @@ def verify_schedule(case: SystemCase, method: str, schedule: MucSolution,
     The schedule must meet every row and bound of the cut-free master.
     Then, whatever screening or search the producing run did, every
     non-radial outage in every period goes through the loop's pair routine,
-    and for reconfiguration methods against the full reconfigurable set.
+    for reconfiguration methods with no limit on the switch search: it may
+    try every line of the outage's ranking.
     """
     check_tolerance("slack_tolerance", slack_tolerance)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    # the audit enumerates every switch, so it needs no ranked candidate list
-    sens = build_sensitivities(case, cbce_size=0)
+    sens = build_sensitivities(case)
     base_case = schedule_violation(case, build_muc(case, sens)[0], schedule)
     pairs = _every_pair(case, sens)
     outcomes, _ = _examine(case, sens, schedule, pairs, slack_tolerance,
-                           method in _CNR_METHODS, True, workers=1)
+                           None if method in _CNR_METHODS else 0, workers=1)
     return VerificationReport(method=method, pairs_checked=len(pairs),
                               violations=tuple((o.contingency, o.period, o.slack)
                                                for o in outcomes if o.status == "infeasible"),

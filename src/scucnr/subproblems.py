@@ -4,8 +4,9 @@ Three layers of increasing cost: an arithmetic screener that predicts
 post-outage flows from distribution factors, a redispatch feasibility LP
 whose proportional slack indicates whether the outage is survivable within
 10-minute ramps and emergency ratings, and the same LP re-solved with one
-additional line opened.  The switch search walks the ranked candidate list
-and stops at the first feasible reconfiguration.
+additional line opened.  The switch search walks a prefix of the ranked
+candidate list, the search budget, and stops at the first feasible
+reconfiguration.
 
 The rows of a post-outage state are defined once, by ``OutageRows``, as
 arrays ``lo <= a @ pc + b @ [u; p] <= hi`` over the redispatch ``pc``
@@ -285,40 +286,38 @@ def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution
 
 
 def switch_candidates(case: SystemCase, sens: NetworkSensitivities, c: int,
-                      enumerate_all: bool = False):
+                      size: int | None = None):
     """Lines that may open after outage ``c``, in the order they are tried.
 
-    Walks the ranked closest-branches list of ``c`` (or, with
-    ``enumerate_all``, every non-radial branch in id order) and yields each
-    line that is reconfigurable, non-radial, not ``c``, and does not island
-    a bus together with ``c`` by the LODF block test.  The ranked list is
-    truncated before it is filtered.  Lazy, so a search that stops at its
+    Walks the first ``size`` entries of the ranking ``sens.cbce[c]`` (all of
+    them when ``size`` is None) and yields each line that is reconfigurable
+    and does not island a bus together with ``c`` by the LODF block test.
+    The ranking is cut before it is filtered, so ``size`` bounds the lines
+    looked at, not the lines yielded.  Lazy, so a search that stops at its
     first rescue tests no later candidate.
     """
-    ordered = sorted(sens.non_radial) if enumerate_all else sens.cbce.get(c, ())
-    for j in ordered:
-        if (j != c and j in sens.non_radial and case.branch(j).reconfigurable
-                and not sens.islands((c, j))):
+    for j in sens.cbce[c][:size]:
+        if case.branch(j).reconfigurable and not sens.islands((c, j)):
             yield j
 
 
 def find_corrective_switch(case: SystemCase, sens: NetworkSensitivities,
                            muc: MucSolution, c: int, t: int,
                            slack_tolerance: float = SLACK_TOLERANCE,
-                           enumerate_all: bool = False, counters: dict | None = None,
-                           engine: Engine | None = None) -> tuple[int, float] | None:
-    """First switching candidate that makes the outage survivable, if any.
+                           switch_budget: int | None = None, counters: dict | None = None,
+                           engine: Engine | None = None) -> SubproblemOutcome | None:
+    """The outcome of the first switch that makes the outage survivable, if any.
 
-    Candidates come from ``switch_candidates`` (the ranked list, or with
-    ``enumerate_all`` the full reconfigurable set, as the audit uses it)
-    and are tried one at a time, each LP on ``engine`` when one is given
-    (see ``solve_nr_pcfc``).  Returns ``(branch, slack)`` for the first
-    feasible candidate, or None when the list is exhausted.
+    Candidates are ``switch_candidates`` over the first ``switch_budget``
+    ranked lines (every candidate when None, as the audit uses it) and are
+    tried one at a time, each LP on ``engine`` when one is given (see
+    ``solve_nr_pcfc``).  Returns the ``feasible_via_switch`` outcome of the
+    first rescuing candidate, or None when the candidates run out.
     """
-    for j in switch_candidates(case, sens, c, enumerate_all):
+    for j in switch_candidates(case, sens, c, switch_budget):
         outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance, engine)
         if counters is not None:
             counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
         if outcome.status == "feasible_via_switch":
-            return j, outcome.slack
+            return outcome
     return None

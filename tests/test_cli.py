@@ -50,15 +50,19 @@ def test_solve_with_switching_succeeds_where_plain_fails(hi_file, tmp_path):
     assert doc["switches"] == [{"contingency": 3, "period": 2, "branch": 2}]
 
 
-def test_enumerate_kr_needs_no_ranked_list(hi_file, tmp_path):
-    # --enumerate-kr reaches the switch search: with an empty ranked list
-    # only the enumeration can find the rescuing switch
-    out = tmp_path / "enum"
+def test_cbce_size_is_the_switch_budget(hi_file, tmp_path):
+    # --cbce-size reaches the switch search: 5 ranked lines hold the rescue,
+    # 0 turns switching off, and no enumeration flag is left
+    out = tmp_path / "five"
     code = main(["solve", "--case", str(hi_file), "--method", "td_scuc_cnr",
-                 "--out", str(out), "--enumerate-kr", "--cbce-size", "0"])
+                 "--out", str(out), "--cbce-size", "5"])
     assert code == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["switches"] == [{"contingency": 3, "period": 2, "branch": 2}]
+    assert main(["solve", "--case", str(hi_file), "--method", "td_scuc_cnr",
+                 "--out", str(tmp_path / "none"), "--cbce-size", "0"]) == 2
+    assert main(["solve", "--case", str(hi_file), "--method", "td_scuc_cnr",
+                 "--out", str(tmp_path / "enum"), "--enumerate"]) == 1
 
 
 def test_unswitchable_network_exits_2(tmp_path):
@@ -213,9 +217,9 @@ def test_help_lists_flags_with_defaults(capsys):
     assert main(["solve", "--help"]) == 0
     text = capsys.readouterr().out
     for flag in ("--case", "--method", "--out", "--cbce-size",
-                 "--max-iter", "--slack-tol", "--milp-gap", "--workers",
-                 "--enumerate-kr"):
+                 "--max-iter", "--slack-tol", "--milp-gap", "--workers"):
         assert flag in text
+    assert "--enumerate" not in text
     assert "50" in text      # max-iter default
     assert "20" in text      # cbce-size default
     assert "1e-06" in text   # slack tolerance default

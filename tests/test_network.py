@@ -10,6 +10,7 @@ from scucnr.model import Branch, Bus, Generator, SystemCase
 from scucnr.network import (build_sensitivities, check_connectivity,
                             classify_radial, compute_lodf, compute_ptdf,
                             rank_cbce)
+from scucnr.subproblems import switch_candidates
 
 
 def minimal_case(buses, branch_pairs, ref=1):
@@ -107,7 +108,7 @@ def test_connectivity_examples(tri3, star):
     random_case(9, n_buses=40, n_generators=12, horizon=8),
 ], ids=[*fixture_family(), "corridor4_high", "random101_24", "random9_40"])
 def test_lodf_islanding_test_matches_graph_search(case):
-    sens = build_sensitivities(case, cbce_size=0)
+    sens = build_sensitivities(case)
     lines = sens.contingencies
     for c in lines:
         assert not sens.islands((c,))
@@ -211,8 +212,11 @@ def test_triangle_cbce_all_adjacent_ordered_by_id(tri3):
     assert ranked[2] == (1, 3)
 
 
-def test_cbce_size_zero_is_empty(tri3):
-    assert rank_cbce(tri3, size=0) == {1: (), 2: (), 3: ()}
+def test_cbce_size_zero_is_empty(c4_high):
+    # a search budget of 0 looks at no line of the ranking
+    sens = build_sensitivities(c4_high)
+    assert all(sens.cbce[c] for c in sens.contingencies)
+    assert not any(list(switch_candidates(c4_high, sens, c, 0)) for c in sens.contingencies)
 
 
 def test_corridor_ranks_companion_leg_first(c4_high):
@@ -230,8 +234,7 @@ def test_cbce_excludes_bridges_and_self(tri3):
     ranked = rank_cbce(case)
     assert sorted(ranked) == [1, 2, 3]
     assert 9 not in ranked[3]
-    assert 3 not in ranked[3]
-    assert len(ranked[3]) <= 20
+    assert ranked[3] == (1, 2)
 
 
 def test_cbce_rejects_bridge_contingency(star):
@@ -243,20 +246,21 @@ def test_truncation_and_tiebreak():
     # ring of 6 buses: distances from branch (1,2) differ by hops
     pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]
     case = minimal_case([1, 2, 3, 4, 5, 6], pairs)
-    assert rank_cbce(case, size=3)[1] == (2, 6, 3)  # scores 0, 0, 1 -> ids break the tie
-    assert len(rank_cbce(case, size=2)[1]) == 2
+    # scores 0, 0, 1, 1, 2 -> ids break the ties; a search budget is a prefix
+    assert rank_cbce(case)[1] == (2, 6, 3, 5, 4)
+    assert build_sensitivities(case).cbce[1][:3] == (2, 6, 3)
 
 
 # --- bundle ----------------------------------------------------------------
 
 def test_build_sensitivities_bundle(c4_high):
-    sens = build_sensitivities(c4_high, cbce_size=20)
+    sens = build_sensitivities(c4_high)
     assert sens.non_radial == {2, 3, 4, 5, 6}
     assert sens.bridges == frozenset()
     assert sens.contingencies == [2, 3, 4, 5, 6]
     assert sens.cbce[3] == (2, 4, 5, 6)
     for c in sens.contingencies:
-        assert c not in sens.cbce[c]
-        assert len(sens.cbce[c]) <= 20
+        # every other non-radial branch, once
+        assert sorted(sens.cbce[c]) == [k for k in sens.contingencies if k != c]
     with pytest.raises(ValueError):
         sens.ptdf[0, 0] = 1.0  # read-only

@@ -14,7 +14,7 @@ from scucnr.model import SLACK_TOLERANCE
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, _examine, solve, verify_schedule,
                                  verify_solution)
-from scucnr.subproblems import find_corrective_switch, solve_nr_pcfc, solve_pcfc
+from scucnr.subproblems import solve_nr_pcfc, solve_pcfc, switch_candidates
 
 
 def muc_objective(case):
@@ -206,8 +206,8 @@ def test_audit_catches_tampered_schedule(tri3_tight):
 
 
 def test_audit_uses_full_enumeration_for_switching_methods(c4_high):
-    # kill the ranked list: the audit must still certify the run by trying
-    # the whole reconfigurable set
+    # the audit certifies a switching run by searching the whole ranked list,
+    # whatever budget the run had, and a plain one without switching
     res = solve(c4_high, SolveOptions(method="td_scuc_cnr"))
     assert res.converged
     audit = verify_solution(c4_high, res)
@@ -284,7 +284,7 @@ def test_warm_chain_matches_cold_solves():
     sens = build_sensitivities(case)
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
-    warm, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, False, False, workers=1)
+    warm, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, 0, workers=1)
     cold = [solve_pcfc(case, sens, muc, c, t) for c, t in pairs]
     assert len(warm) == 440
     assert warm == cold
@@ -299,22 +299,30 @@ def test_warm_switch_searches_match_cold_ones(build, rescued):
     sens = build_sensitivities(case)
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
-    warm, counters = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, True, True, workers=1)
-    cold_counters = Counter()
+    warm, counters = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, None, workers=1)
+    tried = 0
     for out, (c, t) in zip(warm, pairs, strict=True):
         assert (out.contingency, out.period) == (c, t)
         cold = solve_pcfc(case, sens, muc, c, t)
-        found = None
-        if cold.status == "infeasible":
-            found = find_corrective_switch(case, sens, muc, c, t, enumerate_all=True,
-                                           counters=cold_counters)
-        if found is None:
+        if cold.status == "feasible":
             assert out == cold
+            continue
+        # a cold walk of every candidate in id order: the verdict does not
+        # depend on the order, and the warm search picks the first rescue
+        # in ranked order
+        rescues = {j for j in sorted(switch_candidates(case, sens, c))
+                   if solve_nr_pcfc(case, sens, muc, c, t, j).status == "feasible_via_switch"}
+        ranked = list(switch_candidates(case, sens, c))
+        if not rescues:
+            assert out == cold
+            tried += len(ranked)
         else:
-            assert (out.status, out.switch, out.cut) == ("feasible_via_switch", found[0], None)
+            first = next(j for j in ranked if j in rescues)
+            assert (out.status, out.switch, out.cut) == ("feasible_via_switch", first, None)
             assert out.slack <= SLACK_TOLERANCE
+            tried += ranked.index(first) + 1
     assert sum(out.status == "feasible_via_switch" for out in warm) == rescued
-    assert counters["nr_pcfc_solved"] == cold_counters["nr_pcfc_solved"] > 0
+    assert counters["nr_pcfc_solved"] == tried > 0
 
 
 def test_audit_builds_one_engine_per_contingency_plus_its_cold_solves(monkeypatch):
@@ -367,7 +375,7 @@ def test_cold_cut_lp_runs_only_for_pairs_no_switch_rescues(build, rescued, left,
         return solve_lp(lp, engine)
 
     monkeypatch.setattr(scucnr.subproblems, "solve_lp", counted)
-    outcomes, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, True, True, workers=1)
+    outcomes, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, None, workers=1)
     statuses = Counter(out.status for out in outcomes)
     ended = [f"pcfc[{o.contingency},{o.period}]" for o in outcomes if o.status == "infeasible"]
     assert (statuses["feasible_via_switch"], len(ended)) == (rescued, left)
@@ -414,11 +422,12 @@ def test_iteration_limit_reported(c4_high):
     assert sorted((c, t) for c, t, _ in audit.violations) == list(res.unresolved)
 
 
-def test_enumerated_switches_replace_the_ranked_list(c4_high):
-    ranked = solve(c4_high, SolveOptions(method="td_scuc_cnr", cbce_size=0))
-    assert ranked.status == "infeasible"
-    res = solve(c4_high, SolveOptions(method="td_scuc_cnr", cbce_size=0,
-                                      enumerate_reconfigurable=True))
+def test_a_budget_of_every_branch_tries_every_line(c4_high):
+    # a budget of 0 turns switching off; one as long as the branch list
+    # takes the whole ranking, every reconfigurable line
+    off = solve(c4_high, SolveOptions(method="td_scuc_cnr", cbce_size=0))
+    assert off.status == "infeasible"
+    res = solve(c4_high, SolveOptions(method="td_scuc_cnr", cbce_size=len(c4_high.branches)))
     assert res.status == "converged"
     assert res.switches == {(3, 2): 2}
     assert verify_solution(c4_high, res).secure

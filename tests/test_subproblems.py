@@ -12,7 +12,7 @@ from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
 from scucnr.subproblems import (OutageRows, _slack_lp, find_corrective_switch, run_csps,
-                                solve_nr_pcfc, solve_pcfc)
+                                solve_nr_pcfc, solve_pcfc, switch_candidates)
 
 
 def cheap_point(case):
@@ -247,9 +247,9 @@ def test_switch_search_returns_first_ranked_feasible(c4_high):
     muc = cheap_point(c4_high)
     counters = {}
     found = find_corrective_switch(c4_high, sens, muc, 3, 2, counters=counters)
-    assert found is not None
-    j, slack = found
-    assert j == 2 and slack <= 1e-6
+    assert found == solve_nr_pcfc(c4_high, sens, muc, 3, 2, 2)
+    assert (found.status, found.switch) == ("feasible_via_switch", 2)
+    assert found.slack <= 1e-6
     assert counters["nr_pcfc_solved"] == 1  # first candidate already works
 
     # benchmark enumeration agrees and the feasible set contains the pick
@@ -262,9 +262,9 @@ def test_switch_search_returns_first_ranked_feasible(c4_high):
         if alt.status == "feasible_via_switch":
             feasible.append(cand)
     assert feasible == [2, 4]
-    assert j in feasible
-    via_enum = find_corrective_switch(c4_high, sens, muc, 3, 2, enumerate_all=True)
-    assert via_enum is not None and via_enum[0] == 2
+    assert found.switch in feasible
+    # a budget of one line holds the pick, since it ranks first
+    assert find_corrective_switch(c4_high, sens, muc, 3, 2, switch_budget=1) == found
 
 
 def test_islanding_candidates_are_skipped_without_solving(c4_high):
@@ -276,22 +276,51 @@ def test_islanding_candidates_are_skipped_without_solving(c4_high):
     counters = {}
     found = find_corrective_switch(c4_high, sens, muc, 4, 2, counters=counters)
     assert found is not None
-    assert found[0] == 3
+    assert found.switch == 3
     assert counters["nr_pcfc_solved"] == 1
 
 
 def test_empty_candidate_list_means_no_switch(c4_high):
-    sens = build_sensitivities(c4_high, cbce_size=0)
+    sens = build_sensitivities(c4_high)
     muc = cheap_point(c4_high)
-    assert find_corrective_switch(c4_high, sens, muc, 3, 2) is None
+    counters = {}
+    assert find_corrective_switch(c4_high, sens, muc, 3, 2, switch_budget=0,
+                                  counters=counters) is None
+    assert counters == {}
+
+
+SWITCH_CASES = {**fixture_family(), "corridor4_high": corridor4_high(),
+                "random_9_40_12_8": random_case(9, 40, 12, 8)}
+# no generated or fixture line is pinned, so pin every odd one of a copy
+SWITCH_CASES["corridor4_high_pinned"] = dataclasses.replace(
+    SWITCH_CASES["corridor4_high"],
+    branches=tuple(dataclasses.replace(k, reconfigurable=k.id % 2 == 0)
+                   for k in SWITCH_CASES["corridor4_high"].branches))
+
+
+@pytest.mark.parametrize("name", sorted(SWITCH_CASES))
+def test_switch_candidates_filter_a_prefix_of_the_ranking(name):
+    # a budget looks at that many ranked lines and keeps those that are
+    # reconfigurable and leave every bus connected when opened with c
+    case = SWITCH_CASES[name]
+    sens = build_sensitivities(case)
+    for c in sens.contingencies:
+        def allowed(j):
+            return case.branch(j).reconfigurable and check_connectivity(case, {c, j})
+        for size in (0, 1, 3, None):
+            assert list(switch_candidates(case, sens, c, size)) == \
+                [j for j in sens.cbce[c][:size] if allowed(j)], (c, size)
+        # the whole ranking holds every line the brute force allows
+        assert sorted(switch_candidates(case, sens, c)) == \
+            [k.id for k in sorted(case.branches, key=lambda k: k.id)
+             if k.id != c and allowed(k.id)], c
 
 
 def test_stranded_corridor_defeats_every_switch(c4_stranded):
     sens = build_sensitivities(c4_stranded)
     muc = cheap_point(c4_stranded)
+    assert find_corrective_switch(c4_stranded, sens, muc, 3, 2, switch_budget=2) is None
     assert find_corrective_switch(c4_stranded, sens, muc, 3, 2) is None
-    assert find_corrective_switch(c4_stranded, sens, muc, 3, 2,
-                                  enumerate_all=True) is None
 
 
 def test_non_reconfigurable_lines_are_not_tried(c4_high):

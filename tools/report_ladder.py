@@ -3,8 +3,9 @@
 Usage: python tools/report_ladder.py OUT_DIR
        python tools/report_ladder.py --compare PARENT_DIR CHANGE_DIR
 
-Runs the seven built-in fixtures under every method, plus four generated
-cases, through the public API (``solve``, ``write_report``,
+Runs the seven built-in fixtures under every method, plus five runs of
+generated cases (one with a switch budget as long as its branch list),
+through the public API (``solve``, ``write_report``,
 ``verify_solution``) with the ``scucnr`` package under this checkout's
 ``src``.  Each run gets ``OUT_DIR/<case>/<method>/`` holding
 ``report.json``, ``schedule.csv`` and ``verify.json`` (the audit's
@@ -29,6 +30,7 @@ differently, and 0 otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -63,12 +65,14 @@ SOLUTION_ARRAYS = ("u", "v", "p", "r", "flow", "theta")
 # the floats of an iteration_log entry; every other field is a count
 ITERATION_FLOATS = ("muc_objective", "screen_audit_max_slack")
 
-# (seed, buses, generators, horizon), method, workers
+# (seed, buses, generators, horizon), method, workers, cbce_size (None: the default)
 RANDOM_RUNS = (
-    ((101, 24, 8, 4), "td_scuc", 1),
-    ((101, 24, 8, 4), "td_scuc_cnr", 1),
-    ((9, 40, 12, 8), "ad_scuc_cnr", 2),
-    ((101, 12, 5, 4), "extensive_scuc", 1),
+    ((101, 24, 8, 4), "td_scuc", 1, None),
+    ((101, 24, 8, 4), "td_scuc_cnr", 1, None),
+    ((9, 40, 12, 8), "ad_scuc_cnr", 2, None),
+    ((101, 12, 5, 4), "extensive_scuc", 1, None),
+    # a budget of the case's 60 branches: the search may try every reconfigurable line
+    ((9, 40, 12, 8), "ad_scuc_cnr", 2, 60),
 )
 
 
@@ -78,9 +82,13 @@ def ladder():
         case = build()
         for method in METHODS:
             yield name, case, SolveOptions(method=method)
-    for sizes, method, workers in RANDOM_RUNS:
+    for sizes, method, workers, cbce_size in RANDOM_RUNS:
         name = "random_" + "_".join(map(str, sizes))
-        yield name, random_case(*sizes), SolveOptions(method=method, workers=workers)
+        options = SolveOptions(method=method, workers=workers)
+        if cbce_size is not None:
+            name += f"_cbce{cbce_size}"
+            options = dataclasses.replace(options, cbce_size=cbce_size)
+        yield name, random_case(*sizes), options
 
 
 def run_one(case, options, target: Path) -> tuple[str, dict]:
