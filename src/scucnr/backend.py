@@ -19,7 +19,10 @@ counts as the row ``x >= lb`` or ``x <= ub``.
 Every solve gets a fresh engine, so concurrent calls share no state,
 unless ``solve_lp`` is given an ``Engine``: one engine kept for a chain of
 LPs on one thread, which keeps one optimal basis per LP shape it has
-solved and starts each LP from the basis of its shape.
+solved and starts each LP from the basis of its shape.  A chained engine
+runs linprog's options with presolve and scaling off, since dual simplex
+from a kept basis has no use for either; every cold solve keeps linprog's
+or ``milp``'s options exactly.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-7,
     "dual_feasibility_tolerance": 1e-7,
 }
+# An ``Engine``'s options: linprog's, without presolve or scaling.  A warm
+# start skips presolve anyway; the first LP of each shape runs without it.
+_CHAINED_OPTIONS = {**_LP_OPTIONS, "presolve": "off", "simplex_scale_strategy": 0}
 _COLWISE = int(_hc.MatrixFormat.kColwise)
 _MINIMIZE = int(_hc.ObjSense.kMinimize)
 _AT_LOWER = int(_hc.HighsBasisStatus.kLower)
@@ -116,13 +122,18 @@ class SolveResult:
 
 
 def _csc(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``a`` in compressed-column form: starts, row indices, values."""
+    """``a`` in compressed-column form: starts, row indices, values.
+
+    A dense ``a`` goes as its full column-major pattern, zeros included:
+    HiGHS drops entries of magnitude 1e-9 or less as it loads them, so the
+    model it holds is the one a nonzero-only pattern gives.
+    """
     if sp.issparse(a):
         mat = sp.csc_array(a)
         return mat.indptr, mat.indices, mat.data
-    cols, rows = np.nonzero(a.T)
-    start = np.searchsorted(cols, np.arange(a.shape[1] + 1))
-    return start, rows, a[rows, cols]
+    n_row, n_col = a.shape
+    start = np.arange(n_col + 1, dtype=np.int32) * n_row
+    return start, np.tile(np.arange(n_row, dtype=np.int32), n_col), a.T.ravel()
 
 
 def violation(lp: LinearProgram, x: np.ndarray, tol: float) -> tuple[str, int, float] | None:
@@ -154,20 +165,23 @@ def _new_engine(options: dict):
 
 
 class Engine:
-    """One HiGHS engine, with ``solve_lp``'s options, for a chain of LPs.
+    """One HiGHS engine for a chain of LPs, with linprog's options but
+    presolve and scaling off.
 
     ``solve_lp(lp, engine)`` loads each LP into it and starts from the
     last optimal basis of an LP of the same (rows, columns) shape, if the
     engine has solved one: ``bases`` keeps one per shape, so LPs of
     several shapes can interleave on one engine without evicting each
-    other's starts.  HiGHS then skips presolve.  The optimum is the same as
-    a fresh engine's, up to the feasibility tolerances, but where the
-    optimal vertex or the duals are not unique it may return other ones.
-    An engine holds state: use it from one thread.
+    other's starts.  Dual simplex from a kept basis has no use for presolve
+    or scaling, so the engine runs neither, not even on the first LP of a
+    shape.  The optimum is the same as a fresh engine's, up to the
+    feasibility tolerances, but where the optimal vertex or the duals are
+    not unique it may return other ones.  An engine holds state: use it
+    from one thread.
     """
 
     def __init__(self):
-        self.highs = _new_engine(_LP_OPTIONS)
+        self.highs = _new_engine(_CHAINED_OPTIONS)
         self.bases: dict[tuple[int, int], _hc.HighsBasis] = {}
 
 
@@ -219,13 +233,17 @@ def _run(lp: LinearProgram, highs, basis=None):
 def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
     """Solve a pure LP with HiGHS and return primal values plus normalised duals.
 
-    Without ``engine`` the LP gets a fresh engine; with one, see ``Engine``.
+    Without ``engine`` the LP gets a fresh engine with linprog's options;
+    with one, see ``Engine``.
     """
     if lp.integrality is not None and lp.integrality.any():
         raise ValueError(f"{lp.name!r} has integer columns; solve it with solve_milp")
-    engine = Engine() if engine is None else engine
     shape = (lp.row_lower.shape[0], lp.cost.shape[0])
-    status, info, solution = _run(lp, engine.highs, engine.bases.get(shape))
+    if engine is None:
+        highs, start = _new_engine(_LP_OPTIONS), None
+    else:
+        highs, start = engine.highs, engine.bases.get(shape)
+    status, info, solution = _run(lp, highs, start)
     iterations = int(info.simplex_iteration_count)
     if solution is None:
         return SolveResult(status=status, objective=None, simplex_iterations=iterations)
@@ -233,7 +251,9 @@ def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
     # A bound's dual is the column dual where the basis holds the column at
     # that bound, as linprog reports it.  Row duals are sensitivities of the
     # optimum to each row's finite side, which is their normalised form.
-    basis = engine.bases[shape] = engine.highs.getBasis()
+    basis = highs.getBasis()
+    if engine is not None:
+        engine.bases[shape] = basis
     col_status = np.array([int(s) for s in basis.col_status])
     col_dual = np.array(solution.col_dual)
     lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)

@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--milp-gap", type=float, default=_DEFAULTS.milp_gap,
                      help="relative MIP gap for master/extensive solves")
     run.add_argument("--workers", type=int, default=_DEFAULTS.workers,
-                     help="parallel subproblem workers")
+                     help="subproblem worker threads, one contingency each; HiGHS "
+                          "holds the GIL while it solves, so only Python work overlaps")
 
     ver = sub.add_parser("verify", help="re-audit a written result against its case",
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)

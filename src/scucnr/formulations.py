@@ -164,14 +164,14 @@ def _add_base_model(prob: _Problem, case: SystemCase, sens: NetworkSensitivities
             window = v[gi, t:t + g.min_down]
             prob.add_row([(q, 1.0) for q in window] + [(u[gi, t - 1], 1.0)], hi=1.0)
 
+    # per branch its upper, then its lower long-term limit
+    rating = np.array([k.rate_long_term for k in case.branches])
     for t in case.periods:
         at_gens, demand_flow, total = post_outage_flows(case, sens.ptdf, t)
-        pt = p[:, t - 1]
-        prob.add_row([(q, 1.0) for q in pt], lo=total, hi=total)
-        for i, k in enumerate(case.branches):
-            terms = list(zip(pt, at_gens[i]))
-            prob.add_row(terms, hi=demand_flow[i] + k.rate_long_term)
-            prob.add_row(terms, lo=demand_flow[i] - k.rate_long_term)
+        prob.add_row([(q, 1.0) for q in p[:, t - 1]], lo=total, hi=total)
+        lo = np.column_stack((np.full(len(rating), -INF), demand_flow - rating)).ravel()
+        hi = np.column_stack((demand_flow + rating, np.full(len(rating), INF))).ravel()
+        prob.add_rows(np.repeat(at_gens, 2, axis=0), p[:, t - 1], lo, hi)
 
 
 def build_muc(case: SystemCase, sens: NetworkSensitivities,

@@ -225,7 +225,9 @@ def _examine(case, sens, muc, pairs, slack_tolerance: float, switch_budget: int 
     Returns the outcomes in (period, contingency) order, the order of the
     master's cut rows, and the merged counters.  Each task has its own
     rows, engine and counters, so worker threads share only immutable
-    inputs and the outcomes do not depend on ``workers``.
+    inputs and the outcomes do not depend on ``workers``.  The threads do
+    not solve LPs in parallel: scipy's HiGHS binding holds the GIL inside
+    ``run``, so ``workers > 1`` overlaps only the Python work around them.
     """
     periods: dict[int, list[int]] = {}
     for c, t in sorted(pairs):

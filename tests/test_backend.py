@@ -198,7 +198,10 @@ def test_engine_keeps_one_optimal_basis_per_shape():
     engine = Engine()
     first = solve_lp(lp, engine)
     again = solve_lp(lp, engine)
-    assert first.simplex_iterations == cold.simplex_iterations > 0
+    # the chained engine runs without presolve or scaling, so its first
+    # solve takes its own path to the cold optimum
+    assert first.simplex_iterations > 0
+    assert first.objective == pytest.approx(cold.objective, abs=1e-9)
     assert again.simplex_iterations == 0
     assert again.objective == pytest.approx(cold.objective, abs=1e-9)
     # an LP of another shape starts cold and keeps its own basis beside the first
@@ -206,6 +209,55 @@ def test_engine_keeps_one_optimal_basis_per_shape():
     assert set(engine.bases) == {(20, 12), (1, 1)}
     assert solve_lp(lp, engine).simplex_iterations == 0
     assert solve_lp(other, engine).simplex_iterations == 0
+
+
+def test_chained_engines_skip_presolve_and_scaling_and_cold_solves_do_not(monkeypatch):
+    def options(highs):
+        return {key: highs.getOptionValue(key)[1]
+                for key in ("presolve", "simplex_scale_strategy")}
+
+    run, used = scucnr.backend._run, []
+
+    def spy(lp, highs, basis=None):
+        used.append(options(highs))
+        return run(lp, highs, basis)
+
+    monkeypatch.setattr(scucnr.backend, "_run", spy)
+    linprog_like = options(scucnr.backend._hc._Highs())
+    assert linprog_like == {"presolve": "choose", "simplex_scale_strategy": 2}
+    engine = Engine()
+    assert options(engine.highs) == {"presolve": "off", "simplex_scale_strategy": 0}
+    lp = make_lp([1.0], [[1.0]], [0.4], [INF], lb=[0.0])
+    solve_lp(lp, engine)
+    solve_lp(lp)
+    solve_milp(binaries([1.0], [[1.0]], [1.0], [INF]))
+    assert used == [{"presolve": "off", "simplex_scale_strategy": 0},
+                    {"presolve": "on", "simplex_scale_strategy": 2},
+                    linprog_like]
+
+
+def test_dense_matrices_load_as_their_nonzeros():
+    # a dense matrix goes in as its full pattern; HiGHS must hold what the
+    # nonzero-only compressed columns of the same matrix give
+    def held(a):
+        m, n = a.shape
+        lp = LinearProgram(cost=np.ones(n), a=a, row_lower=np.full(m, -1.0),
+                           row_upper=np.full(m, 1.0), lb=np.zeros(n), ub=np.ones(n))
+        highs = scucnr.backend._new_engine(scucnr.backend._LP_OPTIONS)
+        try:
+            scucnr.backend._run(lp, highs)
+        except SolverError as err:
+            # HiGHS runs no model without columns, but it loads one
+            assert n == 0 and "status Empty" in str(err)
+        mat = highs.getLp().a_matrix_
+        return [list(mat.start_), list(mat.index_), list(mat.value_)]
+
+    a = np.array([[1.0, 0.0, -2.5], [0.0, 0.0, 3.0], [1e-12, 0.0, 4.0], [0.5, -0.0, 0.0]])
+    for dense in (a, np.zeros((0, 3)), np.zeros((4, 0)), np.zeros((0, 0))):
+        mine = held(dense)
+        nonzero = sp.csc_array(np.where(np.abs(dense) > 1e-9, dense, 0.0))
+        assert mine == held(nonzero) == [nonzero.indptr.tolist(), nonzero.indices.tolist(),
+                                         nonzero.data.tolist()], dense.shape
 
 
 def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):
