@@ -7,7 +7,12 @@ private binding ``scipy.optimize._highspy._core._Highs`` with one call, the
 array overload of ``passModel``, maps the model status through one table
 and applies the post-solve residual check of ``linprog(method="highs")`` to
 every optimal answer, without linprog's or ``milp``'s per-call input
-checking and option validation.  That module is not public API, so
+checking and option validation.  The compiled module is loaded straight
+from its file, ``optimize/_highspy/_core<suffix>`` in scipy's folder, and
+registered under its dotted name, so ``import scucnr`` does not run
+``scipy.optimize``'s ``__init__`` (about 0.25 s per process); a binding
+already imported is reused, and a later ``import scipy.optimize`` shares
+it.  That module and its location are not public API, so
 ``pyproject.toml`` pins scipy to the 1.17 series it was checked on.
 ``solve_lp`` runs with linprog's options and adds one dual per row and per
 finite variable bound; ``solve_milp`` runs with ``scipy.optimize.milp``'s
@@ -27,12 +32,47 @@ or ``milp``'s options exactly.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize._highspy import _core as _hc
+
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_binding(scipy_dir: str):
+    """scipy's compiled HiGHS module, loaded from its file under ``scipy_dir``.
+
+    Importing it by name would first run ``scipy.optimize``'s ``__init__``
+    (linprog, milp, minimize, ``scipy.linalg``, ``scipy.special``), none of
+    which is used here.  A module already imported is reused, as ``import``
+    would; a new one is registered under its dotted name, so a later
+    ``import scipy.optimize`` shares it.
+    """
+    if _BINDING in sys.modules:
+        return sys.modules[_BINDING]
+    folder = os.path.join(scipy_dir, "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no HiGHS binding _core in {folder}; "
+                          "scucnr needs scipy>=1.17,<1.18")
+    loader = importlib.machinery.ExtensionFileLoader(_BINDING, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_BINDING, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[_BINDING] = module
+    return module
+
+
+_hc = _load_binding(importlib.util.find_spec("scipy").submodule_search_locations[0])
 
 INF = math.inf
 
@@ -193,7 +233,9 @@ def _run(lp: LinearProgram, highs, basis=None):
     warning, so only a load error raises.  Returns the status, the
     engine's info and its solution.  The solution is None unless the
     engine holds an answer: an optimum, which must pass linprog's residual
-    check, or a MILP incumbent found before a limit.
+    check, or a MILP incumbent found before a limit.  A model without
+    columns, which HiGHS does not run, is optimal when every row range
+    holds 0 and infeasible otherwise.
     """
     n_col, n_row = lp.cost.shape[0], lp.row_lower.shape[0]
     # the overload reads one integrality entry per column, so an LP passes zeros
@@ -212,7 +254,12 @@ def _run(lp: LinearProgram, highs, basis=None):
         raise SolverError(f"HiGHS rejected the starting basis of {lp.name!r}")
     highs.run()
     model_status = highs.getModelStatus()
-    status = _STATUS.get(model_status)
+    if model_status == _hc.HighsModelStatus.kModelEmpty:
+        # HiGHS runs no model without columns; its one point, x = [], puts 0 in every row
+        holds = (lp.row_lower <= 0).all() and (lp.row_upper >= 0).all()
+        status = "optimal" if holds else "infeasible"
+    else:
+        status = _STATUS.get(model_status)
     if status is None:
         raise SolverError(f"engine failure on {lp.name!r}: HiGHS status "
                           f"{highs.modelStatusToString(model_status)}")

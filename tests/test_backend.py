@@ -1,7 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 import scucnr.backend
@@ -9,7 +14,8 @@ import scucnr.subproblems
 from oracles import linprog_solution
 from scucnr.backend import (_RESIDUAL_TOL, INF, Engine, LinearProgram, SolverError, solve_lp,
                             solve_milp, violation)
-from scucnr.fixtures import random_case
+from scucnr.caseio import write_case
+from scucnr.fixtures import corridor4_low, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities
 
@@ -244,11 +250,7 @@ def test_dense_matrices_load_as_their_nonzeros():
         lp = LinearProgram(cost=np.ones(n), a=a, row_lower=np.full(m, -1.0),
                            row_upper=np.full(m, 1.0), lb=np.zeros(n), ub=np.ones(n))
         highs = scucnr.backend._new_engine(scucnr.backend._LP_OPTIONS)
-        try:
-            scucnr.backend._run(lp, highs)
-        except SolverError as err:
-            # HiGHS runs no model without columns, but it loads one
-            assert n == 0 and "status Empty" in str(err)
+        scucnr.backend._run(lp, highs)
         mat = highs.getLp().a_matrix_
         return [list(mat.start_), list(mat.index_), list(mat.value_)]
 
@@ -258,6 +260,27 @@ def test_dense_matrices_load_as_their_nonzeros():
         nonzero = sp.csc_array(np.where(np.abs(dense) > 1e-9, dense, 0.0))
         assert mine == held(nonzero) == [nonzero.indptr.tolist(), nonzero.indices.tolist(),
                                          nonzero.data.tolist()], dense.shape
+
+
+def test_lp_without_columns_is_decided_by_its_row_sides():
+    # HiGHS runs no model without columns; x = [] puts 0 in every row
+    def no_columns(lower, upper):
+        return LinearProgram(cost=np.zeros(0), a=np.zeros((len(lower), 0)),
+                             row_lower=np.array(lower), row_upper=np.array(upper),
+                             lb=np.zeros(0), ub=np.zeros(0))
+
+    engine = Engine()
+    for lower, upper in (([-1.0], [1.0]), ([0.0, -INF], [0.0, 2.0]), ([], [])):
+        lp = no_columns(lower, upper)
+        for res in (solve_lp(lp), solve_lp(lp, engine), solve_lp(lp, engine)):
+            assert res.status == "optimal" and res.objective == 0.0
+            assert res.x.shape == (0,) and not res.row_duals.any()
+            assert res.row_duals.shape == (len(lower),) and res.dual_objective() == 0.0
+        assert solve_milp(lp).status == "optimal"
+    for lower, upper in (([1.0], [2.0]), ([-1.0, -INF], [1.0, -0.5])):
+        lp = no_columns(lower, upper)
+        assert solve_lp(lp).status == solve_lp(lp, engine).status == "infeasible"
+        assert solve_milp(lp).status == "infeasible"
 
 
 def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):
@@ -331,3 +354,60 @@ def test_residual_check_rejects_a_bad_optimum(monkeypatch):
     monkeypatch.setattr(scucnr.backend, "_RESIDUAL_TOL", -1.0)
     with pytest.raises(SolverError, match="optimal on 'mixed', but its solution breaks"):
         solve_lp(lp)
+
+
+BINDING = "scipy.optimize._highspy._core"
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this scucnr."""
+    src = str(Path(scucnr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_import_and_parse_load_only_the_binding_from_scipy_optimize(tmp_path):
+    write_case(corridor4_low(), tmp_path / "case.json")
+    # pybind11 registers the binding's own submodules, such as simplex_constants
+    out = fresh_python(f"""
+import sys, scucnr
+scucnr.parse_case(sys.argv[1])
+print("{BINDING}" in sys.modules,
+      [m for m in sys.modules if m.startswith("scipy.optimize") and not m.startswith("{BINDING}")])
+""", str(tmp_path / "case.json"))
+    assert out == "True []"
+
+
+def test_scipy_optimize_imported_later_shares_the_binding():
+    out = fresh_python(f"""
+import sys, numpy as np, scucnr
+assert "scipy.optimize" not in sys.modules
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+assert sys.modules["{BINDING}"] is scucnr.backend._hc
+lp = linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], bounds=(0, None))
+mip = milp([1, 2], constraints=LinearConstraint([[1, 1]], 1.5, np.inf), integrality=[1, 1],
+           bounds=Bounds(0, 5))
+print(lp.status, lp.fun, mip.status, mip.fun)
+""")
+    assert out == "0 1.0 0 2.0"
+
+
+def test_binding_imported_first_is_reused():
+    # the loader takes a registered binding without looking for its file
+    out = fresh_python(f"""
+import sys, scipy.optimize, scucnr.backend
+core = sys.modules["{BINDING}"]
+print(scucnr.backend._hc is core, scucnr.backend._load_binding("no such folder") is core)
+""")
+    assert out == "True True"
+
+
+def test_missing_binding_file_names_the_scipy_pin(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, BINDING)
+    with pytest.raises(ImportError, match=r"scipy .* needs scipy>=1\.17,<1\.18") as err:
+        scucnr.backend._load_binding(str(tmp_path))
+    assert scipy.__version__ in str(err.value)
