@@ -235,7 +235,8 @@ def _run(lp: LinearProgram, highs, basis=None):
     engine holds an answer: an optimum, which must pass linprog's residual
     check, or a MILP incumbent found before a limit.  A model without
     columns, which HiGHS does not run, is optimal when every row range
-    holds 0 and infeasible otherwise.
+    holds 0 and infeasible otherwise; its info reports 0 iterations and 0
+    nodes, and a gap of 0 when it is optimal.
     """
     n_col, n_row = lp.cost.shape[0], lp.row_lower.shape[0]
     # the overload reads one integrality entry per column, so an LP passes zeros
@@ -254,16 +255,19 @@ def _run(lp: LinearProgram, highs, basis=None):
         raise SolverError(f"HiGHS rejected the starting basis of {lp.name!r}")
     highs.run()
     model_status = highs.getModelStatus()
+    info = highs.getInfo()
     if model_status == _hc.HighsModelStatus.kModelEmpty:
         # HiGHS runs no model without columns; its one point, x = [], puts 0 in every row
         holds = (lp.row_lower <= 0).all() and (lp.row_upper >= 0).all()
         status = "optimal" if holds else "infeasible"
+        # in place of HiGHS's "not run" values: -1 iterations and nodes, an infinite gap
+        info.simplex_iteration_count = info.mip_node_count = 0
+        info.mip_gap = 0.0 if holds else INF
     else:
         status = _STATUS.get(model_status)
     if status is None:
         raise SolverError(f"engine failure on {lp.name!r}: HiGHS status "
                           f"{highs.modelStatusToString(model_status)}")
-    info = highs.getInfo()
     incumbent = (lp.integrality is not None and status == "limit"
                  and info.objective_function_value < _hc.kHighsInf)
     if status != "optimal" and not incumbent:

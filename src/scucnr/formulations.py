@@ -13,10 +13,10 @@ are the master with every pair as a state, without and with switching.
 Periods are 1-based.
 
 Every model is in shift-factor form: flows are not columns but PTDF rows
-over the generator outputs, built by ``post_outage_flows`` from
-``NetworkSensitivities.ptdf`` in the base case.  Each post-outage state is
-the feasibility LP's own row block, ``subproblems.OutageRows`` over
-``outage_ptdf``.
+over the generator outputs, from ``NetworkSensitivities.ptdf`` in the base
+case.  Each post-outage state is the feasibility LP's own row block,
+``subproblems.OutageRows``, and its ``w`` columns the switch LP's
+transaction column, one per switchable line.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import scipy.sparse as sp
 
 from .backend import INF, LinearProgram, SolveResult, SolverError, violation
 from .model import FeasibilityCut, MucSolution, SystemCase
-from .network import NetworkSensitivities, bus_angles, compute_lodf
-from .subproblems import OutageRows, post_outage_flows, switch_candidates
+from .network import NetworkSensitivities, bus_angles
+from .subproblems import OutageRows, switch_candidates
 
 INTEGRALITY_TOL = 1e-5
 
@@ -166,8 +166,10 @@ def _add_base_model(prob: _Problem, case: SystemCase, sens: NetworkSensitivities
 
     # per branch its upper, then its lower long-term limit
     rating = np.array([k.rate_long_term for k in case.branches])
+    at_gens = sens.ptdf[:, [case.bus_index[g.bus] for g in gens]]
     for t in case.periods:
-        at_gens, demand_flow, total = post_outage_flows(case, sens.ptdf, t)
+        demand = np.array([n.demand[t - 1] for n in case.buses])
+        demand_flow, total = sens.ptdf @ demand, demand.sum()
         prob.add_row([(q, 1.0) for q in p[:, t - 1]], lo=total, hi=total)
         lo = np.column_stack((np.full(len(rating), -INF), demand_flow - rating)).ravel()
         hi = np.column_stack((demand_flow + rating, np.full(len(rating), INF))).ravel()
@@ -186,8 +188,8 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
     the outage's whole ranking, the switch search's rule (reconfigurable,
     non-radial, not the outage and not islanding with it; see
     ``_add_post_outage_state``), its ``z`` columns in id order.  States go
-    in sorted ``(c, t)`` order, and each contingency builds its post-outage
-    PTDF, ``OutageRows`` and LODF shedding once.  Returns the model and,
+    in sorted ``(c, t)`` order, and each contingency builds its
+    ``OutageRows`` and their LODF shedding once.  Returns the model and,
     per state, the ``z`` column of each switchable line.  A malformed cut
     or a state outside ``sens.contingencies`` x ``case.periods`` raises
     ``ValueError``.
@@ -210,13 +212,10 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
         periods.setdefault(c, []).append(t)
     switches: SwitchColumns = {}
     for c, ts in periods.items():
-        ptdf = sens.outage_ptdf((c,))
         switchable = tuple(sorted(switch_candidates(case, sens, c))) if switching else ()
-        positions = [case.branch_index[j] for j in switchable]
-        lodf = compute_lodf(case, ptdf, frozenset(switchable))[:, positions]
-        # both limit rows of every in-service branch k carry lodf[k] @ w
-        shed = np.repeat(np.delete(lodf, case.branch_index[c], axis=0), 2, axis=0)
-        rows = OutageRows(case, ptdf, (c,))
+        rows = OutageRows(case, sens, c)
+        # both limit rows of every in-service branch k carry LODF_c[k] @ w
+        shed = rows.shed(switchable)
         for t in ts:
             switches[(c, t)] = _add_post_outage_state(prob, case, rows, t, switchable, shed)
     return prob.lower("muc"), switches
@@ -229,16 +228,14 @@ def _add_post_outage_state(prob: _Problem, case: SystemCase, rows: OutageRows, t
     Each state gets its own redispatch, system balance and the emergency
     limits of every branch but the outaged one, with flows from the
     post-outage PTDF the feasibility LP uses.  Each line ``j`` of
-    ``switchable`` gets a binary ``z`` (1 keeps it in service) and a
-    flow-cancelling transaction ``w`` (Ruiz, Foster, Rudkevich & Caramanis,
-    IEEE TPWRS 2012): ``|w| <= M (1 - z)`` and ``|w - f_j| <= M z``, where
-    ``f_j`` is the post-outage flow on ``j`` before switching.  These rows
-    go between the balance and the flow limits.  Every branch ``k`` carries
-    its post-outage flow plus ``LODF_c[k, j] w`` (``shed``), with
-    ``LODF_c`` the LODFs of the network without the outage and
-    ``LODF_c[j, j] = -1``, so an opened line carries zero and the rest see
-    the single-switch generalised LODF flow of the switch search's LP.  At
-    most one line opens per state, so the model is exact.
+    ``switchable`` gets a binary ``z`` (1 keeps it in service) and the
+    switch LP's flow-cancelling transaction ``w`` (see ``OutageRows``):
+    ``|w| <= M (1 - z)`` and ``|w - f_j| <= M z``, where ``f_j`` is the
+    post-outage flow on ``j`` before switching.  These rows go between the
+    balance and the flow limits.  Every branch ``k`` carries its
+    post-outage flow plus ``LODF_c[k, j] w`` (``shed``), so an opened line
+    carries zero and the rest the flows of the switch search's LP.  At most
+    one line opens per state, so the model is exact.
 
     ``M = sum_g |PTDF_c[j, bus g]| p_max_g + |PTDF_c[j] @ d_t|`` bounds
     ``|f_j|`` at every redispatch ``0 <= pc <= p_max``, so the big-M rows
@@ -256,7 +253,7 @@ def _add_post_outage_state(prob: _Problem, case: SystemCase, rows: OutageRows, t
     z: dict[int, int] = {}
     w: list[int] = []
     if switchable:
-        at_gens, demand_flow, _ = post_outage_flows(case, rows.ptdf, t)
+        at_gens, demand_flow = rows.at_gens, rows.demand_flow(t)
         p_max = np.array([g.p_max for g in case.generators])
     for j in switchable:
         i = case.branch_index[j]

@@ -100,6 +100,27 @@ def compute_ptdf(case: SystemCase) -> np.ndarray:
     return (beff[:, None] * incidence) @ bus_angles(case, unit)
 
 
+def lodf_columns(case: SystemCase, ptdf: np.ndarray, outages) -> np.ndarray:
+    """The LODF column of each branch of ``outages`` in the network whose
+    PTDF is ``ptdf``: the base case's, or an ``outage_ptdf`` for a line
+    opened after an outage.  Raises when a branch is numerically radial."""
+    pos = [case.branch_index[j] for j in outages]
+    lines = [case.branches[i] for i in pos]
+    # flow sensitivity to a unit transfer across each branch's own terminals
+    transfer = (ptdf[:, [case.bus_index[k.from_bus] for k in lines]]
+                - ptdf[:, [case.bus_index[k.to_bus] for k in lines]])
+    at = (pos, range(len(pos)))
+    denom = 1.0 - transfer[at]
+    for k, d in zip(lines, denom):
+        if abs(d) < RADIAL_DENOMINATOR_TOL:
+            raise ValueError(
+                f"branch {k.id} is numerically radial (1 - self-sensitivity = {d:.2e}) "
+                "but was not classified as a bridge; check the case data")
+    lodf = transfer / denom
+    lodf[at] = -1.0
+    return lodf
+
+
 def compute_lodf(case: SystemCase, ptdf: np.ndarray,
                  non_radial: frozenset[int]) -> np.ndarray:
     """Line outage distribution factors for every non-radial outage.
@@ -109,23 +130,9 @@ def compute_lodf(case: SystemCase, ptdf: np.ndarray,
     Columns for bridges are NaN (a bridge outage islands the network and has
     no distribution factor).  The diagonal of every valid column is -1.
     """
-    bus_pos = case.bus_index
-    n_br = len(case.branches)
-    lodf = np.full((n_br, n_br), np.nan)
-    # Flow sensitivity to a unit transfer across each branch's own terminals.
-    transfer = (ptdf[:, [bus_pos[k.from_bus] for k in case.branches]]
-                - ptdf[:, [bus_pos[k.to_bus] for k in case.branches]])
-
-    for c, k in enumerate(case.branches):
-        if k.id not in non_radial:
-            continue
-        denom = 1.0 - transfer[c, c]
-        if abs(denom) < RADIAL_DENOMINATOR_TOL:
-            raise ValueError(
-                f"branch {k.id} is numerically radial (1 - self-sensitivity = {denom:.2e}) "
-                "but was not classified as a bridge; check the case data")
-        lodf[:, c] = transfer[:, c] / denom
-        lodf[c, c] = -1.0
+    lodf = np.full((len(case.branches), len(case.branches)), np.nan)
+    outages = [k.id for k in case.branches if k.id in non_radial]
+    lodf[:, [case.branch_index[c] for c in outages]] = lodf_columns(case, ptdf, outages)
     return lodf
 
 
@@ -187,20 +194,18 @@ class NetworkSensitivities:
             return True
         return abs(np.linalg.det(block)) < RADIAL_DENOMINATOR_TOL
 
-    def outage_ptdf(self, removed: tuple[int, ...]) -> np.ndarray:
-        """Injection sensitivities of the network with ``removed`` open.
+    def outage_ptdf(self, c: int) -> np.ndarray:
+        """Injection sensitivities of the network with branch ``c`` open.
 
-        Generalised LODFs (Guler, Gross & Liu, IEEE TPWRS 2007): with ``O``
-        the removed positions, ``PTDF - LODF[:, O] LODF[O, O]^-1 PTDF[O, :]``.
-        For one outage ``c`` this is ``PTDF + LODF[:, c] PTDF[c, :]``; the
-        rows of the removed branches come out zero.  Raises when the removal
-        islands a bus (see ``islands``).
+        ``PTDF + LODF[:, c] PTDF[c, :]``; the row of ``c`` comes out zero.
+        Raises when ``c`` is a bridge.  A further opened line ``j`` is not
+        a new matrix but a transaction on ``LODF_c[:, j]``
+        (``subproblems.OutageRows.shed``).
         """
-        if self.islands(removed):
-            raise ValueError(f"opening branches {sorted(removed)} islands the network")
-        pos = [self._branch_pos[k] for k in removed]
-        block = self.lodf[np.ix_(pos, pos)]
-        return self.ptdf - self.lodf[:, pos] @ np.linalg.solve(block, self.ptdf[pos])
+        if c not in self.non_radial:
+            raise ValueError(f"opening branch {c} islands the network")
+        pos = self._branch_pos[c]
+        return self.ptdf + self.lodf[:, pos, None] * self.ptdf[pos]
 
     @property
     def contingencies(self) -> list[int]:

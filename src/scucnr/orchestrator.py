@@ -15,9 +15,10 @@ loop converges when an iteration adds no cuts.  One routine,
 audit, the extensive switch filter and ``verify_schedule`` alike; each
 iteration's counts and the run's switches, unresolved pairs and cuts are
 read off its outcomes.  Pairs go one task per contingency, its periods in
-order on one warm HiGHS engine that also runs the task's switch LPs, one
-basis per LP shape (see ``subproblems``), and come back in (period,
-contingency) order.
+order over the contingency's one ``OutageRows`` on one warm HiGHS engine.
+The task's switch LPs, each its pair LP plus one transaction column, run
+over the same rows and engine (see ``subproblems``), and the pairs come
+back in (period, contingency) order.
 Each schedule must meet the rows of the model it came from, and the audit
 holds it to the cut-free master's rows before it examines any pair.
 """
@@ -189,8 +190,8 @@ def _examine_pair(case, sens, muc, c, t, slack_tolerance: float,
                   engine: Engine) -> SubproblemOutcome:
     """PCFC one pair on its outage's ``rows`` and warm ``engine``; on
     failure, search the first ``switch_budget`` ranked lines of the outage
-    for a switch (all of them when None, none when 0), its LPs on the same
-    engine.
+    for a switch (all of them when None, none when 0), its LPs over the
+    same rows and engine.
 
     The outcome is infeasible only when the pair ends up with no feasible
     recourse; only then is the pair solved again cold, by ``cut_pcfc``,
@@ -206,7 +207,7 @@ def _examine_pair(case, sens, muc, c, t, slack_tolerance: float,
         t0 = time.perf_counter()
         found = find_corrective_switch(case, sens, muc, c, t, slack_tolerance=slack_tolerance,
                                        switch_budget=switch_budget, counters=counters,
-                                       engine=engine)
+                                       rows=rows, engine=engine)
         counters["nr_seconds"] += time.perf_counter() - t0
         if found is not None:
             return found
@@ -236,7 +237,7 @@ def _examine(case, sens, muc, pairs, slack_tolerance: float, switch_budget: int 
     def examine(c):
         local = Counter()
         t0 = time.perf_counter()
-        rows, engine = OutageRows(case, sens.outage_ptdf((c,)), (c,)), Engine()
+        rows, engine = OutageRows(case, sens, c), Engine()
         local["pcfc_seconds"] += time.perf_counter() - t0
         return [_examine_pair(case, sens, muc, c, t, slack_tolerance, switch_budget,
                               local, rows, engine) for t in periods[c]], local

@@ -10,26 +10,29 @@ reconfiguration.
 
 The rows of a post-outage state are defined once, by ``OutageRows``, as
 arrays ``lo <= a @ pc + b @ [u; p] <= hi`` over the redispatch ``pc``
-and the schedule's ``u`` and ``p``, with flows from the post-outage PTDF
-(generalised LODFs for a switched pair).  The feasibility LP moves
+and the schedule's ``u`` and ``p``, with flows from the post-outage PTDF.
+A switched state is the same rows plus one transaction column ``w``,
+which carries the opened line's flow off the network by the outage's
+LODFs, and the one row that sets it.  The feasibility LP moves
 ``b @ [u; p]`` to the right-hand side; the Benders feasibility cut of an
 unsurvivable outage is its dual objective with ``u`` and ``p`` left free,
 read straight off the duals; the extensive models append the same rows
 over their own ``pc``, ``u`` and ``p`` columns.
 
 The slack optimum of a feasibility LP is exactly 0 or 1.  Each of its rows
-reads ``s r + A pc <= r``, ``>= r`` or ``= r``, where ``r`` is the row's
-finite side, and ``pc`` is free, so the feasible set is a cone in
-``(pc, 1 - s)``: if some ``s < 1`` is feasible, then ``pc / (1 - s)`` with
-``s = 0`` is too.  So an LP started from another LP's basis
-(``backend.Engine``) reaches the verdict a fresh engine would, whatever
-optimal vertex it lands on.  That holds for the switch LPs of
-``solve_nr_pcfc`` as for the pair LPs of ``solve_pcfc``: one engine may
-serve both, keeping a basis for each of the two shapes, and the switch
-LPs of an outage chain across candidates and periods.  The duals, and
-with them the cut, are not unique, so a cut is always read off a fresh
-engine's solve (``cut_pcfc``), made only for a pair that needs one; no cut
-is read off a switch LP.
+reads ``s r + A x <= r``, ``>= r`` or ``= r``, where ``r`` is the row's
+finite side, and ``x`` (``pc``, and ``w`` with a switch) is free, so the
+feasible set is a cone in ``(x, 1 - s)``: if some ``s < 1`` is feasible,
+then ``x / (1 - s)`` with ``s = 0`` is too.  So an LP started from another
+LP's basis (``backend.Engine``) reaches the verdict a fresh engine would,
+whatever optimal vertex it lands on.  That holds for the switch LPs of
+``solve_nr_pcfc`` as for the pair LPs of ``solve_pcfc``.  An outage's
+pair LPs share one shape and its switch LPs, the pair LP plus one column
+and one row, another, so one engine serves both, and the switch LPs of
+an outage chain across candidates and periods.  The duals, and with them
+the cut, are not unique, so a cut is always read off a fresh engine's
+solve (``cut_pcfc``), made only for a pair that needs one; no cut is read
+off a switch LP.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from .backend import Engine, LinearProgram, SolverError, solve_lp
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase)
-from .network import NetworkSensitivities
+from .network import NetworkSensitivities, lodf_columns
 
 SCREEN_SLACK_MW = 1e-6
 
@@ -84,21 +87,6 @@ def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
                            overload_ratio=dict(zip(pairs, worst_ratio.tolist())))
 
 
-def post_outage_flows(case: SystemCase, ptdf: np.ndarray,
-                      t: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Branch flows of period ``t`` as a linear function of generator outputs.
-
-    ``ptdf`` holds rows of ``NetworkSensitivities.outage_ptdf(removed)``.
-    With ``pg`` the outputs in ``case.generators`` order, the flows are
-    ``at_gens @ pg - demand_flow``; they hold when ``pg`` sums to
-    ``total``, the period's demand.  The master's base case and
-    ``OutageRows`` build every flow from these three.
-    """
-    demand = np.array([n.demand[t - 1] for n in case.buses])
-    at_gens = ptdf[:, [case.bus_index[g.bus] for g in case.generators]]
-    return at_gens, ptdf @ demand, demand.sum()
-
-
 # per generator, on its own pc, u and p: ramp-down, ramp-up, minimum, maximum
 _GEN_PC = np.array([-1.0, 1.0, 1.0, 1.0])
 _GEN_P = np.array([1.0, -1.0, 0.0, 0.0])
@@ -107,10 +95,11 @@ _GEN_HI = np.array([0.0, 0.0, np.inf, 0.0])
 
 
 class OutageRows:
-    """The rows ``lo <= a @ pc + b @ [u; p] <= hi`` of every period with the
-    branches ``removed`` out of service; ``at(t)`` gives ``(a, b, lo, hi)``.
+    """The rows ``lo <= a @ pc + b @ [u; p] <= hi`` of every period with
+    branch ``outage`` out of service; ``at(t)`` gives ``(a, b, lo, hi)``,
+    ``at(t, j)`` the same rows with line ``j`` opened too.
 
-    ``ptdf`` is ``NetworkSensitivities.outage_ptdf(removed)``, ``pc`` the
+    ``ptdf`` is ``NetworkSensitivities.outage_ptdf(outage)``, ``pc`` the
     redispatch and ``u``, ``p`` the schedule, each in ``case.generators``
     order.  Rows: per generator its ramp-down (``p - pc <= R10 u``), ramp-up
     (``pc - p <= R10 u``), minimum (``pc >= p_min u``) and maximum
@@ -119,23 +108,30 @@ class OutageRows:
     finite side.  Only the ``4 G`` generator rows involve the schedule, each
     its own generator's ``u`` and ``p``; the other rows of ``b`` are zero.
 
+    The flows are ``f = at_gens @ pc - demand_flow(t)``, one per branch.
+    Opening a further line ``j`` is a flow-cancelling transaction ``w = f_j``
+    (Ruiz, Foster, Rudkevich & Caramanis, IEEE TPWRS 2012): each branch
+    ``k`` then carries ``f_k + LODF_c[k, j] w`` (``shed``), ``j`` zero.
+
     Only the balance and flow bounds depend on the period.  Everything else
     (the generator rows, the emergency ratings, the generators' bus
     positions, each period's demand and the read-only ``a`` and ``b``) is
     built once, here.
     """
 
-    def __init__(self, case: SystemCase, ptdf: np.ndarray, removed: tuple[int, ...]):
-        self.ptdf = ptdf
-        self.removed = tuple(removed)
+    def __init__(self, case: SystemCase, sens: NetworkSensitivities, outage: int):
+        self.ptdf = ptdf = sens.outage_ptdf(outage)
+        self.outage = outage
         n_g = len(case.generators)
         n_b = self._gen_rows = 4 * n_g
+        self._case = case
         self._in_service = np.ones(len(case.branches), dtype=bool)
-        self._in_service[[case.branch_index[k] for k in removed]] = False
+        self._in_service[case.branch_index[outage]] = False
         self._rate = np.array([k.rate_emergency for k in case.branches])[self._in_service]
         # one contiguous row of bus demands per period
         self._demand = np.array([n.demand for n in case.buses]).T.copy()
-        at_gens = ptdf[:, [case.bus_index[g.bus] for g in case.generators]][self._in_service]
+        self.at_gens = ptdf[:, [case.bus_index[g.bus] for g in case.generators]]
+        self.at_gens.setflags(write=False)
 
         eye = np.eye(n_g)[:, None, :]
         limits = np.array([(g.ramp_10, g.ramp_10, g.p_min, g.p_max) for g in case.generators])
@@ -143,7 +139,7 @@ class OutageRows:
                               eye * _GEN_P[:, None]), axis=2).reshape(n_b, 3 * n_g)
         a = np.empty((n_b + 1 + 2 * len(self._rate), n_g))
         a[:n_b], a[n_b] = gen[:, :n_g], 1.0
-        a[n_b + 1::2] = a[n_b + 2::2] = at_gens
+        a[n_b + 1::2] = a[n_b + 2::2] = self.at_gens[self._in_service]
         b = np.zeros((len(a), 2 * n_g))
         b[:n_b] = gen[:, n_g:]
         a.setflags(write=False)
@@ -153,26 +149,47 @@ class OutageRows:
         self._lo[:n_b].reshape(n_g, 4)[:], self._hi[:n_b].reshape(n_g, 4)[:] = _GEN_LO, _GEN_HI
         self._lo[n_b + 1::2], self._hi[n_b + 2::2] = -np.inf, np.inf
 
-    def at(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(a, b, lo, hi)`` of period ``t``."""
+    def demand_flow(self, t: int) -> np.ndarray:
+        """The flow of every branch in period ``t`` with every generator at 0."""
+        return self.ptdf @ self._demand[t - 1]
+
+    def shed(self, js) -> np.ndarray:
+        """``LODF_c[k, j]`` per line ``j`` of ``js`` (columns), twice for each
+        in-service branch ``k`` (rows), in the order of its two limit rows."""
+        lodf = lodf_columns(self._case, self.ptdf, js)
+        return np.repeat(lodf[self._in_service], 2, axis=0)
+
+    def at(self, t: int, switch: int | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(a, b, lo, hi)`` of period ``t``; with line ``switch`` opened,
+        over one more column ``w`` and one more row ``w - at_gens[j] @ pc =
+        -demand_flow(t)[j]``, ``w`` on the flow rows by ``shed``."""
         demand = self._demand[t - 1]
         # the bounds come from the flows of the whole post-outage network, so
         # a branch's limits do not depend on which other rows are dropped
-        demand_flow = (self.ptdf @ demand)[self._in_service]
+        flow = self.demand_flow(t)
+        demand_flow = flow[self._in_service]
         n_b = self._gen_rows
         lo, hi = self._lo.copy(), self._hi.copy()
         lo[n_b] = hi[n_b] = demand.sum()
         hi[n_b + 1::2] = demand_flow + self._rate
         lo[n_b + 2::2] = demand_flow - self._rate
-        return self.a, self.b, lo, hi
+        if switch is None:
+            return self.a, self.b, lo, hi
+        j = self._case.branch_index[switch]
+        w = np.concatenate((np.zeros(n_b + 1), self.shed((switch,))[:, 0], [1.0]))
+        a = np.column_stack((np.vstack((self.a, -self.at_gens[j])), w))
+        b = np.vstack((self.b, np.zeros(self.b.shape[1])))
+        return a, b, np.append(lo, -flow[j]), np.append(hi, -flow[j])
 
 
 def _slack_lp(rows: tuple, muc: MucSolution, t: int, name: str) -> LinearProgram:
-    """Redispatch feasibility LP over the ``OutageRows.at(t)`` block ``rows``.
+    """Redispatch feasibility LP over the ``OutageRows.at`` block ``rows``.
 
-    Columns are the slack ``s`` and ``pc``.  The schedule's terms move to
-    the right-hand side, and the slack scales it towards the always
-    feasible all-zeros point, so the slack column equals the rhs column.
+    Columns are the slack ``s``, then the block's free columns: ``pc``, and
+    ``w`` with a switch.  The schedule's terms move to the right-hand side,
+    and the slack scales it towards the always feasible all-zeros point, so
+    the slack column equals the rhs column.
     """
     a, b, lo, hi = rows
     n_g = a.shape[1]
@@ -205,6 +222,16 @@ def _solve_slack_lp(lp: LinearProgram, engine: Engine | None = None):
     return result, max(slack, 0.0)
 
 
+def _rows_of(case: SystemCase, sens: NetworkSensitivities, c: int,
+             rows: OutageRows | None) -> OutageRows:
+    """``rows`` when they are outage ``c``'s, built when None."""
+    if rows is None:
+        return OutageRows(case, sens, c)
+    if rows.outage != c:
+        raise ValueError(f"rows of outage {rows.outage} given for outage {c}")
+    return rows
+
+
 def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
                c: int, t: int, slack_tolerance: float = SLACK_TOLERANCE,
                rows: OutageRows | None = None, engine: Engine | None = None) -> SubproblemOutcome:
@@ -223,10 +250,7 @@ def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
     fresh engine for its cut, once the caller knows it needs one: the
     decomposed loop asks only after the switch search has failed.
     """
-    if rows is None:
-        rows = OutageRows(case, sens.outage_ptdf((c,)), (c,))
-    elif rows.removed != (c,):
-        raise ValueError(f"rows of outage {rows.removed} given for outage {c}")
+    rows = _rows_of(case, sens, c, rows)
     if engine is None:
         return cut_pcfc(rows, muc, t, slack_tolerance)
     _, slack = _solve_slack_lp(_slack_lp(rows.at(t), muc, t, f"pcfc[{c},{t}]"), engine)
@@ -245,7 +269,7 @@ def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int,
     everything else the constant.  At ``muc`` it must reproduce the slack
     optimum.
     """
-    (c,) = rows.removed
+    c = rows.outage
     block = rows.at(t)
     result, slack = _solve_slack_lp(_slack_lp(block, muc, t, f"pcfc[{c},{t}]"))
     if slack <= slack_tolerance:
@@ -265,19 +289,24 @@ def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int,
 
 def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
                   c: int, t: int, j: int, slack_tolerance: float = SLACK_TOLERANCE,
+                  rows: OutageRows | None = None,
                   engine: Engine | None = None) -> SubproblemOutcome:
     """Feasibility check with branch ``c`` out and branch ``j`` switched open.
 
-    Raises ValueError when opening both branches islands a bus (see
-    ``NetworkSensitivities.islands``).  No cut is formed; the outcome
-    only records whether this reconfiguration rescues the schedule, so
-    with ``engine`` the LP starts from the basis of the last switch LP of
-    its shape, which every switch LP of outage ``c`` shares.
+    The LP is outage ``c``'s pair LP over ``rows`` (built when None) plus
+    the transaction column and row of ``OutageRows.at(t, j)``.  Raises
+    ValueError when opening both branches islands a bus (see
+    ``NetworkSensitivities.islands``).  No cut is formed; the outcome only
+    records whether this reconfiguration rescues the schedule, so with
+    ``engine`` the LP starts from the basis of the last switch LP of its
+    shape, which every switch LP of outage ``c`` shares.
     """
     if j == c:
         raise ValueError("switch candidate must differ from the contingency")
-    rows = OutageRows(case, sens.outage_ptdf((c, j)), (c, j)).at(t)
-    _, slack = _solve_slack_lp(_slack_lp(rows, muc, t, f"nr_pcfc[{c},{t},{j}]"), engine)
+    if sens.islands((c, j)):
+        raise ValueError(f"opening branches {c} and {j} islands the network")
+    block = _rows_of(case, sens, c, rows).at(t, j)
+    _, slack = _solve_slack_lp(_slack_lp(block, muc, t, f"nr_pcfc[{c},{t},{j}]"), engine)
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, slack=slack,
                                  status="feasible_via_switch", switch=j)
@@ -305,17 +334,20 @@ def find_corrective_switch(case: SystemCase, sens: NetworkSensitivities,
                            muc: MucSolution, c: int, t: int,
                            slack_tolerance: float = SLACK_TOLERANCE,
                            switch_budget: int | None = None, counters: dict | None = None,
+                           rows: OutageRows | None = None,
                            engine: Engine | None = None) -> SubproblemOutcome | None:
     """The outcome of the first switch that makes the outage survivable, if any.
 
     Candidates are ``switch_candidates`` over the first ``switch_budget``
     ranked lines (every candidate when None, as the audit uses it) and are
-    tried one at a time, each LP on ``engine`` when one is given (see
-    ``solve_nr_pcfc``).  Returns the ``feasible_via_switch`` outcome of the
-    first rescuing candidate, or None when the candidates run out.
+    tried one at a time over outage ``c``'s ``rows`` (built once when
+    None), each LP on ``engine`` when one is given (see ``solve_nr_pcfc``).
+    Returns the ``feasible_via_switch`` outcome of the first rescuing
+    candidate, or None when the candidates run out.
     """
+    rows = _rows_of(case, sens, c, rows)
     for j in switch_candidates(case, sens, c, switch_budget):
-        outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance, engine)
+        outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance, rows, engine)
         if counters is not None:
             counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
         if outcome.status == "feasible_via_switch":

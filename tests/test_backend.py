@@ -276,11 +276,15 @@ def test_lp_without_columns_is_decided_by_its_row_sides():
             assert res.status == "optimal" and res.objective == 0.0
             assert res.x.shape == (0,) and not res.row_duals.any()
             assert res.row_duals.shape == (len(lower),) and res.dual_objective() == 0.0
-        assert solve_milp(lp).status == "optimal"
+            assert res.simplex_iterations == 0
+        res = solve_milp(lp)
+        assert (res.status, res.mip_nodes, res.mip_gap) == ("optimal", 0, 0.0)
     for lower, upper in (([1.0], [2.0]), ([-1.0, -INF], [1.0, -0.5])):
         lp = no_columns(lower, upper)
-        assert solve_lp(lp).status == solve_lp(lp, engine).status == "infeasible"
-        assert solve_milp(lp).status == "infeasible"
+        for res in (solve_lp(lp), solve_lp(lp, engine)):
+            assert (res.status, res.simplex_iterations) == ("infeasible", 0)
+        res = solve_milp(lp)
+        assert (res.status, res.mip_nodes) == ("infeasible", 0)
 
 
 def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):

@@ -360,6 +360,30 @@ def test_audit_builds_one_engine_per_contingency_plus_its_cold_solves(monkeypatc
     assert counts["infeasible"] == 13 and counts["switch_lps"] > 0
 
 
+def test_a_solve_and_its_audit_build_one_outage_row_block_per_contingency_task(monkeypatch):
+    # a switch LP reuses its outage's rows, so no pair (c, j) builds its own
+    case = random_case(9, 40, 12, 8)
+    examine, init = scucnr.orchestrator._examine, scucnr.subproblems.OutageRows.__init__
+    counts = Counter()
+
+    def counted_examine(case, sens, muc, pairs, *args, **kwargs):
+        counts["tasks"] += len({c for c, _ in pairs})
+        return examine(case, sens, muc, pairs, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["rows"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scucnr.orchestrator, "_examine", counted_examine)
+    monkeypatch.setattr(scucnr.subproblems.OutageRows, "__init__", counted_init)
+    result = solve(case, SolveOptions(method="ad_scuc_cnr"))
+    assert sum(stats.nr_pcfc_solved for stats in result.report.iteration_log) == 201
+    assert counts["rows"] == counts["tasks"] > 0
+    counts.clear()
+    assert verify_solution(case, result).pairs_checked == 440
+    assert counts["rows"] == counts["tasks"] == len(build_sensitivities(case).contingencies)
+
+
 @pytest.mark.parametrize("build, rescued, left", [
     (corridor4_high, 1, 0), (lambda: random_case(9, 40, 12, 8), 6, 7),
 ], ids=["corridor4_high", "random_9_40_12_8"])

@@ -1,0 +1,62 @@
+"""Property tests over generated cases."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import manual_schedule, ptdf_pinv
+from scucnr.fixtures import corridor4_high, random_case
+from scucnr.network import build_sensitivities, check_connectivity
+from scucnr.subproblems import OutageRows, solve_nr_pcfc
+
+CASES = st.builds(random_case, seed=st.integers(0, 2**16), n_buses=st.integers(3, 30),
+                  n_generators=st.integers(1, 8), horizon=st.just(2))
+
+
+def switchable_pairs(case, sens):
+    """Every contingency with each other line whose opening with it islands
+    a bus (True) or not (False), by a graph search."""
+    return [(c, k.id, not check_connectivity(case, {c, k.id}))
+            for c in sens.contingencies for k in case.branches if k.id != c]
+
+
+@settings(max_examples=12, deadline=None)
+@example(case=corridor4_high(), seed=0)
+@given(case=CASES, seed=st.integers(0, 2**32 - 1))
+def test_transaction_column_gives_the_flows_without_both_lines(case, seed):
+    # at_gens @ pc - demand_flow(t) + shed(j) f_j, with f_j the flow on j
+    # before it opens, is the DC flow of the network without c and j
+    sens = build_sensitivities(case)
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(1, case.horizon + 1))
+    demand = np.array([n.demand[t - 1] for n in case.buses])
+    pc = rng.dirichlet(np.ones(len(case.generators))) * demand.sum()
+    injection = -demand
+    np.add.at(injection, [case.bus_index[g.bus] for g in case.generators], pc)
+    pairs = switchable_pairs(case, sens)
+    for c in sens.contingencies:
+        js = [j for c_, j, islands in pairs if c_ == c and not islands]
+        if not js:
+            continue
+        rows = OutageRows(case, sens, c)
+        flow = rows.at_gens @ pc - rows.demand_flow(t)
+        kept = np.arange(len(case.branches)) != case.branch_index[c]
+        f_j = flow[[case.branch_index[j] for j in js]]
+        switched = flow[kept, None] + rows.shed(js)[::2] * f_j
+        oracle = np.column_stack([ptdf_pinv(case, frozenset({c, j}))[kept] @ injection
+                                  for j in js])
+        scale = max(1.0, np.abs(injection).sum())
+        np.testing.assert_allclose(switched, oracle, rtol=0, atol=1e-9 * scale, err_msg=str(c))
+
+
+@settings(max_examples=12, deadline=None)
+@example(case=corridor4_high())
+@given(case=CASES)
+def test_switch_lp_of_an_islanding_pair_raises(case):
+    sens = build_sensitivities(case)
+    nothing_on = manual_schedule(case, {})
+    for c, j, islands in switchable_pairs(case, sens):
+        if islands:
+            with pytest.raises(ValueError, match="islands"):
+                solve_nr_pcfc(case, sens, nothing_on, c, 1, j, rows=OutageRows(case, sens, c))

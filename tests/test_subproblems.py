@@ -175,7 +175,7 @@ def _check_cuts_off_their_point(case, points=20):
         out = solve_pcfc(case, sens, muc, c, t)
         if out.status != "infeasible":
             continue
-        rows = OutageRows(case, sens.outage_ptdf((c,)), (c,)).at(t)
+        rows = OutageRows(case, sens, c).at(t)
         lp = _slack_lp(rows, muc, t, "at_point")
         duals = solve_lp(lp).row_duals
         assert _row_rhs(lp) @ duals == pytest.approx(out.slack, abs=1e-6)
@@ -389,6 +389,11 @@ def test_slave_lp_size_is_generators_plus_one(c4_high, monkeypatch):
     for c, t in pairs:
         solve_pcfc(c4_high, sens, muc, c, t)
     assert seen == [(n_g + 1, 4 * n_g + 1 + 2 * (n_k - 1))] * len(pairs)
-    seen.clear()
-    solve_nr_pcfc(c4_high, sens, muc, 3, 2, 2)
-    assert seen == [(n_g + 1, 4 * n_g + 1 + 2 * (n_k - 2))]
+    # a switch LP is its outage's pair LP plus the transaction column w and
+    # its row, one shape for every candidate and period of the outage
+    for c in sens.contingencies:
+        seen.clear()
+        switched = [(t, j) for t in c4_high.periods for j in switch_candidates(c4_high, sens, c)]
+        for t, j in switched:
+            solve_nr_pcfc(c4_high, sens, muc, c, t, j)
+        assert seen == [(n_g + 2, 4 * n_g + 1 + 2 * (n_k - 1) + 1)] * len(switched) != [], c
