@@ -3,7 +3,8 @@ network reconfiguration: extensive models and Benders-style decomposition
 with a distribution-factor screener and a ranked corrective-switch search.
 """
 
-from .backend import LinearProgram, SolveResult, SolverError, solve_lp, solve_milp
+from .backend import (CscMatrix, LinearProgram, SolveResult, SolverError, solve_lp,
+                      solve_milp)
 from .caseio import (CaseFormatError, CaseIOError, CaseValidationError,
                      RunReport, parse_case, write_case, write_report)
 from .model import (Branch, Bus, FeasibilityCut, Generator, MucSolution,
@@ -20,7 +21,7 @@ from .subproblems import (ScreeningResult, find_corrective_switch, run_csps,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "Bus", "CaseFormatError", "CaseIOError", "CaseValidationError",
+    "Branch", "Bus", "CaseFormatError", "CaseIOError", "CaseValidationError", "CscMatrix",
     "FeasibilityCut", "Generator", "LinearProgram", "METHODS", "MucSolution",
     "NetworkSensitivities", "RunReport", "ScheduleResult", "ScreeningResult",
     "SolveOptions", "SolveResult", "SolverError", "SubproblemOutcome", "SystemCase", "VerificationReport",

@@ -2,18 +2,21 @@
 
 Every LP and MILP arrives as a ``LinearProgram``, HiGHS's own form:
 ``row_lower <= a @ x <= row_upper`` with column bounds and optional
-integrality.  One private runner loads each one into an engine of scipy's
-private binding ``scipy.optimize._highspy._core._Highs`` with one call, the
-array overload of ``passModel``, maps the model status through one table
-and applies the post-solve residual check of ``linprog(method="highs")`` to
-every optimal answer, without linprog's or ``milp``'s per-call input
-checking and option validation.  The compiled module is loaded straight
-from its file, ``optimize/_highspy/_core<suffix>`` in scipy's folder, and
-registered under its dotted name, so ``import scucnr`` does not run
-``scipy.optimize``'s ``__init__`` (about 0.25 s per process); a binding
-already imported is reused, and a later ``import scipy.optimize`` shares
-it.  That module and its location are not public API, so
-``pyproject.toml`` pins scipy to the 1.17 series it was checked on.
+integrality.  Its ``a`` is either a dense array or a ``CscMatrix``, HiGHS's
+compressed columns as three numpy arrays, which go to the engine as they
+are; ``scipy.sparse`` is not imported.  One private runner loads each one
+into an engine of scipy's private binding
+``scipy.optimize._highspy._core._Highs`` with one call, the array overload
+of ``passModel``, maps the model status through one table and applies the
+post-solve residual check of ``linprog(method="highs")`` to every optimal
+answer, without linprog's or ``milp``'s per-call input checking and option
+validation.  The compiled module is loaded straight from its file,
+``optimize/_highspy/_core<suffix>`` in scipy's folder, and registered under
+its dotted name, so ``import scucnr`` does not run ``scipy.optimize``'s
+``__init__`` (about 0.25 s per process); a binding already imported is
+reused, and a later ``import scipy.optimize`` shares it.  That module and
+its location are not public API, so ``pyproject.toml`` pins scipy to the
+1.17 series it was checked on.
 ``solve_lp`` runs with linprog's options and adds one dual per row and per
 finite variable bound; ``solve_milp`` runs with ``scipy.optimize.milp``'s
 options and returns primal values only.  Duals are normalised so that
@@ -40,7 +43,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 _BINDING = "scipy.optimize._highspy._core"
 
@@ -114,17 +116,44 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class CscMatrix:
+    """A sparse matrix in HiGHS's compressed-column form.
+
+    Column ``j`` holds the entries ``value[start[j]:start[j + 1]]`` in the
+    rows ``index[start[j]:start[j + 1]]``, in increasing row order.
+    ``start`` and ``index`` are int32 and ``value`` float64, so the three
+    arrays go to HiGHS as they are.
+    """
+
+    shape: tuple[int, int]
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        weights = self.value * np.repeat(x, np.diff(self.start))
+        # bincount answers integer zeros when it has no entries to count
+        return np.bincount(self.index, weights, self.shape[0]).astype(float, copy=False)
+
+    def row_columns(self, row: int) -> np.ndarray:
+        """The columns with an entry in ``row``, in increasing order."""
+        return np.searchsorted(self.start, np.flatnonzero(self.index == row), "right") - 1
+
+
+@dataclass(frozen=True)
 class LinearProgram:
     """``min cost @ x`` s.t. ``row_lower <= a @ x <= row_upper``,
     ``lb <= x <= ub``, in HiGHS's own shape.
 
     Every row is an equality or has exactly one finite side, and its dual
-    prices that side.  ``integrality`` marks integer columns with 1; without
-    it every column is continuous.
+    prices that side.  ``a`` is a dense array (the feasibility and switch
+    LPs) or a ``CscMatrix`` (the models of ``formulations.build_muc``).
+    ``integrality`` marks integer columns with 1; without it every column
+    is continuous.
     """
 
     cost: np.ndarray
-    a: np.ndarray | sp.csr_matrix
+    a: np.ndarray | CscMatrix
     row_lower: np.ndarray
     row_upper: np.ndarray
     lb: np.ndarray
@@ -161,16 +190,15 @@ class SolveResult:
         return float(self.row_rhs @ self.row_duals)
 
 
-def _csc(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _csc(a: np.ndarray | CscMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``a`` in compressed-column form: starts, row indices, values.
 
     A dense ``a`` goes as its full column-major pattern, zeros included:
     HiGHS drops entries of magnitude 1e-9 or less as it loads them, so the
     model it holds is the one a nonzero-only pattern gives.
     """
-    if sp.issparse(a):
-        mat = sp.csc_array(a)
-        return mat.indptr, mat.indices, mat.data
+    if isinstance(a, CscMatrix):
+        return a.start, a.index, a.value
     n_row, n_col = a.shape
     start = np.arange(n_col + 1, dtype=np.int32) * n_row
     return start, np.tile(np.arange(n_row, dtype=np.int32), n_col), a.T.ravel()
@@ -225,22 +253,18 @@ class Engine:
         self.bases: dict[tuple[int, int], _hc.HighsBasis] = {}
 
 
-def _run(lp: LinearProgram, highs, basis=None):
-    """Solve ``lp`` in ``highs``, from ``basis`` when one is given.
+def _load(lp: LinearProgram, highs) -> None:
+    """Load ``lp`` into ``highs`` through one array call.
 
-    The whole problem goes in through one array call; HiGHS drops matrix
-    entries of magnitude 1e-9 or less as it loads them and answers with a
-    warning, so only a load error raises.  Returns the status, the
-    engine's info and its solution.  The solution is None unless the
-    engine holds an answer: an optimum, which must pass linprog's residual
-    check, or a MILP incumbent found before a limit.  A model without
-    columns, which HiGHS does not run, is optimal when every row range
-    holds 0 and infeasible otherwise; its info reports 0 iterations and 0
-    nodes, and a gap of 0 when it is optimal.
+    HiGHS drops matrix entries of magnitude 1e-9 or less as it loads them
+    and answers with a warning, so only a load error raises.
     """
     n_col, n_row = lp.cost.shape[0], lp.row_lower.shape[0]
     # the overload reads one integrality entry per column, so an LP passes zeros
     integrality = np.zeros(n_col, np.int32) if lp.integrality is None else lp.integrality
+    if not isinstance(lp.a, (np.ndarray, CscMatrix)):
+        raise SolverError(f"HiGHS could not load {lp.name!r}: its matrix is a "
+                          f"{type(lp.a).__name__}, not a numpy array or a CscMatrix")
     # it reads n_col or n_row entries of each array without checking their sizes
     if not (lp.lb.shape == lp.ub.shape == integrality.shape == (n_col,)
             and lp.row_upper.shape == (n_row,) and lp.a.shape == (n_row, n_col)):
@@ -251,6 +275,20 @@ def _run(lp: LinearProgram, highs, basis=None):
                        lp.cost, lp.lb, lp.ub, lp.row_lower, lp.row_upper,
                        start, index, value, integrality) == _hc.HighsStatus.kError:
         raise SolverError(f"HiGHS could not load {lp.name!r}")
+
+
+def _run(lp: LinearProgram, highs, basis=None):
+    """Solve ``lp`` in ``highs``, from ``basis`` when one is given.
+
+    The problem goes in through ``_load``.  Returns the status, the
+    engine's info and its solution.  The solution is None unless the
+    engine holds an answer: an optimum, which must pass linprog's residual
+    check, or a MILP incumbent found before a limit.  A model without
+    columns, which HiGHS does not run, is optimal when every row range
+    holds 0 and infeasible otherwise; its info reports 0 iterations and 0
+    nodes, and a gap of 0 when it is optimal.
+    """
+    _load(lp, highs)
     if basis is not None and highs.setBasis(basis) == _hc.HighsStatus.kError:
         raise SolverError(f"HiGHS rejected the starting basis of {lp.name!r}")
     highs.run()

@@ -24,21 +24,29 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
-from .backend import INF, LinearProgram, SolveResult, SolverError, violation
+from .backend import INF, CscMatrix, LinearProgram, SolveResult, SolverError, violation
 from .model import FeasibilityCut, MucSolution, SystemCase
 from .network import NetworkSensitivities, bus_angles
 from .subproblems import OutageRows, switch_candidates
 
 INTEGRALITY_TOL = 1e-5
+# HiGHS's small_matrix_value: it drops matrix entries of this magnitude or
+# less as it loads a model
+_SMALL_MATRIX_VALUE = 1e-9
 
 # ``(contingency, period) -> {switchable line: its z column}``
 SwitchColumns = dict[tuple[int, int], dict[int, int]]
 
 
 class _Problem:
-    """A MILP under construction: columns by position, rows as COO triplets."""
+    """A MILP under construction: columns by position, rows as COO triplets.
+
+    Rows are appended in order and each row names a column once, so the
+    triplets lower to compressed columns with one stable sort.
+    Coefficients of magnitude ``_SMALL_MATRIX_VALUE`` or less are dropped
+    as they come, as HiGHS would drop them on load.
+    """
 
     def __init__(self):
         self.cost: list[float] = []
@@ -65,14 +73,15 @@ class _Problem:
                 hi: float = INF) -> None:
         """Append ``lo <= sum(coef * x[col]) <= hi`` over ``(col, coef)`` terms.
 
-        Repeated columns are summed and zero coefficients dropped.
+        Repeated columns are summed and coefficients of magnitude
+        ``_SMALL_MATRIX_VALUE`` or less dropped.
         """
         merged: dict[int, float] = {}
         for col, coef in terms:
             merged[col] = merged.get(col, 0.0) + coef
         row = len(self.row_lower)
         for col, coef in merged.items():
-            if coef != 0.0:
+            if abs(coef) > _SMALL_MATRIX_VALUE:
                 self._rows.append(row)
                 self._cols.append(col)
                 self._vals.append(coef)
@@ -81,8 +90,9 @@ class _Problem:
 
     def add_rows(self, coef: np.ndarray, cols: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray) -> None:
-        """Append ``lo <= coef @ x[cols] <= hi`` over distinct ``cols``; zeros are dropped."""
-        rows, at = np.nonzero(coef)
+        """Append ``lo <= coef @ x[cols] <= hi`` over distinct ``cols``,
+        dropping coefficients of magnitude ``_SMALL_MATRIX_VALUE`` or less."""
+        rows, at = np.nonzero(np.abs(coef) > _SMALL_MATRIX_VALUE)
         self._rows.extend((rows + len(self.row_lower)).tolist())
         self._cols.extend(cols[at].tolist())
         self._vals.extend(coef[rows, at].tolist())
@@ -90,10 +100,17 @@ class _Problem:
         self.row_upper.extend(hi.tolist())
 
     def lower(self, name: str) -> LinearProgram:
-        shape = (len(self.row_lower), len(self.cost))
+        cols = np.array(self._cols, dtype=np.int32)
+        # stable, so each column keeps its rows in the increasing order they came in
+        order = np.argsort(cols, kind="stable")
+        start = np.zeros(len(self.cost) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=len(self.cost)), out=start[1:])
+        a = CscMatrix(shape=(len(self.row_lower), len(self.cost)), start=start,
+                      index=np.array(self._rows, dtype=np.int32)[order],
+                      value=np.array(self._vals, dtype=float)[order])
         return LinearProgram(
             cost=np.array(self.cost, dtype=float),
-            a=sp.csr_matrix((self._vals, (self._rows, self._cols)), shape=shape),
+            a=a,
             row_lower=np.array(self.row_lower, dtype=float),
             row_upper=np.array(self.row_upper, dtype=float),
             lb=np.array(self.lb, dtype=float),
@@ -292,7 +309,7 @@ def schedule_violation(case: SystemCase, lp: LinearProgram, schedule: MucSolutio
     if broken is None:
         return None
     kind, index, excess = broken
-    columns = [index] if kind == "column" else sp.csr_array(lp.a[[index]]).indices
+    columns = [index] if kind == "column" else lp.a.row_columns(index)
     n_base = 4 * len(case.generators) * case.horizon
     periods = sorted({col // 4 % case.horizon + 1 for col in columns if col < n_base})
     where = ""

@@ -11,9 +11,30 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from scucnr.backend import CscMatrix
 from scucnr.model import SystemCase
+
+
+def csc(a) -> CscMatrix:
+    """``a``, a dense array or a scipy sparse matrix, as a ``CscMatrix`` of
+    its stored entries."""
+    mat = sp.csc_array(a)
+    mat.sort_indices()
+    return CscMatrix(mat.shape, mat.indptr.astype(np.int32), mat.indices.astype(np.int32),
+                     mat.data.astype(float))
+
+
+def scipy_csc(a: CscMatrix) -> sp.csc_array:
+    """The scipy matrix of the same compressed columns as ``a``."""
+    return sp.csc_array((a.value, a.index, a.start), shape=a.shape)
+
+
+def dense(a: np.ndarray | CscMatrix) -> np.ndarray:
+    """``LinearProgram.a`` as a dense array."""
+    return scipy_csc(a).toarray() if isinstance(a, CscMatrix) else a
 
 
 def ptdf_pinv(case: SystemCase, removed: frozenset[int] = frozenset()) -> np.ndarray:
@@ -349,7 +370,7 @@ def linprog_solution(lp, feasibility_tol: float = 1e-7):
     if not np.all(np.isinf(lo[ineq]) ^ np.isinf(hi[ineq])):
         raise ValueError("every inequality row must have exactly one finite side")
     sign = np.where(np.isinf(hi[ineq]), -1.0, 1.0)
-    a = lp.a.toarray() if hasattr(lp.a, "toarray") else lp.a
+    a = dense(lp.a)
     res = linprog(lp.cost, A_ub=sign[:, None] * a[ineq],
                   b_ub=sign * np.where(sign > 0, hi[ineq], lo[ineq]),
                   A_eq=a[eq], b_eq=hi[eq],

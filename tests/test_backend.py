@@ -7,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-import scipy.sparse as sp
 
 import scucnr.backend
+import scucnr.orchestrator
 import scucnr.subproblems
-from oracles import linprog_solution
-from scucnr.backend import (_RESIDUAL_TOL, INF, Engine, LinearProgram, SolverError, solve_lp,
-                            solve_milp, violation)
+from oracles import csc, dense, linprog_solution, scipy_csc
+from scucnr.backend import (_RESIDUAL_TOL, INF, CscMatrix, Engine, LinearProgram, SolverError,
+                            solve_lp, solve_milp, violation)
 from scucnr.caseio import write_case
-from scucnr.fixtures import corridor4_low, random_case
+from scucnr.fixtures import corridor4_high, corridor4_low, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities
+from scucnr.orchestrator import SolveOptions, solve
 
 
 def make_lp(cost, a, row_lower, row_upper, lb=None, ub=None, integrality=None, name="lp"):
@@ -144,8 +145,8 @@ def mixed_lp():
     """
     return LinearProgram(
         cost=np.array([1.0, -2.0, 0.5, 0.1]),
-        a=sp.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0],
-                                  [1.0, -1.0, 0.0, 1.0], [0.0, 0.0, -1.0, 1.0]])),
+        a=csc(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0],
+                        [1.0, -1.0, 0.0, 1.0], [0.0, 0.0, -1.0, 1.0]])),
         row_lower=np.array([-INF, 5.0, 1.0, -INF]),
         row_upper=np.array([5.0, INF, 1.0, 2.0]),
         lb=np.array([0.0, -2.0, 1.0, -INF]),
@@ -255,11 +256,27 @@ def test_dense_matrices_load_as_their_nonzeros():
         return [list(mat.start_), list(mat.index_), list(mat.value_)]
 
     a = np.array([[1.0, 0.0, -2.5], [0.0, 0.0, 3.0], [1e-12, 0.0, 4.0], [0.5, -0.0, 0.0]])
-    for dense in (a, np.zeros((0, 3)), np.zeros((4, 0)), np.zeros((0, 0))):
-        mine = held(dense)
-        nonzero = sp.csc_array(np.where(np.abs(dense) > 1e-9, dense, 0.0))
-        assert mine == held(nonzero) == [nonzero.indptr.tolist(), nonzero.indices.tolist(),
-                                         nonzero.data.tolist()], dense.shape
+    for full in (a, np.zeros((0, 3)), np.zeros((4, 0)), np.zeros((0, 0))):
+        mine = held(full)
+        nonzero = csc(np.where(np.abs(full) > 1e-9, full, 0.0))
+        assert mine == held(nonzero) == [nonzero.start.tolist(), nonzero.index.tolist(),
+                                         nonzero.value.tolist()], full.shape
+
+
+def test_compressed_columns_multiply_and_list_a_row_as_the_dense_matrix_does():
+    rng = np.random.default_rng(5)
+    shapes = [(0, 0), (0, 3), (4, 0), (1, 1)] + [tuple(rng.integers(1, 12, 2)) for _ in range(20)]
+    for m, n in shapes:
+        full = np.where(rng.random((m, n)) < 0.3, rng.normal(size=(m, n)), 0.0)
+        full[:, n - n // 3:] = 0.0  # trailing empty columns
+        a = csc(full)
+        x = rng.normal(size=n)
+        product = a @ x
+        assert product.dtype == np.float64 and product.shape == (m,)
+        assert np.allclose(product, full @ x, rtol=1e-12, atol=1e-12), (m, n)
+        for row in range(m):
+            columns = a.row_columns(row)
+            assert np.array_equal(columns, np.nonzero(full[row])[0]), (m, n, row)
 
 
 def test_lp_without_columns_is_decided_by_its_row_sides():
@@ -269,10 +286,15 @@ def test_lp_without_columns_is_decided_by_its_row_sides():
                              row_lower=np.array(lower), row_upper=np.array(upper),
                              lb=np.zeros(0), ub=np.zeros(0))
 
+    def compressed(lp):
+        return dataclasses.replace(lp, a=csc(lp.a))
+
     engine = Engine()
     for lower, upper in (([-1.0], [1.0]), ([0.0, -INF], [0.0, 2.0]), ([], [])):
         lp = no_columns(lower, upper)
-        for res in (solve_lp(lp), solve_lp(lp, engine), solve_lp(lp, engine)):
+        assert compressed(lp).a.shape == lp.a.shape
+        for res in (solve_lp(lp), solve_lp(lp, engine), solve_lp(lp, engine),
+                    solve_lp(compressed(lp))):
             assert res.status == "optimal" and res.objective == 0.0
             assert res.x.shape == (0,) and not res.row_duals.any()
             assert res.row_duals.shape == (len(lower),) and res.dual_objective() == 0.0
@@ -281,7 +303,7 @@ def test_lp_without_columns_is_decided_by_its_row_sides():
         assert (res.status, res.mip_nodes, res.mip_gap) == ("optimal", 0, 0.0)
     for lower, upper in (([1.0], [2.0]), ([-1.0, -INF], [1.0, -0.5])):
         lp = no_columns(lower, upper)
-        for res in (solve_lp(lp), solve_lp(lp, engine)):
+        for res in (solve_lp(lp), solve_lp(lp, engine), solve_lp(compressed(lp))):
             assert (res.status, res.simplex_iterations) == ("infeasible", 0)
         res = solve_milp(lp)
         assert (res.status, res.mip_nodes) == ("infeasible", 0)
@@ -304,7 +326,7 @@ def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):
     muc = extract_solution(case, sens, master, solve_milp(master))
     scucnr.subproblems.solve_pcfc(case, sens, muc, sens.contingencies[0], 1)
     tiny = mixed_lp()
-    a = tiny.a.toarray()
+    a = dense(tiny.a)
     a[0, 2] = 1e-12
     solve_lp(dataclasses.replace(tiny, a=a))
     assert [lp.integrality is None for lp, _ in loaded] == [False, True, True]
@@ -316,16 +338,54 @@ def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):
             assert np.array_equal(mine, theirs), lp.name
         mat = held.a_matrix_
         assert mat.format_ == scucnr.backend._hc.MatrixFormat.kColwise
-        dense = lp.a.toarray() if sp.issparse(lp.a) else lp.a
+        full = dense(lp.a)
         # HiGHS drops entries of magnitude 1e-9 or less as it loads them
-        assert np.array_equal(
-            sp.csc_array((mat.value_, mat.index_, mat.start_), shape=dense.shape).toarray(),
-            np.where(np.abs(dense) > 1e-9, dense, 0.0)), lp.name
+        held_a = CscMatrix(full.shape, np.array(mat.start_), np.array(mat.index_),
+                           np.array(mat.value_))
+        assert np.array_equal(dense(held_a), np.where(np.abs(full) > 1e-9, full, 0.0)), lp.name
         kinds = [int(v) for v in held.integrality_]
         if lp.integrality is None:
             assert not any(kinds), lp.name
         else:
             assert kinds == lp.integrality.tolist() and any(kinds), lp.name
+
+
+def held_matrix(lp):
+    """The compressed columns a HiGHS engine holds once ``lp`` is loaded."""
+    highs = scucnr.backend._hc._Highs()
+    scucnr.backend._load(lp, highs)
+    mat = highs.getLp().a_matrix_
+    return np.array(mat.start_), np.array(mat.index_), np.array(mat.value_)
+
+
+def test_highs_holds_the_compressed_columns_of_build_muc_as_they_are(monkeypatch):
+    # the 40-bus master with cuts and the extensive CNR model of
+    # corridor4_high: HiGHS must neither sort, convert nor drop an entry
+    masters = []
+
+    def spy(*args, **kwargs):
+        masters.append(build_muc(*args, **kwargs))
+        return masters[-1]
+
+    monkeypatch.setattr(scucnr.orchestrator, "build_muc", spy)
+    solve(random_case(9, 40, 12, 8), SolveOptions(method="ad_scuc_cnr"))
+    with_cuts = masters[-1][0]
+    assert len(with_cuts.row_lower) > len(masters[0][0].row_lower)
+    case = corridor4_high()
+    sens = build_sensitivities(case)
+    extensive, switches = build_muc(case, sens, states=scucnr.orchestrator._every_pair(case, sens),
+                                    switching=True)
+    assert switches
+    for lp in (with_cuts, extensive):
+        a = lp.a
+        assert isinstance(a, CscMatrix)
+        assert (a.start.dtype, a.index.dtype, a.value.dtype) == (np.int32, np.int32, np.float64)
+        assert np.abs(a.value).min() > 1e-9
+        # strictly increasing rows within each column
+        column = np.repeat(np.arange(a.shape[1]), np.diff(a.start))
+        assert (np.diff(a.index)[column[1:] == column[:-1]] > 0).all()
+        for mine, theirs in zip((a.start, a.index, a.value), held_matrix(lp)):
+            assert np.array_equal(mine, theirs)
 
 
 def test_limit_and_failure_statuses():
@@ -342,6 +402,8 @@ def test_limit_and_failure_statuses():
         solve_lp(dataclasses.replace(lp, row_upper=np.full(len(lp.row_upper), np.nan)))
     with pytest.raises(SolverError, match="could not load 'mixed'"):
         solve_lp(dataclasses.replace(lp, lb=lp.lb[:-1]))
+    with pytest.raises(SolverError, match="could not load 'mixed': its matrix is a csc_array"):
+        solve_lp(dataclasses.replace(lp, a=scipy_csc(lp.a)))
     with pytest.raises(SolverError, match="'mixed'.*NaN"):
         solve_lp(dataclasses.replace(lp, cost=np.full(len(lp.cost), np.nan)))
 
@@ -381,9 +443,24 @@ def test_import_and_parse_load_only_the_binding_from_scipy_optimize(tmp_path):
 import sys, scucnr
 scucnr.parse_case(sys.argv[1])
 print("{BINDING}" in sys.modules,
-      [m for m in sys.modules if m.startswith("scipy.optimize") and not m.startswith("{BINDING}")])
+      [m for m in sys.modules if m.startswith("scipy.optimize") and not m.startswith("{BINDING}")],
+      "scipy.sparse" in sys.modules)
 """, str(tmp_path / "case.json"))
-    assert out == "True []"
+    assert out == "True [] False"
+
+
+def test_solves_and_audits_do_not_import_scipy_sparse(tmp_path):
+    # scipy.sparse costs about as much as the rest of import scucnr together
+    write_case(corridor4_low(), tmp_path / "case.json")
+    out = fresh_python("""
+import sys, scucnr
+case = scucnr.parse_case(sys.argv[1])
+for method in ("td_scuc_cnr", "extensive_scuc_cnr"):
+    run = scucnr.solve(case, scucnr.SolveOptions(method=method))
+    audit = scucnr.verify_solution(case, run)
+    print(run.status, audit.secure, "scipy.sparse" in sys.modules)
+""", str(tmp_path / "case.json"))
+    assert out.splitlines() == ["converged True False"] * 2
 
 
 def test_scipy_optimize_imported_later_shares_the_binding():

@@ -5,11 +5,11 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import fixture_family
-from oracles import brute_force_commitment, net_injections, ptdf_pinv
+from oracles import brute_force_commitment, csc, net_injections, ptdf_pinv, scipy_csc
 from scucnr.backend import INF, SolverError, solve_milp
 from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
                              random_case, star4, triangle3, triangle3_tight)
-from scucnr.formulations import (base_columns, build_muc, extract_solution,
+from scucnr.formulations import (_Problem, base_columns, build_muc, extract_solution,
                                  extract_switching_plan)
 from scucnr.model import FeasibilityCut, validate_case
 from scucnr.network import build_sensitivities, check_connectivity
@@ -85,6 +85,42 @@ def test_master_has_no_angle_or_flow_columns(c4_low):
     assert len(lp.cost) == 4 * len(c4_low.generators) * c4_low.horizon
 
 
+def test_problem_lowers_its_triplets_to_sorted_compressed_columns():
+    # rows of single terms and of blocks, repeated and tiny coefficients,
+    # and columns no row touches at the end
+    rng = np.random.default_rng(3)
+    for n_rows, n_cols in ((0, 0), (0, 4), (3, 0), (40, 25), (200, 60)):
+        prob, full = _Problem(), np.zeros((n_rows, n_cols))
+        for _ in range(n_cols):
+            prob.add_column()
+        used = max(n_cols - 5, 0)
+        row = 0
+        while row < n_rows:
+            if row % 3 or not used:
+                cols = rng.choice(used, size=rng.integers(0, used + 1), replace=False)
+                coef = rng.normal(size=len(cols)) * rng.choice([1.0, 1e-12, 0.0], len(cols))
+                # a repeated column is summed before the drop
+                terms = [*zip(cols.tolist(), coef), *zip(cols[:1].tolist(), coef[:1])]
+                prob.add_row(terms, lo=-1.0)
+                full[row, cols] = coef
+                full[row, cols[:1]] += coef[:1]
+                row += 1
+            else:
+                k = min(int(rng.integers(1, 4)), n_rows - row)
+                cols = rng.choice(used, size=used // 2, replace=False)
+                coef = rng.normal(size=(k, len(cols))) * rng.choice([1.0, 1e-12], (k, len(cols)))
+                prob.add_rows(coef, cols, np.full(k, -INF), np.ones(k))
+                full[row:row + k, cols] = coef
+                row += k
+        a = prob.lower("random").a
+        expected = csc(np.where(np.abs(full) > 1e-9, full, 0.0))
+        assert a.shape == (n_rows, n_cols)
+        assert (a.start.dtype, a.index.dtype, a.value.dtype) == (np.int32, np.int32, np.float64)
+        for mine, theirs in ((a.start, expected.start), (a.index, expected.index),
+                             (a.value, expected.value)):
+            assert np.array_equal(mine, theirs), (n_rows, n_cols)
+
+
 def test_master_size_is_pinned():
     # counts that do not depend on the machine: a change to the master's
     # column or row layout shows up here
@@ -94,9 +130,9 @@ def test_master_size_is_pinned():
     coef_u[:2], coef_p[0] = (1.0, -3.0), 0.5
     cut = FeasibilityCut(contingency=sens.contingencies[0], period=2,
                          coef_u=coef_u, coef_p=coef_p, constant=-2.0)
-    sizes = [(len(lp.cost), len(lp.row_lower), lp.a.nnz)
+    sizes = [(len(lp.cost), len(lp.row_lower), len(lp.a.value))
              for lp in (build_muc(case, sens)[0], build_muc(case, sens, [cut])[0])]
-    assert sizes == [(128, 535, 2967), (128, 536, 2970)]
+    assert sizes == [(128, 535, 2719), (128, 536, 2722)]
 
 
 NETWORK_CASES = {
@@ -255,10 +291,10 @@ def test_switching_budget_one_is_a_relaxation(c4_low):
 
 
 @pytest.mark.parametrize("name, switching, size", [
-    ("random_101_12_5_4", False, (3363, 380, 11275, 0)),
-    ("random_101_12_5_4", True, (6623, 1980, 48795, 800)),
-    ("corridor4_high", False, (283, 54, 529, 0)),
-    ("corridor4_high", True, (421, 118, 1137, 32)),
+    ("random_101_12_5_4", False, (3363, 380, 10499, 0)),
+    ("random_101_12_5_4", True, (6623, 1980, 45507, 800)),
+    ("corridor4_high", False, (283, 54, 513, 0)),
+    ("corridor4_high", True, (421, 118, 1073, 32)),
 ], ids=["random_101_12_5_4-plain", "random_101_12_5_4-cnr", "corridor4_high-plain",
         "corridor4_high-cnr"])
 def test_extensive_size_is_pinned(name, switching, size):
@@ -267,7 +303,7 @@ def test_extensive_size_is_pinned(name, switching, size):
     case = {"random_101_12_5_4": lambda: random_case(101, 12, 5, 4),
             "corridor4_high": corridor4_high}[name]()
     lp, switches = build_extensive(case, build_sensitivities(case), switching)
-    assert (len(lp.row_lower), len(lp.cost), lp.a.nnz,
+    assert (len(lp.row_lower), len(lp.cost), len(lp.a.value),
             sum(len(z) for z in switches.values())) == size
 
 
@@ -412,7 +448,7 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
         push = np.zeros((1, len(lp.cost)))
         push[0, p[g2, t - 1]], push[0, u[g2, t - 1]] = 1.0, -floor
         pinned = dataclasses.replace(
-            lp, lb=lb, ub=ub, a=sp.vstack((lp.a, push), format="csr"),
+            lp, lb=lb, ub=ub, a=csc(sp.vstack((scipy_csc(lp.a), push))),
             row_lower=np.append(lp.row_lower, 0.0), row_upper=np.append(lp.row_upper, INF))
         res = solve_milp(pinned, gap=GAP)
         if res.status != "optimal":
@@ -435,7 +471,7 @@ def test_cut_touches_only_its_own_period():
     muc, _ = build_muc(case, build_sensitivities(case), [cut])
     # the cut row, the last one, may only touch period-2 u and p columns
     u, _, p, _ = base_columns(case)
-    touched = muc.a.tocsr()[-1].indices
+    touched = scipy_csc(muc.a).tocsr()[[-1]].indices
     assert len(touched) > 0
     own = u[:, out.period - 1].tolist() + p[:, out.period - 1].tolist()
     assert set(touched.tolist()) <= set(own)
