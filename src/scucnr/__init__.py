@@ -15,7 +15,7 @@ from .network import (NetworkSensitivities, build_sensitivities,
 from .orchestrator import (METHODS, ScheduleResult, SolveOptions,
                            VerificationReport, solve, verify_schedule,
                            verify_solution)
-from .subproblems import (ScreeningResult, find_corrective_switch, run_csps,
+from .subproblems import (OutageRows, ScreeningResult, find_corrective_switch, run_csps,
                           solve_nr_pcfc, solve_pcfc)
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch", "Bus", "CaseFormatError", "CaseIOError", "CaseValidationError", "CscMatrix",
     "FeasibilityCut", "Generator", "LinearProgram", "METHODS", "MucSolution",
-    "NetworkSensitivities", "RunReport", "ScheduleResult", "ScreeningResult",
+    "NetworkSensitivities", "OutageRows", "RunReport", "ScheduleResult", "ScreeningResult",
     "SolveOptions", "SolveResult", "SolverError", "SubproblemOutcome", "SystemCase", "VerificationReport",
     "build_sensitivities", "check_connectivity", "classify_radial",
     "compute_lodf", "compute_ptdf", "find_corrective_switch", "parse_case",

@@ -229,8 +229,8 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
         periods.setdefault(c, []).append(t)
     switches: SwitchColumns = {}
     for c, ts in periods.items():
-        switchable = tuple(sorted(switch_candidates(case, sens, c))) if switching else ()
         rows = OutageRows(case, sens, c)
+        switchable = tuple(sorted(switch_candidates(rows))) if switching else ()
         # both limit rows of every in-service branch k carry LODF_c[k] @ w
         shed = rows.shed(switchable)
         for t in ts:

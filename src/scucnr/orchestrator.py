@@ -16,9 +16,12 @@ audit, the extensive switch filter and ``verify_schedule`` alike; each
 iteration's counts and the run's switches, unresolved pairs and cuts are
 read off its outcomes.  Pairs go one task per contingency, its periods in
 order over the contingency's one ``OutageRows`` on one warm HiGHS engine.
+The rows are the only form in which the pair layer takes the outage.
 The task's switch LPs, each its pair LP plus one transaction column, run
 over the same rows and engine (see ``subproblems``), and the pairs come
-back in (period, contingency) order.
+back in (period, contingency) order.  Only the loop's own examination
+forms cuts, each by one cold LP per unsurvivable pair; the screen audit,
+the switch filter and ``verify_schedule`` read the warm verdicts alone.
 Each schedule must meet the rows of the model it came from, and the audit
 holds it to the cut-free master's rows before it examines any pair.
 """
@@ -70,12 +73,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.cbce_size < 0:
-            raise ValueError("cbce_size must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name, least in (("max_iterations", 1), ("cbce_size", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an int >= {least} (got {value!r})")
         if self.time_limit is not None and not (math.isfinite(self.time_limit)
                                                 and self.time_limit > 0):
             raise ValueError("time_limit must be None or finite and > 0 "
@@ -185,41 +186,42 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
                    switches=switches)
 
 
-def _examine_pair(case, sens, muc, c, t, slack_tolerance: float,
-                  switch_budget: int | None, counters: Counter, rows: OutageRows,
-                  engine: Engine) -> SubproblemOutcome:
+def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, slack_tolerance: float,
+                  switch_budget: int | None, counters: Counter, engine: Engine,
+                  cut: bool) -> SubproblemOutcome:
     """PCFC one pair on its outage's ``rows`` and warm ``engine``; on
     failure, search the first ``switch_budget`` ranked lines of the outage
     for a switch (all of them when None, none when 0), its LPs over the
     same rows and engine.
 
     The outcome is infeasible only when the pair ends up with no feasible
-    recourse; only then is the pair solved again cold, by ``cut_pcfc``,
-    for the cut the outcome carries.  ``counters`` gets the seconds of its
-    LPs.
+    recourse; only then, and only with ``cut``, is the pair solved again
+    cold, by ``cut_pcfc``, for the cut the outcome carries.  ``counters``
+    gets the seconds of its LPs.
     """
     t0 = time.perf_counter()
-    outcome = solve_pcfc(case, sens, muc, c, t, slack_tolerance, rows, engine)
+    outcome = solve_pcfc(rows, muc, t, slack_tolerance, engine)
     counters["pcfc_seconds"] += time.perf_counter() - t0
     if outcome.status == "feasible":
         return outcome
     if switch_budget != 0:
         t0 = time.perf_counter()
-        found = find_corrective_switch(case, sens, muc, c, t, slack_tolerance=slack_tolerance,
-                                       switch_budget=switch_budget, counters=counters,
-                                       rows=rows, engine=engine)
+        found = find_corrective_switch(rows, muc, t, slack_tolerance, switch_budget,
+                                       counters, engine)
         counters["nr_seconds"] += time.perf_counter() - t0
         if found is not None:
             return found
-    t0 = time.perf_counter()
-    outcome = cut_pcfc(rows, muc, t, slack_tolerance)
-    counters["pcfc_seconds"] += time.perf_counter() - t0
+    if cut:
+        t0 = time.perf_counter()
+        outcome = cut_pcfc(rows, muc, t, slack_tolerance)
+        counters["pcfc_seconds"] += time.perf_counter() - t0
     return outcome
 
 
 def _examine(case, sens, muc, pairs, slack_tolerance: float, switch_budget: int | None,
-             workers: int) -> tuple[list[SubproblemOutcome], Counter]:
-    """``_examine_pair`` over ``pairs``, one task per contingency.
+             workers: int, cut: bool = False) -> tuple[list[SubproblemOutcome], Counter]:
+    """``_examine_pair`` over ``pairs``, one task per contingency; with
+    ``cut``, each unsurvivable pair's outcome carries its cut.
 
     A task builds its contingency's ``OutageRows`` and one warm ``Engine``,
     which its pair and switch LPs share, and takes its periods in order.
@@ -239,8 +241,8 @@ def _examine(case, sens, muc, pairs, slack_tolerance: float, switch_budget: int 
         t0 = time.perf_counter()
         rows, engine = OutageRows(case, sens, c), Engine()
         local["pcfc_seconds"] += time.perf_counter() - t0
-        return [_examine_pair(case, sens, muc, c, t, slack_tolerance, switch_budget,
-                              local, rows, engine) for t in periods[c]], local
+        return [_examine_pair(rows, muc, t, slack_tolerance, switch_budget, local, engine, cut)
+                for t in periods[c]], local
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -291,7 +293,7 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
 
         examined, counters = _examine(case, sens, schedule, candidates, options.slack_tolerance,
                                       options.cbce_size if options.uses_cnr else 0,
-                                      options.workers)
+                                      options.workers, cut=True)
         timings["pcfc"] += counters["pcfc_seconds"]
         timings["nr_pcfc"] += counters["nr_seconds"]
 

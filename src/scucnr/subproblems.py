@@ -29,10 +29,15 @@ whatever optimal vertex it lands on.  That holds for the switch LPs of
 ``solve_nr_pcfc`` as for the pair LPs of ``solve_pcfc``.  An outage's
 pair LPs share one shape and its switch LPs, the pair LP plus one column
 and one row, another, so one engine serves both, and the switch LPs of
-an outage chain across candidates and periods.  The duals, and with them
-the cut, are not unique, so a cut is always read off a fresh engine's
-solve (``cut_pcfc``), made only for a pair that needs one; no cut is read
-off a switch LP.
+an outage chain across candidates and periods.
+
+The pair layer takes each outage as its ``OutageRows``:
+``solve_pcfc(rows, muc, t)`` and ``solve_nr_pcfc(rows, muc, t, j)`` give
+verdicts, warm on an engine when given one, ``switch_candidates(rows)``
+and ``find_corrective_switch(rows, muc, t)`` walk the ranking.  The duals,
+and with them the cut, are not unique, so a cut is read only off a fresh
+engine's solve, ``cut_pcfc(rows, muc, t)``, made only for a pair that
+needs one; no cut is read off a switch LP.
 """
 
 from __future__ import annotations
@@ -97,7 +102,9 @@ _GEN_HI = np.array([0.0, 0.0, np.inf, 0.0])
 class OutageRows:
     """The rows ``lo <= a @ pc + b @ [u; p] <= hi`` of every period with
     branch ``outage`` out of service; ``at(t)`` gives ``(a, b, lo, hi)``,
-    ``at(t, j)`` the same rows with line ``j`` opened too.
+    ``at(t, j)`` the same rows with line ``j`` opened too.  The pair layer
+    takes an outage only as its rows, so they keep ``case``, ``sens`` and
+    ``outage``.
 
     ``ptdf`` is ``NetworkSensitivities.outage_ptdf(outage)``, ``pc`` the
     redispatch and ``u``, ``p`` the schedule, each in ``case.generators``
@@ -120,11 +127,10 @@ class OutageRows:
     """
 
     def __init__(self, case: SystemCase, sens: NetworkSensitivities, outage: int):
+        self.case, self.sens, self.outage = case, sens, outage
         self.ptdf = ptdf = sens.outage_ptdf(outage)
-        self.outage = outage
         n_g = len(case.generators)
         n_b = self._gen_rows = 4 * n_g
-        self._case = case
         self._in_service = np.ones(len(case.branches), dtype=bool)
         self._in_service[case.branch_index[outage]] = False
         self._rate = np.array([k.rate_emergency for k in case.branches])[self._in_service]
@@ -156,7 +162,7 @@ class OutageRows:
     def shed(self, js) -> np.ndarray:
         """``LODF_c[k, j]`` per line ``j`` of ``js`` (columns), twice for each
         in-service branch ``k`` (rows), in the order of its two limit rows."""
-        lodf = lodf_columns(self._case, self.ptdf, js)
+        lodf = lodf_columns(self.case, self.ptdf, js)
         return np.repeat(lodf[self._in_service], 2, axis=0)
 
     def at(self, t: int, switch: int | None = None
@@ -176,7 +182,7 @@ class OutageRows:
         lo[n_b + 2::2] = demand_flow - self._rate
         if switch is None:
             return self.a, self.b, lo, hi
-        j = self._case.branch_index[switch]
+        j = self.case.branch_index[switch]
         w = np.concatenate((np.zeros(n_b + 1), self.shed((switch,))[:, 0], [1.0]))
         a = np.column_stack((np.vstack((self.a, -self.at_gens[j])), w))
         b = np.vstack((self.b, np.zeros(self.b.shape[1])))
@@ -222,37 +228,20 @@ def _solve_slack_lp(lp: LinearProgram, engine: Engine | None = None):
     return result, max(slack, 0.0)
 
 
-def _rows_of(case: SystemCase, sens: NetworkSensitivities, c: int,
-             rows: OutageRows | None) -> OutageRows:
-    """``rows`` when they are outage ``c``'s, built when None."""
-    if rows is None:
-        return OutageRows(case, sens, c)
-    if rows.outage != c:
-        raise ValueError(f"rows of outage {rows.outage} given for outage {c}")
-    return rows
-
-
-def solve_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
-               c: int, t: int, slack_tolerance: float = SLACK_TOLERANCE,
-               rows: OutageRows | None = None, engine: Engine | None = None) -> SubproblemOutcome:
-    """Redispatch feasibility check for one outage in one period.
+def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int,
+               slack_tolerance: float = SLACK_TOLERANCE,
+               engine: Engine | None = None) -> SubproblemOutcome:
+    """Redispatch feasibility verdict for the outage of ``rows`` in period ``t``.
 
     Minimizes a proportional slack over the 10-minute redispatch polytope of
-    the given schedule with branch ``c`` out of service.  Slack zero means
-    the outage is survivable.  Without ``engine`` this is ``cut_pcfc``: an
-    infeasible outcome carries its Benders feasibility cut.
-
-    A caller that checks ``c`` in several periods may pass its
-    ``OutageRows`` and one ``backend.Engine`` for all of them.  The LP then
-    starts from the last period's basis, which decides the verdict (the
-    slack is 0 or 1), and an infeasible outcome carries no cut, because the
-    warm duals are not unique.  ``cut_pcfc`` solves such a pair again in a
-    fresh engine for its cut, once the caller knows it needs one: the
-    decomposed loop asks only after the switch search has failed.
+    the given schedule with the outaged branch out of service.  Slack zero
+    means the outage is survivable.  The LP runs on ``engine``, from the
+    basis of its last LP, or in a fresh engine when None; either way the
+    verdict is the same (the slack is 0 or 1), and the outcome carries no
+    cut, because warm duals are not unique.  ``cut_pcfc`` is the cold solve
+    that also forms the cut.
     """
-    rows = _rows_of(case, sens, c, rows)
-    if engine is None:
-        return cut_pcfc(rows, muc, t, slack_tolerance)
+    c = rows.outage
     _, slack = _solve_slack_lp(_slack_lp(rows.at(t), muc, t, f"pcfc[{c},{t}]"), engine)
     return SubproblemOutcome(contingency=c, period=t, slack=slack,
                              status="feasible" if slack <= slack_tolerance else "infeasible")
@@ -287,26 +276,26 @@ def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int,
                              slack=slack, cut=cut)
 
 
-def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
-                  c: int, t: int, j: int, slack_tolerance: float = SLACK_TOLERANCE,
-                  rows: OutageRows | None = None,
+def solve_nr_pcfc(rows: OutageRows, muc: MucSolution, t: int, j: int,
+                  slack_tolerance: float = SLACK_TOLERANCE,
                   engine: Engine | None = None) -> SubproblemOutcome:
-    """Feasibility check with branch ``c`` out and branch ``j`` switched open.
+    """Feasibility check with the outage of ``rows`` and branch ``j``
+    switched open.
 
-    The LP is outage ``c``'s pair LP over ``rows`` (built when None) plus
-    the transaction column and row of ``OutageRows.at(t, j)``.  Raises
-    ValueError when opening both branches islands a bus (see
-    ``NetworkSensitivities.islands``).  No cut is formed; the outcome only
-    records whether this reconfiguration rescues the schedule, so with
-    ``engine`` the LP starts from the basis of the last switch LP of its
-    shape, which every switch LP of outage ``c`` shares.
+    The LP is the outage's pair LP plus the transaction column and row of
+    ``OutageRows.at(t, j)``.  Raises ValueError when opening both branches
+    islands a bus (see ``NetworkSensitivities.islands``).  No cut is
+    formed; the outcome only records whether this reconfiguration rescues
+    the schedule, so with ``engine`` the LP starts from the basis of the
+    last switch LP of its shape, which every switch LP of the outage shares.
     """
+    c = rows.outage
     if j == c:
         raise ValueError("switch candidate must differ from the contingency")
-    if sens.islands((c, j)):
+    if rows.sens.islands((c, j)):
         raise ValueError(f"opening branches {c} and {j} islands the network")
-    block = _rows_of(case, sens, c, rows).at(t, j)
-    _, slack = _solve_slack_lp(_slack_lp(block, muc, t, f"nr_pcfc[{c},{t},{j}]"), engine)
+    _, slack = _solve_slack_lp(_slack_lp(rows.at(t, j), muc, t, f"nr_pcfc[{c},{t},{j}]"),
+                               engine)
     if slack <= slack_tolerance:
         return SubproblemOutcome(contingency=c, period=t, slack=slack,
                                  status="feasible_via_switch", switch=j)
@@ -314,40 +303,39 @@ def solve_nr_pcfc(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution
                              status="infeasible")
 
 
-def switch_candidates(case: SystemCase, sens: NetworkSensitivities, c: int,
-                      size: int | None = None):
-    """Lines that may open after outage ``c``, in the order they are tried.
+def switch_candidates(rows: OutageRows, size: int | None = None):
+    """Lines that may open after the outage of ``rows``, in the order they
+    are tried.
 
-    Walks the first ``size`` entries of the ranking ``sens.cbce[c]`` (all of
-    them when ``size`` is None) and yields each line that is reconfigurable
-    and does not island a bus together with ``c`` by the LODF block test.
-    The ranking is cut before it is filtered, so ``size`` bounds the lines
-    looked at, not the lines yielded.  Lazy, so a search that stops at its
-    first rescue tests no later candidate.
+    Walks the first ``size`` entries of the outage's ranking
+    ``sens.cbce[c]`` (all of them when ``size`` is None) and yields each
+    line that is reconfigurable and does not island a bus together with
+    ``c`` by the LODF block test.  The ranking is cut before it is
+    filtered, so ``size`` bounds the lines looked at, not the lines
+    yielded.  Lazy, so a search that stops at its first rescue tests no
+    later candidate.
     """
+    c, case, sens = rows.outage, rows.case, rows.sens
     for j in sens.cbce[c][:size]:
         if case.branch(j).reconfigurable and not sens.islands((c, j)):
             yield j
 
 
-def find_corrective_switch(case: SystemCase, sens: NetworkSensitivities,
-                           muc: MucSolution, c: int, t: int,
+def find_corrective_switch(rows: OutageRows, muc: MucSolution, t: int,
                            slack_tolerance: float = SLACK_TOLERANCE,
                            switch_budget: int | None = None, counters: dict | None = None,
-                           rows: OutageRows | None = None,
                            engine: Engine | None = None) -> SubproblemOutcome | None:
     """The outcome of the first switch that makes the outage survivable, if any.
 
     Candidates are ``switch_candidates`` over the first ``switch_budget``
     ranked lines (every candidate when None, as the audit uses it) and are
-    tried one at a time over outage ``c``'s ``rows`` (built once when
-    None), each LP on ``engine`` when one is given (see ``solve_nr_pcfc``).
-    Returns the ``feasible_via_switch`` outcome of the first rescuing
-    candidate, or None when the candidates run out.
+    tried one at a time over the outage's ``rows``, each LP on ``engine``
+    when one is given (see ``solve_nr_pcfc``).  Returns the
+    ``feasible_via_switch`` outcome of the first rescuing candidate, or
+    None when the candidates run out.
     """
-    rows = _rows_of(case, sens, c, rows)
-    for j in switch_candidates(case, sens, c, switch_budget):
-        outcome = solve_nr_pcfc(case, sens, muc, c, t, j, slack_tolerance, rows, engine)
+    for j in switch_candidates(rows, switch_budget):
+        outcome = solve_nr_pcfc(rows, muc, t, j, slack_tolerance, engine)
         if counters is not None:
             counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
         if outcome.status == "feasible_via_switch":

@@ -168,7 +168,8 @@ def test_adapter_matches_linprog(monkeypatch):
     monkeypatch.setattr(scucnr.subproblems, "solve_lp", spy)
     for t in case.periods:
         for c in sens.contingencies:
-            scucnr.subproblems.solve_pcfc(case, sens, muc, c, t)
+            scucnr.subproblems.solve_pcfc(scucnr.subproblems.OutageRows(case, sens, c),
+                                          muc, t)
     assert len(lps) == len(case.periods) * len(sens.contingencies)
     mixed = mixed_lp()
     lps.append(mixed)
@@ -324,7 +325,8 @@ def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):
     sens = build_sensitivities(case)
     master, _ = build_muc(case, sens)
     muc = extract_solution(case, sens, master, solve_milp(master))
-    scucnr.subproblems.solve_pcfc(case, sens, muc, sens.contingencies[0], 1)
+    rows = scucnr.subproblems.OutageRows(case, sens, sens.contingencies[0])
+    scucnr.subproblems.solve_pcfc(rows, muc, 1)
     tiny = mixed_lp()
     a = dense(tiny.a)
     a[0, 2] = 1e-12

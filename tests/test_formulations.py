@@ -14,7 +14,7 @@ from scucnr.formulations import (_Problem, base_columns, build_muc, extract_solu
 from scucnr.model import FeasibilityCut, validate_case
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, _every_pair, solve
-from scucnr.subproblems import solve_pcfc
+from scucnr.subproblems import OutageRows, cut_pcfc, solve_pcfc
 
 GAP = 1e-9
 
@@ -409,7 +409,7 @@ def first_violated_pair(case, method="td_scuc"):
     sched = master_schedule(case, sens)
     for t in case.periods:
         for c in sens.contingencies:
-            out = solve_pcfc(case, sens, sched, c, t)
+            out = cut_pcfc(OutageRows(case, sens, c), sched, t)
             if out.status == "infeasible":
                 return sched, out
     raise AssertionError("fixture produced no violated subproblem")
@@ -454,7 +454,7 @@ def test_cut_is_satisfied_by_secure_schedules(c4_low):
         if res.status != "optimal":
             continue
         point = extract_solution(c4_low, sens, pinned, res)
-        check = solve_pcfc(c4_low, sens, point, c, t)
+        check = solve_pcfc(OutageRows(c4_low, sens, c), point, t)
         if check.status == "feasible":
             checked_feasible += 1
             # a valid feasibility cut never excludes a schedule whose

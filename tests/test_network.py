@@ -10,7 +10,7 @@ from scucnr.model import Branch, Bus, Generator, SystemCase
 from scucnr.network import (build_sensitivities, check_connectivity,
                             classify_radial, compute_lodf, compute_ptdf,
                             rank_cbce)
-from scucnr.subproblems import switch_candidates
+from scucnr.subproblems import OutageRows, switch_candidates
 
 
 def minimal_case(buses, branch_pairs, ref=1):
@@ -216,7 +216,8 @@ def test_cbce_size_zero_is_empty(c4_high):
     # a search budget of 0 looks at no line of the ranking
     sens = build_sensitivities(c4_high)
     assert all(sens.cbce[c] for c in sens.contingencies)
-    assert not any(list(switch_candidates(c4_high, sens, c, 0)) for c in sens.contingencies)
+    assert not any(list(switch_candidates(OutageRows(c4_high, sens, c), 0))
+                   for c in sens.contingencies)
 
 
 def test_corridor_ranks_companion_leg_first(c4_high):

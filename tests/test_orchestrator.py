@@ -14,7 +14,8 @@ from scucnr.model import SLACK_TOLERANCE
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, _examine, solve, verify_schedule,
                                  verify_solution)
-from scucnr.subproblems import solve_nr_pcfc, solve_pcfc, switch_candidates
+from scucnr.subproblems import (OutageRows, cut_pcfc, solve_nr_pcfc, solve_pcfc,
+                                switch_candidates)
 
 
 def muc_objective(case):
@@ -69,8 +70,8 @@ def test_high_load_needs_switching(c4_high):
         assert res.switches == {(3, 2): 2}  # exactly one recorded switch
         # registry re-validates
         for (c, t), j in res.switches.items():
-            check = solve_nr_pcfc(c4_high, build_sensitivities(c4_high), res.schedule,
-                                  c, t, j)
+            check = solve_nr_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), c),
+                                  res.schedule, t, j)
             assert check.status == "feasible_via_switch"
             assert check.slack <= 1e-6
 
@@ -93,13 +94,13 @@ def test_extensive_switches_are_the_switch_search_switches(build):
     res = solve(case, SolveOptions(method="extensive_scuc_cnr"))
     assert res.converged
     failing = {(c, t) for t in case.periods for c in sens.contingencies
-               if solve_pcfc(case, sens, res.schedule, c, t).status == "infeasible"}
+               if solve_pcfc(OutageRows(case, sens, c), res.schedule, t).status == "infeasible"}
     assert set(res.switches) == failing
     for (c, t), j in res.switches.items():
         assert case.branch(j).reconfigurable
         assert j in sens.non_radial
         assert not sens.islands((c, j))
-        out = solve_nr_pcfc(case, sens, res.schedule, c, t, j)
+        out = solve_nr_pcfc(OutageRows(case, sens, c), res.schedule, t, j)
         assert out.status == "feasible_via_switch", (c, t, j, out.slack)
 
 
@@ -284,8 +285,8 @@ def test_warm_chain_matches_cold_solves():
     sens = build_sensitivities(case)
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
-    warm, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, 0, workers=1)
-    cold = [solve_pcfc(case, sens, muc, c, t) for c, t in pairs]
+    warm, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, 0, workers=1, cut=True)
+    cold = [cut_pcfc(OutageRows(case, sens, c), muc, t) for c, t in pairs]
     assert len(warm) == 440
     assert warm == cold
     assert sum(out.cut is not None for out in warm) == 13
@@ -299,20 +300,22 @@ def test_warm_switch_searches_match_cold_ones(build, rescued):
     sens = build_sensitivities(case)
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
-    warm, counters = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, None, workers=1)
+    warm, counters = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, None, workers=1,
+                              cut=True)
     tried = 0
     for out, (c, t) in zip(warm, pairs, strict=True):
         assert (out.contingency, out.period) == (c, t)
-        cold = solve_pcfc(case, sens, muc, c, t)
+        rows = OutageRows(case, sens, c)
+        cold = cut_pcfc(rows, muc, t)
         if cold.status == "feasible":
             assert out == cold
             continue
         # a cold walk of every candidate in id order: the verdict does not
         # depend on the order, and the warm search picks the first rescue
         # in ranked order
-        rescues = {j for j in sorted(switch_candidates(case, sens, c))
-                   if solve_nr_pcfc(case, sens, muc, c, t, j).status == "feasible_via_switch"}
-        ranked = list(switch_candidates(case, sens, c))
+        rescues = {j for j in sorted(switch_candidates(rows))
+                   if solve_nr_pcfc(rows, muc, t, j).status == "feasible_via_switch"}
+        ranked = list(switch_candidates(rows))
         if not rescues:
             assert out == cold
             tried += len(ranked)
@@ -325,7 +328,7 @@ def test_warm_switch_searches_match_cold_ones(build, rescued):
     assert counters["nr_pcfc_solved"] == tried > 0
 
 
-def test_audit_builds_one_engine_per_contingency_plus_its_cold_solves(monkeypatch):
+def test_audit_builds_one_engine_per_contingency(monkeypatch):
     case = random_case(9, 40, 12, 8)
     sens = build_sensitivities(case)
     result = solve(case, SolveOptions(method="ad_scuc_cnr"))
@@ -351,12 +354,12 @@ def test_audit_builds_one_engine_per_contingency_plus_its_cold_solves(monkeypatc
     monkeypatch.setattr(scucnr.orchestrator, "solve_pcfc", counted_pcfc)
     monkeypatch.setattr(scucnr.subproblems, "solve_nr_pcfc", counted_nr_pcfc)
     # the converged schedule, then the first master's, whose 13 unsurvivable
-    # pairs take a cold solve each and a switch search on the task's engine
+    # pairs take a switch search on the task's engine and no cold solve
     for audit in (lambda: verify_solution(case, result),
                   lambda: verify_schedule(case, "ad_scuc_cnr", first)):
         counts.clear()
         assert audit().pairs_checked == 440
-        assert counts["engines"] <= len(sens.contingencies) + counts["infeasible"]
+        assert counts["engines"] == len(sens.contingencies)
     assert counts["infeasible"] == 13 and counts["switch_lps"] > 0
 
 
@@ -384,6 +387,18 @@ def test_a_solve_and_its_audit_build_one_outage_row_block_per_contingency_task(m
     assert counts["rows"] == counts["tasks"] == len(build_sensitivities(case).contingencies)
 
 
+def _count_cold_lps(monkeypatch):
+    """Count the engine-less ``solve_lp`` calls of ``subproblems`` by LP name."""
+    solve_lp, cold = scucnr.subproblems.solve_lp, Counter()
+
+    def counted(lp, engine=None):
+        cold[lp.name] += engine is None
+        return solve_lp(lp, engine)
+
+    monkeypatch.setattr(scucnr.subproblems, "solve_lp", counted)
+    return cold
+
+
 @pytest.mark.parametrize("build, rescued, left", [
     (corridor4_high, 1, 0), (lambda: random_case(9, 40, 12, 8), 6, 7),
 ], ids=["corridor4_high", "random_9_40_12_8"])
@@ -392,20 +407,35 @@ def test_cold_cut_lp_runs_only_for_pairs_no_switch_rescues(build, rescued, left,
     sens = build_sensitivities(case)
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
-    solve_lp, cold = scucnr.subproblems.solve_lp, Counter()
-
-    def counted(lp, engine=None):
-        cold[lp.name] += engine is None
-        return solve_lp(lp, engine)
-
-    monkeypatch.setattr(scucnr.subproblems, "solve_lp", counted)
-    outcomes, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, None, workers=1)
+    cold = _count_cold_lps(monkeypatch)
+    outcomes, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, None, workers=1, cut=True)
     statuses = Counter(out.status for out in outcomes)
     ended = [f"pcfc[{o.contingency},{o.period}]" for o in outcomes if o.status == "infeasible"]
     assert (statuses["feasible_via_switch"], len(ended)) == (rescued, left)
     # one engine-less solve per pair left infeasible, none for a rescued pair
     assert +cold == Counter(ended)
     assert all(o.cut is not None for o in outcomes if o.status == "infeasible")
+
+
+def test_only_the_decomposed_loop_solves_pairs_cold_for_cuts(monkeypatch):
+    # the extensive switch filter and the audit read verdicts only, so no
+    # pair LP of theirs runs cold; the slack is 0 or 1, so the warm verdict
+    # is the cold one
+    cold = _count_cold_lps(monkeypatch)
+    res = solve(corridor4_high(), SolveOptions(method="extensive_scuc_cnr"))
+    assert list(res.switches) == [(3, 2)] and +cold == Counter()
+
+    case = random_case(9, 40, 12, 8)
+    first = first_master_schedule(case, build_sensitivities(case))
+    for method, violations in (("ad_scuc", 13), ("ad_scuc_cnr", 7)):
+        report = verify_schedule(case, method, first)
+        assert len(report.violations) == violations
+        assert all(slack == pytest.approx(1.0, abs=1e-9) for *_, slack in report.violations)
+        assert +cold == Counter(), method
+
+    # the loop still solves each pair it cuts cold, once, for its cut
+    res = solve(corridor4_stranded(), SolveOptions(method="td_scuc_cnr"))
+    assert len(res.cuts) == sum(cold.values()) == 1
 
 
 @pytest.mark.parametrize("build, workers", [
@@ -466,6 +496,13 @@ def test_invalid_options_rejected():
         SolveOptions(cbce_size=-1)
     with pytest.raises(ValueError):
         SolveOptions(workers=0)
+    # counts are ints: a float or a bool names its field instead of failing
+    # later inside solve (or, for workers, being taken as it is)
+    for field, good in (("max_iterations", 3), ("cbce_size", 0), ("workers", 2)):
+        for bad in (1.5, 2.0, True, False, "2"):
+            with pytest.raises(ValueError, match=field):
+                SolveOptions(**{field: bad})
+        assert getattr(SolveOptions(**{field: good}), field) == good
     with pytest.raises(ValueError, match="time_limit"):
         SolveOptions(time_limit=0.0)
     assert SolveOptions(time_limit=1.5).time_limit == 1.5

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import manual_schedule, ptdf_pinv
+from scucnr.backend import solve_milp
 from scucnr.fixtures import corridor4_high, random_case
+from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
-from scucnr.subproblems import OutageRows, solve_nr_pcfc
+from scucnr.subproblems import OutageRows, run_csps, solve_nr_pcfc, solve_pcfc
 
 CASES = st.builds(random_case, seed=st.integers(0, 2**16), n_buses=st.integers(3, 30),
                   n_generators=st.integers(1, 8), horizon=st.just(2))
@@ -59,4 +61,26 @@ def test_switch_lp_of_an_islanding_pair_raises(case):
     for c, j, islands in switchable_pairs(case, sens):
         if islands:
             with pytest.raises(ValueError, match="islands"):
-                solve_nr_pcfc(case, sens, nothing_on, c, 1, j, rows=OutageRows(case, sens, c))
+                solve_nr_pcfc(OutageRows(case, sens, c), nothing_on, 1, j)
+
+
+@settings(max_examples=30, deadline=None)
+@example(case=corridor4_high())
+@example(case=random_case(9, 40, 12, 8))
+@given(case=st.builds(random_case, seed=st.integers(0, 2**16), n_buses=st.integers(3, 30),
+                      n_generators=st.integers(1, 8), horizon=st.integers(1, 4)))
+def test_screen_drops_only_survivable_pairs(case):
+    # every pair the distribution-factor screen drops at the cut-free
+    # master's schedule is feasible by its own redispatch LP
+    sens = build_sensitivities(case)
+    lp, _ = build_muc(case, sens)
+    res = solve_milp(lp)
+    assume(res.status == "optimal")
+    muc = extract_solution(case, sens, lp, res)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    critical = set(run_csps(case, sens, muc, pairs).critical)
+    rows = {c: OutageRows(case, sens, c) for c in sens.contingencies}
+    for c, t in pairs:
+        if (c, t) not in critical:
+            out = solve_pcfc(rows[c], muc, t)
+            assert out.status == "feasible", (c, t, out.slack)

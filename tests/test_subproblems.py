@@ -11,8 +11,8 @@ from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
-from scucnr.subproblems import (OutageRows, _slack_lp, find_corrective_switch, run_csps,
-                                solve_nr_pcfc, solve_pcfc, switch_candidates)
+from scucnr.subproblems import (OutageRows, _slack_lp, cut_pcfc, find_corrective_switch,
+                                run_csps, solve_nr_pcfc, solve_pcfc, switch_candidates)
 
 
 def cheap_point(case):
@@ -95,7 +95,7 @@ def test_screened_out_pairs_are_survivable(fixture_name, request):
     for c, t in all_pairs(case, sens):
         if (c, t) in set(screen.critical):
             continue
-        out = solve_pcfc(case, sens, muc, c, t)
+        out = solve_pcfc(OutageRows(case, sens, c), muc, t)
         assert out.slack <= 1e-6, f"screen dropped ({c},{t}) with slack {out.slack}"
 
 
@@ -109,7 +109,7 @@ def test_no_ramp_no_rescue(tri3_tight):
     # hand check: with branch 1 gone, the 1-3 corridor must carry the full
     # cheap-unit output 80 MW against its 45 MW emergency rating, and zero
     # 10-minute ramp freezes every unit at its schedule
-    out = solve_pcfc(frozen, build_sensitivities(frozen), muc, 1, 1)
+    out = solve_pcfc(OutageRows(frozen, build_sensitivities(frozen), 1), muc, 1)
     assert out.status == "infeasible"
     assert out.slack == pytest.approx(1.0, abs=1e-6)
 
@@ -126,21 +126,21 @@ def test_redispatch_interval_decides_feasibility(tri3_tight):
     secure = manual_schedule(tri3_tight, {1: {1: 65.0, 2: 15.0}})
     lo, hi = interval(65.0, 15.0)
     assert lo <= hi  # hand oracle says survivable (exactly at x = 35)
-    out = solve_pcfc(tri3_tight, build_sensitivities(tri3_tight), secure, 1, 1)
+    out = solve_pcfc(OutageRows(tri3_tight, build_sensitivities(tri3_tight), 1), secure, 1)
     assert out.status == "feasible"
     assert out.slack <= 1e-6
 
     exposed = manual_schedule(tri3_tight, {1: {1: 80.0}}, committed={1: {1, 2}})
     lo, hi = interval(80.0, 0.0)
     assert lo > hi  # hand oracle says unsurvivable
-    out = solve_pcfc(tri3_tight, build_sensitivities(tri3_tight), exposed, 1, 1)
+    out = solve_pcfc(OutageRows(tri3_tight, build_sensitivities(tri3_tight), 1), exposed, 1)
     assert out.status == "infeasible"
 
 
 def test_slack_lp_never_infeasible_even_for_absurd_inputs(c4_high):
     nothing_on = manual_schedule(c4_high, {1: {}, 2: {}})
     for c in (2, 3, 4):
-        out = solve_pcfc(c4_high, build_sensitivities(c4_high), nothing_on, c, 2)
+        out = solve_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), c), nothing_on, 2)
         # no committed unit can serve load: the slack lands exactly on 1
         assert out.status == "infeasible"
         assert out.slack == pytest.approx(1.0, abs=1e-6)
@@ -151,9 +151,26 @@ def test_duals_satisfy_strong_duality_everywhere(tri3_tight, c4_high):
         sens = build_sensitivities(case)
         muc = cheap_point(case)
         for c, t in all_pairs(case, sens):
-            out = solve_pcfc(case, sens, muc, c, t)  # raises internally on a gap
+            out = cut_pcfc(OutageRows(case, sens, c), muc, t)  # raises internally on a gap
             assert 0.0 <= out.slack <= 1.0 + 1e-6
             assert (out.cut is not None) == (out.status == "infeasible")
+
+
+def test_verdict_and_cut_solves_split_one_cold_lp():
+    # solve_pcfc only decides, cut_pcfc decides the same way from the same
+    # cold LP and adds the cut wherever the pair is unsurvivable
+    case = random_case(9, 40, 12, 8)
+    sens = build_sensitivities(case)
+    muc = cheap_point(case)
+    cuts = 0
+    for c, t in all_pairs(case, sens):
+        rows = OutageRows(case, sens, c)
+        verdict, cut = solve_pcfc(rows, muc, t), cut_pcfc(rows, muc, t)
+        assert (verdict.status, verdict.slack) == (cut.status, cut.slack), (c, t)
+        assert verdict.cut is None
+        assert (cut.cut is not None) == (cut.status == "infeasible"), (c, t)
+        cuts += cut.cut is not None
+    assert cuts == 13
 
 
 def _row_rhs(lp):
@@ -172,10 +189,11 @@ def _check_cuts_off_their_point(case, points=20):
     rng = np.random.default_rng(17)
     checked = 0
     for c, t in all_pairs(case, sens):
-        out = solve_pcfc(case, sens, muc, c, t)
+        outage = OutageRows(case, sens, c)
+        out = cut_pcfc(outage, muc, t)
         if out.status != "infeasible":
             continue
-        rows = OutageRows(case, sens, c).at(t)
+        rows = outage.at(t)
         lp = _slack_lp(rows, muc, t, "at_point")
         duals = solve_lp(lp).row_duals
         assert _row_rhs(lp) @ duals == pytest.approx(out.slack, abs=1e-6)
@@ -206,7 +224,7 @@ def test_slack_optimum_is_zero_or_one():
     for case in cases:
         sens = build_sensitivities(case)
         muc = cheap_point(case)
-        slacks = np.array([solve_pcfc(case, sens, muc, c, t).slack
+        slacks = np.array([solve_pcfc(OutageRows(case, sens, c), muc, t).slack
                            for c, t in all_pairs(case, sens)])
         assert np.minimum(slacks, np.abs(1.0 - slacks)).max(initial=0.0) <= 1e-9
     # the 40-bus schedule has pairs on both sides
@@ -217,7 +235,7 @@ def test_slack_optimum_is_zero_or_one():
 
 def test_companion_switch_rescues_direct_outage(c4_high):
     muc = cheap_point(c4_high)
-    out = solve_nr_pcfc(c4_high, build_sensitivities(c4_high), muc, 3, 2, 2)
+    out = solve_nr_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 2)
     assert out.status == "feasible_via_switch"
     assert out.switch == 2
     assert out.slack <= 1e-6
@@ -235,19 +253,19 @@ def test_unrelated_switch_does_not_help(c4_high):
     muc = cheap_point(c4_high)
     # opening one external leg strands the corridor: everything must squeeze
     # through the 66 MW internal leg again
-    out = solve_nr_pcfc(c4_high, build_sensitivities(c4_high), muc, 3, 2, 5)
+    out = solve_nr_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 5)
     assert out.status == "infeasible"
     assert out.slack == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
-        solve_nr_pcfc(c4_high, build_sensitivities(c4_high), muc, 3, 2, 3)
+        solve_nr_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 3)
 
 
 def test_switch_search_returns_first_ranked_feasible(c4_high):
     sens = build_sensitivities(c4_high)
     muc = cheap_point(c4_high)
     counters = {}
-    found = find_corrective_switch(c4_high, sens, muc, 3, 2, counters=counters)
-    assert found == solve_nr_pcfc(c4_high, sens, muc, 3, 2, 2)
+    found = find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2, counters=counters)
+    assert found == solve_nr_pcfc(OutageRows(c4_high, sens, 3), muc, 2, 2)
     assert (found.status, found.switch) == ("feasible_via_switch", 2)
     assert found.slack <= 1e-6
     assert counters["nr_pcfc_solved"] == 1  # first candidate already works
@@ -258,13 +276,13 @@ def test_switch_search_returns_first_ranked_feasible(c4_high):
         from scucnr.network import check_connectivity
         if not check_connectivity(c4_high, {3, cand}):
             continue
-        alt = solve_nr_pcfc(c4_high, sens, muc, 3, 2, cand)
+        alt = solve_nr_pcfc(OutageRows(c4_high, sens, 3), muc, 2, cand)
         if alt.status == "feasible_via_switch":
             feasible.append(cand)
     assert feasible == [2, 4]
     assert found.switch in feasible
     # a budget of one line holds the pick, since it ranks first
-    assert find_corrective_switch(c4_high, sens, muc, 3, 2, switch_budget=1) == found
+    assert find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2, switch_budget=1) == found
 
 
 def test_islanding_candidates_are_skipped_without_solving(c4_high):
@@ -274,7 +292,7 @@ def test_islanding_candidates_are_skipped_without_solving(c4_high):
     # would island bus 2; the search must skip it and pick the direct line
     assert sens.cbce[4][0] == 2
     counters = {}
-    found = find_corrective_switch(c4_high, sens, muc, 4, 2, counters=counters)
+    found = find_corrective_switch(OutageRows(c4_high, sens, 4), muc, 2, counters=counters)
     assert found is not None
     assert found.switch == 3
     assert counters["nr_pcfc_solved"] == 1
@@ -284,7 +302,7 @@ def test_empty_candidate_list_means_no_switch(c4_high):
     sens = build_sensitivities(c4_high)
     muc = cheap_point(c4_high)
     counters = {}
-    assert find_corrective_switch(c4_high, sens, muc, 3, 2, switch_budget=0,
+    assert find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2, switch_budget=0,
                                   counters=counters) is None
     assert counters == {}
 
@@ -308,10 +326,10 @@ def test_switch_candidates_filter_a_prefix_of_the_ranking(name):
         def allowed(j):
             return case.branch(j).reconfigurable and check_connectivity(case, {c, j})
         for size in (0, 1, 3, None):
-            assert list(switch_candidates(case, sens, c, size)) == \
+            assert list(switch_candidates(OutageRows(case, sens, c), size)) == \
                 [j for j in sens.cbce[c][:size] if allowed(j)], (c, size)
         # the whole ranking holds every line the brute force allows
-        assert sorted(switch_candidates(case, sens, c)) == \
+        assert sorted(switch_candidates(OutageRows(case, sens, c))) == \
             [k.id for k in sorted(case.branches, key=lambda k: k.id)
              if k.id != c and allowed(k.id)], c
 
@@ -319,8 +337,9 @@ def test_switch_candidates_filter_a_prefix_of_the_ranking(name):
 def test_stranded_corridor_defeats_every_switch(c4_stranded):
     sens = build_sensitivities(c4_stranded)
     muc = cheap_point(c4_stranded)
-    assert find_corrective_switch(c4_stranded, sens, muc, 3, 2, switch_budget=2) is None
-    assert find_corrective_switch(c4_stranded, sens, muc, 3, 2) is None
+    rows = OutageRows(c4_stranded, sens, 3)
+    assert find_corrective_switch(rows, muc, 2, switch_budget=2) is None
+    assert find_corrective_switch(rows, muc, 2) is None
 
 
 def test_non_reconfigurable_lines_are_not_tried(c4_high):
@@ -330,7 +349,7 @@ def test_non_reconfigurable_lines_are_not_tried(c4_high):
             for k in c4_high.branches))
     sens = build_sensitivities(locked)
     muc = cheap_point(locked)
-    found = find_corrective_switch(locked, sens, muc, 3, 2)
+    found = find_corrective_switch(OutageRows(locked, sens, 3), muc, 2)
     assert found is None  # the only helpful switches are locked out
 
 
@@ -341,8 +360,8 @@ def test_determinism_of_screen_and_search(c4_high):
     s2 = run_csps(c4_high, sens, muc, all_pairs(c4_high, sens))
     assert s1.critical == s2.critical
     assert s1.overload_ratio == s2.overload_ratio
-    assert (find_corrective_switch(c4_high, sens, muc, 3, 2)
-            == find_corrective_switch(c4_high, sens, muc, 3, 2))
+    assert (find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2)
+            == find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2))
 
 
 # --- shift-factor LP against an independent oracle -----------------------------
@@ -356,7 +375,7 @@ def test_slacks_match_pseudo_inverse_oracle():
         converged = solve(case, SolveOptions(method="ad_scuc_cnr")).schedule
         for muc in (cheap_point(case), converged):
             for c, t in all_pairs(case, sens):
-                out = solve_pcfc(case, sens, muc, c, t)
+                out = solve_pcfc(OutageRows(case, sens, c), muc, t)
                 assert out.slack == pytest.approx(
                     redispatch_slack(case, muc, t, frozenset({c})), abs=1e-7), (name, c, t)
                 infeasible += out.status == "infeasible"
@@ -366,7 +385,7 @@ def test_slacks_match_pseudo_inverse_oracle():
                 for j in switches:
                     if not check_connectivity(case, {c, j}):
                         continue
-                    alt = solve_nr_pcfc(case, sens, muc, c, t, j)
+                    alt = solve_nr_pcfc(OutageRows(case, sens, c), muc, t, j)
                     assert alt.slack == pytest.approx(
                         redispatch_slack(case, muc, t, frozenset({c, j})),
                         abs=1e-7), (name, c, t, j)
@@ -387,13 +406,14 @@ def test_slave_lp_size_is_generators_plus_one(c4_high, monkeypatch):
     n_g, n_k = len(c4_high.generators), len(c4_high.branches)
     pairs = all_pairs(c4_high, sens)
     for c, t in pairs:
-        solve_pcfc(c4_high, sens, muc, c, t)
+        solve_pcfc(OutageRows(c4_high, sens, c), muc, t)
     assert seen == [(n_g + 1, 4 * n_g + 1 + 2 * (n_k - 1))] * len(pairs)
     # a switch LP is its outage's pair LP plus the transaction column w and
     # its row, one shape for every candidate and period of the outage
     for c in sens.contingencies:
         seen.clear()
-        switched = [(t, j) for t in c4_high.periods for j in switch_candidates(c4_high, sens, c)]
+        rows = OutageRows(c4_high, sens, c)
+        switched = [(t, j) for t in c4_high.periods for j in switch_candidates(rows)]
         for t, j in switched:
-            solve_nr_pcfc(c4_high, sens, muc, c, t, j)
+            solve_nr_pcfc(rows, muc, t, j)
         assert seen == [(n_g + 2, 4 * n_g + 1 + 2 * (n_k - 1) + 1)] * len(switched) != [], c
