@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="relative MIP gap for master/extensive solves")
     run.add_argument("--workers", type=int, default=_DEFAULTS.workers,
                      help="subproblem worker threads, one contingency each; HiGHS "
-                          "holds the GIL while it solves, so only Python work overlaps")
+                          "releases the GIL while it solves, so their LPs overlap")
 
     ver = sub.add_parser("verify", help="re-audit a written result against its case",
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)

@@ -21,7 +21,8 @@ The task's switch LPs, each its pair LP plus one transaction column, run
 over the same rows and engine (see ``subproblems``), and the pairs come
 back in (period, contingency) order.  Only the loop's own examination
 forms cuts, each by one cold LP per unsurvivable pair; the screen audit,
-the switch filter and ``verify_schedule`` read the warm verdicts alone.
+the switch filter and ``verify_schedule`` read the warm verdicts alone,
+and take no LP for a pair the schedule's own dispatch already survives.
 Each schedule must meet the rows of the model it came from, and the audit
 holds it to the cut-free master's rows before it examines any pair.
 """
@@ -41,7 +42,8 @@ from .formulations import (build_muc, extract_solution, extract_switching_plan,
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase, validate_case)
 from .network import NetworkSensitivities, build_sensitivities
-from .subproblems import OutageRows, cut_pcfc, find_corrective_switch, run_csps, solve_pcfc
+from .subproblems import (OutageRows, certify_pcfc, cut_pcfc, find_corrective_switch,
+                          run_csps, solve_pcfc)
 
 METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
            "td_scuc_cnr", "ad_scuc_cnr")
@@ -54,9 +56,9 @@ DEFAULT_CBCE_SIZE = 20
 
 
 def check_tolerance(name: str, value: float) -> None:
-    """Reject a tolerance that is negative, infinite or NaN."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0 (got {value})")
+    """Reject a tolerance that is a bool, negative, infinite or NaN."""
+    if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,10 @@ class SolveOptions:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an int >= {least} (got {value!r})")
-        if self.time_limit is not None and not (math.isfinite(self.time_limit)
-                                                and self.time_limit > 0):
+        if self.time_limit is not None and (isinstance(self.time_limit, bool) or not (
+                math.isfinite(self.time_limit) and self.time_limit > 0)):
             raise ValueError("time_limit must be None or finite and > 0 "
-                             f"(got {self.time_limit})")
+                             f"(got {self.time_limit!r})")
         check_tolerance("slack_tolerance", self.slack_tolerance)
         check_tolerance("milp_gap", self.milp_gap)
 
@@ -194,13 +196,24 @@ def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, slack_tolerance: f
     for a switch (all of them when None, none when 0), its LPs over the
     same rows and engine.
 
+    Without ``cut`` (the audit, the screen audit and the extensive switch
+    filter) a pair whose schedule's own dispatch meets every row of its LP
+    (``certify_pcfc``) is feasible with slack 0 and solves no LP.  With
+    ``cut``, the loop's own examination, every pair takes its LP: the
+    accelerated methods have already dropped such pairs by the screen, and
+    the unscreened ones count one LP per pair.
+
     The outcome is infeasible only when the pair ends up with no feasible
     recourse; only then, and only with ``cut``, is the pair solved again
     cold, by ``cut_pcfc``, for the cut the outcome carries.  ``counters``
     gets the seconds of its LPs.
     """
     t0 = time.perf_counter()
-    outcome = solve_pcfc(rows, muc, t, slack_tolerance, engine)
+    if not cut and certify_pcfc(rows, muc, t):
+        outcome = SubproblemOutcome(contingency=rows.outage, period=t, status="feasible",
+                                    slack=0.0)
+    else:
+        outcome = solve_pcfc(rows, muc, t, slack_tolerance, engine)
     counters["pcfc_seconds"] += time.perf_counter() - t0
     if outcome.status == "feasible":
         return outcome
@@ -224,13 +237,16 @@ def _examine(case, sens, muc, pairs, slack_tolerance: float, switch_budget: int 
     ``cut``, each unsurvivable pair's outcome carries its cut.
 
     A task builds its contingency's ``OutageRows`` and one warm ``Engine``,
-    which its pair and switch LPs share, and takes its periods in order.
-    Returns the outcomes in (period, contingency) order, the order of the
-    master's cut rows, and the merged counters.  Each task has its own
-    rows, engine and counters, so worker threads share only immutable
-    inputs and the outcomes do not depend on ``workers``.  The threads do
-    not solve LPs in parallel: scipy's HiGHS binding holds the GIL inside
-    ``run``, so ``workers > 1`` overlaps only the Python work around them.
+    which its pair and switch LPs share, and takes its periods in order;
+    the engine's HiGHS instance is made on the task's first LP, so a task
+    whose pairs all certify (see ``_examine_pair``) makes none.  Returns
+    the outcomes in (period, contingency) order, the order of the master's
+    cut rows, and the merged counters.  Each task has its own rows, engine
+    and counters, so worker threads share only immutable inputs and the
+    outcomes do not depend on ``workers``.  scipy's HiGHS binding releases
+    the GIL inside ``run``, so with ``workers > 1`` the LPs of two tasks
+    solve at the same time; the Python and numpy work around them runs
+    mostly one thread at a time.
     """
     periods: dict[int, list[int]] = {}
     for c, t in sorted(pairs):
@@ -343,7 +359,10 @@ def verify_schedule(case: SystemCase, method: str, schedule: MucSolution,
     Then, whatever screening or search the producing run did, every
     non-radial outage in every period goes through the loop's pair routine,
     for reconfiguration methods with no limit on the switch search: it may
-    try every line of the outage's ranking.
+    try every line of the outage's ranking.  A pair whose schedule's own
+    dispatch meets every row of its feasibility LP is feasible by that
+    point, with no LP solved; every other pair takes the LP and, if it
+    fails, the switch search.
     """
     check_tolerance("slack_tolerance", slack_tolerance)
     if method not in METHODS:

@@ -34,10 +34,12 @@ an outage chain across candidates and periods.
 The pair layer takes each outage as its ``OutageRows``:
 ``solve_pcfc(rows, muc, t)`` and ``solve_nr_pcfc(rows, muc, t, j)`` give
 verdicts, warm on an engine when given one, ``switch_candidates(rows)``
-and ``find_corrective_switch(rows, muc, t)`` walk the ranking.  The duals,
-and with them the cut, are not unique, so a cut is read only off a fresh
-engine's solve, ``cut_pcfc(rows, muc, t)``, made only for a pair that
-needs one; no cut is read off a switch LP.
+and ``find_corrective_switch(rows, muc, t)`` walk the ranking, and
+``certify_pcfc(rows, muc, t)`` proves a pair feasible with no LP when the
+schedule's own dispatch meets every row of its LP.  The duals, and with
+them the cut, are not unique, so a cut is read only off a fresh engine's
+solve, ``cut_pcfc(rows, muc, t)``, made only for a pair that needs one;
+no cut is read off a switch LP.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import Engine, LinearProgram, SolverError, solve_lp
+from .backend import Engine, LinearProgram, SolverError, solve_lp, violation
 from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
                     SubproblemOutcome, SystemCase)
 from .network import NetworkSensitivities, lodf_columns
@@ -54,6 +56,10 @@ from .network import NetworkSensitivities, lodf_columns
 SCREEN_SLACK_MW = 1e-6
 
 DUALITY_CHECK_TOL = 1e-6
+
+# how far the schedule's own dispatch may break a row of its pair LP and
+# still certify the pair: below the engine's 1e-7 primal tolerance
+CERTIFICATE_TOL_MW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -211,6 +217,23 @@ def _slack_lp(rows: tuple, muc: MucSolution, t: int, name: str) -> LinearProgram
         ub=np.full(n_g + 1, np.inf),
         name=name,
     )
+
+
+def certify_pcfc(rows: OutageRows, muc: MucSolution, t: int) -> bool:
+    """Whether the schedule's own dispatch proves the outage of ``rows``
+    survivable in period ``t``, with no LP solved.
+
+    The pair's feasibility LP has the point ``s = 0, pc = p_t``: no
+    redispatch.  Its generator and balance rows hold there by the master's
+    own rows, up to the master's tolerances, so in practice only the
+    post-outage flow rows fail.  When every row and bound
+    of the LP holds at that point within ``CERTIFICATE_TOL_MW``, the slack
+    optimum is exactly 0.  False says only that this point fails, not
+    that the pair does.
+    """
+    lp = _slack_lp(rows.at(t), muc, t, f"pcfc[{rows.outage},{t}]")
+    point = np.concatenate(([0.0], muc.p[:, t - 1]))
+    return violation(lp, point, CERTIFICATE_TOL_MW) is None
 
 
 def _solve_slack_lp(lp: LinearProgram, engine: Engine | None = None):

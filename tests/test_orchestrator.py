@@ -329,20 +329,24 @@ def test_warm_switch_searches_match_cold_ones(build, rescued):
 
 
 def test_audit_builds_one_engine_per_contingency(monkeypatch):
+    # one engine per contingency with a pair its schedule's own dispatch
+    # does not certify, plus one per cold solve; the audit takes none
     case = random_case(9, 40, 12, 8)
     sens = build_sensitivities(case)
     result = solve(case, SolveOptions(method="ad_scuc_cnr"))
     first = first_master_schedule(case, sens)
-    new_engine, pcfc, nr_pcfc = (_hc._Highs, scucnr.orchestrator.solve_pcfc,
-                                 scucnr.subproblems.solve_nr_pcfc)
-    counts = Counter()
+    new_engine, pcfc, nr_pcfc, cold = (_hc._Highs, scucnr.orchestrator.solve_pcfc,
+                                       scucnr.subproblems.solve_nr_pcfc,
+                                       scucnr.orchestrator.cut_pcfc)
+    counts, uncertified = Counter(), set()
 
     def counted_engine():
         counts["engines"] += 1
         return new_engine()
 
-    def counted_pcfc(*args, **kwargs):
-        out = pcfc(*args, **kwargs)
+    def counted_pcfc(rows, *args, **kwargs):
+        uncertified.add(rows.outage)
+        out = pcfc(rows, *args, **kwargs)
         counts["infeasible"] += out.status == "infeasible"
         return out
 
@@ -350,16 +354,23 @@ def test_audit_builds_one_engine_per_contingency(monkeypatch):
         counts["switch_lps"] += 1
         return nr_pcfc(*args, **kwargs)
 
+    def counted_cold(*args, **kwargs):
+        counts["cold"] += 1
+        return cold(*args, **kwargs)
+
     monkeypatch.setattr(_hc, "_Highs", counted_engine)
     monkeypatch.setattr(scucnr.orchestrator, "solve_pcfc", counted_pcfc)
     monkeypatch.setattr(scucnr.subproblems, "solve_nr_pcfc", counted_nr_pcfc)
+    monkeypatch.setattr(scucnr.orchestrator, "cut_pcfc", counted_cold)
     # the converged schedule, then the first master's, whose 13 unsurvivable
     # pairs take a switch search on the task's engine and no cold solve
     for audit in (lambda: verify_solution(case, result),
                   lambda: verify_schedule(case, "ad_scuc_cnr", first)):
         counts.clear()
+        uncertified.clear()
         assert audit().pairs_checked == 440
-        assert counts["engines"] == len(sens.contingencies)
+        assert counts["cold"] == 0
+        assert 0 < counts["engines"] == len(uncertified) < len(sens.contingencies)
     assert counts["infeasible"] == 13 and counts["switch_lps"] > 0
 
 
@@ -436,6 +447,28 @@ def test_only_the_decomposed_loop_solves_pairs_cold_for_cuts(monkeypatch):
     # the loop still solves each pair it cuts cold, once, for its cut
     res = solve(corridor4_stranded(), SolveOptions(method="td_scuc_cnr"))
     assert len(res.cuts) == sum(cold.values()) == 1
+
+
+def test_the_loop_solves_one_lp_per_examined_pair(monkeypatch):
+    # the dispatch certificate is for verdict-only examinations: the loop's
+    # own examination takes every pair's LP, so the unscreened methods count
+    # one per pair, as the paper's TD does
+    solve_master, pcfc = scucnr.orchestrator._solve_master, scucnr.orchestrator.solve_pcfc
+    per_master = []
+
+    def counted_master(*args, **kwargs):
+        per_master.append(0)
+        return solve_master(*args, **kwargs)
+
+    def counted_pcfc(*args, **kwargs):
+        per_master[-1] += 1
+        return pcfc(*args, **kwargs)
+
+    monkeypatch.setattr(scucnr.orchestrator, "_solve_master", counted_master)
+    monkeypatch.setattr(scucnr.orchestrator, "solve_pcfc", counted_pcfc)
+    res = solve(random_case(101, 24, 8, 4), SolveOptions(method="td_scuc"))
+    assert res.converged and per_master == [112, 112]
+    assert [s.pcfc_solved for s in res.report.iteration_log] == [112, 112]
 
 
 @pytest.mark.parametrize("build, workers", [
@@ -520,6 +553,18 @@ def test_bad_tolerances_rejected(bad, tri3):
     with pytest.raises(ValueError, match="slack_tolerance"):
         verify_solution(tri3, res, slack_tolerance=bad)
     assert SolveOptions(slack_tolerance=0.0, milp_gap=0.0).milp_gap == 0.0
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("field", ["slack_tolerance", "milp_gap", "time_limit"])
+def test_bool_is_not_a_float_option(field, bad, tri3):
+    # True and False pass the finiteness and sign checks as 1 and 0
+    with pytest.raises(ValueError, match=field):
+        SolveOptions(**{field: bad})
+    if field == "slack_tolerance":
+        res = solve(tri3, SolveOptions(method="ad_scuc"))
+        with pytest.raises(ValueError, match=field):
+            verify_schedule(tri3, res.method, res.schedule, slack_tolerance=bad)
 
 
 def test_verify_requires_schedule(c4_high):

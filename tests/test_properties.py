@@ -10,6 +10,7 @@ from scucnr.backend import solve_milp
 from scucnr.fixtures import corridor4_high, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
+from scucnr.orchestrator import SolveOptions, solve
 from scucnr.subproblems import OutageRows, run_csps, solve_nr_pcfc, solve_pcfc
 
 CASES = st.builds(random_case, seed=st.integers(0, 2**16), n_buses=st.integers(3, 30),
@@ -84,3 +85,37 @@ def test_screen_drops_only_survivable_pairs(case):
         if (c, t) not in critical:
             out = solve_pcfc(rows[c], muc, t)
             assert out.status == "feasible", (c, t, out.slack)
+
+
+@settings(max_examples=20, deadline=None)
+@example(case=corridor4_high(), seed=0)
+@given(case=CASES, seed=st.integers(0, 2**32 - 1))
+def test_lodf_columns_give_the_post_outage_flows(case, seed):
+    # base flow plus LODF[:, c] times the outaged line's base flow is the DC
+    # flow of the network without c, for any balanced injection
+    sens = build_sensitivities(case)
+    injection = np.random.default_rng(seed).uniform(-100.0, 100.0, len(case.buses))
+    injection -= injection.mean()
+    base = sens.ptdf @ injection
+    scale = max(1.0, np.abs(injection).sum())
+    for c in sens.contingencies:
+        ci = case.branch_index[c]
+        post = base + sens.lodf[:, ci] * base[ci]
+        oracle = ptdf_pinv(case, frozenset({c})) @ injection
+        np.testing.assert_allclose(post, oracle, rtol=0, atol=1e-9 * scale, err_msg=str(c))
+
+
+@settings(max_examples=6, deadline=None)
+@example(case=corridor4_high())
+@example(case=random_case(14, 20, 6, 3))      # converges with 2 cuts and a switch
+@given(case=st.builds(random_case, seed=st.integers(0, 2**16), n_buses=st.integers(3, 20),
+                      n_generators=st.integers(1, 6), horizon=st.integers(1, 3)))
+def test_outcomes_do_not_depend_on_workers(case):
+    # worker threads run their contingencies' LPs at the same time, and the
+    # run must still decide every pair and form every cut as one thread does
+    one, two = (solve(case, SolveOptions(method="ad_scuc_cnr", workers=workers))
+                for workers in (1, 2))
+    assert one.status == two.status
+    assert one.report.iteration_log == two.report.iteration_log
+    assert one.report.subproblems == two.report.subproblems
+    assert one.cuts == two.cuts

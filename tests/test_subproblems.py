@@ -11,8 +11,9 @@ from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
-from scucnr.subproblems import (OutageRows, _slack_lp, cut_pcfc, find_corrective_switch,
-                                run_csps, solve_nr_pcfc, solve_pcfc, switch_candidates)
+from scucnr.subproblems import (OutageRows, _slack_lp, certify_pcfc, cut_pcfc,
+                                find_corrective_switch, run_csps, solve_nr_pcfc, solve_pcfc,
+                                switch_candidates)
 
 
 def cheap_point(case):
@@ -229,6 +230,28 @@ def test_slack_optimum_is_zero_or_one():
         assert np.minimum(slacks, np.abs(1.0 - slacks)).max(initial=0.0) <= 1e-9
     # the 40-bus schedule has pairs on both sides
     assert ((slacks < 0.5).sum(), (slacks > 0.5).sum()) == (427, 13)
+
+
+def test_dispatch_certificate_implies_slack_zero():
+    # a pair the schedule's own dispatch certifies is feasible with slack
+    # exactly 0 by a cold LP, at the cut-free master's schedule and at a
+    # converged one; a pair it does not certify may go either way
+    cases = [*fixture_family().values(), random_case(9, 40, 12, 8), random_case(101, 24, 8, 4)]
+    certified = uncertified = 0
+    for case in cases:
+        sens = build_sensitivities(case)
+        rows = {c: OutageRows(case, sens, c) for c in sens.contingencies}
+        converged = solve(case, SolveOptions(method="ad_scuc"))
+        assert converged.converged
+        for muc in (cheap_point(case), converged.schedule):
+            for c, t in all_pairs(case, sens):
+                if certify_pcfc(rows[c], muc, t):
+                    certified += 1
+                    out = solve_pcfc(rows[c], muc, t)
+                    assert (out.status, out.slack) == ("feasible", 0.0), (c, t)
+                else:
+                    uncertified += 1
+    assert certified > uncertified > 13
 
 
 # --- switched feasibility ------------------------------------------------------
