@@ -1,11 +1,13 @@
 """Per-(contingency, period) slave problems.
 
-Three layers of increasing cost: an arithmetic screener that predicts
+Four layers of increasing cost: an arithmetic screener that predicts
 post-outage flows from distribution factors, a redispatch feasibility LP
 whose proportional slack indicates whether the outage is survivable within
-10-minute ramps and emergency ratings, and the same LP re-solved with one
-additional line opened.  The switch search walks a prefix of the ranked
-candidate list, the search budget, and stops at the first feasible
+10-minute ramps and emergency ratings, an interval bound that proves
+opening a further line hopeless from the LP's own generator box, and the
+same LP re-solved with that line opened.  The switch search walks a prefix
+of the ranked candidate list, the search budget, solves the LP only for
+the lines the bound cannot rule out, and stops at the first feasible
 reconfiguration.
 
 The rows of a post-outage state are defined once, by ``OutageRows``, as
@@ -33,8 +35,9 @@ an outage chain across candidates and periods.
 
 The pair layer takes each outage as its ``OutageRows``:
 ``solve_pcfc(rows, muc, t)`` and ``solve_nr_pcfc(rows, muc, t, j)`` give
-verdicts, warm on an engine when given one, ``switch_candidates(rows)``
-and ``find_corrective_switch(rows, muc, t)`` walk the ranking, and
+verdicts, warm on an engine when given one, ``rows.hopeless(muc, t, js)``
+proves lines hopeless with no LP, ``switch_candidates(rows)`` and
+``find_corrective_switch(rows, muc, t)`` walk the ranking, and
 ``certify_pcfc(rows, muc, t)`` proves a pair feasible with no LP when the
 schedule's own dispatch meets every row of its LP.  The duals, and with
 them the cut, are not unique, so a cut is read only off a fresh engine's
@@ -45,6 +48,7 @@ no cut is read off a switch LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -56,6 +60,16 @@ from .network import NetworkSensitivities, lodf_columns
 SCREEN_SLACK_MW = 1e-6
 
 DUALITY_CHECK_TOL = 1e-6
+
+# how far a branch's whole flow interval over the redispatch box must clear
+# its emergency rating to prove a switch hopeless (``OutageRows.hopeless``):
+# ten times the engine's 1e-7 primal tolerance
+HOPELESS_MARGIN_MW = 1e-6
+
+# switch candidates bounded at once: a default search of 20 ranked lines
+# takes one block, and the audit's walk of a whole ranking at 118 buses
+# never holds a branches x candidates x generators array over every line
+HOPELESS_BLOCK = 32
 
 # how far the schedule's own dispatch may break a row of its pair LP and
 # still certify the pair: below the engine's 1e-7 primal tolerance
@@ -147,6 +161,7 @@ class OutageRows:
 
         eye = np.eye(n_g)[:, None, :]
         limits = np.array([(g.ramp_10, g.ramp_10, g.p_min, g.p_max) for g in case.generators])
+        self._ramp, self._p_min, self._p_max = limits[:, 1:].T
         gen = np.concatenate((eye * _GEN_PC[:, None], eye * -limits[:, :, None],
                               eye * _GEN_P[:, None]), axis=2).reshape(n_b, 3 * n_g)
         a = np.empty((n_b + 1 + 2 * len(self._rate), n_g))
@@ -165,11 +180,50 @@ class OutageRows:
         """The flow of every branch in period ``t`` with every generator at 0."""
         return self.ptdf @ self._demand[t - 1]
 
+    def _lodf(self, js) -> np.ndarray:
+        """``LODF_c[k, j]`` per line ``j`` of ``js`` (columns) and in-service
+        branch ``k`` (rows)."""
+        return lodf_columns(self.case, self.ptdf, js)[self._in_service]
+
     def shed(self, js) -> np.ndarray:
         """``LODF_c[k, j]`` per line ``j`` of ``js`` (columns), twice for each
         in-service branch ``k`` (rows), in the order of its two limit rows."""
-        lodf = lodf_columns(self.case, self.ptdf, js)
-        return np.repeat(lodf[self._in_service], 2, axis=0)
+        return np.repeat(self._lodf(js), 2, axis=0)
+
+    def hopeless(self, muc: MucSolution, t: int, js) -> np.ndarray:
+        """Per line ``j`` of ``js``, whether opening it as well provably
+        leaves period ``t`` of ``muc`` unsurvivable, with no LP solved.
+
+        The generator rows of the switch LP box each generator's ``pc`` in
+        ``[max(p - R10 u, p_min u), min(p + R10 u, p_max u)]``; where the
+        master's tolerances invert a box, it is widened to ``[min, max]`` of
+        its two ends.  With ``w`` substituted, each in-service branch ``k``
+        carries ``(at_gens[k] + LODF_c[k, j] at_gens[j]) @ pc - (d_k +
+        LODF_c[k, j] d_j)``, ``d`` being ``demand_flow(t)``.  Over the box
+        that flow lies within its value at the box's centre plus or minus
+        the sign-split sum ``|coef| @ half-width``, for every ``(k, j)`` at
+        once.  Line ``j`` is hopeless when some branch's interval lies wholly
+        beyond its emergency rating by more than ``HOPELESS_MARGIN_MW``.
+        The box drops only the balance row, so it relaxes the LP, and a
+        hopeless line's LP has slack 1.  When ``js`` holds a numerically
+        radial line (``lodf_columns`` raises), no line of it is proved, so
+        that line's LP raises as it would without the bound.
+        """
+        u, p = muc.u[:, t - 1], muc.p[:, t - 1]
+        lo = np.maximum(p - self._ramp * u, self._p_min * u)
+        hi = np.minimum(p + self._ramp * u, self._p_max * u)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        try:
+            lodf = self._lodf(js)
+        except ValueError:
+            return np.zeros(len(js), dtype=bool)
+        pos = [self.case.branch_index[j] for j in js]
+        kept = self.at_gens[self._in_service]
+        flow = self.at_gens @ ((lo + hi) / 2) - self.demand_flow(t)
+        centre = flow[self._in_service, None] + lodf * flow[pos]
+        half = np.abs(kept[:, None, :] + lodf[:, :, None] * self.at_gens[pos]) @ ((hi - lo) / 2)
+        excess = np.abs(centre) - half - self._rate[:, None]
+        return (excess > HOPELESS_MARGIN_MW).any(axis=0)
 
     def at(self, t: int, switch: int | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -335,8 +389,8 @@ def switch_candidates(rows: OutageRows, size: int | None = None):
     line that is reconfigurable and does not island a bus together with
     ``c`` by the LODF block test.  The ranking is cut before it is
     filtered, so ``size`` bounds the lines looked at, not the lines
-    yielded.  Lazy, so a search that stops at its first rescue tests no
-    later candidate.
+    yielded.  Lazy, so a search that stops at its first rescue looks at no
+    line past the block of ``HOPELESS_BLOCK`` candidates that holds it.
     """
     c, case, sens = rows.outage, rows.case, rows.sens
     for j in sens.cbce[c][:size]:
@@ -351,16 +405,25 @@ def find_corrective_switch(rows: OutageRows, muc: MucSolution, t: int,
     """The outcome of the first switch that makes the outage survivable, if any.
 
     Candidates are ``switch_candidates`` over the first ``switch_budget``
-    ranked lines (every candidate when None, as the audit uses it) and are
-    tried one at a time over the outage's ``rows``, each LP on ``engine``
-    when one is given (see ``solve_nr_pcfc``).  Returns the
-    ``feasible_via_switch`` outcome of the first rescuing candidate, or
-    None when the candidates run out.
+    ranked lines (every candidate when None, as the audit uses it), taken
+    in blocks of ``HOPELESS_BLOCK``.  ``OutageRows.hopeless`` bounds each
+    block at once; then, in ranked order, each candidate it proves hopeless
+    is passed over, and each other one is tried over the outage's ``rows``,
+    its LP on ``engine`` when one is given (see ``solve_nr_pcfc``).  A
+    hopeless candidate's LP could not rescue, so the search stops at the
+    first rescuer that an LP for every candidate would.  Returns the
+    ``feasible_via_switch`` outcome of that candidate, or None when the
+    candidates run out.  ``counters["nr_pcfc_solved"]`` counts the
+    candidates decided, by LP or by the bound.
     """
-    for j in switch_candidates(rows, switch_budget):
-        outcome = solve_nr_pcfc(rows, muc, t, j, slack_tolerance, engine)
-        if counters is not None:
-            counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
-        if outcome.status == "feasible_via_switch":
-            return outcome
+    candidates = switch_candidates(rows, switch_budget)
+    while block := list(islice(candidates, HOPELESS_BLOCK)):
+        for j, hopeless in zip(block, rows.hopeless(muc, t, block).tolist()):
+            if counters is not None:
+                counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
+            if hopeless:
+                continue
+            outcome = solve_nr_pcfc(rows, muc, t, j, slack_tolerance, engine)
+            if outcome.status == "feasible_via_switch":
+                return outcome
     return None

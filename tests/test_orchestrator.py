@@ -398,6 +398,30 @@ def test_a_solve_and_its_audit_build_one_outage_row_block_per_contingency_task(m
     assert counts["rows"] == counts["tasks"] == len(build_sensitivities(case).contingencies)
 
 
+def test_box_bound_leaves_a_third_of_the_switch_lps(monkeypatch):
+    # the first master's 13 searches decide 201 candidates; the box bound
+    # proves 134 of them hopeless, and the rescues, cuts and objective are
+    # those of one switch LP per candidate
+    case = random_case(9, 40, 12, 8)
+    nr_pcfc, calls, rescues = scucnr.subproblems.solve_nr_pcfc, Counter(), {}
+
+    def counted_nr_pcfc(rows, muc, t, j, *args, **kwargs):
+        calls["switch_lps"] += 1
+        out = nr_pcfc(rows, muc, t, j, *args, **kwargs)
+        if out.status == "feasible_via_switch":
+            rescues[rows.outage, t] = j
+        return out
+
+    monkeypatch.setattr(scucnr.subproblems, "solve_nr_pcfc", counted_nr_pcfc)
+    result = solve(case, SolveOptions(method="ad_scuc_cnr"))
+    first = result.report.iteration_log[0]
+    assert calls["switch_lps"] == 67
+    assert (first.nr_pcfc_solved, first.switches_found, first.cuts_added) == (201, 5, 8)
+    assert rescues == {(11, 4): 4, (24, 3): 21, (39, 3): 47, (39, 4): 47, (59, 4): 48}
+    assert (result.status, len(result.cuts), result.switches) == ("converged", 8, {})
+    assert result.schedule.objective == pytest.approx(66482.7548, rel=1e-9)
+
+
 def _count_cold_lps(monkeypatch):
     """Count the engine-less ``solve_lp`` calls of ``subproblems`` by LP name."""
     solve_lp, cold = scucnr.subproblems.solve_lp, Counter()

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import manual_schedule, ptdf_pinv
 from scucnr.backend import solve_milp
-from scucnr.fixtures import corridor4_high, random_case
+from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
-from scucnr.subproblems import OutageRows, run_csps, solve_nr_pcfc, solve_pcfc
+from scucnr.subproblems import (OutageRows, run_csps, solve_nr_pcfc, solve_pcfc,
+                                switch_candidates)
 
 CASES = st.builds(random_case, seed=st.integers(0, 2**16), n_buses=st.integers(3, 30),
                   n_generators=st.integers(1, 8), horizon=st.just(2))
@@ -85,6 +86,30 @@ def test_screen_drops_only_survivable_pairs(case):
         if (c, t) not in critical:
             out = solve_pcfc(rows[c], muc, t)
             assert out.status == "feasible", (c, t, out.slack)
+
+
+@settings(max_examples=20, deadline=None)
+@example(case=corridor4_high())
+@example(case=corridor4_stranded())
+@example(case=random_case(9, 40, 12, 8))
+@given(case=st.builds(random_case, seed=st.integers(0, 2**16), n_buses=st.integers(3, 30),
+                      n_generators=st.integers(1, 8), horizon=st.integers(1, 4)))
+def test_box_bound_proves_only_hopeless_switches(case):
+    # every line the box bound calls hopeless at the cut-free master's
+    # schedule leaves its pair unsurvivable by a cold switch LP
+    sens = build_sensitivities(case)
+    lp, _ = build_muc(case, sens)
+    res = solve_milp(lp)
+    assume(res.status == "optimal")
+    muc = extract_solution(case, sens, lp, res)
+    for c in sens.contingencies:
+        rows = OutageRows(case, sens, c)
+        js = list(switch_candidates(rows))
+        for t in case.periods:
+            for j, hopeless in zip(js, rows.hopeless(muc, t, js)):
+                if hopeless:
+                    out = solve_nr_pcfc(rows, muc, t, j)
+                    assert out.status == "infeasible", (c, t, j, out.slack)
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,9 +11,9 @@ from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
-from scucnr.subproblems import (OutageRows, _slack_lp, certify_pcfc, cut_pcfc,
-                                find_corrective_switch, run_csps, solve_nr_pcfc, solve_pcfc,
-                                switch_candidates)
+from scucnr.subproblems import (HOPELESS_MARGIN_MW, OutageRows, _slack_lp, certify_pcfc,
+                                cut_pcfc, find_corrective_switch, run_csps, solve_nr_pcfc,
+                                solve_pcfc, switch_candidates)
 
 
 def cheap_point(case):
@@ -385,6 +385,72 @@ def test_determinism_of_screen_and_search(c4_high):
     assert s1.overload_ratio == s2.overload_ratio
     assert (find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2)
             == find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2))
+
+
+def without_ramp(case, ratings=None):
+    """``case`` with no 10-minute ramp, so the box of a committed unit is
+    its own dispatch, and branch ``k``'s emergency rating ``ratings[k]``
+    where given."""
+    ratings = ratings or {}
+    return dataclasses.replace(
+        case,
+        generators=tuple(dataclasses.replace(g, ramp_10=0.0) for g in case.generators),
+        branches=tuple(dataclasses.replace(k, rate_emergency=ratings.get(k.id, k.rate_emergency))
+                       for k in case.branches))
+
+
+def test_box_bound_needs_the_whole_margin(c4_high):
+    # with lines 3 and 2 open the whole load flows over branch 5; a rating
+    # that this one flow clears by less than the margin proves nothing
+    flow = dc_flows(c4_high, {1: 130.0, 4: -130.0}, frozenset({2, 3}))[5]
+    muc = manual_schedule(c4_high, {1: {1: 80.0}, 2: {1: 130.0}})
+    verdicts = []
+    for clearance in (HOPELESS_MARGIN_MW / 2, 2 * HOPELESS_MARGIN_MW):
+        case = without_ramp(c4_high, {5: abs(flow) - clearance})
+        rows = OutageRows(case, build_sensitivities(case), 3)
+        verdicts.append(rows.hopeless(muc, 2, [2]).tolist())
+    assert verdicts == [[False], [True]]
+
+
+def test_box_bound_widens_an_inverted_box(c4_stranded):
+    # unit 2, off but at 45 MW, has the inverted box [45, 0]; widened to
+    # [0, 45] it holds the box of the same unit on at 45 MW, so it proves
+    # no line that one does not
+    case = without_ramp(c4_stranded)
+    sens = build_sensitivities(case)
+    on = manual_schedule(case, {1: {1: 80.0}, 2: {1: 85.0, 2: 45.0}})
+    u = on.u.copy()
+    u[1, 1] = 0
+    off = dataclasses.replace(on, u=u)
+    for c in sens.contingencies:
+        rows = OutageRows(case, sens, c)
+        js = list(switch_candidates(rows))
+        inverted, inside = rows.hopeless(off, 2, js), rows.hopeless(on, 2, js)
+        assert inverted.dtype == bool and inverted.shape == (len(js),)
+        assert not (inverted & ~inside).any(), c
+
+
+def test_numerically_radial_line_past_the_rescuer_does_not_raise(c4_high, monkeypatch):
+    # line 2 rescues outage 3 and ranks first; a block of the bound that
+    # also holds a numerically radial line 6 proves nothing, so the search
+    # stops at 2 without raising, as a walk of one line at a time does
+    sens = build_sensitivities(c4_high)
+    muc = cheap_point(c4_high)
+    rows = OutageRows(c4_high, sens, 3)
+    lodf_columns = scucnr.subproblems.lodf_columns
+
+    def radial_6(case, ptdf, outages):
+        if 6 in outages:
+            raise ValueError("branch 6 is numerically radial")
+        return lodf_columns(case, ptdf, outages)
+
+    monkeypatch.setattr(scucnr.subproblems, "lodf_columns", radial_6)
+    assert list(switch_candidates(rows)) == [2, 4, 5, 6]
+    assert not rows.hopeless(muc, 2, [2, 4, 5, 6]).any()
+    found = find_corrective_switch(rows, muc, 2)
+    assert (found.status, found.switch) == ("feasible_via_switch", 2)
+    with pytest.raises(ValueError, match="radial"):
+        solve_nr_pcfc(rows, muc, 2, 6)
 
 
 # --- shift-factor LP against an independent oracle -----------------------------
