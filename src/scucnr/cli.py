@@ -14,7 +14,7 @@ from .backend import SolverError
 from .caseio import (CaseFormatError, CaseIOError, check_solution_fits,
                      load_solution, parse_case, write_case, write_report)
 from .fixtures import random_case
-from .orchestrator import METHODS, SolveOptions, check_tolerance, solve, verify_schedule
+from .orchestrator import METHODS, SolveOptions, solve, verify_schedule
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "tries every reconfigurable line")
     run.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iterations,
                      help="iteration cap for decomposed methods")
-    run.add_argument("--slack-tol", type=float, default=_DEFAULTS.slack_tolerance,
-                     help="slack level below which a subproblem counts as feasible")
     run.add_argument("--milp-gap", type=float, default=_DEFAULTS.milp_gap,
                      help="relative MIP gap for master/extensive solves")
     run.add_argument("--workers", type=int, default=_DEFAULTS.workers,
@@ -60,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     ver.add_argument("--case", required=True)
     ver.add_argument("--result", required=True, help="report.json from a solve run")
-    ver.add_argument("--slack-tol", type=float, default=_DEFAULTS.slack_tolerance)
 
     gen = sub.add_parser("gen-fixture", help="emit a random meshed test case",
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -77,7 +74,6 @@ def _cmd_solve(args) -> int:
         options = SolveOptions(
             method=args.method,
             max_iterations=args.max_iter,
-            slack_tolerance=args.slack_tol,
             milp_gap=args.milp_gap,
             cbce_size=args.cbce_size,
             workers=args.workers,
@@ -103,11 +99,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        check_tolerance("slack_tolerance", args.slack_tol)
-    except ValueError as exc:
-        print(f"scucnr verify: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     case = parse_case(args.case)
     doc, schedule = load_solution(args.result)
     check_solution_fits(case, schedule, args.result)
@@ -116,7 +107,7 @@ def _cmd_verify(args) -> int:
         # the method decides whether the audit may rescue a pair by switching
         raise CaseFormatError(f"{args.result}: report names no known method "
                               f"(got {method!r}; expected one of {METHODS})")
-    audit = verify_schedule(case, method, schedule, slack_tolerance=args.slack_tol)
+    audit = verify_schedule(case, method, schedule)
     if audit.secure:
         print(f"secure: {audit.pairs_checked} post-contingency states verified")
         return EXIT_OK

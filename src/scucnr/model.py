@@ -14,8 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-SLACK_TOLERANCE = 1e-6
-
 OUTCOME_STATUSES = ("screened_out", "feasible", "feasible_via_switch", "infeasible")
 
 

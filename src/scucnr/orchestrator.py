@@ -39,8 +39,8 @@ from .backend import DEFAULT_MILP_GAP, Engine, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
 from .formulations import (build_muc, extract_solution, extract_switching_plan,
                            schedule_violation)
-from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
-                    SubproblemOutcome, SystemCase, validate_case)
+from .model import (FeasibilityCut, MucSolution, SubproblemOutcome, SystemCase,
+                    validate_case)
 from .network import NetworkSensitivities, build_sensitivities
 from .subproblems import (OutageRows, certify_pcfc, cut_pcfc, find_corrective_switch,
                           run_csps, solve_pcfc)
@@ -55,17 +55,28 @@ _ACCELERATED = {"ad_scuc", "ad_scuc_cnr"}
 DEFAULT_CBCE_SIZE = 20
 
 
-def check_tolerance(name: str, value: float) -> None:
-    """Reject a tolerance that is a bool, negative, infinite or NaN."""
-    if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
-
-
 @dataclass(frozen=True)
 class SolveOptions:
+    """How ``solve`` runs; every field is checked on construction.
+
+    - ``method``: one of ``METHODS`` (``--method``).
+    - ``max_iterations``: the most master solves of a decomposed method, an
+      int >= 1; extensive methods solve once (``--max-iter``).
+    - ``milp_gap``: the master MILP's relative optimality gap, a finite
+      float >= 0 (``--milp-gap``).
+    - ``cbce_size``: how many of an outage's ranked lines a CNR method's
+      switch search may try, an int >= 0 (``--cbce-size``).
+    - ``workers``: threads over the outages of one examination, an int
+      >= 1; the outcomes do not depend on it (``--workers``).
+    - ``audit_screening``: under an accelerated method, also solve the LP
+      of every pair the screen drops and raise ``SolverError`` if one is
+      unsurvivable, a bool (no flag).
+    - ``time_limit``: seconds per master or extensive MILP, None for no
+      limit, else a finite float > 0 (no flag).
+    """
+
     method: str = "ad_scuc_cnr"
     max_iterations: int = 50
-    slack_tolerance: float = SLACK_TOLERANCE
     milp_gap: float = DEFAULT_MILP_GAP
     cbce_size: int = DEFAULT_CBCE_SIZE
     workers: int = 1
@@ -83,8 +94,9 @@ class SolveOptions:
                 math.isfinite(self.time_limit) and self.time_limit > 0)):
             raise ValueError("time_limit must be None or finite and > 0 "
                              f"(got {self.time_limit!r})")
-        check_tolerance("slack_tolerance", self.slack_tolerance)
-        check_tolerance("milp_gap", self.milp_gap)
+        if isinstance(self.milp_gap, bool) or not (
+                math.isfinite(self.milp_gap) and self.milp_gap >= 0):
+            raise ValueError(f"milp_gap must be finite and >= 0 (got {self.milp_gap!r})")
 
     @property
     def uses_cnr(self) -> bool:
@@ -180,17 +192,15 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
         return _finish(options.method, "infeasible", None, 1, timings, start)
     # opening a line costs nothing in the MILP, so it may open lines at
     # pairs that survive without one; report only the pairs that need it
-    outcomes, _ = _examine(case, sens, schedule, plan, options.slack_tolerance, 0,
-                           options.workers)
+    outcomes, _ = _examine(case, sens, schedule, plan, 0, options.workers)
     switches = {(o.contingency, o.period): plan[o.contingency, o.period]
                 for o in outcomes if o.status == "infeasible"}
     return _finish(options.method, "converged", schedule, 1, timings, start,
                    switches=switches)
 
 
-def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, slack_tolerance: float,
-                  switch_budget: int | None, counters: Counter, engine: Engine,
-                  cut: bool) -> SubproblemOutcome:
+def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, switch_budget: int | None,
+                  counters: Counter, engine: Engine, cut: bool) -> SubproblemOutcome:
     """PCFC one pair on its outage's ``rows`` and warm ``engine``; on
     failure, search the first ``switch_budget`` ranked lines of the outage
     for a switch (all of them when None, none when 0), its LPs over the
@@ -213,26 +223,26 @@ def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, slack_tolerance: f
         outcome = SubproblemOutcome(contingency=rows.outage, period=t, status="feasible",
                                     slack=0.0)
     else:
-        outcome = solve_pcfc(rows, muc, t, slack_tolerance, engine)
+        outcome = solve_pcfc(rows, muc, t, engine=engine)
     counters["pcfc_seconds"] += time.perf_counter() - t0
     if outcome.status == "feasible":
         return outcome
     if switch_budget != 0:
         t0 = time.perf_counter()
-        found = find_corrective_switch(rows, muc, t, slack_tolerance, switch_budget,
-                                       counters, engine)
+        found = find_corrective_switch(rows, muc, t, switch_budget=switch_budget,
+                                       counters=counters, engine=engine)
         counters["nr_seconds"] += time.perf_counter() - t0
         if found is not None:
             return found
     if cut:
         t0 = time.perf_counter()
-        outcome = cut_pcfc(rows, muc, t, slack_tolerance)
+        outcome = cut_pcfc(rows, muc, t)
         counters["pcfc_seconds"] += time.perf_counter() - t0
     return outcome
 
 
-def _examine(case, sens, muc, pairs, slack_tolerance: float, switch_budget: int | None,
-             workers: int, cut: bool = False) -> tuple[list[SubproblemOutcome], Counter]:
+def _examine(case, sens, muc, pairs, switch_budget: int | None, workers: int,
+             cut: bool = False) -> tuple[list[SubproblemOutcome], Counter]:
     """``_examine_pair`` over ``pairs``, one task per contingency; with
     ``cut``, each unsurvivable pair's outcome carries its cut.
 
@@ -257,7 +267,7 @@ def _examine(case, sens, muc, pairs, slack_tolerance: float, switch_budget: int 
         t0 = time.perf_counter()
         rows, engine = OutageRows(case, sens, c), Engine()
         local["pcfc_seconds"] += time.perf_counter() - t0
-        return [_examine_pair(rows, muc, t, slack_tolerance, switch_budget, local, engine, cut)
+        return [_examine_pair(rows, muc, t, switch_budget, local, engine, cut)
                 for t in periods[c]], local
 
     if workers > 1:
@@ -299,15 +309,14 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
             outcomes = [SubproblemOutcome(contingency=c, period=t, status="screened_out", slack=0.0)
                         for c, t in dropped]
             if options.audit_screening:
-                audited, _ = _examine(case, sens, schedule, dropped, options.slack_tolerance,
-                                      0, options.workers)
+                audited, _ = _examine(case, sens, schedule, dropped, 0, options.workers)
                 audit_max = max((out.slack for out in audited), default=0.0)
                 for out in audited:
                     if out.status == "infeasible":
                         raise SolverError(f"screen dropped ({out.contingency},{out.period}) "
                                           f"but its slack is {out.slack}")
 
-        examined, counters = _examine(case, sens, schedule, candidates, options.slack_tolerance,
+        examined, counters = _examine(case, sens, schedule, candidates,
                                       options.cbce_size if options.uses_cnr else 0,
                                       options.workers, cut=True)
         timings["pcfc"] += counters["pcfc_seconds"]
@@ -351,8 +360,8 @@ def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResu
     return _solve_decomposed(case, options, sens, timings)
 
 
-def verify_schedule(case: SystemCase, method: str, schedule: MucSolution,
-                    slack_tolerance: float = SLACK_TOLERANCE) -> VerificationReport:
+def verify_schedule(case: SystemCase, method: str,
+                    schedule: MucSolution) -> VerificationReport:
     """Audit a schedule of ``method``: its base case, then every outage.
 
     The schedule must meet every row and bound of the cut-free master.
@@ -364,13 +373,12 @@ def verify_schedule(case: SystemCase, method: str, schedule: MucSolution,
     point, with no LP solved; every other pair takes the LP and, if it
     fails, the switch search.
     """
-    check_tolerance("slack_tolerance", slack_tolerance)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     sens = build_sensitivities(case)
     base_case = schedule_violation(case, build_muc(case, sens)[0], schedule)
     pairs = _every_pair(case, sens)
-    outcomes, _ = _examine(case, sens, schedule, pairs, slack_tolerance,
+    outcomes, _ = _examine(case, sens, schedule, pairs,
                            None if method in _CNR_METHODS else 0, workers=1)
     return VerificationReport(method=method, pairs_checked=len(pairs),
                               violations=tuple((o.contingency, o.period, o.slack)
@@ -378,9 +386,8 @@ def verify_schedule(case: SystemCase, method: str, schedule: MucSolution,
                               base_case=base_case)
 
 
-def verify_solution(case: SystemCase, result: ScheduleResult,
-                    slack_tolerance: float = SLACK_TOLERANCE) -> VerificationReport:
+def verify_solution(case: SystemCase, result: ScheduleResult) -> VerificationReport:
     """``verify_schedule`` on the method and schedule of a run."""
     if result.schedule is None:
         raise ValueError("result carries no schedule to verify")
-    return verify_schedule(case, result.method, result.schedule, slack_tolerance)
+    return verify_schedule(case, result.method, result.schedule)

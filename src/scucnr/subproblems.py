@@ -28,7 +28,9 @@ feasible set is a cone in ``(x, 1 - s)``: if some ``s < 1`` is feasible,
 then ``x / (1 - s)`` with ``s = 0`` is too.  So an LP started from another
 LP's basis (``backend.Engine``) reaches the verdict a fresh engine would,
 whatever optimal vertex it lands on.  That holds for the switch LPs of
-``solve_nr_pcfc`` as for the pair LPs of ``solve_pcfc``.  An outage's
+``solve_nr_pcfc`` as for the pair LPs of ``solve_pcfc``.  For the same
+reason the verdict threshold is a constant, ``SLACK_TOLERANCE``, and every
+LP's slack is checked to lie within it of 0 or of 1.  An outage's
 pair LPs share one shape and its switch LPs, the pair LP plus one column
 and one row, another, so one engine serves both, and the switch LPs of
 an outage chain across candidates and periods.
@@ -53,13 +55,17 @@ from itertools import islice
 import numpy as np
 
 from .backend import Engine, LinearProgram, SolverError, solve_lp, violation
-from .model import (SLACK_TOLERANCE, FeasibilityCut, MucSolution,
-                    SubproblemOutcome, SystemCase)
+from .model import FeasibilityCut, MucSolution, SubproblemOutcome, SystemCase
 from .network import NetworkSensitivities, lodf_columns
 
 SCREEN_SLACK_MW = 1e-6
 
 DUALITY_CHECK_TOL = 1e-6
+
+# the verdict threshold on a feasibility LP's slack, a constant because the
+# slack optimum is exactly 0 or 1 (see the module docstring), which
+# ``_solve_slack_lp`` enforces: it raises on a slack not within this of either
+SLACK_TOLERANCE = 1e-6
 
 # how far a branch's whole flow interval over the redispatch box must clear
 # its emergency rating to prove a switch hopeless (``OutageRows.hopeless``):
@@ -82,7 +88,6 @@ class ScreeningResult:
 
     candidates: int
     critical: tuple[tuple[int, int], ...]
-    overload_ratio: dict[tuple[int, int], float]
 
 
 def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
@@ -94,7 +99,7 @@ def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
     critical iff some predicted magnitude exceeds that branch's emergency
     rating.  Pure arithmetic, no optimization: one branches-by-pairs
     broadcast.  The outaged branch itself predicts exactly zero
-    (``LODF[c, c] = -1``), so it never raises a pair's ratio or excess.
+    (``LODF[c, c] = -1``), so it never raises a pair's excess.
     """
     pairs = sorted(candidates, key=lambda ct: (ct[1], ct[0]))
     for c, _ in pairs:
@@ -104,12 +109,10 @@ def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
     flow = muc.flow[:, [t - 1 for _, t in pairs]]
     predicted = np.abs(flow + sens.lodf[:, out] * flow[out, np.arange(len(pairs))])
     rate = np.array([k.rate_emergency for k in case.branches])[:, None]
-    worst_ratio = (predicted / rate).max(axis=0, initial=0.0)
     worst_excess = (predicted - rate).max(axis=0, initial=-np.inf)
     critical = tuple(pair for pair, excess in zip(pairs, worst_excess)
                      if excess > SCREEN_SLACK_MW)
-    return ScreeningResult(candidates=len(pairs), critical=critical,
-                           overload_ratio=dict(zip(pairs, worst_ratio.tolist())))
+    return ScreeningResult(candidates=len(pairs), critical=critical)
 
 
 # per generator, on its own pc, u and p: ramp-down, ramp-up, minimum, maximum
@@ -297,8 +300,9 @@ def _solve_slack_lp(lp: LinearProgram, engine: Engine | None = None):
         # the all-zeros redispatch with slack 1 is always feasible
         raise SolverError(f"{name} must always be solvable, engine says {result.status}")
     slack = float(result.x[0])
-    if slack < -1e-9 or slack > 1.0 + 1e-6:
-        raise SolverError(f"{name} slack {slack} escaped [0, 1]")
+    # positive conditions, so that a NaN slack fails them
+    if not (-1e-9 <= slack <= SLACK_TOLERANCE or abs(slack - 1.0) <= SLACK_TOLERANCE):
+        raise SolverError(f"{name} slack {slack} is neither 0 nor 1")
     gap = abs(result.dual_objective() - result.objective)
     if gap > DUALITY_CHECK_TOL:
         raise SolverError(f"{name} dual accounting off by {gap:.2e}")
@@ -306,7 +310,6 @@ def _solve_slack_lp(lp: LinearProgram, engine: Engine | None = None):
 
 
 def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int,
-               slack_tolerance: float = SLACK_TOLERANCE,
                engine: Engine | None = None) -> SubproblemOutcome:
     """Redispatch feasibility verdict for the outage of ``rows`` in period ``t``.
 
@@ -321,11 +324,10 @@ def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int,
     c = rows.outage
     _, slack = _solve_slack_lp(_slack_lp(rows.at(t), muc, t, f"pcfc[{c},{t}]"), engine)
     return SubproblemOutcome(contingency=c, period=t, slack=slack,
-                             status="feasible" if slack <= slack_tolerance else "infeasible")
+                             status="feasible" if slack <= SLACK_TOLERANCE else "infeasible")
 
 
-def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int,
-             slack_tolerance: float = SLACK_TOLERANCE) -> SubproblemOutcome:
+def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int) -> SubproblemOutcome:
     """The feasibility LP of the single outage of ``rows`` in period ``t``,
     in a fresh engine, with the Benders feasibility cut of an infeasible one.
 
@@ -338,7 +340,7 @@ def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int,
     c = rows.outage
     block = rows.at(t)
     result, slack = _solve_slack_lp(_slack_lp(block, muc, t, f"pcfc[{c},{t}]"))
-    if slack <= slack_tolerance:
+    if slack <= SLACK_TOLERANCE:
         return SubproblemOutcome(contingency=c, period=t, status="feasible", slack=slack)
 
     _, b, lo, hi = block
@@ -354,7 +356,6 @@ def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int,
 
 
 def solve_nr_pcfc(rows: OutageRows, muc: MucSolution, t: int, j: int,
-                  slack_tolerance: float = SLACK_TOLERANCE,
                   engine: Engine | None = None) -> SubproblemOutcome:
     """Feasibility check with the outage of ``rows`` and branch ``j``
     switched open.
@@ -373,7 +374,7 @@ def solve_nr_pcfc(rows: OutageRows, muc: MucSolution, t: int, j: int,
         raise ValueError(f"opening branches {c} and {j} islands the network")
     _, slack = _solve_slack_lp(_slack_lp(rows.at(t, j), muc, t, f"nr_pcfc[{c},{t},{j}]"),
                                engine)
-    if slack <= slack_tolerance:
+    if slack <= SLACK_TOLERANCE:
         return SubproblemOutcome(contingency=c, period=t, slack=slack,
                                  status="feasible_via_switch", switch=j)
     return SubproblemOutcome(contingency=c, period=t, slack=slack,
@@ -399,7 +400,6 @@ def switch_candidates(rows: OutageRows, size: int | None = None):
 
 
 def find_corrective_switch(rows: OutageRows, muc: MucSolution, t: int,
-                           slack_tolerance: float = SLACK_TOLERANCE,
                            switch_budget: int | None = None, counters: dict | None = None,
                            engine: Engine | None = None) -> SubproblemOutcome | None:
     """The outcome of the first switch that makes the outage survivable, if any.
@@ -423,7 +423,7 @@ def find_corrective_switch(rows: OutageRows, muc: MucSolution, t: int,
                 counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
             if hopeless:
                 continue
-            outcome = solve_nr_pcfc(rows, muc, t, j, slack_tolerance, engine)
+            outcome = solve_nr_pcfc(rows, muc, t, j, engine=engine)
             if outcome.status == "feasible_via_switch":
                 return outcome
     return None

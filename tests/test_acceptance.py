@@ -94,7 +94,7 @@ def test_criterion_2_security_audit(decomposed_runs):
     audited = 0
     for name, case, ext, td, ad in decomposed_runs:
         for run in (td, ad):
-            audit = verify_solution(case, run, slack_tolerance=SLACK_TOL)
+            audit = verify_solution(case, run)
             assert audit.secure, (name, run.method, audit.violations)
             audited += 1
     for case, method in ((corridor4_high(), "td_scuc_cnr"),
@@ -102,7 +102,7 @@ def test_criterion_2_security_audit(decomposed_runs):
                          (corridor4_low(), "ad_scuc_cnr")):
         run = timed_solve(case, method, "audit")
         assert run.converged
-        audit = verify_solution(case, run, slack_tolerance=SLACK_TOL)
+        audit = verify_solution(case, run)
         assert audit.secure, (method, audit.violations)
         audited += 1
     print(f"\nACCEPTANCE 2 PASS: {audited} converged runs audited exhaustively, "

@@ -182,7 +182,6 @@ def test_usage_errors_exit_1(tri3_file, capsys):
     ("--workers", "0", "workers"),
     ("--cbce-size", "-1", "cbce_size"),
     ("--max-iter", "0", "max_iterations"),
-    ("--slack-tol", "-1", "slack_tolerance"),
     ("--milp-gap", "-1", "milp_gap"),
 ])
 def test_out_of_range_options_exit_1(flag, value, message, tri3_file, tmp_path, capsys):
@@ -192,18 +191,24 @@ def test_out_of_range_options_exit_1(flag, value, message, tri3_file, tmp_path, 
     err = capsys.readouterr().err
     assert message in err
     assert not (tmp_path / "r").exists()
-    if flag == "--slack-tol":
-        # verify takes the same flag through the same check
-        out = tmp_path / "ok"
-        assert main(["solve", "--case", str(tri3_file), "--method", "ad_scuc",
-                     "--out", str(out)]) == 0
-        files = sorted(out.iterdir())
-        capsys.readouterr()
-        code = main(["verify", "--case", str(tri3_file),
-                     "--result", str(out / "report.json"), flag, value])
-        assert code == 1
-        assert message in capsys.readouterr().err
-        assert sorted(out.iterdir()) == files
+
+
+def test_slack_threshold_is_not_an_option(hi_file, tmp_path, capsys):
+    # a capped td_scuc run leaves the unsurvivable pair (3, 2) in its
+    # schedule; a looser slack threshold could once call that schedule secure
+    out = tmp_path / "r"
+    assert main(["solve", "--case", str(hi_file), "--method", "td_scuc",
+                 "--max-iter", "1", "--out", str(out)]) == 3
+    files = {p: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    verify = ["verify", "--case", str(hi_file), "--result", str(out / "report.json")]
+    assert main(verify) == 3
+    assert "contingency 3 period 2" in capsys.readouterr().err
+    assert main(verify + ["--slack-tol", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --slack-tol 1" in captured.err
+    assert {p: p.read_bytes() for p in out.iterdir()} == files
 
 
 def test_missing_case_file_exits_1(tmp_path, capsys):
@@ -217,12 +222,12 @@ def test_help_lists_flags_with_defaults(capsys):
     assert main(["solve", "--help"]) == 0
     text = capsys.readouterr().out
     for flag in ("--case", "--method", "--out", "--cbce-size",
-                 "--max-iter", "--slack-tol", "--milp-gap", "--workers"):
+                 "--max-iter", "--milp-gap", "--workers"):
         assert flag in text
     assert "--enumerate" not in text
+    assert "--slack-tol" not in text
     assert "50" in text      # max-iter default
     assert "20" in text      # cbce-size default
-    assert "1e-06" in text   # slack tolerance default
 
 
 def test_gen_fixture_roundtrip(tmp_path, capsys):

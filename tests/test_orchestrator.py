@@ -10,12 +10,11 @@ from conftest import fixture_family
 from scucnr.backend import SolveResult, SolverError, _hc, solve_milp
 from scucnr.fixtures import corridor4_high, corridor4_low, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
-from scucnr.model import SLACK_TOLERANCE
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, _examine, solve, verify_schedule,
                                  verify_solution)
-from scucnr.subproblems import (OutageRows, cut_pcfc, solve_nr_pcfc, solve_pcfc,
-                                switch_candidates)
+from scucnr.subproblems import (SLACK_TOLERANCE, OutageRows, cut_pcfc, solve_nr_pcfc,
+                                solve_pcfc, switch_candidates)
 
 
 def muc_objective(case):
@@ -285,7 +284,7 @@ def test_warm_chain_matches_cold_solves():
     sens = build_sensitivities(case)
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
-    warm, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, 0, workers=1, cut=True)
+    warm, _ = _examine(case, sens, muc, pairs, 0, workers=1, cut=True)
     cold = [cut_pcfc(OutageRows(case, sens, c), muc, t) for c, t in pairs]
     assert len(warm) == 440
     assert warm == cold
@@ -300,8 +299,7 @@ def test_warm_switch_searches_match_cold_ones(build, rescued):
     sens = build_sensitivities(case)
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
-    warm, counters = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, None, workers=1,
-                              cut=True)
+    warm, counters = _examine(case, sens, muc, pairs, None, workers=1, cut=True)
     tried = 0
     for out, (c, t) in zip(warm, pairs, strict=True):
         assert (out.contingency, out.period) == (c, t)
@@ -443,7 +441,7 @@ def test_cold_cut_lp_runs_only_for_pairs_no_switch_rescues(build, rescued, left,
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
     cold = _count_cold_lps(monkeypatch)
-    outcomes, _ = _examine(case, sens, muc, pairs, SLACK_TOLERANCE, None, workers=1, cut=True)
+    outcomes, _ = _examine(case, sens, muc, pairs, None, workers=1, cut=True)
     statuses = Counter(out.status for out in outcomes)
     ended = [f"pcfc[{o.contingency},{o.period}]" for o in outcomes if o.status == "infeasible"]
     assert (statuses["feasible_via_switch"], len(ended)) == (rescued, left)
@@ -569,26 +567,19 @@ def test_invalid_options_rejected():
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("inf"), float("nan")])
-def test_bad_tolerances_rejected(bad, tri3):
-    for field in ("slack_tolerance", "milp_gap", "time_limit"):
+def test_bad_tolerances_rejected(bad):
+    for field in ("milp_gap", "time_limit"):
         with pytest.raises(ValueError, match=field):
             SolveOptions(**{field: bad})
-    res = solve(tri3, SolveOptions(method="ad_scuc"))
-    with pytest.raises(ValueError, match="slack_tolerance"):
-        verify_solution(tri3, res, slack_tolerance=bad)
-    assert SolveOptions(slack_tolerance=0.0, milp_gap=0.0).milp_gap == 0.0
+    assert SolveOptions(milp_gap=0.0).milp_gap == 0.0
 
 
 @pytest.mark.parametrize("bad", [True, False])
-@pytest.mark.parametrize("field", ["slack_tolerance", "milp_gap", "time_limit"])
-def test_bool_is_not_a_float_option(field, bad, tri3):
+@pytest.mark.parametrize("field", ["milp_gap", "time_limit"])
+def test_bool_is_not_a_float_option(field, bad):
     # True and False pass the finiteness and sign checks as 1 and 0
     with pytest.raises(ValueError, match=field):
         SolveOptions(**{field: bad})
-    if field == "slack_tolerance":
-        res = solve(tri3, SolveOptions(method="ad_scuc"))
-        with pytest.raises(ValueError, match=field):
-            verify_schedule(tri3, res.method, res.schedule, slack_tolerance=bad)
 
 
 def test_verify_requires_schedule(c4_high):

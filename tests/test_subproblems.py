@@ -6,7 +6,7 @@ import pytest
 import scucnr.subproblems
 from conftest import fixture_family
 from oracles import dc_flows, manual_schedule, net_injections, redispatch_slack
-from scucnr.backend import solve_lp, solve_milp
+from scucnr.backend import SolverError, solve_lp, solve_milp
 from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
@@ -29,6 +29,13 @@ def all_pairs(case, sens):
     return [(c, t) for t in case.periods for c in sens.contingencies]
 
 
+def rerated(case, ratings):
+    """``case`` with branch ``k``'s emergency rating ``ratings[k]``."""
+    return dataclasses.replace(case, branches=tuple(
+        dataclasses.replace(k, rate_emergency=ratings.get(k.id, k.rate_emergency))
+        for k in case.branches))
+
+
 # --- screening ---------------------------------------------------------------
 
 def test_huge_ratings_screen_everything_out(tri3):
@@ -40,7 +47,6 @@ def test_huge_ratings_screen_everything_out(tri3):
     screen = run_csps(relaxed, sens, muc, all_pairs(relaxed, sens))
     assert screen.critical == ()
     assert screen.candidates == 3
-    assert all(r <= 1.0 for r in screen.overload_ratio.values())
 
 
 def test_triangle_overload_is_flagged(tri3):
@@ -56,7 +62,10 @@ def test_triangle_overload_is_flagged(tri3):
     assert muc.flow[tight.branch_index[1], 0] == pytest.approx(2.0 / 3.0 * 80.0, abs=1e-9)
     screen = run_csps(tight, sens, muc, all_pairs(tight, sens))
     assert (2, 1) in screen.critical
-    assert screen.overload_ratio[(2, 1)] == pytest.approx(80.0 / 75.0, rel=1e-9)
+    # the prediction is 80 MW: a rating just above it clears the pair
+    for rating, flagged in ((80.0 - 1e-3, True), (80.0 + 1e-3, False)):
+        screen = run_csps(rerated(tight, {1: rating}), sens, muc, all_pairs(tight, sens))
+        assert ((2, 1) in screen.critical) == flagged, rating
 
 
 def test_candidate_list_restricted_to_one_period(c4_high):
@@ -65,7 +74,6 @@ def test_candidate_list_restricted_to_one_period(c4_high):
     screen = run_csps(c4_high, sens, muc, [(c, 2) for c in sens.contingencies])
     assert screen.candidates == len(sens.contingencies)
     assert all(t == 2 for _, t in screen.critical)
-    assert all(t == 2 for _, t in screen.overload_ratio)
 
 
 def test_corridor_screen_flags_only_direct_line_peak(c4_high):
@@ -74,8 +82,11 @@ def test_corridor_screen_flags_only_direct_line_peak(c4_high):
     screen = run_csps(c4_high, sens, muc, all_pairs(c4_high, sens))
     # at 130 MW the direct-line outage predicts 104 MW on the 66 MW leg
     assert screen.critical == ((3, 2),)
-    assert screen.overload_ratio[(3, 2)] == pytest.approx(0.8 * 130.0 / 66.0, rel=1e-6)
-    assert screen.overload_ratio[(3, 1)] == pytest.approx(0.8 * 80.0 / 66.0, rel=1e-6)
+    # the 1-2-4 legs carry 80% of each period's transfer, 64 and 104 MW
+    for t, peak in ((1, 0.8 * 80.0), (2, 0.8 * 130.0)):
+        for rating, flagged in ((peak - 1e-3, True), (peak + 1e-3, False)):
+            screen = run_csps(rerated(c4_high, {2: rating, 4: rating}), sens, muc, [(3, t)])
+            assert screen.critical == (((3, t),) if flagged else ()), (t, rating)
 
 
 def test_rejects_bridge_candidates(star):
@@ -145,6 +156,29 @@ def test_slack_lp_never_infeasible_even_for_absurd_inputs(c4_high):
         # no committed unit can serve load: the slack lands exactly on 1
         assert out.status == "infeasible"
         assert out.slack == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("t, x0, status", [
+    (1, 0.0, "feasible"), (2, 1.0 - 1e-11, "infeasible"), (2, 1.0 + 1e-11, "infeasible"),
+    (2, 0.5, None), (2, float("nan"), None)])
+def test_slack_must_be_zero_or_one(c4_high, monkeypatch, t, x0, status):
+    # the engine's slack replaced by x0: a slack that is neither 0 nor 1
+    # within SLACK_TOLERANCE, NaN included, raises and names its LP
+    sens = build_sensitivities(c4_high)
+    muc = cheap_point(c4_high)
+
+    def replaced(lp, *args, **kwargs):
+        result = solve_lp(lp, *args, **kwargs)
+        return dataclasses.replace(result, x=np.concatenate(([x0], result.x[1:])))
+
+    monkeypatch.setattr(scucnr.subproblems, "solve_lp", replaced)
+    rows = OutageRows(c4_high, sens, 3)
+    if status is None:
+        with pytest.raises(SolverError, match=rf"pcfc\[3,{t}\] slack {x0}"):
+            solve_pcfc(rows, muc, t)
+    else:
+        out = solve_pcfc(rows, muc, t)
+        assert (out.status, out.slack) == (status, x0)
 
 
 def test_duals_satisfy_strong_duality_everywhere(tri3_tight, c4_high):
@@ -381,8 +415,7 @@ def test_determinism_of_screen_and_search(c4_high):
     muc = cheap_point(c4_high)
     s1 = run_csps(c4_high, sens, muc, all_pairs(c4_high, sens))
     s2 = run_csps(c4_high, sens, muc, all_pairs(c4_high, sens))
-    assert s1.critical == s2.critical
-    assert s1.overload_ratio == s2.overload_ratio
+    assert s1 == s2
     assert (find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2)
             == find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2))
 
