@@ -16,7 +16,7 @@ from .orchestrator import (METHODS, ScheduleResult, SolveOptions,
                            VerificationReport, solve, verify_schedule,
                            verify_solution)
 from .subproblems import (OutageRows, ScreeningResult, find_corrective_switch, run_csps,
-                          solve_nr_pcfc, solve_pcfc)
+                          solve_pcfc)
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,6 @@ __all__ = [
     "build_sensitivities", "check_connectivity", "classify_radial",
     "compute_lodf", "compute_ptdf", "find_corrective_switch", "parse_case",
     "rank_cbce", "run_csps", "solve", "solve_lp", "solve_milp",
-    "solve_nr_pcfc", "solve_pcfc", "validate_case", "verify_schedule", "verify_solution",
+    "solve_pcfc", "validate_case", "verify_schedule", "verify_solution",
     "write_case", "write_report",
 ]

@@ -34,6 +34,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 
 from .backend import DEFAULT_MILP_GAP, Engine, SolverError, solve_milp
 from .caseio import IterationStats, RunReport
@@ -42,8 +43,8 @@ from .formulations import (build_muc, extract_solution, extract_switching_plan,
 from .model import (FeasibilityCut, MucSolution, SubproblemOutcome, SystemCase,
                     validate_case)
 from .network import NetworkSensitivities, build_sensitivities
-from .subproblems import (OutageRows, certify_pcfc, cut_pcfc, find_corrective_switch,
-                          run_csps, solve_pcfc)
+from .subproblems import (OutageRows, certify_pcfc, find_corrective_switch, run_csps,
+                          solve_pcfc)
 
 METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
            "td_scuc_cnr", "ad_scuc_cnr")
@@ -53,6 +54,11 @@ _ACCELERATED = {"ad_scuc", "ad_scuc_cnr"}
 
 # how many of an outage's ranked lines a switch search may try
 DEFAULT_CBCE_SIZE = 20
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool, which would pass as 0 or 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -90,13 +96,16 @@ class SolveOptions:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an int >= {least} (got {value!r})")
-        if self.time_limit is not None and (isinstance(self.time_limit, bool) or not (
-                math.isfinite(self.time_limit) and self.time_limit > 0)):
+        if self.time_limit is not None and not (
+                _is_real(self.time_limit) and math.isfinite(self.time_limit)
+                and self.time_limit > 0):
             raise ValueError("time_limit must be None or finite and > 0 "
                              f"(got {self.time_limit!r})")
-        if isinstance(self.milp_gap, bool) or not (
-                math.isfinite(self.milp_gap) and self.milp_gap >= 0):
+        if not (_is_real(self.milp_gap) and math.isfinite(self.milp_gap)
+                and self.milp_gap >= 0):
             raise ValueError(f"milp_gap must be finite and >= 0 (got {self.milp_gap!r})")
+        if not isinstance(self.audit_screening, bool):
+            raise ValueError(f"audit_screening must be a bool (got {self.audit_screening!r})")
 
     @property
     def uses_cnr(self) -> bool:
@@ -214,9 +223,9 @@ def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, switch_budget: int
     the unscreened ones count one LP per pair.
 
     The outcome is infeasible only when the pair ends up with no feasible
-    recourse; only then, and only with ``cut``, is the pair solved again
-    cold, by ``cut_pcfc``, for the cut the outcome carries.  ``counters``
-    gets the seconds of its LPs.
+    recourse.  A warm solve carries no cut, so with ``cut`` such a pair is
+    solved once more with no engine, ``solve_pcfc(rows, muc, t)``, whose
+    outcome carries the cut.  ``counters`` gets the seconds of its LPs.
     """
     t0 = time.perf_counter()
     if not cut and certify_pcfc(rows, muc, t):
@@ -236,7 +245,7 @@ def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, switch_budget: int
             return found
     if cut:
         t0 = time.perf_counter()
-        outcome = cut_pcfc(rows, muc, t)
+        outcome = solve_pcfc(rows, muc, t)
         counters["pcfc_seconds"] += time.perf_counter() - t0
     return outcome
 

@@ -27,24 +27,24 @@ finite side, and ``x`` (``pc``, and ``w`` with a switch) is free, so the
 feasible set is a cone in ``(x, 1 - s)``: if some ``s < 1`` is feasible,
 then ``x / (1 - s)`` with ``s = 0`` is too.  So an LP started from another
 LP's basis (``backend.Engine``) reaches the verdict a fresh engine would,
-whatever optimal vertex it lands on.  That holds for the switch LPs of
-``solve_nr_pcfc`` as for the pair LPs of ``solve_pcfc``.  For the same
-reason the verdict threshold is a constant, ``SLACK_TOLERANCE``, and every
-LP's slack is checked to lie within it of 0 or of 1.  An outage's
+whatever optimal vertex it lands on, with a switch or without.  For the
+same reason the verdict threshold is a constant, ``SLACK_TOLERANCE``, and
+every LP's slack is checked to lie within it of 0 or of 1.  An outage's
 pair LPs share one shape and its switch LPs, the pair LP plus one column
 and one row, another, so one engine serves both, and the switch LPs of
 an outage chain across candidates and periods.
 
-The pair layer takes each outage as its ``OutageRows``:
-``solve_pcfc(rows, muc, t)`` and ``solve_nr_pcfc(rows, muc, t, j)`` give
-verdicts, warm on an engine when given one, ``rows.hopeless(muc, t, js)``
-proves lines hopeless with no LP, ``switch_candidates(rows)`` and
-``find_corrective_switch(rows, muc, t)`` walk the ranking, and
-``certify_pcfc(rows, muc, t)`` proves a pair feasible with no LP when the
-schedule's own dispatch meets every row of its LP.  The duals, and with
-them the cut, are not unique, so a cut is read only off a fresh engine's
-solve, ``cut_pcfc(rows, muc, t)``, made only for a pair that needs one;
-no cut is read off a switch LP.
+The pair layer takes each outage as its ``OutageRows``.  One routine,
+``solve_pcfc(rows, muc, t, switch=None, engine=None)``, solves every LP
+of a post-outage state, as it stands or with one line opened, warm on
+``engine`` when given one.  The duals, and with them the cut, are not
+unique, so a cut is read only off a fresh engine: an unswitched,
+unsurvivable state solved with no ``engine`` carries its cut, and no
+other solve does.  ``rows.hopeless(muc, t, js)`` proves lines hopeless
+with no LP, ``switch_candidates(rows)`` and ``find_corrective_switch(rows,
+muc, t)`` walk the ranking, and ``certify_pcfc(rows, muc, t)`` proves a
+pair feasible with no LP when the schedule's own dispatch meets every
+row of its LP.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ DUALITY_CHECK_TOL = 1e-6
 
 # the verdict threshold on a feasibility LP's slack, a constant because the
 # slack optimum is exactly 0 or 1 (see the module docstring), which
-# ``_solve_slack_lp`` enforces: it raises on a slack not within this of either
+# ``solve_pcfc`` enforces: it raises on a slack not within this of either
 SLACK_TOLERANCE = 1e-6
 
 # how far a branch's whole flow interval over the redispatch box must clear
@@ -293,9 +293,35 @@ def certify_pcfc(rows: OutageRows, muc: MucSolution, t: int) -> bool:
     return violation(lp, point, CERTIFICATE_TOL_MW) is None
 
 
-def _solve_slack_lp(lp: LinearProgram, engine: Engine | None = None):
-    name = lp.name
-    result = solve_lp(lp, engine)
+def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int, switch: int | None = None,
+               engine: Engine | None = None) -> SubproblemOutcome:
+    """Redispatch feasibility verdict for the outage of ``rows`` in period
+    ``t``, with line ``switch`` opened too when given.
+
+    Minimizes a proportional slack over the 10-minute redispatch polytope of
+    the given schedule, over the rows of ``rows.at(t, switch)``.  Slack zero
+    means the state is survivable: ``feasible``, or ``feasible_via_switch``
+    with ``switch`` recorded.  Raises ValueError when ``switch`` is the
+    outage or islands a bus with it (see ``NetworkSensitivities.islands``).
+
+    The LP runs on ``engine``, from the basis of its last LP, or in a fresh
+    engine when None; either way the verdict is the same.  Only an
+    unswitched, unsurvivable state solved in a fresh engine carries its
+    Benders feasibility cut: the LP's dual objective ``pi @ (rhs - b @ [u;
+    p])`` over the rows plus the bound terms, with the master's ``u`` and
+    ``p`` left free, so ``-(pi @ b)`` gives the coefficients and everything
+    else the constant.  At ``muc`` it must reproduce the slack optimum.
+    """
+    c = rows.outage
+    name = f"pcfc[{c},{t}]"
+    if switch is not None:
+        if switch == c:
+            raise ValueError("switch candidate must differ from the contingency")
+        if rows.sens.islands((c, switch)):
+            raise ValueError(f"opening branches {c} and {switch} islands the network")
+        name = f"pcfc[{c},{t},{switch}]"
+    block = rows.at(t, switch)
+    result = solve_lp(_slack_lp(block, muc, t, name), engine)
     if result.status != "optimal":
         # the all-zeros redispatch with slack 1 is always feasible
         raise SolverError(f"{name} must always be solvable, engine says {result.status}")
@@ -306,42 +332,13 @@ def _solve_slack_lp(lp: LinearProgram, engine: Engine | None = None):
     gap = abs(result.dual_objective() - result.objective)
     if gap > DUALITY_CHECK_TOL:
         raise SolverError(f"{name} dual accounting off by {gap:.2e}")
-    return result, max(slack, 0.0)
-
-
-def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int,
-               engine: Engine | None = None) -> SubproblemOutcome:
-    """Redispatch feasibility verdict for the outage of ``rows`` in period ``t``.
-
-    Minimizes a proportional slack over the 10-minute redispatch polytope of
-    the given schedule with the outaged branch out of service.  Slack zero
-    means the outage is survivable.  The LP runs on ``engine``, from the
-    basis of its last LP, or in a fresh engine when None; either way the
-    verdict is the same (the slack is 0 or 1), and the outcome carries no
-    cut, because warm duals are not unique.  ``cut_pcfc`` is the cold solve
-    that also forms the cut.
-    """
-    c = rows.outage
-    _, slack = _solve_slack_lp(_slack_lp(rows.at(t), muc, t, f"pcfc[{c},{t}]"), engine)
-    return SubproblemOutcome(contingency=c, period=t, slack=slack,
-                             status="feasible" if slack <= SLACK_TOLERANCE else "infeasible")
-
-
-def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int) -> SubproblemOutcome:
-    """The feasibility LP of the single outage of ``rows`` in period ``t``,
-    in a fresh engine, with the Benders feasibility cut of an infeasible one.
-
-    The cut is the LP's dual objective ``pi @ (rhs - b @ [u; p])`` over the
-    rows of ``OutageRows.at(t)`` plus the bound terms, with the master's
-    ``u`` and ``p`` left free: ``-(pi @ b)`` gives the coefficients and
-    everything else the constant.  At ``muc`` it must reproduce the slack
-    optimum.
-    """
-    c = rows.outage
-    block = rows.at(t)
-    result, slack = _solve_slack_lp(_slack_lp(block, muc, t, f"pcfc[{c},{t}]"))
+    slack = max(slack, 0.0)
     if slack <= SLACK_TOLERANCE:
-        return SubproblemOutcome(contingency=c, period=t, status="feasible", slack=slack)
+        status = "feasible" if switch is None else "feasible_via_switch"
+        return SubproblemOutcome(contingency=c, period=t, status=status, slack=slack,
+                                 switch=switch)
+    if switch is not None or engine is not None:
+        return SubproblemOutcome(contingency=c, period=t, status="infeasible", slack=slack)
 
     _, b, lo, hi = block
     coef_u, coef_p = -(result.row_duals[:len(b)] @ b).reshape(2, -1)
@@ -353,32 +350,6 @@ def cut_pcfc(rows: OutageRows, muc: MucSolution, t: int) -> SubproblemOutcome:
         raise SolverError(f"cut for pair ({c},{t}) misses its slack by {drift:.2e}")
     return SubproblemOutcome(contingency=c, period=t, status="infeasible",
                              slack=slack, cut=cut)
-
-
-def solve_nr_pcfc(rows: OutageRows, muc: MucSolution, t: int, j: int,
-                  engine: Engine | None = None) -> SubproblemOutcome:
-    """Feasibility check with the outage of ``rows`` and branch ``j``
-    switched open.
-
-    The LP is the outage's pair LP plus the transaction column and row of
-    ``OutageRows.at(t, j)``.  Raises ValueError when opening both branches
-    islands a bus (see ``NetworkSensitivities.islands``).  No cut is
-    formed; the outcome only records whether this reconfiguration rescues
-    the schedule, so with ``engine`` the LP starts from the basis of the
-    last switch LP of its shape, which every switch LP of the outage shares.
-    """
-    c = rows.outage
-    if j == c:
-        raise ValueError("switch candidate must differ from the contingency")
-    if rows.sens.islands((c, j)):
-        raise ValueError(f"opening branches {c} and {j} islands the network")
-    _, slack = _solve_slack_lp(_slack_lp(rows.at(t, j), muc, t, f"nr_pcfc[{c},{t},{j}]"),
-                               engine)
-    if slack <= SLACK_TOLERANCE:
-        return SubproblemOutcome(contingency=c, period=t, slack=slack,
-                                 status="feasible_via_switch", switch=j)
-    return SubproblemOutcome(contingency=c, period=t, slack=slack,
-                             status="infeasible")
 
 
 def switch_candidates(rows: OutageRows, size: int | None = None):
@@ -408,9 +379,9 @@ def find_corrective_switch(rows: OutageRows, muc: MucSolution, t: int,
     ranked lines (every candidate when None, as the audit uses it), taken
     in blocks of ``HOPELESS_BLOCK``.  ``OutageRows.hopeless`` bounds each
     block at once; then, in ranked order, each candidate it proves hopeless
-    is passed over, and each other one is tried over the outage's ``rows``,
-    its LP on ``engine`` when one is given (see ``solve_nr_pcfc``).  A
-    hopeless candidate's LP could not rescue, so the search stops at the
+    is passed over, and each other one ``j`` is tried by
+    ``solve_pcfc(rows, muc, t, j, engine=engine)``, which carries no cut.
+    A hopeless candidate's LP could not rescue, so the search stops at the
     first rescuer that an LP for every candidate would.  Returns the
     ``feasible_via_switch`` outcome of that candidate, or None when the
     candidates run out.  ``counters["nr_pcfc_solved"]`` counts the
@@ -423,7 +394,7 @@ def find_corrective_switch(rows: OutageRows, muc: MucSolution, t: int,
                 counters["nr_pcfc_solved"] = counters.get("nr_pcfc_solved", 0) + 1
             if hopeless:
                 continue
-            outcome = solve_nr_pcfc(rows, muc, t, j, engine=engine)
+            outcome = solve_pcfc(rows, muc, t, j, engine=engine)
             if outcome.status == "feasible_via_switch":
                 return outcome
     return None

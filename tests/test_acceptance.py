@@ -17,7 +17,7 @@ from scucnr.fixtures import corridor4_high, corridor4_low, random_case
 from scucnr.network import (build_sensitivities, check_connectivity,
                             classify_radial, compute_lodf, compute_ptdf)
 from scucnr.orchestrator import SolveOptions, solve, verify_solution
-from scucnr.subproblems import OutageRows, cut_pcfc, solve_nr_pcfc
+from scucnr.subproblems import OutageRows, solve_pcfc
 
 REL_TOL = 1e-4
 SLACK_TOL = 1e-6
@@ -167,7 +167,7 @@ def test_criterion_5_strong_duality_and_cut_values():
         _, non_radial = classify_radial(case)
         for t in case.periods:
             for c in sorted(non_radial):
-                out = cut_pcfc(OutageRows(case, sens, c), sched, t)  # raises on identity gap
+                out = solve_pcfc(OutageRows(case, sens, c), sched, t)  # raises on identity gap
                 checked_pairs += 1
                 if out.status == "infeasible":
                     cut = out.cut
@@ -194,7 +194,7 @@ def test_criterion_6_switching_value():
     for j in sorted(sens.non_radial - {3}):
         if not check_connectivity(hi, {3, j}):
             continue
-        if solve_nr_pcfc(OutageRows(hi, sens, 3), sched, 2, j).status == "feasible_via_switch":
+        if solve_pcfc(OutageRows(hi, sens, 3), sched, 2, j).status == "feasible_via_switch":
             oracle_feasible.append(j)
     assert oracle_feasible == [2, 4]
 

@@ -14,7 +14,7 @@ from scucnr.formulations import (_Problem, base_columns, build_muc, extract_solu
 from scucnr.model import FeasibilityCut, validate_case
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, _every_pair, solve
-from scucnr.subproblems import OutageRows, cut_pcfc, solve_pcfc
+from scucnr.subproblems import OutageRows, solve_pcfc
 
 GAP = 1e-9
 
@@ -409,7 +409,7 @@ def first_violated_pair(case, method="td_scuc"):
     sched = master_schedule(case, sens)
     for t in case.periods:
         for c in sens.contingencies:
-            out = cut_pcfc(OutageRows(case, sens, c), sched, t)
+            out = solve_pcfc(OutageRows(case, sens, c), sched, t)
             if out.status == "infeasible":
                 return sched, out
     raise AssertionError("fixture produced no violated subproblem")

@@ -13,8 +13,7 @@ from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, _examine, solve, verify_schedule,
                                  verify_solution)
-from scucnr.subproblems import (SLACK_TOLERANCE, OutageRows, cut_pcfc, solve_nr_pcfc,
-                                solve_pcfc, switch_candidates)
+from scucnr.subproblems import SLACK_TOLERANCE, OutageRows, solve_pcfc, switch_candidates
 
 
 def muc_objective(case):
@@ -69,8 +68,8 @@ def test_high_load_needs_switching(c4_high):
         assert res.switches == {(3, 2): 2}  # exactly one recorded switch
         # registry re-validates
         for (c, t), j in res.switches.items():
-            check = solve_nr_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), c),
-                                  res.schedule, t, j)
+            check = solve_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), c),
+                               res.schedule, t, j)
             assert check.status == "feasible_via_switch"
             assert check.slack <= 1e-6
 
@@ -99,7 +98,7 @@ def test_extensive_switches_are_the_switch_search_switches(build):
         assert case.branch(j).reconfigurable
         assert j in sens.non_radial
         assert not sens.islands((c, j))
-        out = solve_nr_pcfc(OutageRows(case, sens, c), res.schedule, t, j)
+        out = solve_pcfc(OutageRows(case, sens, c), res.schedule, t, j)
         assert out.status == "feasible_via_switch", (c, t, j, out.slack)
 
 
@@ -285,7 +284,7 @@ def test_warm_chain_matches_cold_solves():
     muc = first_master_schedule(case, sens)
     pairs = [(c, t) for t in case.periods for c in sens.contingencies]
     warm, _ = _examine(case, sens, muc, pairs, 0, workers=1, cut=True)
-    cold = [cut_pcfc(OutageRows(case, sens, c), muc, t) for c, t in pairs]
+    cold = [solve_pcfc(OutageRows(case, sens, c), muc, t) for c, t in pairs]
     assert len(warm) == 440
     assert warm == cold
     assert sum(out.cut is not None for out in warm) == 13
@@ -304,7 +303,7 @@ def test_warm_switch_searches_match_cold_ones(build, rescued):
     for out, (c, t) in zip(warm, pairs, strict=True):
         assert (out.contingency, out.period) == (c, t)
         rows = OutageRows(case, sens, c)
-        cold = cut_pcfc(rows, muc, t)
+        cold = solve_pcfc(rows, muc, t)
         if cold.status == "feasible":
             assert out == cold
             continue
@@ -312,7 +311,7 @@ def test_warm_switch_searches_match_cold_ones(build, rescued):
         # depend on the order, and the warm search picks the first rescue
         # in ranked order
         rescues = {j for j in sorted(switch_candidates(rows))
-                   if solve_nr_pcfc(rows, muc, t, j).status == "feasible_via_switch"}
+                   if solve_pcfc(rows, muc, t, j).status == "feasible_via_switch"}
         ranked = list(switch_candidates(rows))
         if not rescues:
             assert out == cold
@@ -326,6 +325,23 @@ def test_warm_switch_searches_match_cold_ones(build, rescued):
     assert counters["nr_pcfc_solved"] == tried > 0
 
 
+def _watch_pcfc(monkeypatch, seen):
+    """Wrap ``solve_pcfc`` where the loop and the switch search call it;
+    each call goes to ``seen(kind, rows, t, switch, out)``, ``kind`` being
+    ``"switch"`` with a switch, else ``"cold"`` with no engine, else
+    ``"pair"``."""
+    pcfc = scucnr.subproblems.solve_pcfc
+
+    def watched(rows, muc, t, switch=None, engine=None):
+        out = pcfc(rows, muc, t, switch, engine)
+        kind = "switch" if switch is not None else "cold" if engine is None else "pair"
+        seen(kind, rows, t, switch, out)
+        return out
+
+    monkeypatch.setattr(scucnr.orchestrator, "solve_pcfc", watched)
+    monkeypatch.setattr(scucnr.subproblems, "solve_pcfc", watched)
+
+
 def test_audit_builds_one_engine_per_contingency(monkeypatch):
     # one engine per contingency with a pair its schedule's own dispatch
     # does not certify, plus one per cold solve; the audit takes none
@@ -333,33 +349,21 @@ def test_audit_builds_one_engine_per_contingency(monkeypatch):
     sens = build_sensitivities(case)
     result = solve(case, SolveOptions(method="ad_scuc_cnr"))
     first = first_master_schedule(case, sens)
-    new_engine, pcfc, nr_pcfc, cold = (_hc._Highs, scucnr.orchestrator.solve_pcfc,
-                                       scucnr.subproblems.solve_nr_pcfc,
-                                       scucnr.orchestrator.cut_pcfc)
+    new_engine = _hc._Highs
     counts, uncertified = Counter(), set()
 
     def counted_engine():
         counts["engines"] += 1
         return new_engine()
 
-    def counted_pcfc(rows, *args, **kwargs):
-        uncertified.add(rows.outage)
-        out = pcfc(rows, *args, **kwargs)
-        counts["infeasible"] += out.status == "infeasible"
-        return out
-
-    def counted_nr_pcfc(*args, **kwargs):
-        counts["switch_lps"] += 1
-        return nr_pcfc(*args, **kwargs)
-
-    def counted_cold(*args, **kwargs):
-        counts["cold"] += 1
-        return cold(*args, **kwargs)
+    def seen(kind, rows, t, switch, out):
+        if kind == "pair":
+            uncertified.add(rows.outage)
+            counts["infeasible"] += out.status == "infeasible"
+        counts[kind] += 1
 
     monkeypatch.setattr(_hc, "_Highs", counted_engine)
-    monkeypatch.setattr(scucnr.orchestrator, "solve_pcfc", counted_pcfc)
-    monkeypatch.setattr(scucnr.subproblems, "solve_nr_pcfc", counted_nr_pcfc)
-    monkeypatch.setattr(scucnr.orchestrator, "cut_pcfc", counted_cold)
+    _watch_pcfc(monkeypatch, seen)
     # the converged schedule, then the first master's, whose 13 unsurvivable
     # pairs take a switch search on the task's engine and no cold solve
     for audit in (lambda: verify_solution(case, result),
@@ -369,7 +373,7 @@ def test_audit_builds_one_engine_per_contingency(monkeypatch):
         assert audit().pairs_checked == 440
         assert counts["cold"] == 0
         assert 0 < counts["engines"] == len(uncertified) < len(sens.contingencies)
-    assert counts["infeasible"] == 13 and counts["switch_lps"] > 0
+    assert counts["infeasible"] == 13 and counts["switch"] > 0
 
 
 def test_a_solve_and_its_audit_build_one_outage_row_block_per_contingency_task(monkeypatch):
@@ -401,19 +405,17 @@ def test_box_bound_leaves_a_third_of_the_switch_lps(monkeypatch):
     # proves 134 of them hopeless, and the rescues, cuts and objective are
     # those of one switch LP per candidate
     case = random_case(9, 40, 12, 8)
-    nr_pcfc, calls, rescues = scucnr.subproblems.solve_nr_pcfc, Counter(), {}
+    calls, rescues = Counter(), {}
 
-    def counted_nr_pcfc(rows, muc, t, j, *args, **kwargs):
-        calls["switch_lps"] += 1
-        out = nr_pcfc(rows, muc, t, j, *args, **kwargs)
+    def seen(kind, rows, t, switch, out):
+        calls[kind] += 1
         if out.status == "feasible_via_switch":
-            rescues[rows.outage, t] = j
-        return out
+            rescues[rows.outage, t] = switch
 
-    monkeypatch.setattr(scucnr.subproblems, "solve_nr_pcfc", counted_nr_pcfc)
+    _watch_pcfc(monkeypatch, seen)
     result = solve(case, SolveOptions(method="ad_scuc_cnr"))
     first = result.report.iteration_log[0]
-    assert calls["switch_lps"] == 67
+    assert (calls["switch"], calls["cold"]) == (67, 8)
     assert (first.nr_pcfc_solved, first.switches_found, first.cuts_added) == (201, 5, 8)
     assert rescues == {(11, 4): 4, (24, 3): 21, (39, 3): 47, (39, 4): 47, (59, 4): 48}
     assert (result.status, len(result.cuts), result.switches) == ("converged", 8, {})
@@ -475,19 +477,18 @@ def test_the_loop_solves_one_lp_per_examined_pair(monkeypatch):
     # the dispatch certificate is for verdict-only examinations: the loop's
     # own examination takes every pair's LP, so the unscreened methods count
     # one per pair, as the paper's TD does
-    solve_master, pcfc = scucnr.orchestrator._solve_master, scucnr.orchestrator.solve_pcfc
+    solve_master = scucnr.orchestrator._solve_master
     per_master = []
 
     def counted_master(*args, **kwargs):
         per_master.append(0)
         return solve_master(*args, **kwargs)
 
-    def counted_pcfc(*args, **kwargs):
-        per_master[-1] += 1
-        return pcfc(*args, **kwargs)
+    def seen(kind, *_):
+        per_master[-1] += kind == "pair"
 
     monkeypatch.setattr(scucnr.orchestrator, "_solve_master", counted_master)
-    monkeypatch.setattr(scucnr.orchestrator, "solve_pcfc", counted_pcfc)
+    _watch_pcfc(monkeypatch, seen)
     res = solve(random_case(101, 24, 8, 4), SolveOptions(method="td_scuc"))
     assert res.converged and per_master == [112, 112]
     assert [s.pcfc_solved for s in res.report.iteration_log] == [112, 112]
@@ -561,12 +562,19 @@ def test_invalid_options_rejected():
     with pytest.raises(ValueError, match="time_limit"):
         SolveOptions(time_limit=0.0)
     assert SolveOptions(time_limit=1.5).time_limit == 1.5
+    # no gap is not a gap of zero, and audit_screening is a bool, not truthy
+    with pytest.raises(ValueError, match="milp_gap"):
+        SolveOptions(milp_gap=None)
+    for bad in (1, 0, "yes"):
+        with pytest.raises(ValueError, match="audit_screening"):
+            SolveOptions(audit_screening=bad)
+    assert SolveOptions(audit_screening=True).audit_screening is True
     assert set(METHODS) == {
         "extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
         "td_scuc_cnr", "ad_scuc_cnr"}
 
 
-@pytest.mark.parametrize("bad", [-1.0, -1e-12, float("inf"), float("nan")])
+@pytest.mark.parametrize("bad", [-1.0, -1e-12, float("inf"), float("nan"), "1e-4", "5"])
 def test_bad_tolerances_rejected(bad):
     for field in ("milp_gap", "time_limit"):
         with pytest.raises(ValueError, match=field):

@@ -11,8 +11,7 @@ from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
-from scucnr.subproblems import (OutageRows, run_csps, solve_nr_pcfc, solve_pcfc,
-                                switch_candidates)
+from scucnr.subproblems import OutageRows, run_csps, solve_pcfc, switch_candidates
 
 CASES = st.builds(random_case, seed=st.integers(0, 2**16), n_buses=st.integers(3, 30),
                   n_generators=st.integers(1, 8), horizon=st.just(2))
@@ -58,12 +57,16 @@ def test_transaction_column_gives_the_flows_without_both_lines(case, seed):
 @example(case=corridor4_high())
 @given(case=CASES)
 def test_switch_lp_of_an_islanding_pair_raises(case):
+    # as does a switch LP that opens the outaged line itself
     sens = build_sensitivities(case)
     nothing_on = manual_schedule(case, {})
     for c, j, islands in switchable_pairs(case, sens):
         if islands:
             with pytest.raises(ValueError, match="islands"):
-                solve_nr_pcfc(OutageRows(case, sens, c), nothing_on, 1, j)
+                solve_pcfc(OutageRows(case, sens, c), nothing_on, 1, j)
+    for c in sens.contingencies:
+        with pytest.raises(ValueError, match="differ"):
+            solve_pcfc(OutageRows(case, sens, c), nothing_on, 1, c)
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,7 +111,7 @@ def test_box_bound_proves_only_hopeless_switches(case):
         for t in case.periods:
             for j, hopeless in zip(js, rows.hopeless(muc, t, js)):
                 if hopeless:
-                    out = solve_nr_pcfc(rows, muc, t, j)
+                    out = solve_pcfc(rows, muc, t, j)
                     assert out.status == "infeasible", (c, t, j, out.slack)
 
 

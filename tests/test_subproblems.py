@@ -6,14 +6,14 @@ import pytest
 import scucnr.subproblems
 from conftest import fixture_family
 from oracles import dc_flows, manual_schedule, net_injections, redispatch_slack
-from scucnr.backend import SolverError, solve_lp, solve_milp
+from scucnr.backend import Engine, SolverError, solve_lp, solve_milp
 from scucnr.fixtures import corridor4_high, corridor4_stranded, random_case
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, solve
 from scucnr.subproblems import (HOPELESS_MARGIN_MW, OutageRows, _slack_lp, certify_pcfc,
-                                cut_pcfc, find_corrective_switch, run_csps, solve_nr_pcfc,
-                                solve_pcfc, switch_candidates)
+                                find_corrective_switch, run_csps, solve_pcfc,
+                                switch_candidates)
 
 
 def cheap_point(case):
@@ -186,26 +186,39 @@ def test_duals_satisfy_strong_duality_everywhere(tri3_tight, c4_high):
         sens = build_sensitivities(case)
         muc = cheap_point(case)
         for c, t in all_pairs(case, sens):
-            out = cut_pcfc(OutageRows(case, sens, c), muc, t)  # raises internally on a gap
+            out = solve_pcfc(OutageRows(case, sens, c), muc, t)  # raises internally on a gap
             assert 0.0 <= out.slack <= 1.0 + 1e-6
             assert (out.cut is not None) == (out.status == "infeasible")
 
 
-def test_verdict_and_cut_solves_split_one_cold_lp():
-    # solve_pcfc only decides, cut_pcfc decides the same way from the same
-    # cold LP and adds the cut wherever the pair is unsurvivable
+def test_a_cut_comes_only_from_a_cold_unswitched_solve():
+    # one routine solves every post-outage LP: warm on an engine it decides
+    # as a cold solve does, with no cut; cold and unswitched it carries the
+    # cut of each unsurvivable pair; switched, warm or cold, it never does
     case = random_case(9, 40, 12, 8)
     sens = build_sensitivities(case)
     muc = cheap_point(case)
-    cuts = 0
-    for c, t in all_pairs(case, sens):
-        rows = OutageRows(case, sens, c)
-        verdict, cut = solve_pcfc(rows, muc, t), cut_pcfc(rows, muc, t)
-        assert (verdict.status, verdict.slack) == (cut.status, cut.slack), (c, t)
-        assert verdict.cut is None
-        assert (cut.cut is not None) == (cut.status == "infeasible"), (c, t)
-        cuts += cut.cut is not None
+    cuts = switched_infeasible = 0
+    for c in sens.contingencies:
+        rows, engine = OutageRows(case, sens, c), Engine()
+        for t in case.periods:
+            warm, cold = solve_pcfc(rows, muc, t, engine=engine), solve_pcfc(rows, muc, t)
+            assert warm.status == cold.status, (c, t)
+            assert warm.slack == pytest.approx(cold.slack, abs=1e-9), (c, t)
+            assert warm.cut is None
+            assert (cold.cut is not None) == (cold.status == "infeasible"), (c, t)
+            cuts += cold.cut is not None
+            if cold.status == "feasible":
+                continue
+            for j in switch_candidates(rows, 5):
+                warm = solve_pcfc(rows, muc, t, j, engine=engine)
+                cold = solve_pcfc(rows, muc, t, j)
+                assert (warm.status, warm.switch) == (cold.status, cold.switch), (c, t, j)
+                assert warm.slack == pytest.approx(cold.slack, abs=1e-9), (c, t, j)
+                assert warm.cut is None and cold.cut is None, (c, t, j)
+                switched_infeasible += cold.status == "infeasible"
     assert cuts == 13
+    assert switched_infeasible > 0
 
 
 def _row_rhs(lp):
@@ -225,7 +238,7 @@ def _check_cuts_off_their_point(case, points=20):
     checked = 0
     for c, t in all_pairs(case, sens):
         outage = OutageRows(case, sens, c)
-        out = cut_pcfc(outage, muc, t)
+        out = solve_pcfc(outage, muc, t)
         if out.status != "infeasible":
             continue
         rows = outage.at(t)
@@ -292,7 +305,7 @@ def test_dispatch_certificate_implies_slack_zero():
 
 def test_companion_switch_rescues_direct_outage(c4_high):
     muc = cheap_point(c4_high)
-    out = solve_nr_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 2)
+    out = solve_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 2)
     assert out.status == "feasible_via_switch"
     assert out.switch == 2
     assert out.slack <= 1e-6
@@ -310,11 +323,11 @@ def test_unrelated_switch_does_not_help(c4_high):
     muc = cheap_point(c4_high)
     # opening one external leg strands the corridor: everything must squeeze
     # through the 66 MW internal leg again
-    out = solve_nr_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 5)
+    out = solve_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 5)
     assert out.status == "infeasible"
     assert out.slack == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
-        solve_nr_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 3)
+        solve_pcfc(OutageRows(c4_high, build_sensitivities(c4_high), 3), muc, 2, 3)
 
 
 def test_switch_search_returns_first_ranked_feasible(c4_high):
@@ -322,7 +335,7 @@ def test_switch_search_returns_first_ranked_feasible(c4_high):
     muc = cheap_point(c4_high)
     counters = {}
     found = find_corrective_switch(OutageRows(c4_high, sens, 3), muc, 2, counters=counters)
-    assert found == solve_nr_pcfc(OutageRows(c4_high, sens, 3), muc, 2, 2)
+    assert found == solve_pcfc(OutageRows(c4_high, sens, 3), muc, 2, 2)
     assert (found.status, found.switch) == ("feasible_via_switch", 2)
     assert found.slack <= 1e-6
     assert counters["nr_pcfc_solved"] == 1  # first candidate already works
@@ -333,7 +346,7 @@ def test_switch_search_returns_first_ranked_feasible(c4_high):
         from scucnr.network import check_connectivity
         if not check_connectivity(c4_high, {3, cand}):
             continue
-        alt = solve_nr_pcfc(OutageRows(c4_high, sens, 3), muc, 2, cand)
+        alt = solve_pcfc(OutageRows(c4_high, sens, 3), muc, 2, cand)
         if alt.status == "feasible_via_switch":
             feasible.append(cand)
     assert feasible == [2, 4]
@@ -483,7 +496,7 @@ def test_numerically_radial_line_past_the_rescuer_does_not_raise(c4_high, monkey
     found = find_corrective_switch(rows, muc, 2)
     assert (found.status, found.switch) == ("feasible_via_switch", 2)
     with pytest.raises(ValueError, match="radial"):
-        solve_nr_pcfc(rows, muc, 2, 6)
+        solve_pcfc(rows, muc, 2, 6)
 
 
 # --- shift-factor LP against an independent oracle -----------------------------
@@ -507,7 +520,7 @@ def test_slacks_match_pseudo_inverse_oracle():
                 for j in switches:
                     if not check_connectivity(case, {c, j}):
                         continue
-                    alt = solve_nr_pcfc(OutageRows(case, sens, c), muc, t, j)
+                    alt = solve_pcfc(OutageRows(case, sens, c), muc, t, j)
                     assert alt.slack == pytest.approx(
                         redispatch_slack(case, muc, t, frozenset({c, j})),
                         abs=1e-7), (name, c, t, j)
@@ -537,5 +550,5 @@ def test_slave_lp_size_is_generators_plus_one(c4_high, monkeypatch):
         rows = OutageRows(c4_high, sens, c)
         switched = [(t, j) for t in c4_high.periods for j in switch_candidates(rows)]
         for t, j in switched:
-            solve_nr_pcfc(rows, muc, t, j)
+            solve_pcfc(rows, muc, t, j)
         assert seen == [(n_g + 2, 4 * n_g + 1 + 2 * (n_k - 1) + 1)] * len(switched) != [], c
