@@ -22,7 +22,9 @@ finite variable bound; ``solve_milp`` runs with ``scipy.optimize.milp``'s
 options and returns primal values only.  Duals are normalised so that
 ``sum(rhs * dual)`` over rows and bounds equals the optimal objective of
 the minimisation problem: a row's rhs is its finite side, and a bound
-counts as the row ``x >= lb`` or ``x <= ub``.
+counts as the row ``x >= lb`` or ``x <= ub``.  So ``solve_lp`` rejects a
+ranged row, one with two finite sides; ``solve_milp`` reads no duals and
+takes one, as the master's branch limits are.
 
 Every solve gets a fresh engine, so concurrent calls share no state,
 unless ``solve_lp`` is given an ``Engine``: one engine kept for a chain of
@@ -146,9 +148,11 @@ class LinearProgram:
     """``min cost @ x`` s.t. ``row_lower <= a @ x <= row_upper``,
     ``lb <= x <= ub``, in HiGHS's own shape.
 
-    Every row is an equality or has exactly one finite side, and its dual
-    prices that side.  ``a`` is a dense array (the feasibility and switch
-    LPs) or a ``CscMatrix`` (the models of ``formulations.build_muc``).
+    A row may be ranged, with two finite sides, as the master's branch
+    limits are.  Every LP that ``solve_lp`` solves has none: each of its
+    rows is an equality or has exactly one finite side, and its dual prices
+    that side.  ``a`` is a dense array (the feasibility and switch LPs) or
+    a ``CscMatrix`` (the models of ``formulations.build_muc``).
     ``integrality`` marks integer columns with 1; without it every column
     is continuous.
     """
@@ -328,10 +332,16 @@ def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
     """Solve a pure LP with HiGHS and return primal values plus normalised duals.
 
     Without ``engine`` the LP gets a fresh engine with linprog's options;
-    with one, see ``Engine``.
+    with one, see ``Engine``.  A ranged row raises ``ValueError``: its dual
+    would price only one of its sides.
     """
     if lp.integrality is not None and lp.integrality.any():
         raise ValueError(f"{lp.name!r} has integer columns; solve it with solve_milp")
+    lower, upper = lp.row_lower, lp.row_upper
+    ranged = np.isfinite(lower) & np.isfinite(upper) & (lower != upper)
+    if ranged.any():
+        raise ValueError(f"{lp.name!r} has a ranged row ({int(ranged.argmax())}); each row of "
+                         "an LP must be an equality or have one finite side")
     shape = (lp.row_lower.shape[0], lp.cost.shape[0])
     if engine is None:
         highs, start = _new_engine(_LP_OPTIONS), None

@@ -181,16 +181,15 @@ def _add_base_model(prob: _Problem, case: SystemCase, sens: NetworkSensitivities
             window = v[gi, t:t + g.min_down]
             prob.add_row([(q, 1.0) for q in window] + [(u[gi, t - 1], 1.0)], hi=1.0)
 
-    # per branch its upper, then its lower long-term limit
+    # per branch one ranged row for both long-term limits: no MILP reads its
+    # duals, and the one-finite-side rule holds only for the LPs of solve_lp
     rating = np.array([k.rate_long_term for k in case.branches])
     at_gens = sens.ptdf[:, [case.bus_index[g.bus] for g in gens]]
     for t in case.periods:
         demand = np.array([n.demand[t - 1] for n in case.buses])
         demand_flow, total = sens.ptdf @ demand, demand.sum()
         prob.add_row([(q, 1.0) for q in p[:, t - 1]], lo=total, hi=total)
-        lo = np.column_stack((np.full(len(rating), -INF), demand_flow - rating)).ravel()
-        hi = np.column_stack((demand_flow + rating, np.full(len(rating), INF))).ravel()
-        prob.add_rows(np.repeat(at_gens, 2, axis=0), p[:, t - 1], lo, hi)
+        prob.add_rows(at_gens, p[:, t - 1], demand_flow - rating, demand_flow + rating)
 
 
 def build_muc(case: SystemCase, sens: NetworkSensitivities,

@@ -291,7 +291,14 @@ def test_lp_without_columns_is_decided_by_its_row_sides():
         return dataclasses.replace(lp, a=csc(lp.a))
 
     engine = Engine()
-    for lower, upper in (([-1.0], [1.0]), ([0.0, -INF], [0.0, 2.0]), ([], [])):
+    # solve_lp rejects a ranged row, whose dual would price one side only
+    for lower, upper in (([-1.0], [1.0]), ([1.0], [2.0]), ([-1.0, -INF], [1.0, -0.5])):
+        lp = no_columns(lower, upper)
+        for solve in (lambda: solve_lp(lp), lambda: solve_lp(lp, engine),
+                      lambda: solve_lp(compressed(lp))):
+            with pytest.raises(ValueError, match="'lp' has a ranged row"):
+                solve()
+    for lower, upper in (([0.0, -INF], [0.0, 2.0]), ([], [])):
         lp = no_columns(lower, upper)
         assert compressed(lp).a.shape == lp.a.shape
         for res in (solve_lp(lp), solve_lp(lp, engine), solve_lp(lp, engine),
@@ -300,14 +307,31 @@ def test_lp_without_columns_is_decided_by_its_row_sides():
             assert res.x.shape == (0,) and not res.row_duals.any()
             assert res.row_duals.shape == (len(lower),) and res.dual_objective() == 0.0
             assert res.simplex_iterations == 0
-        res = solve_milp(lp)
+    lp = no_columns([1.0, -INF], [INF, -0.5])
+    for res in (solve_lp(lp), solve_lp(lp, engine), solve_lp(compressed(lp))):
+        assert (res.status, res.simplex_iterations) == ("infeasible", 0)
+    # solve_milp reads no duals and takes ranged rows
+    for lower, upper in (([-1.0], [1.0]), ([0.0, -INF], [0.0, 2.0]), ([], [])):
+        res = solve_milp(no_columns(lower, upper))
         assert (res.status, res.mip_nodes, res.mip_gap) == ("optimal", 0, 0.0)
-    for lower, upper in (([1.0], [2.0]), ([-1.0, -INF], [1.0, -0.5])):
-        lp = no_columns(lower, upper)
-        for res in (solve_lp(lp), solve_lp(lp, engine), solve_lp(compressed(lp))):
-            assert (res.status, res.simplex_iterations) == ("infeasible", 0)
-        res = solve_milp(lp)
+    for lower, upper in (([1.0], [2.0]), ([-1.0, -INF], [1.0, -0.5]),
+                         ([1.0, -INF], [INF, -0.5])):
+        res = solve_milp(no_columns(lower, upper))
         assert (res.status, res.mip_nodes) == ("infeasible", 0)
+
+
+def test_a_ranged_row_goes_to_solve_milp_not_solve_lp():
+    # min x over 1 <= x <= 3: solve_lp's duals price one side of each row, so
+    # it rejects the ranged row before any engine is made; split into two
+    # one-sided rows, the same LP prices its lower side
+    ranged = make_lp([1.0], [[1.0]], [1.0], [3.0], name="ranged")
+    engine = Engine()
+    with pytest.raises(ValueError, match=r"'ranged' has a ranged row \(0\)"):
+        solve_lp(ranged, engine)
+    assert "highs" not in vars(engine)
+    assert solve_milp(ranged).objective == pytest.approx(1.0)
+    split = solve_lp(make_lp([1.0], [[1.0], [1.0]], [-INF, 1.0], [3.0, INF]))
+    assert split.objective == pytest.approx(1.0) and split.dual_objective() == pytest.approx(1.0)
 
 
 def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):

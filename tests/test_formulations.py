@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import fixture_family
-from oracles import brute_force_commitment, csc, net_injections, ptdf_pinv, scipy_csc
+from oracles import brute_force_commitment, csc, dense, net_injections, ptdf_pinv, scipy_csc
 from scucnr.backend import INF, SolverError, solve_milp
 from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded,
                              random_case, star4, triangle3, triangle3_tight)
 from scucnr.formulations import (_Problem, base_columns, build_muc, extract_solution,
-                                 extract_switching_plan)
+                                 extract_switching_plan, schedule_violation)
 from scucnr.model import FeasibilityCut, validate_case
 from scucnr.network import build_sensitivities, check_connectivity
 from scucnr.orchestrator import SolveOptions, _every_pair, solve
@@ -132,7 +132,63 @@ def test_master_size_is_pinned():
                          coef_u=coef_u, coef_p=coef_p, constant=-2.0)
     sizes = [(len(lp.cost), len(lp.row_lower), len(lp.a.value))
              for lp in (build_muc(case, sens)[0], build_muc(case, sens, [cut])[0])]
-    assert sizes == [(128, 535, 2719), (128, 536, 2722)]
+    assert sizes == [(128, 407, 1819), (128, 408, 1822)]
+
+
+def test_one_ranged_row_catches_a_branch_overload_both_ways():
+    case = random_case(101, 24, 8, 4)
+    sens = build_sensitivities(case)
+    lp, _ = build_muc(case, sens)
+    a = dense(lp.a)
+    u, v, p, _ = base_columns(case)
+    at_gens = sens.ptdf[:, [case.bus_index[g.bus] for g in case.generators]]
+    rating = np.array([k.rate_long_term for k in case.branches])
+    # per period one row per branch carries its PTDF coefficients, with both
+    # long-term limits as its sides; it is the only kind of ranged row
+    expected, row_of = [], {}
+    for t in case.periods:
+        demand_flow = sens.ptdf @ np.array([n.demand[t - 1] for n in case.buses])
+        for k, rate in enumerate(rating):
+            coef = np.zeros(len(lp.cost))
+            coef[p[:, t - 1]] = np.where(np.abs(at_gens[k]) > 1e-9, at_gens[k], 0.0)
+            same = np.flatnonzero((a == coef).all(axis=1))
+            if coef.any():
+                assert len(same) == 1, (t, k)
+                row_of[t, k] = int(same[0])
+            expected.append((*coef, demand_flow[k] - rate, demand_flow[k] + rate))
+    ranged = np.flatnonzero(np.isfinite(lp.row_lower) & np.isfinite(lp.row_upper)
+                            & (lp.row_lower < lp.row_upper))
+    assert sorted((*a[i], lp.row_lower[i], lp.row_upper[i]) for i in ranged) == sorted(expected)
+
+    # the master's optimum with branch 15's row in period 2 pinned at a flow
+    # target: every other row holds, the balance row too; with a commitment
+    # given, u and v are fixed to it, so only the dispatch moves
+    t = 2
+    row = row_of[t, case.branch_index[15]]
+    demand = sum(n.demand[t - 1] for n in case.buses)
+
+    def pinned(target, commitment=None):
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        if commitment is not None:
+            fixed = np.concatenate((u.ravel(), v.ravel()))
+            lb[fixed] = ub[fixed] = np.round(commitment[fixed])
+        lower, upper = lp.row_lower.copy(), lp.row_upper.copy()
+        lower[row] = upper[row] = target
+        model = dataclasses.replace(lp, lb=lb, ub=ub, row_lower=lower, row_upper=upper)
+        res = solve_model(model)
+        sched = extract_solution(case, sens, model, res)
+        assert sched.p[:, t - 1].sum() == pytest.approx(demand)
+        return sched, res.x
+
+    # forward at the row's upper side, then in reverse at its lower side
+    for sign, limit in ((1.0, lp.row_upper[row]), (-1.0, lp.row_lower[row])):
+        at_rating, x = pinned(limit)
+        assert schedule_violation(case, lp, at_rating) is None
+        past, _ = pinned(limit + sign * 2e-5, x)
+        assert np.array_equal(past.u, at_rating.u)
+        problem = schedule_violation(case, lp, past)
+        assert problem.startswith(f"row {row} of 'muc' in period {t} is broken by ")
+        assert float(problem.rsplit(" ", 1)[1]) == pytest.approx(2e-5, rel=1e-3)
 
 
 NETWORK_CASES = {
@@ -291,10 +347,10 @@ def test_switching_budget_one_is_a_relaxation(c4_low):
 
 
 @pytest.mark.parametrize("name, switching, size", [
-    ("random_101_12_5_4", False, (3363, 380, 10499, 0)),
-    ("random_101_12_5_4", True, (6623, 1980, 45507, 800)),
-    ("corridor4_high", False, (283, 54, 513, 0)),
-    ("corridor4_high", True, (421, 118, 1073, 32)),
+    ("random_101_12_5_4", False, (3299, 380, 10259, 0)),
+    ("random_101_12_5_4", True, (6559, 1980, 45267, 800)),
+    ("corridor4_high", False, (273, 54, 503, 0)),
+    ("corridor4_high", True, (411, 118, 1063, 32)),
 ], ids=["random_101_12_5_4-plain", "random_101_12_5_4-cnr", "corridor4_high-plain",
         "corridor4_high-cnr"])
 def test_extensive_size_is_pinned(name, switching, size):
