@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (MucSolution, SubproblemOutcome, SystemCase, Bus, Branch,
-                    Generator, validate_case)
+                    Generator, is_real, validate_case)
 
 
 class CaseIOError(Exception):
@@ -61,16 +61,12 @@ def _check_keys(record: dict, allowed: set[str], where: str):
         raise CaseFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _wrong_type(where: str, expected: str, value) -> CaseFormatError:
     return CaseFormatError(f"{where} must be {expected}, got {json.dumps(value)}")
 
 
 def _as_number(value, where: str) -> float:
-    if not _is_number(value):
+    if not is_real(value):
         raise _wrong_type(where, "a number", value)
     return float(value)
 
@@ -81,7 +77,7 @@ def _number(record: dict, key: str, where: str, default=_REQUIRED) -> float:
 
 def _integer(record: dict, key: str, where: str) -> int:
     value = _need(record, key, where)
-    if not (_is_number(value) and float(value).is_integer()):
+    if not (is_real(value) and float(value).is_integer()):
         raise _wrong_type(f"{where}.{key}", "an integer", value)
     return int(value)
 
@@ -233,13 +229,6 @@ class IterationStats:
     nr_pcfc_solved: int
     switches_found: int
     cuts_added: int
-    screen_audit_max_slack: float | None = None
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.screen_audit_max_slack is None:
-            del out["screen_audit_max_slack"]
-        return out
 
 
 @dataclass
@@ -266,7 +255,7 @@ def _report_to_dict(report: RunReport, schedule: MucSolution | None) -> dict:
         "converged": report.converged,
         "objective": report.objective,
         "iterations": report.iterations,
-        "iteration_log": [s.to_dict() for s in report.iteration_log],
+        "iteration_log": [asdict(s) for s in report.iteration_log],
         "subproblems": [
             {"contingency": o.contingency, "period": o.period, "status": o.status,
              "slack": o.slack, "switch": o.switch}
@@ -334,36 +323,36 @@ def write_report(report: RunReport, schedule: MucSolution | None,
         raise CaseIOError(f"cannot write report to {out}: {exc}") from None
 
 
-def check_solution_fits(case: SystemCase, schedule: MucSolution, path: str | Path) -> None:
-    """Raise CaseFormatError at the first way the schedule read from ``path``
-    does not fit ``case``: generator, branch and bus ids in the case's order,
-    every array shaped (entities x horizon) and finite, 0/1 commitment and
-    start-up."""
+def check_solution_fits(case: SystemCase, schedule: MucSolution) -> None:
+    """Raise CaseFormatError at the first way ``schedule`` does not fit
+    ``case``: generator, branch and bus ids in the case's order, every array
+    shaped (entities x horizon) and finite, 0/1 commitment and start-up.
+    The message names the field, as ``solution.<field>``, and not a file."""
     for key, entities in (("generator_ids", case.generators),
                           ("branch_ids", case.branches), ("bus_ids", case.buses)):
         ids = getattr(schedule, key)
         expected = [e.id for e in entities]
         if list(ids) != expected:
-            raise CaseFormatError(f"{path}: solution.{key} {list(ids)} do not match "
+            raise CaseFormatError(f"solution.{key} {list(ids)} do not match "
                                   f"the case's {expected}")
     for key, entity in (("u", "generator"), ("v", "generator"), ("p", "generator"),
                         ("r", "generator"), ("flow", "branch"), ("theta", "bus")):
         arr = getattr(schedule, key)
         shape = (len(getattr(schedule, f"{entity}_ids")), case.horizon)
         if arr.shape != shape:
-            raise CaseFormatError(f"{path}: solution.{key} has shape {arr.shape}, "
+            raise CaseFormatError(f"solution.{key} has shape {arr.shape}, "
                                   f"expected {shape} ({entity}s x horizon)")
         bad = np.argwhere(~np.isfinite(arr))
         if len(bad):
             i, t = bad[0]
-            raise CaseFormatError(f"{path}: solution.{key}[{i}][{t}] is {arr[i, t]}, "
+            raise CaseFormatError(f"solution.{key}[{i}][{t}] is {arr[i, t]}, "
                                   "expected a finite number")
     for key in ("u", "v"):
         arr = getattr(schedule, key)
         bad = np.argwhere((arr != 0) & (arr != 1))
         if len(bad):
             i, t = bad[0]
-            raise CaseFormatError(f"{path}: solution.{key}[{i}][{t}] is {arr[i, t]}, "
+            raise CaseFormatError(f"solution.{key}[{i}][{t}] is {arr[i, t]}, "
                                   "expected 0 or 1")
 
 

@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .backend import SolverError
-from .caseio import (CaseFormatError, CaseIOError, check_solution_fits,
-                     load_solution, parse_case, write_case, write_report)
+from .caseio import (CaseFormatError, CaseIOError, load_solution, parse_case, write_case,
+                     write_report)
 from .fixtures import random_case
 from .orchestrator import METHODS, SolveOptions, solve, verify_schedule
 
@@ -101,13 +101,16 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     case = parse_case(args.case)
     doc, schedule = load_solution(args.result)
-    check_solution_fits(case, schedule, args.result)
     method = doc.get("method")
     if method not in METHODS:
         # the method decides whether the audit may rescue a pair by switching
         raise CaseFormatError(f"{args.result}: report names no known method "
                               f"(got {method!r}; expected one of {METHODS})")
-    audit = verify_schedule(case, method, schedule)
+    try:
+        audit = verify_schedule(case, method, schedule)
+    except CaseFormatError as exc:
+        # the schedule does not fit the case
+        raise CaseFormatError(f"{args.result}: {exc}") from None
     if audit.secure:
         print(f"secure: {audit.pairs_checked} post-contingency states verified")
         return EXIT_OK

@@ -11,10 +11,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
 OUTCOME_STATUSES = ("screened_out", "feasible", "feasible_via_switch", "infeasible")
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool, which would pass as 0 or 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -8,21 +8,21 @@ security methods cut on every unsurvivable outage; reconfiguration methods
 first search for a single corrective switch and cut only when the search
 fails.  The search walks a prefix of the outage's ranked switch list, its
 budget: ``cbce_size`` lines in a solve, the whole list in the audit and
-none for plain methods and the screen audit.  Accelerated variants screen
-the candidate set with distribution factors before solving any LP.  The
-loop converges when an iteration adds no cuts.  One routine,
-``_examine_pair``, decides every examined pair, for the loop, its screen
-audit, the extensive switch filter and ``verify_schedule`` alike; each
-iteration's counts and the run's switches, unresolved pairs and cuts are
-read off its outcomes.  Pairs go one task per contingency, its periods in
-order over the contingency's one ``OutageRows`` on one warm HiGHS engine.
-The rows are the only form in which the pair layer takes the outage.
+none for plain methods.  Accelerated variants screen the candidate set
+with distribution factors before solving any LP.  The loop converges when
+an iteration adds no cuts.  One routine, ``_examine_pair``, decides every
+examined pair, for the loop, the extensive switch filter and
+``verify_schedule`` alike; each iteration's counts and the run's switches,
+unresolved pairs and cuts are read off its outcomes.  Pairs go one task
+per contingency, its periods in order over the contingency's one
+``OutageRows`` on one warm HiGHS engine.  The rows are the only form in
+which the pair layer takes the outage.
 The task's switch LPs, each its pair LP plus one transaction column, run
 over the same rows and engine (see ``subproblems``), and the pairs come
 back in (period, contingency) order.  Only the loop's own examination
-forms cuts, each by one cold LP per unsurvivable pair; the screen audit,
-the switch filter and ``verify_schedule`` read the warm verdicts alone,
-and take no LP for a pair the schedule's own dispatch already survives.
+forms cuts, each by one cold LP per unsurvivable pair; the switch filter
+and ``verify_schedule`` read the warm verdicts alone, and take no LP for
+a pair the schedule's own dispatch already survives.
 Each schedule must meet the rows of the model it came from, and the audit
 holds it to the cut-free master's rows before it examines any pair.
 """
@@ -34,14 +34,13 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Real
 
 from .backend import DEFAULT_MILP_GAP, Engine, SolverError, solve_milp
-from .caseio import IterationStats, RunReport
+from .caseio import IterationStats, RunReport, check_solution_fits
 from .formulations import (build_muc, extract_solution, extract_switching_plan,
                            schedule_violation)
 from .model import (FeasibilityCut, MucSolution, SubproblemOutcome, SystemCase,
-                    validate_case)
+                    is_real, validate_case)
 from .network import NetworkSensitivities, build_sensitivities
 from .subproblems import (OutageRows, certify_pcfc, find_corrective_switch, run_csps,
                           solve_pcfc)
@@ -54,11 +53,6 @@ _ACCELERATED = {"ad_scuc", "ad_scuc_cnr"}
 
 # how many of an outage's ranked lines a switch search may try
 DEFAULT_CBCE_SIZE = 20
-
-
-def _is_real(value) -> bool:
-    """A real number that is not a bool, which would pass as 0 or 1."""
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -74,11 +68,10 @@ class SolveOptions:
       switch search may try, an int >= 0 (``--cbce-size``).
     - ``workers``: threads over the outages of one examination, an int
       >= 1; the outcomes do not depend on it (``--workers``).
-    - ``audit_screening``: under an accelerated method, also solve the LP
-      of every pair the screen drops and raise ``SolverError`` if one is
-      unsurvivable, a bool (no flag).
     - ``time_limit``: seconds per master or extensive MILP, None for no
-      limit, else a finite float > 0 (no flag).
+      limit, else a finite float > 0 (no flag).  A MILP that hits the limit
+      ends the solve with ``SolverError``, incumbent or not, until ROADMAP
+      item 6 gives it a status of its own.
     """
 
     method: str = "ad_scuc_cnr"
@@ -86,7 +79,6 @@ class SolveOptions:
     milp_gap: float = DEFAULT_MILP_GAP
     cbce_size: int = DEFAULT_CBCE_SIZE
     workers: int = 1
-    audit_screening: bool = False
     time_limit: float | None = None
 
     def __post_init__(self):
@@ -97,15 +89,13 @@ class SolveOptions:
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an int >= {least} (got {value!r})")
         if self.time_limit is not None and not (
-                _is_real(self.time_limit) and math.isfinite(self.time_limit)
+                is_real(self.time_limit) and math.isfinite(self.time_limit)
                 and self.time_limit > 0):
             raise ValueError("time_limit must be None or finite and > 0 "
                              f"(got {self.time_limit!r})")
-        if not (_is_real(self.milp_gap) and math.isfinite(self.milp_gap)
+        if not (is_real(self.milp_gap) and math.isfinite(self.milp_gap)
                 and self.milp_gap >= 0):
             raise ValueError(f"milp_gap must be finite and >= 0 (got {self.milp_gap!r})")
-        if not isinstance(self.audit_screening, bool):
-            raise ValueError(f"audit_screening must be a bool (got {self.audit_screening!r})")
 
     @property
     def uses_cnr(self) -> bool:
@@ -215,8 +205,8 @@ def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, switch_budget: int
     for a switch (all of them when None, none when 0), its LPs over the
     same rows and engine.
 
-    Without ``cut`` (the audit, the screen audit and the extensive switch
-    filter) a pair whose schedule's own dispatch meets every row of its LP
+    Without ``cut`` (the audit and the extensive switch filter) a pair
+    whose schedule's own dispatch meets every row of its LP
     (``certify_pcfc``) is feasible with slack 0 and solves no LP.  With
     ``cut``, the loop's own examination, every pair takes its LP: the
     accelerated methods have already dropped such pairs by the screen, and
@@ -308,22 +298,13 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
 
         outcomes = []
         candidates = all_pairs
-        audit_max: float | None = None
         if options.accelerated:
             t0 = time.perf_counter()
             candidates = run_csps(case, sens, schedule, all_pairs).critical
             timings["screening"] += time.perf_counter() - t0
             critical = set(candidates)
-            dropped = [pair for pair in all_pairs if pair not in critical]
             outcomes = [SubproblemOutcome(contingency=c, period=t, status="screened_out", slack=0.0)
-                        for c, t in dropped]
-            if options.audit_screening:
-                audited, _ = _examine(case, sens, schedule, dropped, 0, options.workers)
-                audit_max = max((out.slack for out in audited), default=0.0)
-                for out in audited:
-                    if out.status == "infeasible":
-                        raise SolverError(f"screen dropped ({out.contingency},{out.period}) "
-                                          f"but its slack is {out.slack}")
+                        for c, t in all_pairs if (c, t) not in critical]
 
         examined, counters = _examine(case, sens, schedule, candidates,
                                       options.cbce_size if options.uses_cnr else 0,
@@ -344,8 +325,7 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
             screened_out=statuses["screened_out"], pcfc_solved=len(examined),
             pcfc_infeasible=len(examined) - statuses["feasible"],
             nr_pcfc_solved=counters["nr_pcfc_solved"],
-            switches_found=statuses["feasible_via_switch"], cuts_added=statuses["infeasible"],
-            screen_audit_max_slack=audit_max))
+            switches_found=statuses["feasible_via_switch"], cuts_added=statuses["infeasible"]))
         if not new_cuts:
             status = "converged"
             break
@@ -355,13 +335,19 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
                    outcomes=outcomes, log=log, cuts=cuts)
 
 
-def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResult:
-    """Solve a case with the selected method; see SolveOptions for knobs."""
-    options = options or SolveOptions()
+def _check_case(case: SystemCase) -> None:
+    """Raise ValueError naming every invariant ``case`` breaks."""
     violations = validate_case(case)
     if violations:
         raise ValueError("case failed validation: "
                          + "; ".join(str(v) for v in violations))
+
+
+def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResult:
+    """Solve a case with the selected method; see SolveOptions for knobs.
+    Raises ValueError for a case that fails ``validate_case``."""
+    options = options or SolveOptions()
+    _check_case(case)
     timings = dict.fromkeys(("master", "screening", "pcfc", "nr_pcfc", "total"), 0.0)
     sens = build_sensitivities(case)
     if options.method in ("extensive_scuc", "extensive_scuc_cnr"):
@@ -381,9 +367,15 @@ def verify_schedule(case: SystemCase, method: str,
     dispatch meets every row of its feasibility LP is feasible by that
     point, with no LP solved; every other pair takes the LP and, if it
     fails, the switch search.
+
+    Raises ValueError for an unknown ``method`` or a case that fails
+    ``validate_case``, and ``CaseFormatError`` from ``check_solution_fits``
+    for a schedule that does not fit the case.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    _check_case(case)
+    check_solution_fits(case, schedule)
     sens = build_sensitivities(case)
     base_case = schedule_violation(case, build_muc(case, sens)[0], schedule)
     pairs = _every_pair(case, sens)

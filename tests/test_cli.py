@@ -307,7 +307,7 @@ def test_verify_rejects_report_that_does_not_fit_case(tamper, message, tmp_path,
     code = main(["verify", "--case", str(case_file), "--result", str(report_path)])
     assert code == 1
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert message in captured.err and f"error: {report_path}: " in captured.err
     assert "secure" not in captured.out
 
 
@@ -316,8 +316,8 @@ def test_verify_rejects_report_from_another_case(tri3_file, hi_file, tmp_path, c
     capsys.readouterr()
     code = main(["verify", "--case", str(hi_file), "--result", str(report_path)])
     assert code == 1
-    assert "solution.generator_ids [1, 2] do not match the case's [1, 2, 3]" \
-        in capsys.readouterr().err
+    assert (f"error: {report_path}: solution.generator_ids [1, 2] do not match the "
+            "case's [1, 2, 3]") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, name", [

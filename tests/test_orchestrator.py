@@ -6,9 +6,11 @@ import pytest
 
 import scucnr.orchestrator
 import scucnr.subproblems
-from conftest import fixture_family
+from conftest import assert_dropped_pairs_survivable, fixture_family, recorded_screens
 from scucnr.backend import SolveResult, SolverError, _hc, solve_milp
-from scucnr.fixtures import corridor4_high, corridor4_low, corridor4_stranded, random_case
+from scucnr.caseio import CaseFormatError
+from scucnr.fixtures import (corridor4_high, corridor4_low, corridor4_stranded, random_case,
+                             triangle3)
 from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, _examine, solve, verify_schedule,
@@ -230,15 +232,17 @@ def test_audit_flags_a_schedule_that_serves_no_load(tri3):
     assert verify_solution(tri3, res).base_case is None
 
 
-def test_screen_audit_flag_runs_clean(c4_high, tri3_tight):
+def test_loop_screen_drops_only_survivable_pairs(c4_high, tri3_tight):
+    # every pair the screen drops in any iteration, decided with no switch
+    # and on as many threads as the run used, is feasible
     for case in (c4_high, tri3_tight):
         for workers in (1, 2):
-            res = solve(case, SolveOptions(method="ad_scuc_cnr", audit_screening=True,
-                                           workers=workers))
+            with recorded_screens() as screens:
+                res = solve(case, SolveOptions(method="ad_scuc_cnr", workers=workers))
             assert res.converged
-            for stats in res.report.iteration_log:
-                assert stats.screen_audit_max_slack is not None
-                assert stats.screen_audit_max_slack <= 1e-6
+            assert len(screens) == len(res.report.iteration_log)
+            assert assert_dropped_pairs_survivable(screens, workers) == sum(
+                stats.screened_out for stats in res.report.iteration_log) > 0
 
 
 def test_serial_phase_timings_fit_inside_the_total(c4_high):
@@ -562,16 +566,20 @@ def test_invalid_options_rejected():
     with pytest.raises(ValueError, match="time_limit"):
         SolveOptions(time_limit=0.0)
     assert SolveOptions(time_limit=1.5).time_limit == 1.5
-    # no gap is not a gap of zero, and audit_screening is a bool, not truthy
+    # no gap is not a gap of zero
     with pytest.raises(ValueError, match="milp_gap"):
         SolveOptions(milp_gap=None)
-    for bad in (1, 0, "yes"):
-        with pytest.raises(ValueError, match="audit_screening"):
-            SolveOptions(audit_screening=bad)
-    assert SolveOptions(audit_screening=True).audit_screening is True
     assert set(METHODS) == {
         "extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
         "td_scuc_cnr", "ad_scuc_cnr"}
+
+
+def test_solve_options_has_six_fields():
+    # the screen's soundness is asserted by tests, not by an option
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == [
+        "method", "max_iterations", "milp_gap", "cbce_size", "workers", "time_limit"]
+    with pytest.raises(TypeError, match="audit_screening"):
+        SolveOptions(audit_screening=True)
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("inf"), float("nan"), "1e-4", "5"])
@@ -595,3 +603,22 @@ def test_verify_requires_schedule(c4_high):
     assert res.schedule is None
     with pytest.raises(ValueError):
         verify_solution(c4_high, res)
+
+
+def test_verify_rejects_a_case_that_solve_rejects(c4_low):
+    schedule = solve(c4_low, SolveOptions(method="td_scuc_cnr")).schedule
+    # the last branch takes the first branch's id
+    reused = dataclasses.replace(c4_low.branches[-1], id=c4_low.branches[0].id)
+    case = dataclasses.replace(c4_low, branches=c4_low.branches[:-1] + (reused,))
+    message = r"^case failed validation: \[duplicate_id\] branch 2: "
+    with pytest.raises(ValueError, match=message):
+        solve(case, SolveOptions(method="td_scuc_cnr"))
+    with pytest.raises(ValueError, match=message):
+        verify_schedule(case, "td_scuc_cnr", schedule)
+
+
+def test_verify_rejects_a_schedule_of_another_case(c4_low):
+    # the schedule is checked as the CLI checks one read from a report
+    schedule = solve(c4_low, SolveOptions(method="ad_scuc_cnr")).schedule
+    with pytest.raises(CaseFormatError, match=r"^solution\.generator_ids \[1, 2, 3\] do not"):
+        verify_schedule(triangle3((80.0, 60.0)), "ad_scuc_cnr", schedule)

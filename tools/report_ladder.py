@@ -3,9 +3,10 @@
 Usage: python tools/report_ladder.py OUT_DIR
        python tools/report_ladder.py --compare PARENT_DIR CHANGE_DIR
 
-Runs the seven built-in fixtures under every method, plus five runs of
-generated cases (one with a switch budget as long as its branch list),
-through the public API (``solve``, ``write_report``,
+Runs the seven built-in fixtures under every method, plus seven runs of
+generated cases (one with a switch budget as long as its branch list, and
+two stopped after their first master, whose schedules the audit finds
+insecure), through the public API (``solve``, ``write_report``,
 ``verify_solution``) with the ``scucnr`` package under this checkout's
 ``src``.  Each run gets ``OUT_DIR/<case>/<method>/`` holding
 ``report.json``, ``schedule.csv`` and ``verify.json`` (the audit's
@@ -18,10 +19,9 @@ Nothing wall-clock is written, so two checkouts compare with one
 ``--compare`` checks two such directories against each other.  Every run
 must make the same decisions on both sides: status, ``converged``,
 iterations, ``cuts_total``, each iteration's counts in ``iteration_log``
-(every field but ``muc_objective`` and ``screen_audit_max_slack``), each
-pair's status and switch, the switch list, the unresolved pairs and the
-audit in ``verify.json`` (verdict, pairs checked, unsurvivable pairs and
-``base_case``).
+(every field but ``muc_objective``), each pair's status and switch, the
+switch list, the unresolved pairs and the audit in ``verify.json``
+(verdict, pairs checked, unsurvivable pairs and ``base_case``).
 Objectives must agree within ``REL_TOL`` relative.  Each run whose files
 differ in any byte is printed with the largest absolute difference of
 each ``solution`` array.  The exit status is 1 when some run decides
@@ -63,16 +63,21 @@ FILES = ("report.json", "schedule.csv", "verify.json")
 SOLUTION_ARRAYS = ("u", "v", "p", "r", "flow", "theta")
 
 # the floats of an iteration_log entry; every other field is a count
-ITERATION_FLOATS = ("muc_objective", "screen_audit_max_slack")
+ITERATION_FLOATS = ("muc_objective",)
 
-# (seed, buses, generators, horizon), method, workers, cbce_size (None: the default)
+# (seed, buses, generators, horizon), method, workers, cbce_size and
+# max_iterations (None: the default)
 RANDOM_RUNS = (
-    ((101, 24, 8, 4), "td_scuc", 1, None),
-    ((101, 24, 8, 4), "td_scuc_cnr", 1, None),
-    ((9, 40, 12, 8), "ad_scuc_cnr", 2, None),
-    ((101, 12, 5, 4), "extensive_scuc", 1, None),
+    ((101, 24, 8, 4), "td_scuc", 1, None, None),
+    ((101, 24, 8, 4), "td_scuc_cnr", 1, None, None),
+    ((9, 40, 12, 8), "ad_scuc_cnr", 2, None, None),
+    ((101, 12, 5, 4), "extensive_scuc", 1, None, None),
     # a budget of the case's 60 branches: the search may try every reconfigurable line
-    ((9, 40, 12, 8), "ad_scuc_cnr", 2, 60),
+    ((9, 40, 12, 8), "ad_scuc_cnr", 2, 60, None),
+    # the first master's schedule, cut by no pair yet: the audit decides
+    # insecure pairs, by LP and by its search of the whole ranking
+    ((9, 40, 12, 8), "td_scuc", 1, None, 1),
+    ((9, 40, 12, 8), "td_scuc_cnr", 1, None, 1),
 )
 
 
@@ -82,12 +87,15 @@ def ladder():
         case = build()
         for method in METHODS:
             yield name, case, SolveOptions(method=method)
-    for sizes, method, workers, cbce_size in RANDOM_RUNS:
+    for sizes, method, workers, cbce_size, max_iterations in RANDOM_RUNS:
         name = "random_" + "_".join(map(str, sizes))
         options = SolveOptions(method=method, workers=workers)
         if cbce_size is not None:
             name += f"_cbce{cbce_size}"
             options = dataclasses.replace(options, cbce_size=cbce_size)
+        if max_iterations is not None:
+            name += f"_iter{max_iterations}"
+            options = dataclasses.replace(options, max_iterations=max_iterations)
         yield name, random_case(*sizes), options
 
 
