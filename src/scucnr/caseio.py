@@ -245,7 +245,7 @@ class RunReport:
     switches: list[tuple[int, int, int]] = field(default_factory=list)
     unresolved: list[tuple[int, int]] = field(default_factory=list)
     cuts_total: int = 0
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float | list] = field(default_factory=dict)
 
 
 def _report_to_dict(report: RunReport, schedule: MucSolution | None) -> dict:
@@ -293,8 +293,8 @@ def write_report(report: RunReport, schedule: MucSolution | None,
     """Write report.json, schedule.csv and timings.json into ``out_dir``.
 
     report.json and schedule.csv are byte-deterministic for identical runs;
-    timings.json carries the wall-clock numbers and is the only
-    non-reproducible artifact.
+    timings.json carries the wall-clock numbers, each a float or, per
+    master, a list in solve order, and is the only non-reproducible artifact.
     """
     out = Path(out_dir)
     try:
@@ -315,9 +315,9 @@ def write_report(report: RunReport, schedule: MucSolution | None,
                                  for t in range(periods)])
             else:
                 writer.writerow(["generator"])
-        paths["timings"].write_text(
-            json.dumps({k: round(v, 6) for k, v in sorted(report.timings.items())},
-                       indent=2, sort_keys=True) + "\n")
+        timings = {k: [round(x, 6) for x in v] if isinstance(v, list) else round(v, 6)
+                   for k, v in report.timings.items()}
+        paths["timings"].write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
         return paths
     except OSError as exc:
         raise CaseIOError(f"cannot write report to {out}: {exc}") from None

@@ -135,7 +135,7 @@ class VerificationReport:
 
 
 def _finish(method: str, status: str, schedule: MucSolution | None, iterations: int,
-            timings: dict[str, float], start: float, *, outcomes=(), log=(), cuts=(),
+            timings: dict[str, float | list], start: float, *, outcomes=(), log=(), cuts=(),
             switches: dict[tuple[int, int], int] | None = None) -> ScheduleResult:
     """Report and result of a run, built once for both solve paths and every end state.
 
@@ -165,16 +165,21 @@ def _every_pair(case: SystemCase, sens: NetworkSensitivities) -> list[tuple[int,
 
 
 def _solve_master(case: SystemCase, sens: NetworkSensitivities, options: SolveOptions,
-                  timings: dict[str, float], cuts=(), states=()
+                  timings: dict[str, float | list], cuts=(), states=()
                   ) -> tuple[MucSolution | None, dict[tuple[int, int], int]]:
     """The schedule of the master over ``cuts`` and ``states``, switchable
     under a CNR method, and the line opened per state; ``(None, {})`` when
-    it is infeasible.  Build and solve seconds go to ``timings["master"]``.
+    it is infeasible.  Build and solve seconds go to ``timings["master"]``
+    and, one entry per master in solve order, to ``timings["master_s"]``,
+    with the MILP's branch-and-bound nodes in ``timings["master_nodes"]``.
     """
     t0 = time.perf_counter()
     lp, switch_columns = build_muc(case, sens, cuts, states, switching=options.uses_cnr)
     result = solve_milp(lp, gap=options.milp_gap, time_limit=options.time_limit)
-    timings["master"] += time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
+    timings["master"] += seconds
+    timings["master_s"].append(seconds)
+    timings["master_nodes"].append(result.mip_nodes)
     if result.status == "infeasible":
         return None, {}
     if result.status != "optimal":
@@ -184,7 +189,8 @@ def _solve_master(case: SystemCase, sens: NetworkSensitivities, options: SolveOp
 
 
 def _solve_extensive(case: SystemCase, options: SolveOptions,
-                     sens: NetworkSensitivities, timings: dict[str, float]) -> ScheduleResult:
+                     sens: NetworkSensitivities,
+                     timings: dict[str, float | list]) -> ScheduleResult:
     start = time.perf_counter()
     schedule, plan = _solve_master(case, sens, options, timings, states=_every_pair(case, sens))
     if schedule is None:
@@ -283,7 +289,8 @@ def _examine(case, sens, muc, pairs, switch_budget: int | None, workers: int,
 
 
 def _solve_decomposed(case: SystemCase, options: SolveOptions,
-                      sens: NetworkSensitivities, timings: dict[str, float]) -> ScheduleResult:
+                      sens: NetworkSensitivities,
+                      timings: dict[str, float | list]) -> ScheduleResult:
     start = time.perf_counter()
     all_pairs = _every_pair(case, sens)
     cuts: list[FeasibilityCut] = []
@@ -348,7 +355,8 @@ def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResu
     Raises ValueError for a case that fails ``validate_case``."""
     options = options or SolveOptions()
     _check_case(case)
-    timings = dict.fromkeys(("master", "screening", "pcfc", "nr_pcfc", "total"), 0.0)
+    timings = {**dict.fromkeys(("master", "screening", "pcfc", "nr_pcfc", "total"), 0.0),
+               "master_s": [], "master_nodes": []}
     sens = build_sensitivities(case)
     if options.method in ("extensive_scuc", "extensive_scuc_cnr"):
         return _solve_extensive(case, options, sens, timings)

@@ -12,8 +12,8 @@ import scucnr.backend
 import scucnr.orchestrator
 import scucnr.subproblems
 from oracles import csc, dense, linprog_solution, scipy_csc
-from scucnr.backend import (_RESIDUAL_TOL, INF, CscMatrix, Engine, LinearProgram, SolverError,
-                            solve_lp, solve_milp, violation)
+from scucnr.backend import (_RESIDUAL_TOL, DEFAULT_MILP_GAP, INF, CscMatrix, Engine,
+                            LinearProgram, SolverError, solve_lp, solve_milp, violation)
 from scucnr.caseio import write_case
 from scucnr.fixtures import corridor4_high, corridor4_low, random_case
 from scucnr.formulations import build_muc, extract_solution
@@ -242,6 +242,47 @@ def test_chained_engines_skip_presolve_and_scaling_and_cold_solves_do_not(monkey
     assert used == [{"presolve": "off", "simplex_scale_strategy": 0},
                     {"presolve": "on", "simplex_scale_strategy": 2},
                     linprog_like]
+
+
+def test_milp_engines_skip_only_the_root_reduced_cost_heuristic(monkeypatch):
+    def options(highs):
+        return {key: highs.getOptionValue(key)[1]
+                for key in ("mip_heuristic_run_root_reduced_cost", "mip_rel_gap", "presolve",
+                            "mip_heuristic_effort", "mip_heuristic_run_rins",
+                            "mip_heuristic_run_rens", "mip_heuristic_run_feasibility_jump")}
+
+    run, used = scucnr.backend._run, []
+
+    def spy(lp, highs, basis=None):
+        used.append(options(highs))
+        return run(lp, highs, basis)
+
+    monkeypatch.setattr(scucnr.backend, "_run", spy)
+    default = options(scucnr.backend._hc._Highs())
+    assert default["mip_heuristic_run_root_reduced_cost"] is True
+    solve_milp(binaries([1.0], [[1.0]], [1.0], [INF]), gap=3e-3)
+    lp = make_lp([1.0], [[1.0]], [0.4], [INF], lb=[0.0])
+    solve_lp(lp)
+    solve_lp(lp, Engine())
+    milp, cold, chained = used
+    assert milp == {**default, "mip_heuristic_run_root_reduced_cost": False, "mip_rel_gap": 3e-3}
+    # the LP engines, cold and chained, leave the MILP heuristic at its default
+    assert cold["mip_heuristic_run_root_reduced_cost"] is True
+    assert chained["mip_heuristic_run_root_reduced_cost"] is True
+
+
+@pytest.mark.parametrize("size", [(101, 12, 5, 4), (101, 24, 8, 4), (5, 24, 8, 6), (9, 40, 12, 8)])
+def test_milp_options_change_the_search_not_the_answer(size):
+    # a cut-free master solved with solve_milp and on an engine with HiGHS's
+    # own MILP heuristics: both optimal, within the gap of each other
+    case = random_case(*size)
+    lp, _ = build_muc(case, build_sensitivities(case))
+    ours = solve_milp(lp)
+    highs = scucnr.backend._new_engine({"log_to_console": False,
+                                        "mip_rel_gap": DEFAULT_MILP_GAP})
+    status, info, _ = scucnr.backend._run(lp, highs)
+    assert ours.status == status == "optimal"
+    assert ours.objective == pytest.approx(info.objective_function_value, rel=DEFAULT_MILP_GAP)
 
 
 def test_dense_matrices_load_as_their_nonzeros():

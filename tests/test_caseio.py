@@ -117,7 +117,10 @@ def test_report_files_for_converged_run(tri3, tmp_path):
     lines = paths["schedule"].read_text().strip().splitlines()
     assert len(lines) == 1 + 2  # header plus one row per generator
     assert lines[0] == "generator,t1"
-    assert json.loads(paths["timings"].read_text())  # some phases recorded
+    timings = json.loads(paths["timings"].read_text())
+    assert timings["total"] > 0
+    # per-master seconds and nodes, one entry per master, written as lists
+    assert len(timings["master_s"]) == len(timings["master_nodes"]) == doc["iterations"]
 
 
 def test_report_lists_switch_triples(c4_high, tmp_path):

@@ -254,6 +254,19 @@ def test_serial_phase_timings_fit_inside_the_total(c4_high):
     assert timings["pcfc"] > 0 and timings["nr_pcfc"] > 0
 
 
+@pytest.mark.parametrize("method,max_iterations",
+                         [(m, SolveOptions.max_iterations) for m in METHODS] + [("td_scuc", 2)])
+def test_timings_list_each_masters_seconds_and_nodes_in_solve_order(c4_high, method,
+                                                                   max_iterations):
+    res = solve(c4_high, SolveOptions(method=method, max_iterations=max_iterations))
+    timings = res.report.timings
+    # one master per iteration, also the last one of an infeasible or cut-short run
+    masters = 1 if method.startswith("extensive") else res.iterations
+    assert len(timings["master_s"]) == len(timings["master_nodes"]) == masters
+    assert sum(timings["master_s"]) == pytest.approx(timings["master"])
+    assert all(type(n) is int and n >= 0 for n in timings["master_nodes"])
+
+
 def test_worker_pool_matches_serial(c4_high, tri3_tight):
     for case in (c4_high, tri3_tight):
         serial = solve(case, SolveOptions(method="ad_scuc_cnr", workers=1))
