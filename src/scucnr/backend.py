@@ -44,7 +44,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -253,17 +252,13 @@ class Engine:
     or scaling, so the engine runs neither, not even on the first LP of a
     shape.  The optimum is the same as a fresh engine's, up to the
     feasibility tolerances, but where the optimal vertex or the duals are
-    not unique it may return other ones.  The HiGHS engine itself is made
-    on the first LP, so an ``Engine`` that solves none costs nothing.  An
-    engine holds state: use it from one thread.
+    not unique it may return other ones.  An engine holds state: use it
+    from one thread.
     """
 
     def __init__(self):
+        self.highs = _new_engine(_CHAINED_OPTIONS)
         self.bases: dict[tuple[int, int], _hc.HighsBasis] = {}
-
-    @cached_property
-    def highs(self):
-        return _new_engine(_CHAINED_OPTIONS)
 
 
 def _load(lp: LinearProgram, highs) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (MucSolution, SubproblemOutcome, SystemCase, Bus, Branch,
-                    Generator, is_real, validate_case)
+                    Generator, is_real)
 
 
 class CaseIOError(Exception):
@@ -27,8 +27,9 @@ class CaseFormatError(CaseIOError):
     """Malformed JSON or a schema violation, with the offending location."""
 
 
-class CaseValidationError(CaseIOError):
-    """Structurally complete case that breaks a model invariant."""
+class CaseValidationError(CaseIOError, ValueError):
+    """Structurally complete case that breaks a model invariant, raised by
+    ``solve`` and ``verify_schedule``, which validate the case they take."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -107,6 +108,8 @@ def case_from_dict(data: dict) -> SystemCase:
     Ids, bus references, the horizon and minimum up/down times must be
     integral numbers, every other numeric field a number, and flags JSON
     booleans; anything else raises a CaseFormatError naming its location.
+    The model's invariants (``validate_case``) are left to ``solve`` and
+    ``verify_schedule``, so each command validates its case once.
     """
     if not isinstance(data, dict):
         raise CaseFormatError("top level must be a JSON object")
@@ -157,13 +160,9 @@ def case_from_dict(data: dict) -> SystemCase:
             initial_status=_flag(rec, "initial_status", where, False),
             initial_output=_number(rec, "initial_output", where, 0.0)))
 
-    case = SystemCase(buses=tuple(buses), branches=tuple(branches),
+    return SystemCase(buses=tuple(buses), branches=tuple(branches),
                       generators=tuple(generators), horizon=horizon,
                       base_mva=base_mva)
-    violations = validate_case(case)
-    if violations:
-        raise CaseValidationError(violations)
-    return case
 
 
 def case_to_dict(case: SystemCase) -> dict:
@@ -197,7 +196,7 @@ def case_to_dict(case: SystemCase) -> dict:
 
 
 def parse_case(path: str | Path) -> SystemCase:
-    """Read, schema-check and validate a case file."""
+    """Read and schema-check a case file (see ``case_from_dict``)."""
     path = Path(path)
     try:
         text = path.read_text()

@@ -27,7 +27,7 @@ import numpy as np
 
 from .backend import INF, CscMatrix, LinearProgram, SolveResult, SolverError, violation
 from .model import FeasibilityCut, MucSolution, SystemCase
-from .network import NetworkSensitivities, bus_angles
+from .network import NetworkSensitivities, bus_angles, bus_injections
 from .subproblems import OutageRows, switch_candidates
 
 INTEGRALITY_TOL = 1e-5
@@ -346,8 +346,7 @@ def extract_solution(case: SystemCase, sens: NetworkSensitivities, lp: LinearPro
     # the largest reserve each unit can hold instead: it is at least the
     # solver's, so it meets every reserve row the solver's split met.
     reserve = np.minimum(ramp_10, p_max - cleaned_p) * u
-    injections = -np.array([b.demand for b in case.buses], dtype=float)
-    np.add.at(injections, [case.bus_index[g.bus] for g in case.generators], cleaned_p)
+    injections = bus_injections(case, cleaned_p)
     solution = MucSolution(
         generator_ids=tuple(g.id for g in case.generators),
         branch_ids=tuple(k.id for k in case.branches), bus_ids=tuple(b.id for b in case.buses),

@@ -67,6 +67,14 @@ def _branch_incidence(case: SystemCase) -> tuple[np.ndarray, np.ndarray]:
     return incidence, beff
 
 
+def bus_injections(case: SystemCase, p: np.ndarray) -> np.ndarray:
+    """Generation ``p`` (generators x periods) minus demand, in MW per bus
+    and period."""
+    injections = -np.array([b.demand for b in case.buses], dtype=float)
+    np.add.at(injections, [case.bus_index[g.bus] for g in case.generators], p)
+    return injections
+
+
 def bus_angles(case: SystemCase, injections: np.ndarray) -> np.ndarray:
     """Bus angles in radians that carry ``injections`` with the reference at 0.
 

@@ -21,8 +21,9 @@ The task's switch LPs, each its pair LP plus one transaction column, run
 over the same rows and engine (see ``subproblems``), and the pairs come
 back in (period, contingency) order.  Only the loop's own examination
 forms cuts, each by one cold LP per unsurvivable pair; the switch filter
-and ``verify_schedule`` read the warm verdicts alone, and take no LP for
-a pair the schedule's own dispatch already survives.
+and ``verify_schedule`` read the warm verdicts alone.  They and the
+accelerated loop examine only the pairs the screen, ``run_csps``, keeps:
+the one no-LP proof that a pair survives.
 Each schedule must meet the rows of the model it came from, and the audit
 holds it to the cut-free master's rows before it examines any pair.
 """
@@ -36,14 +37,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .backend import DEFAULT_MILP_GAP, Engine, SolverError, solve_milp
-from .caseio import IterationStats, RunReport, check_solution_fits
+from .caseio import CaseValidationError, IterationStats, RunReport, check_solution_fits
 from .formulations import (build_muc, extract_solution, extract_switching_plan,
                            schedule_violation)
 from .model import (FeasibilityCut, MucSolution, SubproblemOutcome, SystemCase,
                     is_real, validate_case)
 from .network import NetworkSensitivities, build_sensitivities
-from .subproblems import (OutageRows, certify_pcfc, find_corrective_switch, run_csps,
-                          solve_pcfc)
+from .subproblems import OutageRows, find_corrective_switch, run_csps, solve_pcfc
 
 METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
            "td_scuc_cnr", "ad_scuc_cnr")
@@ -197,7 +197,8 @@ def _solve_extensive(case: SystemCase, options: SolveOptions,
         return _finish(options.method, "infeasible", None, 1, timings, start)
     # opening a line costs nothing in the MILP, so it may open lines at
     # pairs that survive without one; report only the pairs that need it
-    outcomes, _ = _examine(case, sens, schedule, plan, 0, options.workers)
+    kept = run_csps(case, sens, schedule, plan).critical
+    outcomes, _ = _examine(case, sens, schedule, kept, 0, options.workers)
     switches = {(o.contingency, o.period): plan[o.contingency, o.period]
                 for o in outcomes if o.status == "infeasible"}
     return _finish(options.method, "converged", schedule, 1, timings, start,
@@ -211,24 +212,13 @@ def _examine_pair(rows: OutageRows, muc: MucSolution, t: int, switch_budget: int
     for a switch (all of them when None, none when 0), its LPs over the
     same rows and engine.
 
-    Without ``cut`` (the audit and the extensive switch filter) a pair
-    whose schedule's own dispatch meets every row of its LP
-    (``certify_pcfc``) is feasible with slack 0 and solves no LP.  With
-    ``cut``, the loop's own examination, every pair takes its LP: the
-    accelerated methods have already dropped such pairs by the screen, and
-    the unscreened ones count one LP per pair.
-
     The outcome is infeasible only when the pair ends up with no feasible
     recourse.  A warm solve carries no cut, so with ``cut`` such a pair is
     solved once more with no engine, ``solve_pcfc(rows, muc, t)``, whose
     outcome carries the cut.  ``counters`` gets the seconds of its LPs.
     """
     t0 = time.perf_counter()
-    if not cut and certify_pcfc(rows, muc, t):
-        outcome = SubproblemOutcome(contingency=rows.outage, period=t, status="feasible",
-                                    slack=0.0)
-    else:
-        outcome = solve_pcfc(rows, muc, t, engine=engine)
+    outcome = solve_pcfc(rows, muc, t, engine=engine)
     counters["pcfc_seconds"] += time.perf_counter() - t0
     if outcome.status == "feasible":
         return outcome
@@ -252,13 +242,11 @@ def _examine(case, sens, muc, pairs, switch_budget: int | None, workers: int,
     ``cut``, each unsurvivable pair's outcome carries its cut.
 
     A task builds its contingency's ``OutageRows`` and one warm ``Engine``,
-    which its pair and switch LPs share, and takes its periods in order;
-    the engine's HiGHS instance is made on the task's first LP, so a task
-    whose pairs all certify (see ``_examine_pair``) makes none.  Returns
-    the outcomes in (period, contingency) order, the order of the master's
-    cut rows, and the merged counters.  Each task has its own rows, engine
-    and counters, so worker threads share only immutable inputs and the
-    outcomes do not depend on ``workers``.  scipy's HiGHS binding releases
+    which its pair and switch LPs share, and takes its periods in order.
+    Returns the outcomes in (period, contingency) order, the order of the
+    master's cut rows, and the merged counters.  Each task has its own
+    rows, engine and counters, so worker threads share only immutable
+    inputs and the outcomes do not depend on ``workers``.  scipy's HiGHS binding releases
     the GIL inside ``run``, so with ``workers > 1`` the LPs of two tasks
     solve at the same time; the Python and numpy work around them runs
     mostly one thread at a time.
@@ -343,16 +331,16 @@ def _solve_decomposed(case: SystemCase, options: SolveOptions,
 
 
 def _check_case(case: SystemCase) -> None:
-    """Raise ValueError naming every invariant ``case`` breaks."""
+    """Raise ``CaseValidationError`` naming every invariant ``case`` breaks."""
     violations = validate_case(case)
     if violations:
-        raise ValueError("case failed validation: "
-                         + "; ".join(str(v) for v in violations))
+        raise CaseValidationError(violations)
 
 
 def solve(case: SystemCase, options: SolveOptions | None = None) -> ScheduleResult:
     """Solve a case with the selected method; see SolveOptions for knobs.
-    Raises ValueError for a case that fails ``validate_case``."""
+    Raises ``CaseValidationError``, a ValueError, for a case that fails
+    ``validate_case``."""
     options = options or SolveOptions()
     _check_case(case)
     timings = {**dict.fromkeys(("master", "screening", "pcfc", "nr_pcfc", "total"), 0.0),
@@ -369,16 +357,16 @@ def verify_schedule(case: SystemCase, method: str,
 
     The schedule must meet every row and bound of the cut-free master.
     Then, whatever screening or search the producing run did, every
-    non-radial outage in every period goes through the loop's pair routine,
-    for reconfiguration methods with no limit on the switch search: it may
-    try every line of the outage's ranking.  A pair whose schedule's own
-    dispatch meets every row of its feasibility LP is feasible by that
-    point, with no LP solved; every other pair takes the LP and, if it
-    fails, the switch search.
+    non-radial outage in every period is screened by ``run_csps``, which
+    drops only pairs the schedule's own dispatch survives.  Each pair it
+    keeps goes through the loop's pair routine, for reconfiguration methods
+    with no limit on the switch search: it may try every line of the
+    outage's ranking.  ``pairs_checked`` counts every pair.
 
-    Raises ValueError for an unknown ``method`` or a case that fails
-    ``validate_case``, and ``CaseFormatError`` from ``check_solution_fits``
-    for a schedule that does not fit the case.
+    Raises ValueError for an unknown ``method``, ``CaseValidationError`` (a
+    ValueError) for a case that fails ``validate_case``, and
+    ``CaseFormatError`` from ``check_solution_fits`` for a schedule that
+    does not fit the case.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -387,7 +375,7 @@ def verify_schedule(case: SystemCase, method: str,
     sens = build_sensitivities(case)
     base_case = schedule_violation(case, build_muc(case, sens)[0], schedule)
     pairs = _every_pair(case, sens)
-    outcomes, _ = _examine(case, sens, schedule, pairs,
+    outcomes, _ = _examine(case, sens, schedule, run_csps(case, sens, schedule, pairs).critical,
                            None if method in _CNR_METHODS else 0, workers=1)
     return VerificationReport(method=method, pairs_checked=len(pairs),
                               violations=tuple((o.contingency, o.period, o.slack)

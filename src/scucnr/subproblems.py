@@ -1,8 +1,9 @@
 """Per-(contingency, period) slave problems.
 
-Four layers of increasing cost: an arithmetic screener that predicts
-post-outage flows from distribution factors, a redispatch feasibility LP
-whose proportional slack indicates whether the outage is survivable within
+Four layers of increasing cost: an arithmetic screener that checks the
+schedule's own dispatch against a pair's rows, with post-outage flows
+from distribution factors, a redispatch feasibility LP whose
+proportional slack indicates whether the outage is survivable within
 10-minute ramps and emergency ratings, an interval bound that proves
 opening a further line hopeless from the LP's own generator box, and the
 same LP re-solved with that line opened.  The switch search walks a prefix
@@ -41,10 +42,11 @@ of a post-outage state, as it stands or with one line opened, warm on
 unique, so a cut is read only off a fresh engine: an unswitched,
 unsurvivable state solved with no ``engine`` carries its cut, and no
 other solve does.  ``rows.hopeless(muc, t, js)`` proves lines hopeless
-with no LP, ``switch_candidates(rows)`` and ``find_corrective_switch(rows,
-muc, t)`` walk the ranking, and ``certify_pcfc(rows, muc, t)`` proves a
-pair feasible with no LP when the schedule's own dispatch meets every
-row of its LP.
+with no LP, and ``switch_candidates(rows)`` and
+``find_corrective_switch(rows, muc, t)`` walk the ranking.  The one proof
+that a pair survives with no LP is the screen, ``run_csps``, over many
+pairs at once: the schedule's own dispatch meets every row of each
+dropped pair's LP.
 """
 
 from __future__ import annotations
@@ -54,11 +56,14 @@ from itertools import islice
 
 import numpy as np
 
-from .backend import Engine, LinearProgram, SolverError, solve_lp, violation
+from .backend import Engine, LinearProgram, SolverError, solve_lp
 from .model import FeasibilityCut, MucSolution, SubproblemOutcome, SystemCase
-from .network import NetworkSensitivities, lodf_columns
+from .network import NetworkSensitivities, bus_injections, lodf_columns
 
-SCREEN_SLACK_MW = 1e-6
+# how far the schedule's own dispatch may break a row of a pair's
+# feasibility LP and still let the screen drop the pair: below the engine's
+# 1e-7 primal tolerance
+SCREEN_TOL_MW = 1e-9
 
 DUALITY_CHECK_TOL = 1e-6
 
@@ -77,10 +82,6 @@ HOPELESS_MARGIN_MW = 1e-6
 # never holds a branches x candidates x generators array over every line
 HOPELESS_BLOCK = 32
 
-# how far the schedule's own dispatch may break a row of its pair LP and
-# still certify the pair: below the engine's 1e-7 primal tolerance
-CERTIFICATE_TOL_MW = 1e-9
-
 
 @dataclass(frozen=True)
 class ScreeningResult:
@@ -92,26 +93,42 @@ class ScreeningResult:
 
 def run_csps(case: SystemCase, sens: NetworkSensitivities, muc: MucSolution,
              candidates) -> ScreeningResult:
-    """Screen candidate (contingency, period) pairs by predicted overloads.
+    """Screen candidate (contingency, period) pairs by the schedule's own
+    dispatch: a pair is dropped only when ``s = 0, pc = p`` (no redispatch)
+    meets every row of its feasibility LP within ``SCREEN_TOL_MW``, which
+    proves the LP's slack optimum 0.  Pure arithmetic, no optimization.
 
-    Post-outage flow on each surviving branch is the base flow plus the
-    distribution factor times the outaged branch's base flow; a pair stays
-    critical iff some predicted magnitude exceeds that branch's emergency
-    rating.  Pure arithmetic, no optimization: one branches-by-pairs
-    broadcast.  The outaged branch itself predicts exactly zero
-    (``LODF[c, c] = -1``), so it never raises a pair's excess.
+    Flow rows: post-outage flow on each surviving branch is the base flow
+    plus the distribution factor times the outaged branch's base flow, one
+    branches-by-pairs broadcast; the outaged branch predicts exactly zero
+    (``LODF[c, c] = -1``).  The base flows come from ``muc.p`` and the
+    demand, as ``extract_solution`` computes them, never from ``muc.flow``,
+    which a report read back from a file carries unchecked.  The generator
+    box (``p_min u <= p <= p_max u``) and balance rows do not depend on the
+    outage, so a period whose ``p`` breaks one keeps all of its pairs.  The
+    ramp rows hold exactly at ``pc = p``.
     """
     pairs = sorted(candidates, key=lambda ct: (ct[1], ct[0]))
     for c, _ in pairs:
         if c not in sens.non_radial:
             raise ValueError(f"branch {c} is not a valid contingency")
+    u, p = muc.u, muc.p
+    p_min = np.array([g.p_min for g in case.generators])[:, None]
+    p_max = np.array([g.p_max for g in case.generators])[:, None]
+    demand = np.array([b.demand for b in case.buses]).sum(axis=0)
+    period_excess = np.maximum(
+        np.maximum(p_min * u - p, p - p_max * u).max(axis=0, initial=-np.inf),
+        np.abs(p.sum(axis=0) - demand))
     out = [case.branch_index[c] for c, _ in pairs]
-    flow = muc.flow[:, [t - 1 for _, t in pairs]]
+    periods = [t - 1 for _, t in pairs]
+    flow = (sens.ptdf @ bus_injections(case, p))[:, periods]
     predicted = np.abs(flow + sens.lodf[:, out] * flow[out, np.arange(len(pairs))])
     rate = np.array([k.rate_emergency for k in case.branches])[:, None]
-    worst_excess = (predicted - rate).max(axis=0, initial=-np.inf)
+    worst_excess = np.maximum((predicted - rate).max(axis=0, initial=-np.inf),
+                              period_excess[periods])
+    # a positive condition, so that a NaN keeps its pair
     critical = tuple(pair for pair, excess in zip(pairs, worst_excess)
-                     if excess > SCREEN_SLACK_MW)
+                     if not excess <= SCREEN_TOL_MW)
     return ScreeningResult(candidates=len(pairs), critical=critical)
 
 
@@ -274,23 +291,6 @@ def _slack_lp(rows: tuple, muc: MucSolution, t: int, name: str) -> LinearProgram
         ub=np.full(n_g + 1, np.inf),
         name=name,
     )
-
-
-def certify_pcfc(rows: OutageRows, muc: MucSolution, t: int) -> bool:
-    """Whether the schedule's own dispatch proves the outage of ``rows``
-    survivable in period ``t``, with no LP solved.
-
-    The pair's feasibility LP has the point ``s = 0, pc = p_t``: no
-    redispatch.  Its generator and balance rows hold there by the master's
-    own rows, up to the master's tolerances, so in practice only the
-    post-outage flow rows fail.  When every row and bound
-    of the LP holds at that point within ``CERTIFICATE_TOL_MW``, the slack
-    optimum is exactly 0.  False says only that this point fails, not
-    that the pair does.
-    """
-    lp = _slack_lp(rows.at(t), muc, t, f"pcfc[{rows.outage},{t}]")
-    point = np.concatenate(([0.0], muc.p[:, t - 1]))
-    return violation(lp, point, CERTIFICATE_TOL_MW) is None
 
 
 def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int, switch: int | None = None,

@@ -363,13 +363,13 @@ def test_lp_without_columns_is_decided_by_its_row_sides():
 
 def test_a_ranged_row_goes_to_solve_milp_not_solve_lp():
     # min x over 1 <= x <= 3: solve_lp's duals price one side of each row, so
-    # it rejects the ranged row before any engine is made; split into two
+    # it rejects the ranged row before it loads anything; split into two
     # one-sided rows, the same LP prices its lower side
     ranged = make_lp([1.0], [[1.0]], [1.0], [3.0], name="ranged")
     engine = Engine()
     with pytest.raises(ValueError, match=r"'ranged' has a ranged row \(0\)"):
         solve_lp(ranged, engine)
-    assert "highs" not in vars(engine)
+    assert engine.highs.getLp().num_col_ == 0 and engine.bases == {}
     assert solve_milp(ranged).objective == pytest.approx(1.0)
     split = solve_lp(make_lp([1.0], [[1.0], [1.0]], [-INF, 1.0], [3.0, INF]))
     assert split.objective == pytest.approx(1.0) and split.dual_objective() == pytest.approx(1.0)

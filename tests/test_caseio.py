@@ -7,7 +7,8 @@ from scucnr.caseio import (CaseFormatError, CaseIOError, CaseValidationError,
                            case_from_dict, case_to_dict, load_solution,
                            parse_case, write_case, write_report)
 from scucnr.cli import main
-from scucnr.orchestrator import SolveOptions, solve
+from scucnr.fixtures import triangle3
+from scucnr.orchestrator import SolveOptions, solve, verify_schedule
 
 
 def test_parse_triangle_fixture_file(tri3, tmp_path):
@@ -31,26 +32,44 @@ def test_roundtrip_is_idempotent(tri3, c4_high, star, tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_generator_on_unknown_bus_is_named(tri3, tmp_path):
+def _rejected(path, tmp_path, capsys) -> str:
+    """Parse the case file ``path``, which breaks a model invariant, and
+    return the one message with which ``solve``, ``verify_schedule`` and
+    both CLI commands reject it; ``parse_case`` checks types only."""
+    case = parse_case(path)
+    run = solve(triangle3(), SolveOptions(method="ad_scuc"))
+    messages = []
+    for reject in (lambda: solve(case, SolveOptions(method="ad_scuc")),
+                   lambda: verify_schedule(case, "ad_scuc", run.schedule)):
+        with pytest.raises(CaseValidationError) as err:
+            reject()
+        messages.append(str(err.value))
+    report = write_report(run.report, run.schedule, tmp_path / "good")["report"]
+    capsys.readouterr()
+    assert main(["solve", "--case", str(path), "--method", "ad_scuc",
+                 "--out", str(tmp_path / "r")]) == 1
+    assert main(["verify", "--case", str(path), "--result", str(report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {messages[0]}"] * 2
+    assert messages[0] == messages[1] and not (tmp_path / "r").exists()
+    return messages[0]
+
+
+def test_generator_on_unknown_bus_is_named(tri3, tmp_path, capsys):
     doc = case_to_dict(tri3)
     doc["generators"][0]["bus"] = 99
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CaseValidationError) as err:
-        parse_case(path)
-    msg = str(err.value)
+    msg = _rejected(path, tmp_path, capsys)
     assert "generator 1" in msg and "99" in msg
 
 
-def test_short_demand_profile_is_named(tri3, tmp_path):
+def test_short_demand_profile_is_named(tri3, tmp_path, capsys):
     doc = case_to_dict(tri3)
     doc["horizon"] = 2
     path = tmp_path / "short.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CaseValidationError) as err:
-        parse_case(path)
-    assert "bus 1" in str(err.value)
-    assert "expected horizon 2" in str(err.value)
+    msg = _rejected(path, tmp_path, capsys)
+    assert "bus 1" in msg and "expected horizon 2" in msg
 
 
 def _nan_demand(doc):
@@ -75,12 +94,7 @@ def test_non_finite_numbers_are_named(corrupt, tri3, tmp_path, capsys):
     entity, field = corrupt(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))   # json writes NaN / Infinity literals
-    with pytest.raises(CaseValidationError) as err:
-        parse_case(path)
-    assert f"{entity}: {field} must be a finite number" in str(err.value)
-    assert main(["solve", "--case", str(path), "--method", "ad_scuc",
-                 "--out", str(tmp_path / "r")]) == 1
-    assert field in capsys.readouterr().err
+    assert f"{entity}: {field} must be a finite number" in _rejected(path, tmp_path, capsys)
 
 
 def test_malformed_json_reports_location(tmp_path):

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
+import scucnr.model
 from scucnr.caseio import write_case
 from scucnr.cli import main
 from scucnr.fixtures import corridor4, corridor4_high, triangle3
@@ -90,6 +92,26 @@ def test_verify_clean_run(tri3_file, tmp_path, capsys):
                  "--result", str(out / "report.json")])
     assert code == 0
     assert "secure" in capsys.readouterr().out
+
+
+def test_each_command_validates_its_case_once(tri3_file, tmp_path, monkeypatch):
+    # parse_case checks types only; solve and verify_schedule validate
+    validate, calls = scucnr.model.validate_case, []
+
+    def counted(case):
+        calls.append(case)
+        return validate(case)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "scucnr" and getattr(module, "validate_case", None) is validate:
+            monkeypatch.setattr(module, "validate_case", counted)
+    out = tmp_path / "runs"
+    assert main(["solve", "--case", str(tri3_file), "--method", "ad_scuc",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert main(["verify", "--case", str(tri3_file),
+                 "--result", str(out / "report.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_verify_tampered_schedule_exits_3(tmp_path, capsys):

@@ -15,7 +15,8 @@ from scucnr.formulations import build_muc, extract_solution
 from scucnr.network import build_sensitivities
 from scucnr.orchestrator import (METHODS, SolveOptions, _examine, solve, verify_schedule,
                                  verify_solution)
-from scucnr.subproblems import SLACK_TOLERANCE, OutageRows, solve_pcfc, switch_candidates
+from scucnr.subproblems import (SLACK_TOLERANCE, OutageRows, run_csps, solve_pcfc,
+                                switch_candidates)
 
 
 def muc_objective(case):
@@ -360,14 +361,14 @@ def _watch_pcfc(monkeypatch, seen):
 
 
 def test_audit_builds_one_engine_per_contingency(monkeypatch):
-    # one engine per contingency with a pair its schedule's own dispatch
-    # does not certify, plus one per cold solve; the audit takes none
+    # one engine per contingency with a pair the screen keeps, each of
+    # which takes its LP, plus one per cold solve; the audit takes none
     case = random_case(9, 40, 12, 8)
     sens = build_sensitivities(case)
     result = solve(case, SolveOptions(method="ad_scuc_cnr"))
     first = first_master_schedule(case, sens)
     new_engine = _hc._Highs
-    counts, uncertified = Counter(), set()
+    counts, examined = Counter(), set()
 
     def counted_engine():
         counts["engines"] += 1
@@ -375,7 +376,7 @@ def test_audit_builds_one_engine_per_contingency(monkeypatch):
 
     def seen(kind, rows, t, switch, out):
         if kind == "pair":
-            uncertified.add(rows.outage)
+            examined.add(rows.outage)
             counts["infeasible"] += out.status == "infeasible"
         counts[kind] += 1
 
@@ -386,11 +387,46 @@ def test_audit_builds_one_engine_per_contingency(monkeypatch):
     for audit in (lambda: verify_solution(case, result),
                   lambda: verify_schedule(case, "ad_scuc_cnr", first)):
         counts.clear()
-        uncertified.clear()
+        examined.clear()
         assert audit().pairs_checked == 440
         assert counts["cold"] == 0
-        assert 0 < counts["engines"] == len(uncertified) < len(sens.contingencies)
+        assert 0 < counts["engines"] == len(examined) < len(sens.contingencies)
     assert counts["infeasible"] == 13 and counts["switch"] > 0
+
+
+def test_a_period_whose_dispatch_breaks_a_non_flow_row_keeps_every_pair(monkeypatch):
+    # flows that hold do not let the screen drop a pair whose period breaks
+    # the balance, or a generator's [p_min u, p_max u] box, by 1e-6 MW: the
+    # point pc = p breaks that row of every pair's LP in the period, so each
+    # pair stays critical and the audit solves its LP
+    case = triangle3((80.0, 60.0))
+    sens = build_sensitivities(case)
+    muc = first_master_schedule(case, sens)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    assert muc.p[1].tolist() == [case.generators[1].p_min] * 2 == [0.0, 0.0]
+    assert run_csps(case, sens, muc, pairs).critical == ()
+    period_2 = tuple((c, 2) for c in sens.contingencies)
+    solved = []
+    _watch_pcfc(monkeypatch, lambda kind, rows, t, *_: solved.append((kind, rows.outage, t)))
+    for shift in ([1e-6, 0.0], [1e-6, -1e-6]):   # the balance, then unit 2's p_min
+        p = muc.p.copy()
+        p[:, 1] += shift
+        off = dataclasses.replace(muc, p=p)
+        assert run_csps(case, sens, off, pairs).critical == period_2
+        solved.clear()
+        assert verify_schedule(case, "ad_scuc", off).violations == ()
+        assert solved == [("pair", c, t) for c, t in period_2]
+
+
+def test_the_audit_reads_flows_from_the_dispatch_not_the_flow_array():
+    # a report read back from a file carries its flow array unchecked; with
+    # it zeroed, the first master's 13 unsurvivable pairs are still found
+    case = random_case(9, 40, 12, 8)
+    first = solve(case, SolveOptions(method="ad_scuc", max_iterations=1)).schedule
+    blank = dataclasses.replace(first, flow=np.zeros_like(first.flow))
+    audit = verify_schedule(case, "ad_scuc", first)
+    assert len(audit.violations) == 13
+    assert verify_schedule(case, "ad_scuc", blank).violations == audit.violations
 
 
 def test_a_solve_and_its_audit_build_one_outage_row_block_per_contingency_task(monkeypatch):
@@ -414,7 +450,12 @@ def test_a_solve_and_its_audit_build_one_outage_row_block_per_contingency_task(m
     assert counts["rows"] == counts["tasks"] > 0
     counts.clear()
     assert verify_solution(case, result).pairs_checked == 440
-    assert counts["rows"] == counts["tasks"] == len(build_sensitivities(case).contingencies)
+    # the audit examines only the contingencies with a pair the screen keeps
+    sens = build_sensitivities(case)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    kept = {c for c, _ in run_csps(case, sens, result.schedule, pairs).critical}
+    assert counts["rows"] == counts["tasks"] == len(kept)
+    assert 0 < len(kept) < len(sens.contingencies)
 
 
 def test_box_bound_leaves_a_third_of_the_switch_lps(monkeypatch):
@@ -491,9 +532,8 @@ def test_only_the_decomposed_loop_solves_pairs_cold_for_cuts(monkeypatch):
 
 
 def test_the_loop_solves_one_lp_per_examined_pair(monkeypatch):
-    # the dispatch certificate is for verdict-only examinations: the loop's
-    # own examination takes every pair's LP, so the unscreened methods count
-    # one per pair, as the paper's TD does
+    # the unscreened methods take every pair's LP, one per pair, as the
+    # paper's TD does
     solve_master = scucnr.orchestrator._solve_master
     per_master = []
 
