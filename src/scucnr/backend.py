@@ -30,20 +30,26 @@ takes one, as the master's branch limits are.
 Every solve gets a fresh engine, so concurrent calls share no state,
 unless ``solve_lp`` is given an ``Engine``: one engine kept for a chain of
 LPs on one thread, which keeps one optimal basis per LP shape it has
-solved and starts each LP from the basis of its shape.  A chained engine
-runs linprog's options with presolve and scaling off, since dual simplex
-from a kept basis has no use for either; every cold LP keeps linprog's
-options exactly.
+solved and starts each LP from the basis of its shape.  The pair layer
+keeps one per worker thread for one examination and clears its bases at
+the start of each contingency.  A chained engine runs linprog's options
+with presolve and scaling off, since dual simplex from a kept basis has
+no use for either; every cold LP keeps linprog's options exactly.
+``solve_lp`` reads the two info values it reports through
+``getInfoValue``, not HiGHS's whole info struct, and a dense matrix goes
+to the engine with one read-only index pattern per shape.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,8 +116,8 @@ _CHAINED_OPTIONS = {**_LP_OPTIONS, "presolve": "off", "simplex_scale_strategy": 
 _MILP_OPTIONS = {"log_to_console": False, "mip_heuristic_run_root_reduced_cost": False}
 _COLWISE = int(_hc.MatrixFormat.kColwise)
 _MINIMIZE = int(_hc.ObjSense.kMinimize)
-_AT_LOWER = int(_hc.HighsBasisStatus.kLower)
-_AT_UPPER = int(_hc.HighsBasisStatus.kUpper)
+_AT_LOWER = _hc.HighsBasisStatus.kLower
+_AT_UPPER = _hc.HighsBasisStatus.kUpper
 # linprog's acceptance bound on the residuals of an optimal answer: 10*sqrt(tol)
 # at its default tol of 1e-9.
 _RESIDUAL_TOL = 10 * math.sqrt(1e-9)
@@ -198,18 +204,28 @@ class SolveResult:
         return float(self.row_rhs @ self.row_duals)
 
 
+@functools.lru_cache(maxsize=64)
+def _dense_pattern(n_row: int, n_col: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and row indices of a dense ``n_row`` x ``n_col`` matrix in
+    compressed-column form, read-only, built once per shape."""
+    start = np.arange(n_col + 1, dtype=np.int32) * n_row
+    index = np.tile(np.arange(n_row, dtype=np.int32), n_col)
+    start.setflags(write=False)
+    index.setflags(write=False)
+    return start, index
+
+
 def _csc(a: np.ndarray | CscMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``a`` in compressed-column form: starts, row indices, values.
 
     A dense ``a`` goes as its full column-major pattern, zeros included:
     HiGHS drops entries of magnitude 1e-9 or less as it loads them, so the
-    model it holds is the one a nonzero-only pattern gives.
+    model it holds is the one a nonzero-only pattern gives.  Its values are
+    a view when ``a`` is in column-major (Fortran) order, else a copy.
     """
     if isinstance(a, CscMatrix):
         return a.start, a.index, a.value
-    n_row, n_col = a.shape
-    start = np.arange(n_col + 1, dtype=np.int32) * n_row
-    return start, np.tile(np.arange(n_row, dtype=np.int32), n_col), a.T.ravel()
+    return (*_dense_pattern(*a.shape), a.T.ravel())
 
 
 def violation(lp: LinearProgram, x: np.ndarray, tol: float) -> tuple[str, int, float] | None:
@@ -248,12 +264,15 @@ class Engine:
     last optimal basis of an LP of the same (rows, columns) shape, if the
     engine has solved one: ``bases`` keeps one per shape, so LPs of
     several shapes can interleave on one engine without evicting each
-    other's starts.  Dual simplex from a kept basis has no use for presolve
+    other's starts.  With ``bases`` cleared, the next LP of every shape
+    starts cold, as on a new engine: the pair layer keeps one engine per
+    worker thread for one examination and clears it at the start of each
+    contingency.  Dual simplex from a kept basis has no use for presolve
     or scaling, so the engine runs neither, not even on the first LP of a
     shape.  The optimum is the same as a fresh engine's, up to the
     feasibility tolerances, but where the optimal vertex or the duals are
     not unique it may return other ones.  An engine holds state: use it
-    from one thread.
+    from one thread at a time.
     """
 
     def __init__(self):
@@ -285,46 +304,57 @@ def _load(lp: LinearProgram, highs) -> None:
         raise SolverError(f"HiGHS could not load {lp.name!r}")
 
 
-def _run(lp: LinearProgram, highs, basis=None):
+def _lp_info(highs) -> SimpleNamespace:
+    """The two info values an LP solve reads, each through ``getInfoValue``,
+    without building HiGHS's whole info struct."""
+    return SimpleNamespace(
+        simplex_iteration_count=highs.getInfoValue("simplex_iteration_count")[1],
+        objective_function_value=highs.getInfoValue("objective_function_value")[1])
+
+
+def _run(lp: LinearProgram, highs, basis=None, read_info=_hc._Highs.getInfo):
     """Solve ``lp`` in ``highs``, from ``basis`` when one is given.
 
     The problem goes in through ``_load``.  Returns the status, the
-    engine's info and its solution.  The solution is None unless the
-    engine holds an answer: an optimum, which must pass linprog's residual
-    check, or a MILP incumbent found before a limit.  A model without
-    columns, which HiGHS does not run, is optimal when every row range
-    holds 0 and infeasible otherwise; its info reports 0 iterations and 0
-    nodes, and a gap of 0 when it is optimal.
+    engine's info as ``read_info(highs)`` reads it, its solution and the
+    primal values ``x``.  The solution and ``x`` are None unless the engine
+    holds an answer: an optimum, which must pass linprog's residual check,
+    or a MILP incumbent found before a limit.  A model without columns,
+    which HiGHS does not run, is optimal when every row range holds 0 and
+    infeasible otherwise; its info is HiGHS's whole struct, reporting 0
+    iterations and 0 nodes, and a gap of 0 when it is optimal.
     """
     _load(lp, highs)
     if basis is not None and highs.setBasis(basis) == _hc.HighsStatus.kError:
         raise SolverError(f"HiGHS rejected the starting basis of {lp.name!r}")
     highs.run()
     model_status = highs.getModelStatus()
-    info = highs.getInfo()
     if model_status == _hc.HighsModelStatus.kModelEmpty:
         # HiGHS runs no model without columns; its one point, x = [], puts 0 in every row
         holds = (lp.row_lower <= 0).all() and (lp.row_upper >= 0).all()
         status = "optimal" if holds else "infeasible"
         # in place of HiGHS's "not run" values: -1 iterations and nodes, an infinite gap
+        info = highs.getInfo()
         info.simplex_iteration_count = info.mip_node_count = 0
         info.mip_gap = 0.0 if holds else INF
     else:
         status = _STATUS.get(model_status)
+        info = read_info(highs)
     if status is None:
         raise SolverError(f"engine failure on {lp.name!r}: HiGHS status "
                           f"{highs.modelStatusToString(model_status)}")
     incumbent = (lp.integrality is not None and status == "limit"
                  and info.objective_function_value < _hc.kHighsInf)
     if status != "optimal" and not incumbent:
-        return status, info, None
+        return status, info, None, None
     solution = highs.getSolution()
+    x = np.array(solution.col_value)
     if status == "optimal":
-        broken = violation(lp, np.array(solution.col_value), _RESIDUAL_TOL)
+        broken = violation(lp, x, _RESIDUAL_TOL)
         if broken is not None or math.isnan(info.objective_function_value):
             problem = "breaks {} {} by {:.2e}".format(*broken) if broken else "has a NaN objective"
             raise SolverError(f"HiGHS reported optimal on {lp.name!r}, but its solution {problem}")
-    return status, info, solution
+    return status, info, solution, x
 
 
 def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
@@ -337,39 +367,41 @@ def solve_lp(lp: LinearProgram, engine: Engine | None = None) -> SolveResult:
     if lp.integrality is not None and lp.integrality.any():
         raise ValueError(f"{lp.name!r} has integer columns; solve it with solve_milp")
     lower, upper = lp.row_lower, lp.row_upper
-    ranged = np.isfinite(lower) & np.isfinite(upper) & (lower != upper)
+    finite_upper = np.isfinite(upper)
+    ranged = np.isfinite(lower) & finite_upper & (lower != upper)
     if ranged.any():
         raise ValueError(f"{lp.name!r} has a ranged row ({int(ranged.argmax())}); each row of "
                          "an LP must be an equality or have one finite side")
-    shape = (lp.row_lower.shape[0], lp.cost.shape[0])
+    n_row = lower.shape[0]
+    shape = (n_row, lp.cost.shape[0])
     if engine is None:
         highs, start = _new_engine(_LP_OPTIONS), None
     else:
         highs, start = engine.highs, engine.bases.get(shape)
-    status, info, solution = _run(lp, highs, start)
+    status, info, solution, x = _run(lp, highs, start, _lp_info)
     iterations = int(info.simplex_iteration_count)
     if solution is None:
         return SolveResult(status=status, objective=None, simplex_iterations=iterations)
 
     # A bound's dual is the column dual where the basis holds the column at
-    # that bound, as linprog reports it.  Row duals are sensitivities of the
-    # optimum to each row's finite side, which is their normalised form.
+    # that bound, as linprog reports it, and 0 elsewhere.  Row duals are
+    # sensitivities of the optimum to each row's finite side, which is
+    # their normalised form.
     basis = highs.getBasis()
     if engine is not None:
         engine.bases[shape] = basis
-    col_status = np.array([int(s) for s in basis.col_status])
-    col_dual = np.array(solution.col_dual)
-    lower_duals = np.where(col_status == _AT_LOWER, col_dual, 0.0)
-    upper_duals = np.where(col_status == _AT_UPPER, col_dual, 0.0)
-    finite_lb = np.isfinite(lp.lb)
-    finite_ub = np.isfinite(lp.ub)
-    side = np.where(np.isfinite(lp.row_upper), lp.row_upper, lp.row_lower)
-    duals = np.concatenate((np.array(solution.row_dual),
-                            lower_duals[finite_lb], upper_duals[finite_ub]))
-    rhs = np.concatenate((side, lp.lb[finite_lb], lp.ub[finite_ub]))
+    col_status, col_dual = basis.col_status, solution.col_dual
+    finite_lb = np.flatnonzero(np.isfinite(lp.lb))
+    finite_ub = np.flatnonzero(np.isfinite(lp.ub))
+    duals = np.empty(n_row + finite_lb.shape[0] + finite_ub.shape[0])
+    duals[:n_row] = solution.row_dual
+    duals[n_row:] = [col_dual[j] if col_status[j] == at else 0.0
+                     for bounded, at in ((finite_lb, _AT_LOWER), (finite_ub, _AT_UPPER))
+                     for j in bounded.tolist()]
+    rhs = np.concatenate((np.where(finite_upper, upper, lower),
+                          lp.lb[finite_lb], lp.ub[finite_ub]))
     return SolveResult(status=status, objective=float(info.objective_function_value),
-                       x=np.array(solution.col_value), row_duals=duals, row_rhs=rhs,
-                       simplex_iterations=iterations)
+                       x=x, row_duals=duals, row_rhs=rhs, simplex_iterations=iterations)
 
 
 def solve_milp(lp: LinearProgram, gap: float = DEFAULT_MILP_GAP,
@@ -391,9 +423,9 @@ def solve_milp(lp: LinearProgram, gap: float = DEFAULT_MILP_GAP,
     options: dict[str, object] = {**_MILP_OPTIONS, "mip_rel_gap": float(gap)}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    status, info, solution = _run(lp, _new_engine(options))
-    found = solution is not None
+    status, info, _, x = _run(lp, _new_engine(options))
+    found = x is not None
     return SolveResult(status=status,
                        objective=float(info.objective_function_value) if found else None,
-                       x=np.array(solution.col_value) if found else None,
+                       x=x,
                        mip_gap=float(info.mip_gap), mip_nodes=int(info.mip_node_count))

@@ -21,6 +21,7 @@ transaction column, one per switchable line.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .backend import INF, CscMatrix, LinearProgram, SolveResult, SolverError, violation
 from .model import FeasibilityCut, MucSolution, SystemCase
 from .network import NetworkSensitivities, bus_angles, bus_injections
-from .subproblems import OutageRows, switch_candidates
+from .subproblems import CaseRows, OutageRows, switch_candidates
 
 INTEGRALITY_TOL = 1e-5
 # HiGHS's small_matrix_value: it drops matrix entries of this magnitude or
@@ -45,7 +46,8 @@ class _Problem:
     Rows are appended in order and each row names a column once, so the
     triplets lower to compressed columns with one stable sort.
     Coefficients of magnitude ``_SMALL_MATRIX_VALUE`` or less are dropped
-    as they come, as HiGHS would drop them on load.
+    as they come, as HiGHS would drop them on load; a NaN coefficient,
+    which that test would drop too, raises ``ValueError`` naming its row.
     """
 
     def __init__(self):
@@ -85,6 +87,8 @@ class _Problem:
                 self._rows.append(row)
                 self._cols.append(col)
                 self._vals.append(coef)
+            elif math.isnan(coef):
+                raise ValueError(f"row {row} has a NaN coefficient on column {col}")
         self.row_lower.append(float(lo))
         self.row_upper.append(float(hi))
 
@@ -92,6 +96,11 @@ class _Problem:
                  hi: np.ndarray) -> None:
         """Append ``lo <= coef @ x[cols] <= hi`` over distinct ``cols``,
         dropping coefficients of magnitude ``_SMALL_MATRIX_VALUE`` or less."""
+        nan = np.isnan(coef)
+        if nan.any():
+            row, at = np.argwhere(nan)[0]
+            raise ValueError(f"row {len(self.row_lower) + row} has a NaN coefficient "
+                             f"on column {cols[at]}")
         rows, at = np.nonzero(np.abs(coef) > _SMALL_MATRIX_VALUE)
         self._rows.extend((rows + len(self.row_lower)).tolist())
         self._cols.extend(cols[at].tolist())
@@ -205,10 +214,10 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
     non-radial, not the outage and not islanding with it; see
     ``_add_post_outage_state``), its ``z`` columns in id order.  States go
     in sorted ``(c, t)`` order, and each contingency builds its
-    ``OutageRows`` and their LODF shedding once.  Returns the model and,
-    per state, the ``z`` column of each switchable line.  A malformed cut
-    or a state outside ``sens.contingencies`` x ``case.periods`` raises
-    ``ValueError``.
+    ``OutageRows``, over one ``CaseRows`` of the case, and their LODF
+    shedding once.  Returns the model and, per state, the ``z`` column of
+    each switchable line.  A malformed cut or a state outside
+    ``sens.contingencies`` x ``case.periods`` raises ``ValueError``.
     """
     prob = _Problem()
     _add_base_model(prob, case, sens)
@@ -227,8 +236,9 @@ def build_muc(case: SystemCase, sens: NetworkSensitivities,
             raise ValueError(f"state ({c},{t}) is not a contingency in a period of the case")
         periods.setdefault(c, []).append(t)
     switches: SwitchColumns = {}
+    common = CaseRows(case) if periods else None
     for c, ts in periods.items():
-        rows = OutageRows(case, sens, c)
+        rows = OutageRows(case, sens, c, common)
         switchable = tuple(sorted(switch_candidates(rows))) if switching else ()
         # both limit rows of every in-service branch k carry LODF_c[k] @ w
         shed = rows.shed(switchable)

@@ -283,8 +283,9 @@ class SubproblemOutcome:
             raise ValueError("a recorded switch requires status feasible_via_switch")
         if self.cut is not None and self.status != "infeasible":
             raise ValueError("a feasibility cut requires status infeasible")
-        if self.slack < 0:
-            raise ValueError("slack must be >= 0")
+        # a positive condition, so that a NaN slack fails it
+        if not self.slack >= 0:
+            raise ValueError(f"slack must be >= 0 (got {self.slack!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +294,8 @@ class FeasibilityCut:
 
     ``coef_u`` and ``coef_p`` hold one coefficient per generator, in
     ``case.generators`` order, as read-only float vectors.  The master must
-    keep ``coef_u @ u + coef_p @ p + constant <= 0``.
+    keep ``coef_u @ u + coef_p @ p + constant <= 0``.  Every coefficient and
+    the constant must be finite.
     """
 
     contingency: int
@@ -305,8 +307,14 @@ class FeasibilityCut:
     def __post_init__(self):
         for name in ("coef_u", "coef_p"):
             vec = np.array(getattr(self, name), dtype=float)
+            if not np.isfinite(vec).all():
+                raise ValueError(f"cut for pair ({self.contingency},{self.period}) has a "
+                                 f"non-finite {name}: {vec.tolist()}")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
+        if not math.isfinite(self.constant):
+            raise ValueError(f"cut for pair ({self.contingency},{self.period}) has a "
+                             f"non-finite constant: {self.constant!r}")
 
     def __eq__(self, other) -> bool:
         fields = ("contingency", "period", "coef_u", "coef_p", "constant")

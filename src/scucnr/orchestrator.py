@@ -15,8 +15,11 @@ examined pair, for the loop, the extensive switch filter and
 ``verify_schedule`` alike; each iteration's counts and the run's switches,
 unresolved pairs and cuts are read off its outcomes.  Pairs go one task
 per contingency, its periods in order over the contingency's one
-``OutageRows`` on one warm HiGHS engine.  The rows are the only form in
-which the pair layer takes the outage.
+``OutageRows``.  An examination keeps one warm HiGHS engine per worker
+thread, whose bases each task clears before its first LP, so every
+contingency starts cold as on a new engine, and it builds the rows that do
+not depend on the outage (``CaseRows``) once.  The rows are the only form
+in which the pair layer takes the outage.
 The task's switch LPs, each its pair LP plus one transaction column, run
 over the same rows and engine (see ``subproblems``), and the pairs come
 back in (period, contingency) order.  Only the loop's own examination
@@ -43,7 +46,8 @@ from .formulations import (build_muc, extract_solution, extract_switching_plan,
 from .model import (FeasibilityCut, MucSolution, SubproblemOutcome, SystemCase,
                     is_real, validate_case)
 from .network import NetworkSensitivities, build_sensitivities
-from .subproblems import OutageRows, find_corrective_switch, run_csps, solve_pcfc
+from .subproblems import (CaseRows, OutageRows, find_corrective_switch, run_csps,
+                          solve_pcfc)
 
 METHODS = ("extensive_scuc", "extensive_scuc_cnr", "td_scuc", "ad_scuc",
            "td_scuc_cnr", "ad_scuc_cnr")
@@ -241,34 +245,53 @@ def _examine(case, sens, muc, pairs, switch_budget: int | None, workers: int,
     """``_examine_pair`` over ``pairs``, one task per contingency; with
     ``cut``, each unsurvivable pair's outcome carries its cut.
 
-    A task builds its contingency's ``OutageRows`` and one warm ``Engine``,
-    which its pair and switch LPs share, and takes its periods in order.
-    Returns the outcomes in (period, contingency) order, the order of the
-    master's cut rows, and the merged counters.  Each task has its own
-    rows, engine and counters, so worker threads share only immutable
-    inputs and the outcomes do not depend on ``workers``.  scipy's HiGHS binding releases
-    the GIL inside ``run``, so with ``workers > 1`` the LPs of two tasks
-    solve at the same time; the Python and numpy work around them runs
-    mostly one thread at a time.
+    The call builds the case's ``CaseRows`` once and at most ``workers``
+    warm ``Engine``s, one per worker thread, kept idle between tasks and
+    dropped when it returns.  A task builds its contingency's
+    ``OutageRows`` over the shared ``CaseRows``, takes an idle engine (or a
+    new one), clears its bases, so its first LP starts cold as on a new
+    engine, and takes its periods in order, its pair and switch LPs on that
+    engine.  Returns the outcomes in (period, contingency) order, the order
+    of the master's cut rows, and the merged counters.  Each task has its
+    own rows, engine and counters while it runs, so worker threads share
+    only immutable inputs and the outcomes do not depend on ``workers``.
+    scipy's HiGHS binding releases the GIL inside ``run``, so with
+    ``workers > 1`` the LPs of two tasks solve at the same time; the Python
+    and numpy work around them runs mostly one thread at a time.
     """
     periods: dict[int, list[int]] = {}
     for c, t in sorted(pairs):
         periods.setdefault(c, []).append(t)
+    t0 = time.perf_counter()
+    common = CaseRows(case)
+    setup = time.perf_counter() - t0
+    # list.pop and list.append are atomic, and a task builds an engine only
+    # when every other one is taken by a running task, so no more than
+    # ``workers`` are built
+    idle: list[Engine] = []
 
     def examine(c):
         local = Counter()
         t0 = time.perf_counter()
-        rows, engine = OutageRows(case, sens, c), Engine()
+        rows = OutageRows(case, sens, c, common)
+        try:
+            engine = idle.pop()
+        except IndexError:
+            engine = Engine()
+        engine.bases.clear()
         local["pcfc_seconds"] += time.perf_counter() - t0
-        return [_examine_pair(rows, muc, t, switch_budget, local, engine, cut)
-                for t in periods[c]], local
+        try:
+            return [_examine_pair(rows, muc, t, switch_budget, local, engine, cut)
+                    for t in periods[c]], local
+        finally:
+            idle.append(engine)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             examined = list(pool.map(examine, periods))
     else:
         examined = list(map(examine, periods))
-    counters = Counter()
+    counters = Counter(pcfc_seconds=setup)
     for _, local in examined:
         counters.update(local)
     outcomes = sorted((out for outs, _ in examined for out in outs),

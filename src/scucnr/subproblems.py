@@ -13,7 +13,9 @@ reconfiguration.
 
 The rows of a post-outage state are defined once, by ``OutageRows``, as
 arrays ``lo <= a @ pc + b @ [u; p] <= hi`` over the redispatch ``pc``
-and the schedule's ``u`` and ``p``, with flows from the post-outage PTDF.
+and the schedule's ``u`` and ``p``, with flows from the post-outage PTDF;
+the parts that do not depend on the outage are one ``CaseRows``, which
+the outages of one examination share.
 A switched state is the same rows plus one transaction column ``w``,
 which carries the opened line's flow off the network by the outage's
 LODFs, and the one row that sets it.  The feasibility LP moves
@@ -51,6 +53,7 @@ dropped pair's LP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 
@@ -139,6 +142,43 @@ _GEN_LO = np.array([-np.inf, -np.inf, 0.0, -np.inf])
 _GEN_HI = np.array([0.0, 0.0, np.inf, 0.0])
 
 
+class CaseRows:
+    """The parts of every outage's ``OutageRows`` that do not depend on the
+    outage, built once per case and read-only.
+
+    One outage takes out one branch, so every outage of a case has the same
+    ``4 G + 1 + 2 (L - 1)`` rows over ``G`` generators and ``L`` branches,
+    and the same ``b``, whose only nonzero rows are the generator rows.
+    Held here: the generator rows of ``a`` (``gen_a``), the whole ``b``,
+    the ``lo`` and ``hi`` templates (generator rows filled, flow rows open on
+    their far side), each generator's bus position and ramp and output
+    limits, every branch's emergency rating and each period's bus demands.
+    """
+
+    def __init__(self, case: SystemCase):
+        n_g = len(case.generators)
+        n_b = 4 * n_g
+        n_row = n_b + 1 + 2 * (len(case.branches) - 1)
+        self.gen_pos = [case.bus_index[g.bus] for g in case.generators]
+        self.rate = np.array([k.rate_emergency for k in case.branches])
+        # one contiguous row of bus demands per period
+        self.demand = np.array([n.demand for n in case.buses]).T.copy()
+        eye = np.eye(n_g)[:, None, :]
+        limits = np.array([(g.ramp_10, g.ramp_10, g.p_min, g.p_max) for g in case.generators])
+        self.ramp, self.p_min, self.p_max = limits[:, 1:].T
+        gen = np.concatenate((eye * _GEN_PC[:, None], eye * -limits[:, :, None],
+                              eye * _GEN_P[:, None]), axis=2).reshape(n_b, 3 * n_g)
+        self.gen_a = gen[:, :n_g]
+        self.b = np.zeros((n_row, 2 * n_g))
+        self.b[:n_b] = gen[:, n_g:]
+        self.lo, self.hi = np.empty((2, n_row))
+        self.lo[:n_b].reshape(n_g, 4)[:], self.hi[:n_b].reshape(n_g, 4)[:] = _GEN_LO, _GEN_HI
+        self.lo[n_b + 1::2], self.hi[n_b + 2::2] = -np.inf, np.inf
+        for array in (self.rate, self.demand, self.ramp, self.p_min, self.p_max,
+                      self.gen_a, self.b, self.lo, self.hi):
+            array.setflags(write=False)
+
+
 class OutageRows:
     """The rows ``lo <= a @ pc + b @ [u; p] <= hi`` of every period with
     branch ``outage`` out of service; ``at(t)`` gives ``(a, b, lo, hi)``,
@@ -160,45 +200,43 @@ class OutageRows:
     (Ruiz, Foster, Rudkevich & Caramanis, IEEE TPWRS 2012): each branch
     ``k`` then carries ``f_k + LODF_c[k, j] w`` (``shed``), ``j`` zero.
 
-    Only the balance and flow bounds depend on the period.  Everything else
-    (the generator rows, the emergency ratings, the generators' bus
-    positions, each period's demand and the read-only ``a`` and ``b``) is
-    built once, here.
+    Only the balance and flow bounds depend on the period.  What does not
+    depend on the outage either (the generator rows, ``b``, the ratings and
+    each period's demand) comes from ``common``, a ``CaseRows`` of ``case``
+    that the outages of one examination share, built here when None.  The
+    read-only ``a`` is built here, and each period's ``demand_flow(t)`` and
+    unswitched bounds on first use, read-only, so the pair LP, ``hopeless``
+    and every switch LP of that period share them.
     """
 
-    def __init__(self, case: SystemCase, sens: NetworkSensitivities, outage: int):
+    def __init__(self, case: SystemCase, sens: NetworkSensitivities, outage: int,
+                 common: CaseRows | None = None):
         self.case, self.sens, self.outage = case, sens, outage
+        self._common = common = CaseRows(case) if common is None else common
         self.ptdf = ptdf = sens.outage_ptdf(outage)
-        n_g = len(case.generators)
-        n_b = self._gen_rows = 4 * n_g
+        n_b = self._gen_rows = common.gen_a.shape[0]
         self._in_service = np.ones(len(case.branches), dtype=bool)
         self._in_service[case.branch_index[outage]] = False
-        self._rate = np.array([k.rate_emergency for k in case.branches])[self._in_service]
-        # one contiguous row of bus demands per period
-        self._demand = np.array([n.demand for n in case.buses]).T.copy()
-        self.at_gens = ptdf[:, [case.bus_index[g.bus] for g in case.generators]]
+        self._rate = common.rate[self._in_service]
+        self.at_gens = ptdf[:, common.gen_pos]
+        self._kept_gens = self.at_gens[self._in_service]
         self.at_gens.setflags(write=False)
-
-        eye = np.eye(n_g)[:, None, :]
-        limits = np.array([(g.ramp_10, g.ramp_10, g.p_min, g.p_max) for g in case.generators])
-        self._ramp, self._p_min, self._p_max = limits[:, 1:].T
-        gen = np.concatenate((eye * _GEN_PC[:, None], eye * -limits[:, :, None],
-                              eye * _GEN_P[:, None]), axis=2).reshape(n_b, 3 * n_g)
-        a = np.empty((n_b + 1 + 2 * len(self._rate), n_g))
-        a[:n_b], a[n_b] = gen[:, :n_g], 1.0
-        a[n_b + 1::2] = a[n_b + 2::2] = self.at_gens[self._in_service]
-        b = np.zeros((len(a), 2 * n_g))
-        b[:n_b] = gen[:, n_g:]
+        a = np.empty((common.b.shape[0], common.gen_a.shape[1]))
+        a[:n_b], a[n_b] = common.gen_a, 1.0
+        a[n_b + 1::2] = a[n_b + 2::2] = self._kept_gens
         a.setflags(write=False)
-        b.setflags(write=False)
-        self.a, self.b = a, b
-        self._lo, self._hi = np.empty((2, len(a)))
-        self._lo[:n_b].reshape(n_g, 4)[:], self._hi[:n_b].reshape(n_g, 4)[:] = _GEN_LO, _GEN_HI
-        self._lo[n_b + 1::2], self._hi[n_b + 2::2] = -np.inf, np.inf
+        self.a, self.b = a, common.b
+        self._flows: dict[int, np.ndarray] = {}
+        self._bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def demand_flow(self, t: int) -> np.ndarray:
-        """The flow of every branch in period ``t`` with every generator at 0."""
-        return self.ptdf @ self._demand[t - 1]
+        """The flow of every branch in period ``t`` with every generator at
+        0, read-only, computed on first use."""
+        flow = self._flows.get(t)
+        if flow is None:
+            flow = self._flows[t] = self.ptdf @ self._common.demand[t - 1]
+            flow.setflags(write=False)
+        return flow
 
     def _lodf(self, js) -> np.ndarray:
         """``LODF_c[k, j]`` per line ``j`` of ``js`` (columns) and in-service
@@ -229,19 +267,19 @@ class OutageRows:
         radial line (``lodf_columns`` raises), no line of it is proved, so
         that line's LP raises as it would without the bound.
         """
-        u, p = muc.u[:, t - 1], muc.p[:, t - 1]
-        lo = np.maximum(p - self._ramp * u, self._p_min * u)
-        hi = np.minimum(p + self._ramp * u, self._p_max * u)
+        u, p, common = muc.u[:, t - 1], muc.p[:, t - 1], self._common
+        lo = np.maximum(p - common.ramp * u, common.p_min * u)
+        hi = np.minimum(p + common.ramp * u, common.p_max * u)
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         try:
             lodf = self._lodf(js)
         except ValueError:
             return np.zeros(len(js), dtype=bool)
         pos = [self.case.branch_index[j] for j in js]
-        kept = self.at_gens[self._in_service]
         flow = self.at_gens @ ((lo + hi) / 2) - self.demand_flow(t)
         centre = flow[self._in_service, None] + lodf * flow[pos]
-        half = np.abs(kept[:, None, :] + lodf[:, :, None] * self.at_gens[pos]) @ ((hi - lo) / 2)
+        half = (np.abs(self._kept_gens[:, None, :] + lodf[:, :, None] * self.at_gens[pos])
+                @ ((hi - lo) / 2))
         excess = np.abs(centre) - half - self._rate[:, None]
         return (excess > HOPELESS_MARGIN_MW).any(axis=0)
 
@@ -249,17 +287,22 @@ class OutageRows:
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(a, b, lo, hi)`` of period ``t``; with line ``switch`` opened,
         over one more column ``w`` and one more row ``w - at_gens[j] @ pc =
-        -demand_flow(t)[j]``, ``w`` on the flow rows by ``shed``."""
-        demand = self._demand[t - 1]
+        -demand_flow(t)[j]``, ``w`` on the flow rows by ``shed``.  Without a
+        switch every array is read-only and shared by each call for ``t``."""
         # the bounds come from the flows of the whole post-outage network, so
         # a branch's limits do not depend on which other rows are dropped
         flow = self.demand_flow(t)
-        demand_flow = flow[self._in_service]
         n_b = self._gen_rows
-        lo, hi = self._lo.copy(), self._hi.copy()
-        lo[n_b] = hi[n_b] = demand.sum()
-        hi[n_b + 1::2] = demand_flow + self._rate
-        lo[n_b + 2::2] = demand_flow - self._rate
+        if t not in self._bounds:
+            demand_flow = flow[self._in_service]
+            lo, hi = self._common.lo.copy(), self._common.hi.copy()
+            lo[n_b] = hi[n_b] = self._common.demand[t - 1].sum()
+            hi[n_b + 1::2] = demand_flow + self._rate
+            lo[n_b + 2::2] = demand_flow - self._rate
+            lo.setflags(write=False)
+            hi.setflags(write=False)
+            self._bounds[t] = lo, hi
+        lo, hi = self._bounds[t]
         if switch is None:
             return self.a, self.b, lo, hi
         j = self.case.branch_index[switch]
@@ -269,28 +312,38 @@ class OutageRows:
         return a, b, np.append(lo, -flow[j]), np.append(hi, -flow[j])
 
 
+@functools.lru_cache(maxsize=16)
+def _slack_columns(n_col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cost, lower and upper bounds of a slack LP's ``n_col`` columns, the
+    slack first, read-only, built once per column count."""
+    cost = np.zeros(n_col)
+    cost[0] = 1.0
+    lb = np.full(n_col, -np.inf)
+    lb[0] = 0.0
+    ub = np.full(n_col, np.inf)
+    for array in (cost, lb, ub):
+        array.setflags(write=False)
+    return cost, lb, ub
+
+
 def _slack_lp(rows: tuple, muc: MucSolution, t: int, name: str) -> LinearProgram:
     """Redispatch feasibility LP over the ``OutageRows.at`` block ``rows``.
 
     Columns are the slack ``s``, then the block's free columns: ``pc``, and
     ``w`` with a switch.  The schedule's terms move to the right-hand side,
     and the slack scales it towards the always feasible all-zeros point, so
-    the slack column equals the rhs column.
+    the slack column equals the rhs column.  The matrix ``[rhs | a]`` is
+    filled in column-major order, the order the engine reads it in.
     """
     a, b, lo, hi = rows
-    n_g = a.shape[1]
     shift = b @ np.concatenate((muc.u[:, t - 1], muc.p[:, t - 1]))
     row_lower, row_upper = lo - shift, hi - shift
-    rhs = np.where(np.isfinite(row_upper), row_upper, row_lower)
-    return LinearProgram(
-        cost=np.concatenate(([1.0], np.zeros(n_g))),
-        a=np.hstack((rhs[:, None], a)),
-        row_lower=row_lower,
-        row_upper=row_upper,
-        lb=np.concatenate(([0.0], np.full(n_g, -np.inf))),
-        ub=np.full(n_g + 1, np.inf),
-        name=name,
-    )
+    matrix = np.empty((a.shape[0], a.shape[1] + 1), order="F")
+    matrix[:, 0] = np.where(np.isfinite(row_upper), row_upper, row_lower)
+    matrix[:, 1:] = a
+    cost, lb, ub = _slack_columns(matrix.shape[1])
+    return LinearProgram(cost=cost, a=matrix, row_lower=row_lower, row_upper=row_upper,
+                         lb=lb, ub=ub, name=name)
 
 
 def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int, switch: int | None = None,
@@ -326,11 +379,11 @@ def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int, switch: int | None = 
         # the all-zeros redispatch with slack 1 is always feasible
         raise SolverError(f"{name} must always be solvable, engine says {result.status}")
     slack = float(result.x[0])
-    # positive conditions, so that a NaN slack fails them
+    # positive conditions here and below, so that a NaN fails them
     if not (-1e-9 <= slack <= SLACK_TOLERANCE or abs(slack - 1.0) <= SLACK_TOLERANCE):
         raise SolverError(f"{name} slack {slack} is neither 0 nor 1")
     gap = abs(result.dual_objective() - result.objective)
-    if gap > DUALITY_CHECK_TOL:
+    if not gap <= DUALITY_CHECK_TOL:
         raise SolverError(f"{name} dual accounting off by {gap:.2e}")
     slack = max(slack, 0.0)
     if slack <= SLACK_TOLERANCE:
@@ -346,7 +399,7 @@ def solve_pcfc(rows: OutageRows, muc: MucSolution, t: int, switch: int | None = 
     cut = FeasibilityCut(contingency=c, period=t, coef_u=coef_u, coef_p=coef_p,
                          constant=float(rhs @ result.row_duals))
     drift = abs(cut.evaluate_solution(muc) - slack)
-    if drift > 1e-6:
+    if not drift <= 1e-6:
         raise SolverError(f"cut for pair ({c},{t}) misses its slack by {drift:.2e}")
     return SubproblemOutcome(contingency=c, period=t, status="infeasible",
                              slack=slack, cut=cut)

@@ -226,9 +226,9 @@ def test_chained_engines_skip_presolve_and_scaling_and_cold_solves_do_not(monkey
 
     run, used = scucnr.backend._run, []
 
-    def spy(lp, highs, basis=None):
+    def spy(lp, highs, *args):
         used.append(options(highs))
-        return run(lp, highs, basis)
+        return run(lp, highs, *args)
 
     monkeypatch.setattr(scucnr.backend, "_run", spy)
     linprog_like = options(scucnr.backend._hc._Highs())
@@ -253,9 +253,9 @@ def test_milp_engines_skip_only_the_root_reduced_cost_heuristic(monkeypatch):
 
     run, used = scucnr.backend._run, []
 
-    def spy(lp, highs, basis=None):
+    def spy(lp, highs, *args):
         used.append(options(highs))
-        return run(lp, highs, basis)
+        return run(lp, highs, *args)
 
     monkeypatch.setattr(scucnr.backend, "_run", spy)
     default = options(scucnr.backend._hc._Highs())
@@ -280,7 +280,7 @@ def test_milp_options_change_the_search_not_the_answer(size):
     ours = solve_milp(lp)
     highs = scucnr.backend._new_engine({"log_to_console": False,
                                         "mip_rel_gap": DEFAULT_MILP_GAP})
-    status, info, _ = scucnr.backend._run(lp, highs)
+    status, info, *_ = scucnr.backend._run(lp, highs)
     assert ours.status == status == "optimal"
     assert ours.objective == pytest.approx(info.objective_function_value, rel=DEFAULT_MILP_GAP)
 
@@ -380,8 +380,8 @@ def test_engine_holds_the_program_it_was_loaded_with(monkeypatch):
     # it loads, for an LP and a MILP
     run, loaded = scucnr.backend._run, []
 
-    def spy(lp, highs, basis=None):
-        out = run(lp, highs, basis)
+    def spy(lp, highs, *args):
+        out = run(lp, highs, *args)
         loaded.append((lp, highs.getLp()))
         return out
 

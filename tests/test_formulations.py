@@ -121,6 +121,22 @@ def test_problem_lowers_its_triplets_to_sorted_compressed_columns():
             assert np.array_equal(mine, theirs), (n_rows, n_cols)
 
 
+def test_problem_rejects_a_nan_coefficient_naming_its_row():
+    # abs(nan) > 1e-9 is False, so the drop of tiny coefficients would let a
+    # NaN term vanish from the model
+    prob = _Problem()
+    a, b = prob.add_column(), prob.add_column()
+    prob.add_row([(a, 1.0), (b, 1e-12)], lo=0.0)
+    with pytest.raises(ValueError, match=f"row 1 has a NaN coefficient on column {b}"):
+        prob.add_row([(a, 1.0), (b, np.nan)], lo=0.0)
+    prob = _Problem()
+    cols = np.array([prob.add_column(), prob.add_column()])
+    prob.add_row([(cols[0], 1.0)], hi=1.0)
+    coef = np.array([[1.0, 2.0], [3.0, np.nan]])
+    with pytest.raises(ValueError, match=f"row 2 has a NaN coefficient on column {cols[1]}"):
+        prob.add_rows(coef, cols, np.full(2, -INF), np.ones(2))
+
+
 def test_master_size_is_pinned():
     # counts that do not depend on the machine: a change to the master's
     # column or row layout shows up here

@@ -104,6 +104,8 @@ def test_outcome_invariants():
         SubproblemOutcome(contingency=1, period=1, status="nonsense", slack=0.0)
     with pytest.raises(ValueError):
         SubproblemOutcome(contingency=1, period=1, status="feasible", slack=-0.1)
+    with pytest.raises(ValueError, match="slack must be >= 0"):
+        SubproblemOutcome(contingency=1, period=1, status="infeasible", slack=float("nan"))
     ok = SubproblemOutcome(contingency=1, period=1, status="feasible_via_switch",
                            slack=0.0, switch=7)
     assert ok.switch == 7
@@ -132,6 +134,16 @@ def test_cut_evaluation_and_comparison(tri3):
     assert not cut.same_coefficients(other)
     assert not cut.same_coefficients(dataclasses.replace(twin, period=2))
     assert cut == dataclasses.replace(cut) and cut != twin
+
+
+@pytest.mark.parametrize("coef_u, coef_p, constant", [
+    ([np.nan, 0.0], [0.0, 0.0], 1.0), ([0.0, 0.0], [0.0, -np.inf], 1.0),
+    ([0.0, 0.0], [0.0, 0.0], np.nan), ([0.0, 0.0], [0.0, 0.0], np.inf),
+], ids=["nan_u", "inf_p", "nan_constant", "inf_constant"])
+def test_cut_rejects_non_finite_values(coef_u, coef_p, constant):
+    with pytest.raises(ValueError, match=r"cut for pair \(3,1\) has a non-finite"):
+        FeasibilityCut(contingency=3, period=1, coef_u=coef_u, coef_p=coef_p,
+                       constant=constant)
 
 
 def test_cut_holds_read_only_float_vectors():

@@ -1,9 +1,12 @@
 import dataclasses
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import scucnr.backend
 import scucnr.orchestrator
 import scucnr.subproblems
 from conftest import assert_dropped_pairs_survivable, fixture_family, recorded_screens
@@ -360,9 +363,10 @@ def _watch_pcfc(monkeypatch, seen):
     monkeypatch.setattr(scucnr.subproblems, "solve_pcfc", watched)
 
 
-def test_audit_builds_one_engine_per_contingency(monkeypatch):
-    # one engine per contingency with a pair the screen keeps, each of
-    # which takes its LP, plus one per cold solve; the audit takes none
+def test_audit_builds_one_engine_per_worker(monkeypatch):
+    # the audit runs on one worker: one chained engine for every
+    # contingency with a pair the screen keeps, each of which clears its
+    # bases, and no cold solve
     case = random_case(9, 40, 12, 8)
     sens = build_sensitivities(case)
     result = solve(case, SolveOptions(method="ad_scuc_cnr"))
@@ -390,7 +394,8 @@ def test_audit_builds_one_engine_per_contingency(monkeypatch):
         examined.clear()
         assert audit().pairs_checked == 440
         assert counts["cold"] == 0
-        assert 0 < counts["engines"] == len(examined) < len(sens.contingencies)
+        assert counts["engines"] == 1
+        assert 1 < len(examined) < len(sens.contingencies)
     assert counts["infeasible"] == 13 and counts["switch"] > 0
 
 
@@ -416,6 +421,129 @@ def test_a_period_whose_dispatch_breaks_a_non_flow_row_keeps_every_pair(monkeypa
         solved.clear()
         assert verify_schedule(case, "ad_scuc", off).violations == ()
         assert solved == [("pair", c, t) for c, t in period_2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_examination_builds_one_engine_per_worker_and_one_per_cold_lp(monkeypatch, workers):
+    # the first td_scuc examination of the 24-bus benchmark case: 28
+    # contingencies and one unsurvivable pair, which one cold LP cuts
+    case = random_case(101, 24, 8, 4)
+    sens = build_sensitivities(case)
+    muc = first_master_schedule(case, sens)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    new_highs, new_engine = _hc._Highs, scucnr.orchestrator.Engine
+    counts = Counter()
+
+    def counted_highs():
+        counts["highs"] += 1
+        return new_highs()
+
+    def counted_engine():
+        counts["chained"] += 1
+        return new_engine()
+
+    monkeypatch.setattr(_hc, "_Highs", counted_highs)
+    monkeypatch.setattr(scucnr.orchestrator, "Engine", counted_engine)
+    outcomes, _ = _examine(case, sens, muc, pairs, 0, workers, cut=True)
+    cuts = sum(out.cut is not None for out in outcomes)
+    assert (len(sens.contingencies), cuts) == (28, 1)
+    assert 1 <= counts["chained"] <= workers
+    assert counts["highs"] == counts["chained"] + cuts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_contingency_starts_every_lp_shape_cold(monkeypatch, workers):
+    # an engine is reused across contingencies with its bases cleared: the
+    # first pair LP and the first switch LP of each contingency get no
+    # starting basis, and the later LPs of the chain do; a cold cut LP runs
+    # on its own engine, with presolve on
+    case = random_case(9, 40, 12, 8)
+    sens = build_sensitivities(case)
+    muc = first_master_schedule(case, sens)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    run, started = scucnr.backend._run, []
+
+    def spy(lp, highs, basis=None, *args):
+        if highs.getOptionValue("presolve")[1] == "off":
+            started.append((lp.name, (len(lp.row_lower), len(lp.cost)), basis is not None))
+        return run(lp, highs, basis, *args)
+
+    monkeypatch.setattr(scucnr.backend, "_run", spy)
+    _examine(case, sens, muc, pairs, 20, workers, cut=True)
+    seen, warm = set(), 0
+    for name, shape, has_basis in started:
+        c = int(name[5:].split(",")[0])
+        assert has_basis == ((c, shape) in seen), name
+        seen.add((c, shape))
+        warm += has_basis
+    assert {shape for _, shape in seen} == {(12 * 4 + 1 + 2 * (len(case.branches) - 1), 13),
+                                            (12 * 4 + 2 * len(case.branches), 14)}
+    assert warm > len(pairs) - len(sens.contingencies)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reused_engines_match_a_fresh_engine_per_contingency(workers):
+    case = random_case(9, 40, 12, 8)
+    sens = build_sensitivities(case)
+    muc = first_master_schedule(case, sens)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    fresh = []
+    for c in sens.contingencies:
+        rows, engine, counters = OutageRows(case, sens, c), scucnr.backend.Engine(), Counter()
+        fresh += [scucnr.orchestrator._examine_pair(rows, muc, t, 20, counters, engine, True)
+                  for t in case.periods]
+    fresh.sort(key=lambda o: (o.period, o.contingency))
+    reused, _ = _examine(case, sens, muc, pairs, 20, workers, cut=True)
+    assert reused == fresh
+    for mine, theirs in zip(reused, fresh, strict=True):
+        assert np.float64(mine.slack).tobytes() == np.float64(theirs.slack).tobytes()
+    statuses = Counter(out.status for out in reused)
+    assert (statuses["feasible_via_switch"], statuses["infeasible"]) == (5, 8)
+
+
+def test_idle_engines_are_never_shared_by_two_running_tasks(monkeypatch):
+    # four workers on two cores with a short switch interval: a task must
+    # never take an engine another running task holds, and no more than
+    # four engines are built
+    case = random_case(9, 40, 12, 8)
+    sens = build_sensitivities(case)
+    muc = first_master_schedule(case, sens)
+    pairs = [(c, t) for t in case.periods for c in sens.contingencies]
+    serial, _ = _examine(case, sens, muc, pairs, 20, 1, cut=True)
+    examine_pair, new_engine = scucnr.orchestrator._examine_pair, scucnr.orchestrator.Engine
+    lock, held, built, shared = threading.Lock(), {}, [], []
+
+    def counted_engine():
+        built.append(new_engine())
+        return built[-1]
+
+    def watched(rows, muc, t, *args):
+        engine = args[-2]
+        with lock:
+            if held.setdefault(id(engine), rows.outage) != rows.outage:
+                shared.append((rows.outage, held[id(engine)]))
+        out = examine_pair(rows, muc, t, *args)
+        if t == case.horizon:
+            with lock:
+                del held[id(engine)]
+        return out
+
+    monkeypatch.setattr(scucnr.orchestrator, "Engine", counted_engine)
+    monkeypatch.setattr(scucnr.orchestrator, "_examine_pair", watched)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: result.append(_examine(case, sens, muc, pairs, 20, 4, cut=True)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(result) == 1
+    assert result[0][0] == serial
+    assert shared == [] and held == {}
+    assert 1 <= len(built) <= 4
 
 
 def test_the_audit_reads_flows_from_the_dispatch_not_the_flow_array():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import scucnr.backend
 import scucnr.subproblems
 from conftest import fixture_family
 from oracles import dc_flows, manual_schedule, net_injections, redispatch_slack
@@ -189,6 +190,35 @@ def test_slack_must_be_zero_or_one(c4_high, monkeypatch, t, x0, status):
     else:
         out = solve_pcfc(rows, muc, t)
         assert (out.status, out.slack) == (status, x0)
+
+
+def test_nan_duals_fail_the_dual_accounting_naming_the_pair(c4_high, monkeypatch):
+    # gap > tol is False for a NaN gap; the check must be a positive one
+    def nan_duals(lp, *args, **kwargs):
+        result = solve_lp(lp, *args, **kwargs)
+        return dataclasses.replace(result, row_duals=np.full_like(result.row_duals, np.nan))
+
+    monkeypatch.setattr(scucnr.subproblems, "solve_lp", nan_duals)
+    sens = build_sensitivities(c4_high)
+    muc = cheap_point(c4_high)
+    for c, t in all_pairs(c4_high, sens):
+        with pytest.raises(SolverError, match=rf"pcfc\[{c},{t}\] dual accounting off by nan"):
+            solve_pcfc(OutageRows(c4_high, sens, c), muc, t)
+
+
+def test_cached_constants_are_read_only():
+    # the pattern, the slack columns and a period's block are shared by
+    # every later LP, so a caller must not be able to write to them
+    case = random_case(101, 24, 8, 4)
+    sens = build_sensitivities(case)
+    rows = OutageRows(case, sens, sens.contingencies[0])
+    block = rows.at(2)
+    assert all(x is y for x, y in zip(block, rows.at(2), strict=True))
+    lp = _slack_lp(block, cheap_point(case), 2, "pair")
+    for array in (*scucnr.backend._dense_pattern(*lp.a.shape), lp.cost, lp.lb, lp.ub, *block,
+                  rows.demand_flow(2), rows.at_gens):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
 
 
 def test_duals_satisfy_strong_duality_everywhere(tri3_tight, c4_high):
